@@ -43,9 +43,10 @@ constexpr std::uint64_t kWarmIndexBase = 1ULL << 40;
 /// not grow with throughput (peak_rss_mb is a system metric).
 constexpr std::uint64_t kCompareLimit = 16384;
 constexpr std::size_t kLatencyReserve = 1 << 17;
-/// latency_p99_ms is the median of the p99s of this many equal windows of
-/// the measured phase, so one transient stall does not set a run's tail.
-constexpr int kP99Windows = 4;
+/// qps and latency_p99_ms are medians over the measured phase's windows of
+/// this length: on a shared machine, stalls from other tenants come and go
+/// within a run, and one bad stretch must not set a run's figure.
+constexpr double kWindowSeconds = 1.0;
 
 /// docs_qa: the bots' closed loop, one client per core.
 constexpr std::size_t kDocsClients = 4;
@@ -279,26 +280,53 @@ Publishes publish_during(const rag::SnapshotPtr& base, std::uint64_t seed,
 
 // --- metrics -----------------------------------------------------------------
 
-/// Median over kP99Windows equal windows of [first, last] `at` of each
-/// window's p99 latency.
+/// `values` grouped by equal windows of about kWindowSeconds spanning
+/// [first, last] `at`; `width` receives the window length.
+std::vector<std::vector<double>> by_window(const std::vector<double>& at,
+                                           const std::vector<double>& values,
+                                           double& width) {
+  const auto [lo, hi] = std::minmax_element(at.begin(), at.end());
+  const std::size_t count = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::lround((*hi - *lo) / kWindowSeconds)));
+  width = (*hi - *lo) / static_cast<double>(count);
+  std::vector<std::vector<double>> windows(count);
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    const std::size_t w =
+        width > 0.0 ? static_cast<std::size_t>((at[i] - *lo) / width) : 0;
+    windows[std::min(w, count - 1)].push_back(values[i]);
+  }
+  return windows;
+}
+
+/// Median over the windows of each window's p99 latency.
 double windowed_p99(const std::vector<double>& at,
                     const std::vector<double>& latency) {
   if (at.empty()) return 0.0;
-  const auto [lo, hi] = std::minmax_element(at.begin(), at.end());
-  const double width = (*hi - *lo) / kP99Windows;
-  std::vector<std::vector<double>> windows(kP99Windows);
-  for (std::size_t i = 0; i < at.size(); ++i) {
-    const int w = width > 0.0 ? static_cast<int>((at[i] - *lo) / width) : 0;
-    windows[static_cast<std::size_t>(std::min(w, kP99Windows - 1))].push_back(
-        latency[i]);
-  }
+  double width = 0.0;
   std::vector<double> p99s;
-  for (const std::vector<double>& w : windows) {
+  for (const std::vector<double>& w : by_window(at, latency, width)) {
     if (!w.empty()) p99s.push_back(percentile(w, 99.0));
   }
   return median(p99s);
 }
 
+/// Median over the windows of completions per second (closed loops, where a
+/// stall lowers the rate); the whole-phase rate when the phase is shorter
+/// than one window.
+double windowed_rate(const std::vector<double>& at, double phase_seconds) {
+  if (at.empty()) return 0.0;
+  double width = 0.0;
+  std::vector<double> rates;
+  for (const std::vector<double>& w : by_window(at, at, width)) {
+    rates.push_back(static_cast<double>(w.size()) / width);
+  }
+  return width > 0.0 && rates.size() > 1
+             ? median(rates)
+             : static_cast<double>(at.size()) / phase_seconds;
+}
+
+/// `at` is when each of the phase's completed requests finished (or, for
+/// turns, was due); `latency` is parallel to it.
 void add_end_to_end(WorkloadResult& res, const SetupSplit& split, double qps,
                     const std::vector<double>& latency,
                     const std::vector<double>& at, double cpu_ms_per_req,
@@ -811,8 +839,9 @@ WorkloadResult run_docs_qa(const RunOptions& o) {
 
   if (!o.trace) {
     const double completed = static_cast<double>(run.completed());
-    add_end_to_end(res, split, completed / run.wall, run.latency, run.at,
-                   cpu * 1e3 / completed, median(probe.seconds) * 1e3, rss);
+    add_end_to_end(res, split, windowed_rate(run.at, run.wall), run.latency,
+                   run.at, cpu * 1e3 / completed,
+                   median(probe.seconds) * 1e3, rss);
     return res;
   }
 
@@ -919,6 +948,7 @@ WorkloadResult run_agent_sessions(const RunOptions& o) {
 
   if (!o.trace) {
     const double completed = static_cast<double>(run.completed());
+    // Open loop: completions follow the schedule, so the whole-phase rate.
     add_end_to_end(res, split, completed / run.wall, run.latency, run.at,
                    cpu * 1e3 / std::max(1.0, completed),
                    median(probe.seconds) * 1e3, rss);
@@ -989,8 +1019,8 @@ WorkloadResult run_live_ingest(const RunOptions& o) {
 
   if (!o.trace) {
     const double completed = static_cast<double>(run.reads.completed());
-    add_end_to_end(res, split, completed / run.reads.wall, run.reads.latency,
-                   run.reads.at, run.read_cpu_seconds * 1e3 / completed,
+    add_end_to_end(res, split, windowed_rate(run.reads.at, run.reads.wall),
+                   run.reads.latency, run.reads.at, run.read_cpu_seconds * 1e3 / completed,
                    median(run.publish_seconds) * 1e3, run.rss_mb);
     return res;
   }
