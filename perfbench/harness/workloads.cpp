@@ -28,8 +28,9 @@ constexpr double kSetupSeconds = 1.0;
 /// during their measured phase, into KBs adopting the base generation that
 /// restart every kProbeRestartEvery publishes (fewer than the 47 that would
 /// make a 188-chunk KB refit its embedder). Spreading them over the phase,
-/// and timing the publishing thread's CPU rather than its wall time, keeps
-/// bursts of interference on a shared machine from setting the median.
+/// and timing the publishing thread's CPU rather than its wall time (which
+/// waits for cores the saturated phase is using), keeps bursts of
+/// interference on a shared machine from setting the median.
 constexpr double kProbeIntervalSeconds = 0.1;
 constexpr int kProbeRestartEvery = 40;
 /// Answers checked against a serial ask: about one in kSampleEvery, at most
