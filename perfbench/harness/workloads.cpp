@@ -724,7 +724,8 @@ double ratio(std::uint64_t part, std::uint64_t whole) {
 
 struct IngestPhase {
   LoopResult reads;
-  std::vector<double> publish_seconds;  ///< publishes done inside the window
+  /// Writer-thread CPU seconds of each publish done inside the window.
+  std::vector<double> publish_seconds;
   std::vector<double> swaps;
   double read_cpu_seconds = 0.0;  ///< process CPU minus the writer thread's
   double rss_mb = 0.0;
@@ -736,7 +737,9 @@ enum class ReadPath { Server, Stages, TracedStages };
 /// phase publishes the same generation sequence: readers warm up, then
 /// read for `seconds` while the writer publishes curated answers back to
 /// back. The post-publish reranker refit and the index rebuild stay inside
-/// the window.
+/// the window. A publish runs on the writer thread alone, so its time is
+/// that thread's CPU: its wall time also counts waits for cores the readers
+/// hold, which swung by a quarter between runs on a shared machine.
 IngestPhase ingest_phase(const rag::SnapshotPtr& base, const RunOptions& o,
                          ReadPath path, std::vector<SpanBuffer>* reader_spans,
                          SpanBuffer* writer_spans, WorkloadResult& res) {
@@ -770,11 +773,11 @@ IngestPhase ingest_phase(const rag::SnapshotPtr& base, const RunOptions& o,
     const double c0 = thread_cpu_seconds();
     try {
       for (std::uint64_t n = 0; !stop.load(); ++n) {
-        const double t0 = now_seconds();
+        const double cpu_before = thread_cpu_seconds();
         in_span(writer_spans, SpanKind::Publish, n, -1,
                 [&] { (void)ingest_curated(ingestor, o.seed, n); });
-        const double t1 = now_seconds();
-        if (t1 <= deadline) phase.publish_seconds.push_back(t1 - t0);
+        const double cpu = thread_cpu_seconds() - cpu_before;
+        if (now_seconds() <= deadline) phase.publish_seconds.push_back(cpu);
       }
     } catch (const std::exception& e) {
       writer_error = e.what();
