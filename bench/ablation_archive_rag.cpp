@@ -21,7 +21,7 @@ int main() {
     corpus::CorpusOptions copts;
     copts.include_mailing_list_archive = with_archive;
     const text::VirtualDir tree = corpus::generate_corpus(copts);
-    const rag::RagDatabase db = rag::RagDatabase::build(tree);
+    const rag::KnowledgeBase db = rag::KnowledgeBase::build(tree);
     const eval::BenchmarkRunner runner(db, llm::model_config("sim-gpt-4o"),
                                        rag::RetrieverOptions{});
     const double baseline =

@@ -17,7 +17,7 @@ namespace pkb::bench {
 
 struct Setup {
   text::VirtualDir corpus;
-  std::unique_ptr<rag::RagDatabase> db;
+  std::unique_ptr<rag::KnowledgeBase> db;
   llm::LlmConfig model;
   rag::RetrieverOptions retriever;
 
@@ -32,10 +32,10 @@ inline Setup make_setup(const std::string& embedder = "sim-embed-3-large",
                         const std::string& reranker = "sim-flashrank") {
   Setup s;
   s.corpus = corpus::generate_corpus();
-  rag::RagDatabaseOptions db_opts;
+  rag::KnowledgeBaseOptions db_opts;
   db_opts.embedder = embedder;
-  s.db = std::make_unique<rag::RagDatabase>(
-      rag::RagDatabase::build(s.corpus, db_opts));
+  s.db = std::make_unique<rag::KnowledgeBase>(
+      rag::KnowledgeBase::build(s.corpus, db_opts));
   s.model = llm::model_config(model);
   s.retriever.reranker = reranker;
   return s;

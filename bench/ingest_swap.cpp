@@ -183,7 +183,6 @@ int main(int argc, char** argv) {
   ServerOptions opts;
   opts.workers = workers;
   opts.answer_cache_capacity = 0;  // measure the pipeline, not the cache
-  opts.embedding_cache_capacity = 0;
   opts.llm_latency_scale = kLlmLatencyScale;
   Server server(workflow, opts);
   pkb::ingest::Ingestor ingestor(*setup.db);

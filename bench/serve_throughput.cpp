@@ -154,7 +154,6 @@ int main(int argc, char** argv) {
   }
   ServerOptions uncached;
   uncached.answer_cache_capacity = 0;
-  uncached.embedding_cache_capacity = 0;
   uncached.llm_latency_scale = kLlmLatencyScale;
 
   std::printf("phase A: %zu unique requests, %zu closed-loop clients, "
@@ -191,7 +190,6 @@ int main(int argc, char** argv) {
   cache_off.workers = workers;
   ServerOptions cache_on = cache_off;
   cache_on.answer_cache_capacity = 4096;
-  cache_on.embedding_cache_capacity = 4096;
 
   std::printf("phase B: %zu requests, ~50%% drawn from a %zu-question hot "
               "set, %zu workers\n", requests, kHotSet, workers);

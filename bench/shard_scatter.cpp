@@ -5,9 +5,9 @@
 //
 // Per shard count, three steps run over the same seeded corpus and query
 // pool:
-//   equivalence — every sampled query's scatter (single and batched) must
-//                 be bit-identical to VectorStore::similarity_search; any
-//                 mismatch fails the run (exit nonzero);
+//   equivalence — every sampled query's scatter must be bit-identical to
+//                 VectorStore::similarity_search; any mismatch fails the
+//                 run (exit nonzero);
 //   clean       — closed-loop client threads hammer search(); QPS, p50/p99,
 //                 partial rate (must be 0);
 //   one_dead    — the last shard is killed; answers must keep flowing
@@ -80,19 +80,12 @@ bool hits_equal(const std::vector<SearchResult>& mono,
   return true;
 }
 
-/// Single-query and batched scatters, checked against the monolithic scan.
+/// Every scatter, checked against the monolithic scan.
 bool check_equivalence(const VectorStore& store, const ShardRouter& router,
                        const std::vector<Vector>& pool, std::size_t k) {
   for (const Vector& q : pool) {
     const Scatter sc = router.search(q, k);
     if (sc.partial() || !hits_equal(store.similarity_search(q, k), sc.hits)) {
-      return false;
-    }
-  }
-  const auto mono = store.similarity_search_batch(pool, k);
-  const auto scatters = router.search_batch(pool, k);
-  for (std::size_t q = 0; q < pool.size(); ++q) {
-    if (scatters[q].partial() || !hits_equal(mono[q], scatters[q].hits)) {
       return false;
     }
   }

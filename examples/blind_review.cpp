@@ -21,7 +21,8 @@ int main() {
   using namespace pkb;
 
   std::printf("=== Blind-review workflow (Sec V-A) ===\n\n");
-  const rag::RagDatabase db = rag::RagDatabase::build(corpus::generate_corpus());
+  const rag::KnowledgeBase db =
+      rag::KnowledgeBase::build(corpus::generate_corpus());
 
   history::HistoryStore store;
   pkb::util::SimClock clock;

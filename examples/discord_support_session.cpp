@@ -44,7 +44,8 @@ int main() {
                            "petsc-users-emails");
 
   std::printf("building the RAG database...\n");
-  const rag::RagDatabase db = rag::RagDatabase::build(corpus::generate_corpus());
+  const rag::KnowledgeBase db =
+      rag::KnowledgeBase::build(corpus::generate_corpus());
   const rag::AugmentedWorkflow workflow(db, rag::PipelineArm::RagRerank,
                                         llm::model_config("sim-gpt-4o"));
   bots::ChatBot chat_bot(&workflow, &server, &list, "petsc-users-emails",

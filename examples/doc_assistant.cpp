@@ -70,7 +70,8 @@ int main() {
             });
   std::printf("%zu pages have documentation gaps.\n\n", audits.size());
 
-  const rag::RagDatabase db = rag::RagDatabase::build(corpus::generate_corpus());
+  const rag::KnowledgeBase db =
+      rag::KnowledgeBase::build(corpus::generate_corpus());
   const rag::AugmentedWorkflow workflow(db, rag::PipelineArm::RagRerank,
                                         llm::model_config("sim-gpt-4o"));
 

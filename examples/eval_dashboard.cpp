@@ -33,9 +33,10 @@ int main(int argc, char** argv) {
 
   std::printf("Building the PETSc knowledge base corpus...\n");
   const pkb::text::VirtualDir corpus = pkb::corpus::generate_corpus();
-  pkb::rag::RagDatabaseOptions db_opts;
+  pkb::rag::KnowledgeBaseOptions db_opts;
   db_opts.embedder = embedder;
-  const pkb::rag::RagDatabase db = pkb::rag::RagDatabase::build(corpus, db_opts);
+  const pkb::rag::KnowledgeBase db =
+      pkb::rag::KnowledgeBase::build(corpus, db_opts);
   std::printf("  %zu source documents -> %zu chunks (embedder %s)\n\n",
               db.source_count(), db.chunks().size(), db.embedder().name().c_str());
 

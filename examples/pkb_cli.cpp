@@ -112,7 +112,8 @@ int main() {
   using namespace pkb;
 
   std::printf("petsc-kb assistant — building the knowledge base...\n");
-  const rag::RagDatabase db = rag::RagDatabase::build(corpus::generate_corpus());
+  const rag::KnowledgeBase db =
+      rag::KnowledgeBase::build(corpus::generate_corpus());
   std::printf("ready: %zu documents, %zu chunks. Ask about PETSc Krylov "
               "solvers; :quit to exit.\n\n",
               db.source_count(), db.chunks().size());

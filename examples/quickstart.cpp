@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   // 2) Build the RAG database: load -> chunk -> embed -> index (Fig 3,
   //    "Generating the RAG databases").
-  const pkb::rag::RagDatabase db = pkb::rag::RagDatabase::build(corpus);
+  const pkb::rag::KnowledgeBase db = pkb::rag::KnowledgeBase::build(corpus);
   std::printf("knowledge base: %zu documents -> %zu chunks (embedder %s)\n\n",
               db.source_count(), db.chunks().size(),
               db.embedder().name().c_str());

@@ -64,11 +64,17 @@ class Embedder {
 };
 
 /// Create an embedder by registry name:
-///   "sim-tfidf", "sim-hash-512", "sim-lsa-64", "sim-charngram-512",
+///   "sim-tfidf";
+///   "sim-lsa-<rank>", "sim-hash-<dim>", "sim-charngram-<dim>"
+///     (e.g. "sim-lsa-64", "sim-hash-512", "sim-charngram-512");
+///   "sim-blend-<rank>-<dim>-w<pct>" — BlendEmbedder(rank, dim, pct / 100):
+///     LSA rank <rank> blended with a <dim>-bucket hashed bag of words at
+///     lexical weight <pct>% (e.g. "sim-blend-32-256-w25");
 /// plus the paper-flavored aliases
-///   "sim-embed-3-large" (= tfidf: the strongest retrieval model here),
-///   "sim-embed-3-small" (= lsa-64),
-///   "sim-embed-ada"     (= hash-512).
+///   "sim-embed-3-large" (= BlendEmbedder(32, 256, 0.10): the strongest
+///                          retrieval model here),
+///   "sim-embed-3-small" (= BlendEmbedder(16, 128, 0.2)),
+///   "sim-embed-ada"     (= HashEmbedder(256), i.e. "sim-hash-256").
 /// Throws std::invalid_argument for unknown names.
 [[nodiscard]] std::unique_ptr<Embedder> make_embedder(std::string_view name);
 

@@ -14,7 +14,7 @@ std::size_t ArmReport::count_with_score(int score) const {
   return n;
 }
 
-BenchmarkRunner::BenchmarkRunner(const rag::RagDatabase& db,
+BenchmarkRunner::BenchmarkRunner(const rag::KnowledgeBase& db,
                                  llm::LlmConfig model,
                                  rag::RetrieverOptions retriever_opts)
     : db_(db), model_(std::move(model)),

@@ -58,7 +58,7 @@ struct ArmComparison {
 /// Runs arms against one shared database.
 class BenchmarkRunner {
  public:
-  BenchmarkRunner(const rag::RagDatabase& db, llm::LlmConfig model,
+  BenchmarkRunner(const rag::KnowledgeBase& db, llm::LlmConfig model,
                   rag::RetrieverOptions retriever_opts = {});
 
   /// Run one arm over `questions` (defaults to the 37-question benchmark).
@@ -67,10 +67,10 @@ class BenchmarkRunner {
       const std::vector<corpus::BenchmarkQuestion>& questions =
           corpus::krylov_benchmark()) const;
 
-  [[nodiscard]] const rag::RagDatabase& database() const { return db_; }
+  [[nodiscard]] const rag::KnowledgeBase& database() const { return db_; }
 
  private:
-  const rag::RagDatabase& db_;
+  const rag::KnowledgeBase& db_;
   llm::LlmConfig model_;
   rag::RetrieverOptions retriever_opts_;
 };

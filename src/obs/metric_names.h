@@ -25,10 +25,6 @@ inline constexpr std::string_view kEmbedBatchDocsTotal =
     "pkb_embed_batch_docs_total";
 inline constexpr std::string_view kVectordbSearchesTotal =
     "pkb_vectordb_searches_total";
-inline constexpr std::string_view kVectordbBatchSearchesTotal =
-    "pkb_vectordb_batch_searches_total";
-inline constexpr std::string_view kVectordbBatchQueriesTotal =
-    "pkb_vectordb_batch_queries_total";
 inline constexpr std::string_view kIvfSearchesTotal = "pkb_ivf_searches_total";
 inline constexpr std::string_view kIvfProbesTotal = "pkb_ivf_probes_total";
 inline constexpr std::string_view kAnnSearchesTotal = "pkb_ann_searches_total";
@@ -49,16 +45,10 @@ inline constexpr std::string_view kBotsButtonPressesTotal =
     "pkb_bots_button_presses_total";
 inline constexpr std::string_view kServeRequestsTotal =
     "pkb_serve_requests_total";
-inline constexpr std::string_view kServeBatchesTotal =
-    "pkb_serve_batches_total";
 inline constexpr std::string_view kServeAnswerCacheHitsTotal =
     "pkb_serve_answer_cache_hits_total";
 inline constexpr std::string_view kServeAnswerCacheMissesTotal =
     "pkb_serve_answer_cache_misses_total";
-inline constexpr std::string_view kServeEmbedCacheHitsTotal =
-    "pkb_serve_embed_cache_hits_total";
-inline constexpr std::string_view kServeEmbedCacheMissesTotal =
-    "pkb_serve_embed_cache_misses_total";
 inline constexpr std::string_view kServeCacheEvictionsTotal =
     "pkb_serve_cache_evictions_total";
 inline constexpr std::string_view kServeRejectedTotal =
@@ -171,8 +161,6 @@ inline constexpr std::string_view kEmbedBatchSeconds =
     "pkb_embed_batch_seconds";
 inline constexpr std::string_view kLlmSimLatencySeconds =
     "pkb_llm_sim_latency_seconds";
-inline constexpr std::string_view kVectordbBatchSearchSeconds =
-    "pkb_vectordb_batch_search_seconds";
 inline constexpr std::string_view kServeRequestSeconds =
     "pkb_serve_request_seconds";
 inline constexpr std::string_view kServeQueueWaitSeconds =
@@ -216,9 +204,6 @@ inline constexpr std::string_view kSpanHistoryRecord = "history_record";
 inline constexpr std::string_view kSpanServeRequest = "serve_request";
 inline constexpr std::string_view kSpanSessionTurn = "session_turn";
 inline constexpr std::string_view kSpanAdmission = "admission";
-inline constexpr std::string_view kSpanServeBatch = "serve_batch";
-inline constexpr std::string_view kSpanVectorSearchBatch =
-    "vector_search_batch";
 inline constexpr std::string_view kSpanShardScatter = "shard_scatter";
 inline constexpr std::string_view kSpanShardMerge = "shard_merge";
 inline constexpr std::string_view kSpanIngestBuild = "ingest_build";

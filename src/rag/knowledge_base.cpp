@@ -146,14 +146,11 @@ namespace {
 constexpr char kSnapshotMagic[4] = {'P', 'K', 'B', 'S'};
 constexpr char kChunkSectionMagic[4] = {'C', 'H', 'N', 'K'};
 constexpr char kSymbolSectionMagic[4] = {'S', 'Y', 'M', 'S'};
-// Version 2 appends opts.shards to the options block; version-1 files load
-// with shards = 0 (monolithic). Version 3 appends the IndexSpec (kind,
-// int8 flag, rerank_factor, IVF and HNSW options); older files load with
-// the identity spec (flat fp32) — exactly their pre-index behavior.
-// Version 4 generalizes the quantizer: the v3 int8 flag stays in place
-// (written as quant == Int8 for old readers' field positions) and the
-// block gains quant + PqOptions after hnsw.seed; v3 files load with the
-// flag mapped to Quantizer::Int8/None and default PQ options.
+// Only the current version loads; no older snapshots are deployed, so an
+// older file fails with "unsupported version" instead of being migrated.
+// The options block carries opts.shards, then the IndexSpec (kind, a legacy
+// int8 flag still written as quant == Int8 and ignored on load,
+// rerank_factor, IVF and HNSW options, quant, PqOptions).
 constexpr std::uint32_t kSnapshotVersion = 4;
 
 void read_magic(std::istream& in, const char (&expect)[4], const char* what) {
@@ -237,7 +234,7 @@ SnapshotPtr Snapshot::load(const std::string& path) {
   }
   read_magic(in, kSnapshotMagic, "snapshot header");
   const std::uint32_t version = bin::read_u32(in, "snapshot version");
-  if (version < 1 || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     throw std::runtime_error("Snapshot::load: unsupported version " +
                              std::to_string(version));
   }
@@ -258,40 +255,33 @@ SnapshotPtr Snapshot::load(const std::string& path) {
   for (std::uint64_t i = 0; i < n_separators; ++i) {
     snap->opts.splitter.separators.push_back(bin::read_str(in, "separator"));
   }
-  snap->opts.shards =
-      version >= 2 ? bin::read_count(in, "shard count", /*max=*/1 << 16) : 0;
-  if (version >= 3) {
-    const std::uint32_t kind = bin::read_u32(in, "index kind");
-    if (kind > static_cast<std::uint32_t>(vectordb::IndexKind::Hnsw)) {
-      throw std::runtime_error("Snapshot::load: unknown index kind " +
-                               std::to_string(kind));
-    }
-    snap->opts.index.kind = static_cast<vectordb::IndexKind>(kind);
-    const bool int8_flag = bin::read_u32(in, "index int8") != 0;
-    snap->opts.index.quant =
-        int8_flag ? vectordb::Quantizer::Int8 : vectordb::Quantizer::None;
-    snap->opts.index.rerank_factor = bin::read_count(in, "rerank factor");
-    snap->opts.index.ivf.clusters = bin::read_count(in, "ivf clusters");
-    snap->opts.index.ivf.kmeans_iters = bin::read_count(in, "ivf iters");
-    snap->opts.index.ivf.nprobe = bin::read_count(in, "ivf nprobe");
-    snap->opts.index.ivf.seed = bin::read_u64(in, "ivf seed");
-    snap->opts.index.hnsw.m = bin::read_count(in, "hnsw m");
-    snap->opts.index.hnsw.ef_construction =
-        bin::read_count(in, "hnsw ef_construction");
-    snap->opts.index.hnsw.ef_search = bin::read_count(in, "hnsw ef_search");
-    snap->opts.index.hnsw.seed = bin::read_u64(in, "hnsw seed");
+  snap->opts.shards = bin::read_count(in, "shard count", /*max=*/1 << 16);
+  const std::uint32_t kind = bin::read_u32(in, "index kind");
+  if (kind > static_cast<std::uint32_t>(vectordb::IndexKind::Hnsw)) {
+    throw std::runtime_error("Snapshot::load: unknown index kind " +
+                             std::to_string(kind));
   }
-  if (version >= 4) {
-    const std::uint32_t quant = bin::read_u32(in, "index quant");
-    if (quant > static_cast<std::uint32_t>(vectordb::Quantizer::Pq)) {
-      throw std::runtime_error("Snapshot::load: unknown quantizer " +
-                               std::to_string(quant));
-    }
-    snap->opts.index.quant = static_cast<vectordb::Quantizer>(quant);
-    snap->opts.index.pq.m = bin::read_count(in, "pq m");
-    snap->opts.index.pq.kmeans_iters = bin::read_count(in, "pq iters");
-    snap->opts.index.pq.seed = bin::read_u64(in, "pq seed");
+  snap->opts.index.kind = static_cast<vectordb::IndexKind>(kind);
+  (void)bin::read_u32(in, "index int8");  // legacy flag; quant below wins
+  snap->opts.index.rerank_factor = bin::read_count(in, "rerank factor");
+  snap->opts.index.ivf.clusters = bin::read_count(in, "ivf clusters");
+  snap->opts.index.ivf.kmeans_iters = bin::read_count(in, "ivf iters");
+  snap->opts.index.ivf.nprobe = bin::read_count(in, "ivf nprobe");
+  snap->opts.index.ivf.seed = bin::read_u64(in, "ivf seed");
+  snap->opts.index.hnsw.m = bin::read_count(in, "hnsw m");
+  snap->opts.index.hnsw.ef_construction =
+      bin::read_count(in, "hnsw ef_construction");
+  snap->opts.index.hnsw.ef_search = bin::read_count(in, "hnsw ef_search");
+  snap->opts.index.hnsw.seed = bin::read_u64(in, "hnsw seed");
+  const std::uint32_t quant = bin::read_u32(in, "index quant");
+  if (quant > static_cast<std::uint32_t>(vectordb::Quantizer::Pq)) {
+    throw std::runtime_error("Snapshot::load: unknown quantizer " +
+                             std::to_string(quant));
   }
+  snap->opts.index.quant = static_cast<vectordb::Quantizer>(quant);
+  snap->opts.index.pq.m = bin::read_count(in, "pq m");
+  snap->opts.index.pq.kmeans_iters = bin::read_count(in, "pq iters");
+  snap->opts.index.pq.seed = bin::read_u64(in, "pq seed");
 
   snap->store = vectordb::VectorStore::load(in);
 

@@ -1,6 +1,6 @@
 #pragma once
-// Generational retrieval substrate — the RCU-style successor of the old
-// immutable RagDatabase.
+// Generational retrieval substrate — the vector database of §III-A as an
+// RCU-style sequence of immutable generations.
 //
 // A `Snapshot` is one immutable generation of the knowledge base: chunked
 // corpus + fitted embedder + vector store + symbol index, stamped with a
@@ -63,10 +63,6 @@ struct KnowledgeBaseOptions {
   vectordb::IndexSpec index;
 };
 
-/// Compat alias: the pre-generational name, still used across benches and
-/// examples.
-using RagDatabaseOptions = KnowledgeBaseOptions;
-
 /// One immutable generation: everything retrieval needs, bundled. Invariant:
 /// `store` entry i is the embedding of `chunks[i]` (same document, same
 /// order); `symbols` indexes into `chunks`. Never mutated after publish —
@@ -95,9 +91,8 @@ struct Snapshot {
   std::shared_ptr<const lexical::SymbolIndex> symbols;
   /// Number of source documents that contributed to `chunks`.
   std::size_t source_count = 0;
-  /// Generation at which `embedder` was last fitted — the serve layer keys
-  /// its embedding memo by this, so delta generations (same embedder) keep
-  /// their memo hits and a refit invalidates them.
+  /// Generation at which `embedder` was last fitted: delta generations
+  /// (same embedder) keep their base's value, a refit sets its own.
   std::uint64_t embedder_fit_generation = 0;
   /// Chunk count at the last embedder fit; the ingestor's drift check
   /// compares growth since then against its refit threshold.
@@ -126,10 +121,10 @@ using SnapshotPtr = std::shared_ptr<const Snapshot>;
 /// a reader's pinned snapshot stays fully usable (and alive) across any
 /// number of publishes.
 ///
-/// Compat surface: the chunks()/store()/embedder()/symbols() accessors of
-/// the old immutable RagDatabase delegate to the *current* snapshot. They
-/// are safe in single-generation use (every bench and example); code that
-/// runs concurrently with live ingestion must pin snapshot() instead.
+/// The chunks()/store()/embedder()/symbols() accessors delegate to the
+/// *current* snapshot. They are safe in single-generation use (every bench
+/// and example); code that runs concurrently with live ingestion must pin
+/// snapshot() instead.
 class KnowledgeBase {
  public:
   /// Build generation 1 from an in-memory corpus tree.
@@ -199,9 +194,5 @@ class KnowledgeBase {
   std::atomic<std::uint64_t> gen_{0};
   mutable std::mutex publish_mu_;  ///< serializes publishers only
 };
-
-/// Compat alias: existing call sites (benches, examples, tests) keep
-/// compiling against the generational substrate unchanged.
-using RagDatabase = KnowledgeBase;
 
 }  // namespace pkb::rag

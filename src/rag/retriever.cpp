@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/clock.h"
-#include "util/thread_pool.h"
 #include "vectordb/shard_router.h"
 
 namespace pkb::rag {
@@ -255,14 +254,6 @@ RetrievalResult Retriever::retrieve(std::string_view query) const {
   return retrieve_on(kb_.snapshot(), query);
 }
 
-void Retriever::assemble_from_hits(
-    const Snapshot& snap, std::string_view query,
-    const std::vector<vectordb::SearchResult>& vector_hits,
-    RetrievalResult& result) const {
-  augment_stage(snap, query, vector_hits, result);
-  rerank_stage(snap, query, result);
-}
-
 RetrievalResult Retriever::retrieve_on(const SnapshotPtr& snap,
                                        std::string_view query) const {
   obs::global_metrics().counter(obs::kRetrieveRequestsTotal).inc();
@@ -278,122 +269,12 @@ RetrievalResult Retriever::retrieve_on(const SnapshotPtr& snap,
   embed_stage(*snap, query, result);
   const std::vector<vectordb::SearchResult> vector_hits =
       search_stage(*snap, *result.query_embedding, result);
-  assemble_from_hits(*snap, query, vector_hits, result);
+  augment_stage(*snap, query, vector_hits, result);
+  rerank_stage(*snap, query, result);
   span.set_attr("candidates", result.first_pass.size());
   span.set_attr("kept", result.contexts.size());
   observe_retrieval_metrics(result);
   return result;
-}
-
-RetrievalResult Retriever::retrieve_with_embedding(
-    const SnapshotPtr& snap, std::string_view query,
-    const embed::Vector& query_vec) const {
-  obs::global_metrics().counter(obs::kRetrieveRequestsTotal).inc();
-  obs::Span span(obs::global_tracer(), obs::kSpanRetrieve);
-  span.set_attr("k", opts_.first_pass_k);
-  span.set_attr("l", opts_.final_l);
-  span.set_attr("generation", snap->generation);
-
-  RetrievalResult result;
-  result.snapshot = snap;
-  result.query_embedding = std::make_shared<embed::Vector>(query_vec);
-  const std::vector<vectordb::SearchResult> vector_hits =
-      search_stage(*snap, query_vec, result);
-  assemble_from_hits(*snap, query, vector_hits, result);
-  span.set_attr("candidates", result.first_pass.size());
-  span.set_attr("kept", result.contexts.size());
-  observe_retrieval_metrics(result);
-  return result;
-}
-
-std::vector<RetrievalResult> Retriever::retrieve_batch(
-    const std::vector<std::string>& queries) const {
-  if (queries.empty()) return {};
-  const SnapshotPtr snap = kb_.snapshot();
-  // Embed every query in parallel (the embedder is thread-safe after fit).
-  pkb::util::Stopwatch watch;
-  std::vector<embed::Vector> vecs(queries.size());
-  pkb::util::parallel_for(
-      0, queries.size(),
-      [&](std::size_t i) { vecs[i] = snap->embedder->embed(queries[i]); },
-      /*min_block=*/1);
-  const double embed_total = watch.seconds();
-
-  std::vector<RetrievalResult> out =
-      retrieve_batch_with_embeddings(snap, queries, vecs);
-  // Attribute the shared embedding time evenly across the batch.
-  const double share = embed_total / static_cast<double>(queries.size());
-  for (RetrievalResult& r : out) r.embed_seconds = share;
-  return out;
-}
-
-std::vector<RetrievalResult> Retriever::retrieve_batch_with_embeddings(
-    const SnapshotPtr& snap, const std::vector<std::string>& queries,
-    const std::vector<embed::Vector>& vecs) const {
-  std::vector<RetrievalResult> out(queries.size());
-  if (queries.empty()) return out;
-  obs::MetricsRegistry& metrics = obs::global_metrics();
-  metrics.counter(obs::kRetrieveRequestsTotal).inc(queries.size());
-
-  // One amortized scan for the whole batch.
-  pkb::util::Stopwatch watch;
-  std::vector<std::vector<vectordb::SearchResult>> all_hits;
-  std::size_t shards_failed = 0;
-  std::size_t shards_total = 0;
-  {
-    obs::Span span(obs::global_tracer(), obs::kSpanVectorSearchBatch);
-    span.set_attr("queries", queries.size());
-    span.set_attr("k", opts_.first_pass_k);
-    if (snap->shards != nullptr) {
-      // Sharded: every shard runs one amortized batch scan; shard losses
-      // are shared by the whole batch (see ShardRouter::search_batch).
-      const vectordb::ScatterOptions sopts{fault_plan_, search_hedges_};
-      std::vector<vectordb::Scatter> scatters =
-          snap->shards->search_batch(vecs, opts_.first_pass_k, nullptr,
-                                     sopts);
-      shards_failed = scatters[0].shards_failed;
-      shards_total = scatters[0].shards_total;
-      if (shards_total > 0 && shards_failed == shards_total) {
-        throw pkb::resilience::TransientError(
-            pkb::resilience::Stage::VectorSearch,
-            "shard scatter: every shard failed");
-      }
-      all_hits.reserve(scatters.size());
-      for (vectordb::Scatter& sc : scatters) {
-        all_hits.push_back(std::move(sc.hits));
-      }
-    } else if (snap->ann != nullptr) {
-      all_hits = search_with_hedge([&] {
-        return snap->ann->search_batch(vecs, opts_.first_pass_k);
-      });
-    } else {
-      all_hits = search_with_hedge([&] {
-        return snap->store.similarity_search_batch(vecs, opts_.first_pass_k);
-      });
-    }
-  }
-  const double search_total = watch.seconds();
-
-  // Per-query completion: keyword augmentation + rerank. The shared scan
-  // time is attributed evenly across the batch so per-query rag_seconds
-  // still sums to the batch's true stage cost.
-  const double n = static_cast<double>(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    obs::Span span(obs::global_tracer(), obs::kSpanRetrieve);
-    span.set_attr("k", opts_.first_pass_k);
-    span.set_attr("l", opts_.final_l);
-    span.set_attr("generation", snap->generation);
-    out[i].snapshot = snap;
-    out[i].query_embedding = std::make_shared<embed::Vector>(vecs[i]);
-    out[i].search_seconds = search_total / n;
-    out[i].shards_failed = shards_failed;
-    out[i].shards_total = shards_total;
-    assemble_from_hits(*snap, queries[i], all_hits[i], out[i]);
-    span.set_attr("candidates", out[i].first_pass.size());
-    span.set_attr("kept", out[i].contexts.size());
-    observe_retrieval_metrics(out[i]);
-  }
-  return out;
 }
 
 }  // namespace pkb::rag

@@ -5,9 +5,8 @@
 // Generational model: every retrieval runs against one pinned Snapshot and
 // the result carries that SnapshotPtr, so the contexts' Document pointers
 // stay valid even after the knowledge base publishes newer generations.
-// Callers that already pinned a snapshot (the serve layer does, to keep its
-// caches generation-consistent) pass it to the *_on entry points; the plain
-// entry points pin the current generation themselves.
+// retrieve() pins the current generation itself; retrieve_on() takes a
+// snapshot the caller already pinned.
 
 #include <cstdint>
 #include <memory>
@@ -66,15 +65,9 @@ struct RetrievalResult {
   std::size_t shards_failed = 0;
   std::size_t shards_total = 0;
   /// The query embedding that produced the first pass (shared so copies of
-  /// the result stay cheap). Carried for the record/replay subsystem: a
-  /// trace of a precomputed-retrieval request still captures the Embed
-  /// artifact. Null only for an empty (degraded) result.
+  /// the result stay cheap). Carried for the record/replay subsystem's
+  /// Embed artifact. Null only for an empty (degraded) result.
   std::shared_ptr<const embed::Vector> query_embedding;
-  /// Set once this retrieval's rag_seconds() has been charged to a request
-  /// deadline budget (PromptStage). Guarantees a retrieval's wall time is
-  /// charged exactly once however the result reaches the workflow — ask(),
-  /// ask_with_retrieval(), or a batch path that pre-charged it.
-  bool budget_charged = false;
   [[nodiscard]] bool partial() const { return shards_failed > 0; }
   /// Total RAG processing time (embed + search + rerank).
   [[nodiscard]] double rag_seconds() const {
@@ -97,33 +90,10 @@ class Retriever {
 
   [[nodiscard]] RetrievalResult retrieve(std::string_view query) const;
 
-  /// As retrieve(), but against an explicitly pinned generation. The serve
-  /// layer pins once per request and passes the same snapshot to embedding
-  /// and retrieval so the two can never straddle a publish.
+  /// As retrieve(), but against an explicitly pinned generation, so the
+  /// embedding and the scan can never straddle a publish.
   [[nodiscard]] RetrievalResult retrieve_on(const SnapshotPtr& snap,
                                             std::string_view query) const;
-
-  /// As retrieve_on(), but with the query embedding supplied by the caller
-  /// (e.g. the serve layer's embedding memo cache). `query_vec` must equal
-  /// snap->embedder->embed(query) for the result to match retrieve_on();
-  /// embed_seconds is reported as 0 (no embedding work happened here).
-  [[nodiscard]] RetrievalResult retrieve_with_embedding(
-      const SnapshotPtr& snap, std::string_view query,
-      const embed::Vector& query_vec) const;
-
-  /// Batched retrieval: embeds every query, runs one amortized
-  /// VectorStore::similarity_search_batch scan, then completes keyword
-  /// augmentation and reranking per query. Element i is identical in
-  /// content to retrieve(queries[i]) on the same snapshot.
-  [[nodiscard]] std::vector<RetrievalResult> retrieve_batch(
-      const std::vector<std::string>& queries) const;
-
-  /// Batched retrieval with caller-supplied query embeddings (the serve
-  /// layer's memo cache); `vecs` is parallel to `queries`. embed_seconds is
-  /// reported as 0.
-  [[nodiscard]] std::vector<RetrievalResult> retrieve_batch_with_embeddings(
-      const SnapshotPtr& snap, const std::vector<std::string>& queries,
-      const std::vector<embed::Vector>& vecs) const;
 
   [[nodiscard]] const RetrieverOptions& options() const { return opts_; }
   [[nodiscard]] bool reranking_enabled() const {
@@ -169,30 +139,20 @@ class Retriever {
   /// point on the serving path) with up to `search_hedges` hedged
   /// re-attempts before the fault propagates; the plan is also handed to
   /// every reranker this retriever fits, whose rerank faults are caught in
-  /// assemble_from_hits and degrade to first-pass order. Pass nullptr to
+  /// rerank_stage and degrade to first-pass order. Pass nullptr to
   /// detach. Setup-time only — must not race in-flight retrievals.
   void set_fault_plan(const pkb::resilience::FaultPlan* plan,
                       std::uint32_t search_hedges = 1);
   [[nodiscard]] const KnowledgeBase& kb() const { return kb_; }
-  /// Compat name for the pre-generational accessor.
-  [[nodiscard]] const KnowledgeBase& db() const { return kb_; }
 
  private:
-  /// Stages 2..4 of retrieval: keyword augmentation, provenance metrics,
-  /// reranking. `vector_hits` are the first-pass hits for `query` against
-  /// `snap`; `result` carries the embed timing already accounted by the
-  /// caller and has `result.snapshot` set.
-  void assemble_from_hits(const Snapshot& snap, std::string_view query,
-                          const std::vector<vectordb::SearchResult>& vector_hits,
-                          RetrievalResult& result) const;
-
   /// The reranker fitted for `snap`'s generation, refitting if this is the
   /// first retrieval to observe it. Returns nullptr when reranking is off.
   [[nodiscard]] std::shared_ptr<const rerank::Reranker> reranker_for(
       const Snapshot& snap) const;
 
   /// Vector search with fault consultation and hedged re-attempts; the
-  /// single-query and batched paths share the retry shape through the
+  /// exact scan and the ANN index share the retry shape through the
   /// `search` callable.
   template <typename SearchFn>
   auto search_with_hedge(SearchFn&& search) const

@@ -138,17 +138,12 @@ class PromptStage final : public Stage {
     const AugmentedWorkflow& wf = *st.wf;
     WorkflowOutcome& outcome = st.outcome;
     // Stamp the generation the answer reflects — the one place this
-    // happens, for the ask() and precomputed-retrieval paths alike.
-    // Baseline outcomes read no corpus and stay 0: they can never go stale.
+    // happens. Baseline outcomes read no corpus and stay 0: they can never
+    // go stale.
     outcome.generation = outcome.retrieval.generation();
     if (st.ctx != nullptr) {
-      // Retrieval ran for real — its wall time comes off the budget, once:
-      // a pre-charged result (batch paths) or one passed through the
-      // workflow twice is never double-charged.
-      if (!outcome.retrieval.budget_charged) {
-        st.ctx->budget.charge(outcome.retrieval.rag_seconds());
-        outcome.retrieval.budget_charged = true;
-      }
+      // Retrieval's wall time comes off the budget.
+      st.ctx->budget.charge(outcome.retrieval.rag_seconds());
       if (outcome.retrieval.rerank_degraded) {
         st.ctx->degrade(res::DegradationLevel::Unreranked);
       }

@@ -125,51 +125,14 @@ WorkflowOutcome AugmentedWorkflow::ask(std::string_view question,
   } else {
     graph.run_range(st, StageKind::Embed, StageKind::Rerank);
   }
-  run_tail(st);
-  if (trace != nullptr) capture_stage_trace(st, *trace);
-  WorkflowOutcome outcome = std::move(st.outcome);
-  obs::global_metrics()
-      .histogram(obs::kWorkflowAskSeconds, {{"arm", arm_name}})
-      .observe(ask_watch.seconds());
-  return outcome;
-}
-
-WorkflowOutcome AugmentedWorkflow::ask_with_retrieval(
-    std::string_view question, RetrievalResult retrieval,
-    resilience::RequestContext* ctx, StageTrace* trace,
-    SessionPromptContext* session) const {
-  const std::string arm_name(to_string(arm_));
-  obs::global_metrics()
-      .counter(obs::kWorkflowRequestsTotal, {{"arm", arm_name}})
-      .inc();
-  pkb::util::Stopwatch ask_watch;
-  obs::Span span(obs::global_tracer(), obs::kSpanAsk);
-  span.set_attr("arm", arm_name);
-  span.set_attr("model", llm_.config().name);
-  span.set_attr("precomputed_retrieval", true);
-
-  StageState st;
-  st.wf = this;
-  st.question = question;
-  st.ctx = ctx;
-  st.session = session;
-  if (retriever_ != nullptr) {
-    st.outcome.retrieval = std::move(retrieval);
-    st.snapshot = st.outcome.retrieval.snapshot;
-  }
-  run_tail(st);
-  if (trace != nullptr) capture_stage_trace(st, *trace);
-  WorkflowOutcome outcome = std::move(st.outcome);
-  obs::global_metrics()
-      .histogram(obs::kWorkflowAskSeconds, {{"arm", arm_name}})
-      .observe(ask_watch.seconds());
-  return outcome;
-}
-
-void AugmentedWorkflow::run_tail(StageState& st) const {
-  global_stage_graph().run_range(st, StageKind::Prompt,
-                                 StageKind::Postprocess);
+  graph.run_range(st, StageKind::Prompt, StageKind::Postprocess);
   record_history(st);
+  if (trace != nullptr) capture_stage_trace(st, *trace);
+  WorkflowOutcome outcome = std::move(st.outcome);
+  obs::global_metrics()
+      .histogram(obs::kWorkflowAskSeconds, {{"arm", arm_name}})
+      .observe(ask_watch.seconds());
+  return outcome;
 }
 
 void AugmentedWorkflow::record_history(StageState& st) const {

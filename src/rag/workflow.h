@@ -3,12 +3,11 @@
 // retrieve (1) -> rerank (2) -> LLM (3) -> postprocess (4), with every
 // interaction recorded into the shared history (§III-F).
 //
-// Since the stage-graph refactor the pipeline body is an explicit
-// composition of six typed stages (rag/stage_graph.h): ask() pins a
-// snapshot and runs Embed..Postprocess; ask_with_retrieval() seeds the
-// retrieval artifacts and runs Prompt..Postprocess. Passing a StageTrace
-// captures every stage's serializable artifact for the record/replay
-// subsystem (src/replay/).
+// The pipeline body is an explicit composition of six typed stages
+// (rag/stage_graph.h): ask() pins a snapshot and runs Embed..Postprocess.
+// It is the one definition of the pipeline — the serve layer's workers and
+// session lanes call it too. Passing a StageTrace captures every stage's
+// serializable artifact for the record/replay subsystem (src/replay/).
 
 #include <memory>
 #include <optional>
@@ -60,8 +59,8 @@ struct WorkflowOutcome {
   }
   /// KnowledgeBase generation the answer was computed against (0 for the
   /// Baseline arm, which reads no corpus). Stamped in exactly one place —
-  /// PromptStage — for both the ask() and precomputed-retrieval paths. The
-  /// serve layer compares this to the live generation to detect stale
+  /// PromptStage. The serve layer compares this to the live generation to
+  /// detect stale
   /// cached answers; retrieval.snapshot keeps the generation's documents
   /// alive while the outcome is cached.
   std::uint64_t generation = 0;
@@ -120,18 +119,6 @@ class AugmentedWorkflow : public QuestionService {
                                     SessionPromptContext* session =
                                         nullptr) const;
 
-  /// As ask(), but the retrieval stage was already computed by the caller
-  /// (the serve layer's memoized/batched paths). Supplying exactly
-  /// retriever()->retrieve(question) yields the same outcome content as
-  /// ask(question) — including the budget charge, which is applied exactly
-  /// once per RetrievalResult (see RetrievalResult::budget_charged). For
-  /// the Baseline arm the retrieval is ignored.
-  [[nodiscard]] WorkflowOutcome ask_with_retrieval(
-      std::string_view question, RetrievalResult retrieval,
-      resilience::RequestContext* ctx = nullptr,
-      StageTrace* trace = nullptr,
-      SessionPromptContext* session = nullptr) const;
-
   /// QuestionService: answer == ask. ask() is const and runs against an
   /// immutable pinned snapshot, so concurrent calls are safe even while
   /// ingestion publishes new generations (the history store, when attached,
@@ -156,11 +143,6 @@ class AugmentedWorkflow : public QuestionService {
   friend class PromptStage;
   friend class GenerateStage;
   friend class PostprocessStage;
-
-  /// Stages Prompt..Postprocess plus history recording, shared by ask()
-  /// and ask_with_retrieval(): `st.outcome.retrieval` is already populated
-  /// (or intentionally empty).
-  void run_tail(StageState& st) const;
 
   /// Append the finished request to the shared history (§III-F). Not a
   /// pipeline stage: replayed requests must never append (the replay

@@ -1,8 +1,8 @@
 #pragma once
-// Sharded LRU cache with TTL — the answer and query-embedding caches of the
-// serving layer. Keys hash to one of S independent shards, each guarded by
-// its own mutex, so concurrent workers mostly touch disjoint locks (the
-// sharded read-mostly-state pattern of the related HPC repos).
+// Sharded LRU cache with TTL — the answer cache of the serving layer. Keys
+// hash to one of S independent shards, each guarded by its own mutex, so
+// concurrent workers mostly touch disjoint locks (the sharded
+// read-mostly-state pattern of the related HPC repos).
 //
 // Eviction: the total capacity is distributed across shards so per-shard
 // capacities sum to exactly `capacity` (the first capacity % shards shards

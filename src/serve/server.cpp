@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -20,11 +19,7 @@ Server::Server(const rag::AugmentedWorkflow& workflow, ServerOptions opts)
       answer_cache_(LruCacheOptions{opts_.answer_cache_capacity,
                                     opts_.cache_shards,
                                     opts_.answer_ttl_seconds,
-                                    opts_.cache_clock}),
-      embedding_cache_(LruCacheOptions{opts_.embedding_cache_capacity,
-                                       opts_.cache_shards,
-                                       /*ttl_seconds=*/0.0,
-                                       opts_.cache_clock}) {
+                                    opts_.cache_clock}) {
   if (opts_.workers == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     opts_.workers = hw == 0 ? 1 : hw;
@@ -57,7 +52,7 @@ void Server::publish_queue_gauges() {
 
 std::future<rag::WorkflowOutcome> Server::submit(std::string question) {
   obs::MetricsRegistry& metrics = obs::global_metrics();
-  metrics.counter(obs::kServeRequestsTotal, {{"source", "single"}}).inc();
+  metrics.counter(obs::kServeRequestsTotal).inc();
 
   std::promise<rag::WorkflowOutcome> promise;
   std::future<rag::WorkflowOutcome> future = promise.get_future();
@@ -102,110 +97,6 @@ rag::WorkflowOutcome Server::answer(std::string_view question) const {
   return const_cast<Server*>(this)->ask(std::string(question));
 }
 
-std::vector<rag::WorkflowOutcome> Server::ask_batch(
-    const std::vector<std::string>& questions) {
-  obs::MetricsRegistry& metrics = obs::global_metrics();
-  metrics.counter(obs::kServeBatchesTotal).inc();
-  metrics.counter(obs::kServeRequestsTotal, {{"source", "batch"}})
-      .inc(questions.size());
-
-  std::vector<rag::WorkflowOutcome> out(questions.size());
-  if (questions.empty()) return out;
-
-  obs::Span span(obs::global_tracer(), obs::kSpanServeBatch);
-  span.set_attr("questions", questions.size());
-
-  // Partition: cache hits resolve immediately; the rest are deduplicated so
-  // each unique question is retrieved and answered once.
-  std::vector<std::size_t> unique_slots;   // first slot per unique question
-  std::unordered_map<std::string_view, std::size_t> first_of;
-  std::vector<std::size_t> dup_of(questions.size(), SIZE_MAX);
-  std::size_t cache_hits = 0;
-  for (std::size_t i = 0; i < questions.size(); ++i) {
-    auto it = first_of.find(std::string_view(questions[i]));
-    if (it != first_of.end()) {
-      dup_of[i] = it->second;
-      continue;
-    }
-    std::optional<rag::WorkflowOutcome> hit = answer_cache_.get(questions[i]);
-    if (hit && outcome_fresh(*hit)) {
-      metrics.counter(obs::kServeAnswerCacheHitsTotal).inc();
-      out[i] = std::move(*hit);
-      dup_of[i] = i;  // duplicates of i copy from out[i]
-      first_of.emplace(std::string_view(questions[i]), i);
-      ++cache_hits;
-      continue;
-    }
-    first_of.emplace(std::string_view(questions[i]), i);
-    unique_slots.push_back(i);
-  }
-  span.set_attr("cache_hits", cache_hits);
-  span.set_attr("unique_misses", unique_slots.size());
-  // Cache hits and in-batch duplicates are accepted right here; enqueued
-  // requests are counted one by one as their push succeeds, so a mid-batch
-  // queue close cannot overcount submissions.
-  submitted_.fetch_add(questions.size() - unique_slots.size(),
-                       std::memory_order_relaxed);
-
-  // One amortized vector scan for every uncached unique question (Baseline
-  // arm has no retriever — workers run the plain pipeline instead). The
-  // whole batch runs against one pinned snapshot: embeddings, scan and
-  // per-question completion can never straddle a publish.
-  const rag::Retriever* retriever = workflow_.retriever();
-  std::vector<std::future<rag::WorkflowOutcome>> futures;
-  futures.reserve(unique_slots.size());
-  if (retriever != nullptr && !unique_slots.empty()) {
-    const rag::SnapshotPtr snap = retriever->kb().snapshot();
-    span.set_attr("generation", snap->generation);
-    std::vector<std::string> unique_questions;
-    unique_questions.reserve(unique_slots.size());
-    for (std::size_t slot : unique_slots) {
-      unique_questions.push_back(questions[slot]);
-    }
-    std::vector<embed::Vector> vecs(unique_questions.size());
-    for (std::size_t i = 0; i < unique_questions.size(); ++i) {
-      vecs[i] = embed_memoized(*snap, unique_questions[i]);
-    }
-    std::vector<rag::RetrievalResult> retrievals;
-    bool batch_scan_ok = true;
-    try {
-      retrievals = retriever->retrieve_batch_with_embeddings(
-          snap, unique_questions, vecs);
-    } catch (const pkb::resilience::FaultError&) {
-      // The shared scan was lost past its hedges. Fall back to unbatched
-      // requests: each worker retries retrieval individually (fresh fault
-      // decisions), so one bad scan doesn't degrade the whole batch.
-      if (opts_.resilience == nullptr) throw;
-      batch_scan_ok = false;
-    }
-    for (std::size_t i = 0; i < unique_slots.size(); ++i) {
-      Request req;
-      req.question = unique_questions[i];
-      if (batch_scan_ok) {
-        req.retrieval = std::make_unique<rag::RetrievalResult>(
-            std::move(retrievals[i]));
-      }
-      enqueue(std::move(req), futures);
-    }
-  } else {
-    for (std::size_t slot : unique_slots) {
-      Request req;
-      req.question = questions[slot];
-      enqueue(std::move(req), futures);
-    }
-  }
-  publish_queue_gauges();
-
-  for (std::size_t i = 0; i < unique_slots.size(); ++i) {
-    out[unique_slots[i]] = futures[i].get();
-  }
-  // Fill duplicate slots from their representative.
-  for (std::size_t i = 0; i < questions.size(); ++i) {
-    if (dup_of[i] != SIZE_MAX && dup_of[i] != i) out[i] = out[dup_of[i]];
-  }
-  return out;
-}
-
 bool Server::outcome_fresh(const rag::WorkflowOutcome& outcome) const {
   if (outcome.generation == 0) return true;  // Baseline: no corpus read
   if (outcome.generation == workflow_.kb().generation()) return true;
@@ -213,47 +104,6 @@ bool Server::outcome_fresh(const rag::WorkflowOutcome& outcome) const {
       .counter(obs::kServeCacheStaleTotal, {{"cache", "answer"}})
       .inc();
   return false;
-}
-
-embed::Vector Server::embed_memoized(const rag::Snapshot& snap,
-                                     const std::string& question) {
-  obs::MetricsRegistry& metrics = obs::global_metrics();
-  if (std::optional<MemoVector> hit = embedding_cache_.get(question)) {
-    if (hit->fit_generation == snap.embedder_fit_generation) {
-      metrics.counter(obs::kServeEmbedCacheHitsTotal).inc();
-      return std::move(hit->vec);
-    }
-    // Memoized under an embedder that has since been refitted.
-    metrics.counter(obs::kServeCacheStaleTotal, {{"cache", "embedding"}})
-        .inc();
-  }
-  metrics.counter(obs::kServeEmbedCacheMissesTotal).inc();
-  embed::Vector vec = snap.embedder->embed(question);
-  embedding_cache_.put(question,
-                       MemoVector{snap.embedder_fit_generation, vec});
-  return vec;
-}
-
-void Server::enqueue(Request req,
-                     std::vector<std::future<rag::WorkflowOutcome>>& futures) {
-  std::promise<rag::WorkflowOutcome> promise;
-  futures.push_back(promise.get_future());
-  req.promise = std::move(promise);
-  req.enqueue_seconds = steady_seconds();
-  if (!queue_.push(std::move(req))) {
-    // The closed queue consumed the request (and its promise); replace this
-    // slot's future with a cleanly failed one. Earlier requests of the same
-    // batch stay queued and are drained normally — a mid-batch close fails
-    // only the slots that were never accepted, never with broken_promise.
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    obs::global_metrics().counter(obs::kServeRejectedTotal).inc();
-    std::promise<rag::WorkflowOutcome> failed;
-    failed.set_exception(std::make_exception_ptr(
-        std::runtime_error("serve::Server is stopped")));
-    futures.back() = failed.get_future();
-    return;
-  }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Server::worker_loop() {
@@ -271,7 +121,6 @@ void Server::process(Request& req) {
   publish_queue_gauges();
 
   obs::Span span(obs::global_tracer(), obs::kSpanServeRequest);
-  span.set_attr("batched", req.retrieval != nullptr);
   try {
     // Re-check the cache: an identical question may have been answered
     // between submit() and now (duplicate suppression under concurrency).
@@ -284,24 +133,12 @@ void Server::process(Request& req) {
     } else {
       metrics.counter(obs::kServeAnswerCacheMissesTotal).inc();
       span.set_attr("cache", "miss");
-      pkb::resilience::RequestContext ctx;
-      pkb::resilience::RequestContext* ctxp = nullptr;
-      if (opts_.resilience != nullptr) {
-        ctx = opts_.resilience->make_context();
-        // Time already spent waiting in the queue comes off the budget.
-        ctx.budget.charge(queue_wait);
-        ctxp = &ctx;
-      }
-      outcome = run_pipeline(req.question, std::move(req.retrieval), ctxp);
-      if (outcome.retrieval.shards_failed > 0) {
-        // Scatter–gather answered without every shard: the answer is
-        // usable but tagged partial (see rag::RetrievalResult).
-        partial_.fetch_add(1, std::memory_order_relaxed);
+      outcome = compute(req.question, queue_wait, nullptr);
+      if (outcome.retrieval.partial()) {
         span.set_attr("partial_shards", outcome.retrieval.shards_failed);
       }
       std::size_t evicted = 0;
       if (outcome.degraded()) {
-        degraded_.fetch_add(1, std::memory_order_relaxed);
         span.set_attr("degraded",
                       pkb::resilience::to_string(outcome.degradation));
         // Degraded answers get a short life (or none): the next ask should
@@ -331,31 +168,22 @@ void Server::process(Request& req) {
 rag::WorkflowOutcome Server::run_session_turn(
     const std::string& question, rag::SessionPromptContext& session,
     double queue_wait_seconds) {
+  return compute(question, queue_wait_seconds, &session);
+}
+
+rag::WorkflowOutcome Server::compute(const std::string& question,
+                                     double queue_wait_seconds,
+                                     rag::SessionPromptContext* session) {
+  pkb::util::Stopwatch watch;
   pkb::resilience::RequestContext ctx;
   pkb::resilience::RequestContext* ctxp = nullptr;
   if (opts_.resilience != nullptr) {
     ctx = opts_.resilience->make_context();
-    // Real time spent queued in the session lane comes off the budget,
-    // mirroring the worker path's queue-wait charge.
+    // Time already spent queued (server queue or session lane) comes off
+    // the budget.
     ctx.budget.charge(queue_wait_seconds);
     ctxp = &ctx;
   }
-  rag::WorkflowOutcome outcome =
-      run_pipeline(question, nullptr, ctxp, &session);
-  if (outcome.degraded()) degraded_.fetch_add(1, std::memory_order_relaxed);
-  if (outcome.retrieval.shards_failed > 0) {
-    partial_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return outcome;
-}
-
-rag::WorkflowOutcome Server::run_pipeline(
-    const std::string& question,
-    std::unique_ptr<rag::RetrievalResult> retrieval,
-    pkb::resilience::RequestContext* ctx,
-    rag::SessionPromptContext* session) {
-  obs::MetricsRegistry& metrics = obs::global_metrics();
-  pkb::util::Stopwatch watch;
 
   // Record/replay sampling: a sampled request threads a StageTrace through
   // the workflow and persists it after the pipeline completes.
@@ -365,39 +193,15 @@ rag::WorkflowOutcome Server::run_pipeline(
     trace = &trace_storage;
   }
 
-  rag::WorkflowOutcome outcome;
-  const rag::Retriever* retriever = workflow_.retriever();
-  if (retrieval != nullptr) {
-    outcome = workflow_.ask_with_retrieval(question, std::move(*retrieval),
-                                           ctx, trace, session);
-  } else if (retriever != nullptr) {
-    // Single path: pin one snapshot for the whole request, memoize the
-    // query embedding against it, then retrieve on it.
-    const rag::SnapshotPtr snap = retriever->kb().snapshot();
-    const embed::Vector vec = embed_memoized(*snap, question);
-    if (ctx != nullptr) {
-      try {
-        rag::RetrievalResult result =
-            retriever->retrieve_with_embedding(snap, question, vec);
-        outcome = workflow_.ask_with_retrieval(question, std::move(result),
-                                               ctx, trace, session);
-      } catch (const pkb::resilience::FaultError&) {
-        // Retrieval lost past its hedges: answer parametrically.
-        ctx->degrade(pkb::resilience::DegradationLevel::NoRetrieval);
-        outcome = workflow_.ask_with_retrieval(
-            question, rag::RetrievalResult{}, ctx, trace, session);
-      }
-    } else {
-      outcome = workflow_.ask_with_retrieval(
-          question, retriever->retrieve_with_embedding(snap, question, vec),
-          nullptr, trace, session);
-    }
-  } else {
-    // Baseline arm: no retrieval stage.
-    outcome = workflow_.ask(question, ctx, trace, session);
-  }
+  rag::WorkflowOutcome outcome = workflow_.ask(question, ctxp, trace, session);
   computed_.fetch_add(1, std::memory_order_relaxed);
   if (trace != nullptr) opts_.recorder->record(std::move(trace_storage));
+  if (outcome.degraded()) degraded_.fetch_add(1, std::memory_order_relaxed);
+  // Scatter–gather answered without every shard: the answer is usable but
+  // tagged partial (see rag::RetrievalResult).
+  if (outcome.retrieval.partial()) {
+    partial_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   // Realize a slice of the simulated LLM latency as real wall time so that
   // multi-worker overlap (and cache hits skipping this stall) are
@@ -408,7 +212,9 @@ rag::WorkflowOutcome Server::run_pipeline(
         outcome.response.latency_seconds * opts_.llm_latency_scale));
   }
 
-  metrics.histogram(obs::kServePipelineSeconds).observe(watch.seconds());
+  obs::global_metrics()
+      .histogram(obs::kServePipelineSeconds)
+      .observe(watch.seconds());
   return outcome;
 }
 
@@ -420,7 +226,6 @@ Server::Stats Server::stats() const {
   s.degraded = degraded_.load(std::memory_order_relaxed);
   s.partial = partial_.load(std::memory_order_relaxed);
   s.answer_cache = answer_cache_.stats();
-  s.embedding_cache = embedding_cache_.stats();
   s.queue_depth = queue_.size();
   s.workers = workers_.size();
   return s;

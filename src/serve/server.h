@@ -7,35 +7,24 @@
 // (ingestion may publish new generations at any moment; see
 // rag/knowledge_base.h).
 //
-// Two caches short-circuit repeated traffic:
-//  * answer cache   — question → WorkflowOutcome (sharded LRU, TTL +
-//    capacity eviction): an exact repeat skips the whole pipeline;
-//  * embedding memo — question → query embedding: a repeat that misses the
-//    answer cache (e.g. expired TTL) still skips the embed stage.
+// Every computed answer — a worker's answer-cache miss or a session turn —
+// is one AugmentedWorkflow::ask() call, so served answers carry exactly the
+// content a serial ask() would produce (only wall-clock timing fields and
+// history ids differ — cache hits do not re-append to history).
 //
-// Both caches are generation-aware so live ingestion never serves stale
-// content: a cached answer is only a hit while its stamped KnowledgeBase
-// generation is still current (stale entries count pkb_serve_cache_stale
-// and are lazily overwritten by the recompute), and the embedding memo is
-// keyed by the embedder's fit generation, so delta generations (same
-// embedder) keep their memo hits while a full refit invalidates them.
-//
-// ask_batch() additionally amortizes the vector scan: all uncached
-// questions in a batch share one VectorStore::similarity_search_batch pass,
-// then fan out across the workers for the per-question stages.
-//
-// Results are deterministic: cached, batched, and uncached answers carry
-// the same content a serial AugmentedWorkflow::ask() would produce (only
-// wall-clock timing fields and history ids differ — cache hits do not
-// re-append to history).
+// The answer cache (question → WorkflowOutcome, sharded LRU, TTL + capacity
+// eviction) lets an exact repeat skip the whole pipeline. It is
+// generation-aware so live ingestion never serves stale content: a cached
+// answer is only a hit while its stamped KnowledgeBase generation is still
+// current (stale entries count pkb_serve_cache_stale and are lazily
+// overwritten by the recompute).
 //
 // Everything is observable under the pkb_serve_* metric namespace and the
-// serve_request / serve_batch spans (docs/OBSERVABILITY.md).
+// serve_request span (docs/OBSERVABILITY.md).
 
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,12 +48,10 @@ struct ServerOptions {
 
   /// Total answer-cache entries across shards; 0 disables the cache.
   std::size_t answer_cache_capacity = 256;
-  /// Lock shards for both caches.
+  /// Lock shards of the answer cache.
   std::size_t cache_shards = 8;
   /// Answer TTL in seconds; 0 = entries never expire.
   double answer_ttl_seconds = 0.0;
-  /// Total embedding-memo entries; 0 disables the memo.
-  std::size_t embedding_cache_capacity = 512;
 
   /// When > 0, each uncached answer's *simulated* LLM latency is realized
   /// as real wait time scaled by this factor (e.g. 0.005 turns a 9.6 s
@@ -94,8 +81,8 @@ struct ServerOptions {
   replay::TraceRecorder* recorder = nullptr;
 };
 
-/// Multi-worker serving layer. Construct, submit()/ask()/ask_batch() from
-/// any number of client threads, stop() (or destroy) to shut down
+/// Multi-worker serving layer. Construct, submit()/ask() from any number of
+/// client threads, stop() (or destroy) to shut down
 /// gracefully — queued requests are drained first.
 class Server final : public rag::QuestionService {
  public:
@@ -119,12 +106,6 @@ class Server final : public rag::QuestionService {
   [[nodiscard]] rag::WorkflowOutcome answer(
       std::string_view question) const override;
 
-  /// Batch submission: answers come back in input order. Uncached questions
-  /// share one batched vector scan, then complete concurrently on the
-  /// workers. Duplicate questions within the batch are computed once.
-  [[nodiscard]] std::vector<rag::WorkflowOutcome> ask_batch(
-      const std::vector<std::string>& questions);
-
   /// Run one session turn through the pipeline on the caller's thread —
   /// the session serving layer's entry point (serve/session.h calls this
   /// from its affinity lanes; it owns its own queues and admission
@@ -132,9 +113,9 @@ class Server final : public rag::QuestionService {
   /// cache is bypassed in both directions: a session prompt depends on the
   /// session's retrieval memory and conversation history, so its outcome
   /// is neither reusable by nor reusable from sessionless traffic. The
-  /// embedding memo, resilience treatment (with `queue_wait_seconds`
-  /// charged to the budget), trace recorder, and latency realization are
-  /// all shared with the normal paths.
+  /// resilience treatment (with `queue_wait_seconds` charged to the
+  /// budget), trace recorder, and latency realization are shared with the
+  /// worker path.
   [[nodiscard]] rag::WorkflowOutcome run_session_turn(
       const std::string& question, rag::SessionPromptContext& session,
       double queue_wait_seconds);
@@ -145,13 +126,12 @@ class Server final : public rag::QuestionService {
 
   /// Point-in-time serving statistics.
   struct Stats {
-    std::uint64_t submitted = 0;       ///< requests accepted (single + batch)
+    std::uint64_t submitted = 0;       ///< requests accepted
     std::uint64_t computed = 0;        ///< full pipeline executions
     std::uint64_t rejected = 0;        ///< submissions after stop()
     std::uint64_t degraded = 0;        ///< computed answers below Full
     std::uint64_t partial = 0;         ///< answers missing >= 1 shard
     CacheStats answer_cache;
-    CacheStats embedding_cache;
     std::size_t queue_depth = 0;
     std::size_t workers = 0;
   };
@@ -164,50 +144,26 @@ class Server final : public rag::QuestionService {
     std::string question;
     std::promise<rag::WorkflowOutcome> promise;
     double enqueue_seconds = 0.0;  ///< steady_seconds() at submit time
-    /// Retrieval precomputed by the batched path; null on the single path.
-    std::unique_ptr<rag::RetrievalResult> retrieval;
   };
 
-  /// One memoized query embedding, stamped with the fit generation of the
-  /// embedder that produced it (Snapshot::embedder_fit_generation). A hit
-  /// is only valid against a snapshot with the same fit generation.
-  struct MemoVector {
-    std::uint64_t fit_generation = 0;
-    embed::Vector vec;
-  };
-
-  /// Finish wiring `req` (promise + enqueue stamp) and push it. On a closed
-  /// queue the request's future is replaced by one failing with
-  /// std::runtime_error — the slot fails cleanly; requests already queued in
-  /// the same batch are unaffected. Only actually-enqueued requests count
-  /// toward `submitted_`.
-  void enqueue(Request req,
-               std::vector<std::future<rag::WorkflowOutcome>>& futures);
   void worker_loop();
   void process(Request& req);
   /// True when a cached outcome still reflects the current KnowledgeBase
   /// generation (Baseline outcomes, generation 0, never go stale). Counts
   /// pkb_serve_cache_stale_total when false.
   [[nodiscard]] bool outcome_fresh(const rag::WorkflowOutcome& outcome) const;
-  /// Memoized query embedding for `snap`, or compute-and-memoize.
-  [[nodiscard]] embed::Vector embed_memoized(const rag::Snapshot& snap,
-                                             const std::string& question);
-  /// Run the full pipeline for a cache miss (embedding memo + retrieval +
-  /// LLM + postprocess + optional latency realization). `ctx`, when
-  /// non-null, is the request's resilience context; retrieval faults that
-  /// escape the retriever's hedging degrade to a parametric answer here.
-  [[nodiscard]] rag::WorkflowOutcome run_pipeline(
-      const std::string& question,
-      std::unique_ptr<rag::RetrievalResult> retrieval,
-      resilience::RequestContext* ctx,
-      rag::SessionPromptContext* session = nullptr);
+  /// Compute one answer: workflow_.ask() under a fresh resilience context
+  /// (with `queue_wait_seconds` charged to its budget), optional trace
+  /// recording, degraded/partial accounting, and the LLM-latency sleep.
+  [[nodiscard]] rag::WorkflowOutcome compute(
+      const std::string& question, double queue_wait_seconds,
+      rag::SessionPromptContext* session);
   void publish_queue_gauges();
 
   const rag::AugmentedWorkflow& workflow_;
   ServerOptions opts_;
   BoundedQueue<Request> queue_;
   ShardedLruCache<std::string, rag::WorkflowOutcome> answer_cache_;
-  ShardedLruCache<std::string, MemoVector> embedding_cache_;
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> computed_{0};

@@ -5,11 +5,12 @@
 //
 // A SessionManager keys conversation state by session id and routes every
 // turn of a session to the same lane (worker thread + bounded queue, picked
-// by hashing the id), so a session's turns execute in order on a warm path:
-// the lane reuses the server's embedding memo, and the session's own
-// retrieval memory dedups context chunks the conversation has already seen
-// (rag::SessionPromptContext). Prior turns are appended to the prompt
-// through the stage graph's history path, after the document contexts.
+// by hashing the id), so a session's turns execute in order. Each turn is
+// one Server::run_session_turn, i.e. one AugmentedWorkflow::ask(); the
+// session's own retrieval memory dedups context chunks the conversation has
+// already seen (rag::SessionPromptContext). Prior turns are appended to the
+// prompt through the stage graph's history path, after the document
+// contexts.
 //
 // Admission control is open-loop friendly: submit() NEVER blocks. A turn
 // that cannot be served within bounds is shed immediately with a typed

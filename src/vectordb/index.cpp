@@ -36,14 +36,6 @@ std::string IndexSpec::name() const {
   return base;
 }
 
-std::vector<std::vector<SearchResult>> AnnIndex::search_batch(
-    const std::vector<embed::Vector>& queries, std::size_t k) const {
-  std::vector<std::vector<SearchResult>> out;
-  out.reserve(queries.size());
-  for (const embed::Vector& q : queries) out.push_back(search(q, k));
-  return out;
-}
-
 namespace {
 
 /// Shared instrumentation shell: counts searches, times them, and opens the

@@ -84,11 +84,6 @@ class AnnIndex {
   [[nodiscard]] virtual std::vector<SearchResult> search(
       const embed::Vector& query, std::size_t k) const = 0;
 
-  /// Batched search; default loops search(). Results per query are
-  /// identical to the single-query path.
-  [[nodiscard]] virtual std::vector<std::vector<SearchResult>> search_batch(
-      const std::vector<embed::Vector>& queries, std::size_t k) const;
-
   /// Bytes of the per-vector representation the candidate scan reads (fp32
   /// rows, int8 codes, or PQ codes, padded strides included). The fp32
   /// store backing the exact re-rank is not counted — this is the metric

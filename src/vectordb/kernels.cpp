@@ -494,7 +494,7 @@ std::int32_t dot_i8_neon(const std::int8_t* a, const std::int8_t* b,
 // ---------------------------------------------------------------------------
 // Dispatch: resolved once per process at first kernel use. All scores in a
 // process therefore come from one backend — the invariant the bit-exactness
-// gates (single vs batch, shard vs monolithic, rerank vs flat) rest on.
+// gates (shard vs monolithic, index vs flat, rerank vs flat) rest on.
 // ---------------------------------------------------------------------------
 
 using DotF32Fn = float (*)(const float*, const float*, std::size_t);

@@ -2,14 +2,14 @@
 // SIMD scoring kernels and packed SoA layouts — the raw-speed substrate of
 // the vector hot path.
 //
-// Every similarity score the vector database produces (flat scan, batch
-// scan, IVF buckets, HNSW traversal, int8 candidate generation) funnels
+// Every similarity score the vector database produces (flat scan, shard
+// scans, IVF buckets, HNSW traversal, int8 candidate generation) funnels
 // through the two kernel families here:
 //
 //   * fp32 dot products with double accumulation — the exact scoring
 //     contract `embed::dot` established (accumulate in double, round once
 //     to float), which is what keeps top-k selection deterministic and the
-//     shard/batch equivalence gates meaningful;
+//     shard equivalence gates meaningful;
 //   * int8 dot products with int32 accumulation — integer math is exact,
 //     so the quantized scores are bit-identical across scalar/AVX2/NEON
 //     backends by construction;
@@ -20,7 +20,7 @@
 // Backends are selected ONCE at first use (CPUID on x86: AVX2+FMA; NEON on
 // aarch64; portable scalar otherwise) and never change for the process, so
 // all scores within a process are mutually consistent — the property the
-// bit-exactness gates (single vs batch, sharded vs monolithic, rerank vs
+// bit-exactness gates (sharded vs monolithic, index vs flat, rerank vs
 // flat) rely on. Building with -DPKB_FORCE_SCALAR=ON pins the scalar
 // backend at compile time; CI runs that configuration to keep the fallback
 // honest on every change.

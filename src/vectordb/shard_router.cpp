@@ -126,12 +126,10 @@ res::CircuitBreaker::State ShardRouter::breaker_state(std::size_t i) const {
   return shards_.at(i).breaker->state();
 }
 
-bool ShardRouter::scan_shard(std::size_t shard,
-                             const std::vector<embed::Vector>& queries,
+bool ShardRouter::scan_shard(std::size_t shard, const embed::Vector& query,
                              std::size_t k, const MetadataFilter* filter,
                              const ScatterOptions& sopts,
-                             std::vector<std::vector<SearchResult>>& out)
-    const {
+                             std::vector<SearchResult>& out) const {
   const Shard& sh = shards_[shard];
   obs::MetricsRegistry& metrics = obs::global_metrics();
   if (!sh.breaker->allow()) {
@@ -148,48 +146,18 @@ bool ShardRouter::scan_shard(std::size_t shard,
             res::Stage::VectorSearch,
             "shard " + std::to_string(shard) + " is dead");
       }
-      // One fault draw per query per attempt — the same ordinal accounting
-      // as the monolithic scan, so configured rates are batch-size
-      // independent. All ordinals are drawn even when an early one faults
-      // (the shard fails as a unit for the whole batch).
-      {
-        std::exception_ptr fault;
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-          try {
-            res::consult(sopts.plan, res::Stage::VectorSearch);
-          } catch (const res::FaultError&) {
-            if (!fault) fault = std::current_exception();
-          }
-        }
-        if (fault) std::rethrow_exception(fault);
-      }
+      res::consult(sopts.plan, res::Stage::VectorSearch);
       // Route through the shard's ANN index when one exists; metadata
       // filters force the exact scan (candidate sets are not filter-aware).
-      std::vector<std::vector<SearchResult>> local;
       const bool filtered = filter != nullptr && *filter;
-      if (sh.index != nullptr && !filtered) {
-        if (queries.size() == 1) {
-          local.push_back(sh.index->search(queries[0], k));
-        } else {
-          local = sh.index->search_batch(queries, k);
-        }
-      } else if (queries.size() == 1) {
-        local.push_back(sh.store->similarity_search(queries[0], k, filter));
-      } else {
-        local = sh.store->similarity_search_batch(queries, k, filter);
-      }
+      out = sh.index != nullptr && !filtered
+                ? sh.index->search(query, k)
+                : sh.store->similarity_search(query, k, filter);
       sh.breaker->record_success();
       // Map shard-local hit indices back into the global index space; the
       // merge's (score desc, global index asc) order is then exactly the
       // monolithic select_top_k order.
-      const std::size_t offset = offsets_[shard];
-      out.resize(queries.size());
-      for (std::size_t q = 0; q < local.size(); ++q) {
-        for (SearchResult& hit : local[q]) {
-          hit.index += offset;
-        }
-        out[q] = std::move(local[q]);
-      }
+      for (SearchResult& hit : out) hit.index += offsets_[shard];
       return true;
     } catch (const res::FaultError&) {
       sh.breaker->record_failure();
@@ -207,90 +175,67 @@ bool ShardRouter::scan_shard(std::size_t shard,
   }
 }
 
-std::vector<Scatter> ShardRouter::search_batch(
-    const std::vector<embed::Vector>& queries, std::size_t k,
-    const MetadataFilter* filter, const ScatterOptions& sopts) const {
-  std::vector<Scatter> out(queries.size());
-  for (Scatter& sc : out) sc.shards_total = shards_.size();
-  if (queries.empty()) return out;
+Scatter ShardRouter::search(const embed::Vector& query, std::size_t k,
+                            const MetadataFilter* filter,
+                            const ScatterOptions& sopts) const {
+  Scatter out;
+  out.shards_total = shards_.size();
   if (k == 0 || total_ == 0) return out;
-  for (const embed::Vector& q : queries) {
-    if (q.size() != dim_) {
-      throw std::invalid_argument("ShardRouter::search: dimension mismatch");
-    }
+  if (query.size() != dim_) {
+    throw std::invalid_argument("ShardRouter::search: dimension mismatch");
   }
 
   obs::MetricsRegistry& metrics = obs::global_metrics();
-  metrics.counter(obs::kShardQueriesTotal).inc(queries.size());
+  metrics.counter(obs::kShardQueriesTotal).inc();
 
-  // --- scatter: every shard scans every query, in parallel. Shards 1..N-1
+  // --- scatter: every shard scans the query, in parallel. Shards 1..N-1
   // run on the dedicated scatter pool; shard 0 on the calling thread (the
   // same calling-thread-participates shape as util::parallel_for).
   pkb::util::Stopwatch watch;
-  std::vector<std::vector<std::vector<SearchResult>>> per_shard(
-      shards_.size());
+  std::vector<std::vector<SearchResult>> per_shard(shards_.size());
   std::vector<char> shard_ok(shards_.size(), 0);
   {
     obs::Span span(obs::global_tracer(), obs::kSpanShardScatter);
     span.set_attr("shards", shards_.size());
-    span.set_attr("queries", queries.size());
     span.set_attr("k", k);
     std::vector<std::future<void>> futures;
     futures.reserve(shards_.size() - 1);
     for (std::size_t s = 1; s < shards_.size(); ++s) {
-      futures.push_back(pool_->submit([this, s, &queries, k, filter, &sopts,
-                                       &per_shard, &shard_ok] {
-        shard_ok[s] =
-            scan_shard(s, queries, k, filter, sopts, per_shard[s]) ? 1 : 0;
-      }));
+      futures.push_back(pool_->submit(
+          [this, s, &query, k, filter, &sopts, &per_shard, &shard_ok] {
+            shard_ok[s] =
+                scan_shard(s, query, k, filter, sopts, per_shard[s]) ? 1 : 0;
+          }));
     }
-    shard_ok[0] =
-        scan_shard(0, queries, k, filter, sopts, per_shard[0]) ? 1 : 0;
+    shard_ok[0] = scan_shard(0, query, k, filter, sopts, per_shard[0]) ? 1 : 0;
     for (std::future<void>& f : futures) f.get();
-    std::size_t failed = 0;
-    for (char ok : shard_ok) failed += ok == 0 ? 1 : 0;
-    span.set_attr("failed", failed);
-    for (Scatter& sc : out) sc.shards_failed = failed;
+    for (char ok : shard_ok) out.shards_failed += ok == 0 ? 1 : 0;
+    span.set_attr("failed", out.shards_failed);
   }
   metrics.histogram(obs::kShardScatterSeconds).observe(watch.seconds());
-  if (out[0].shards_failed > 0) {
-    metrics.counter(obs::kShardPartialResultsTotal).inc(queries.size());
-  }
+  if (out.partial()) metrics.counter(obs::kShardPartialResultsTotal).inc();
 
-  // --- gather: merge surviving shards' top-k lists per query with the
-  // monolithic comparator and truncate to k. The global top-k is a subset
-  // of the union of per-shard top-k lists, so this reproduces the
-  // monolithic result bit-for-bit when no shard failed.
+  // --- gather: merge surviving shards' top-k lists with the monolithic
+  // comparator and truncate to k. The global top-k is a subset of the union
+  // of per-shard top-k lists, so this reproduces the monolithic result
+  // bit-for-bit when no shard failed.
   watch.reset();
   {
     obs::Span span(obs::global_tracer(), obs::kSpanShardMerge);
-    span.set_attr("queries", queries.size());
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      std::vector<SearchResult>& merged = out[q].hits;
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (shard_ok[s] == 0 || per_shard[s].empty()) continue;
-        merged.insert(merged.end(), per_shard[s][q].begin(),
-                      per_shard[s][q].end());
-      }
-      std::sort(merged.begin(), merged.end(),
-                [](const SearchResult& a, const SearchResult& b) {
-                  if (a.score != b.score) return a.score > b.score;
-                  return a.index < b.index;
-                });
-      if (merged.size() > k) merged.resize(k);
+    std::vector<SearchResult>& merged = out.hits;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (shard_ok[s] == 0) continue;
+      merged.insert(merged.end(), per_shard[s].begin(), per_shard[s].end());
     }
+    std::sort(merged.begin(), merged.end(),
+              [](const SearchResult& a, const SearchResult& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.index < b.index;
+              });
+    if (merged.size() > k) merged.resize(k);
   }
   metrics.histogram(obs::kShardMergeSeconds).observe(watch.seconds());
   return out;
-}
-
-Scatter ShardRouter::search(const embed::Vector& query, std::size_t k,
-                            const MetadataFilter* filter,
-                            const ScatterOptions& sopts) const {
-  std::vector<embed::Vector> queries;
-  queries.push_back(query);
-  std::vector<Scatter> out = search_batch(queries, k, filter, sopts);
-  return std::move(out[0]);
 }
 
 }  // namespace pkb::vectordb

@@ -70,10 +70,10 @@ struct ShardRouterOptions {
   IndexSpec index;
 };
 
-/// Per-query knobs for one scatter, mirroring the Retriever's hedged search:
-/// `plan` is consulted (Stage::VectorSearch) once per shard scan per query,
-/// and a faulted shard scan is re-attempted up to `hedges` extra times
-/// before the shard is declared lost for this query.
+/// Knobs for one scatter, mirroring the Retriever's hedged search: `plan`
+/// is consulted (Stage::VectorSearch) once per shard scan attempt, and a
+/// faulted shard scan is re-attempted up to `hedges` extra times before the
+/// shard is declared lost for this query.
 struct ScatterOptions {
   const resilience::FaultPlan* plan = nullptr;
   std::uint32_t hedges = 1;
@@ -113,17 +113,6 @@ class ShardRouter {
                                const MetadataFilter* filter = nullptr,
                                const ScatterOptions& sopts = {}) const;
 
-  /// Batched scatter: every shard runs one amortized
-  /// similarity_search_batch over all queries. Element i is identical to
-  /// search(queries[i]) — same hits, same failure semantics (a shard lost
-  /// past its hedges is lost for the whole batch). The fault plan is
-  /// consulted once per query per shard attempt, matching the single path's
-  /// ordinal accounting.
-  [[nodiscard]] std::vector<Scatter> search_batch(
-      const std::vector<embed::Vector>& queries, std::size_t k,
-      const MetadataFilter* filter = nullptr,
-      const ScatterOptions& sopts = {}) const;
-
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   /// Total documents across shards.
   [[nodiscard]] std::size_t size() const { return total_; }
@@ -157,15 +146,13 @@ class ShardRouter {
   void rebuild_offsets();
   [[nodiscard]] Shard make_shard(VectorStore store) const;
 
-  /// One shard's scan for the whole scatter (single query or batch),
-  /// breaker-gated and hedged. On success appends globally re-indexed hits
-  /// to `out[q]` per query; returns false when the shard is lost.
-  [[nodiscard]] bool scan_shard(std::size_t shard,
-                                const std::vector<embed::Vector>& queries,
+  /// One shard's scan of `query`, breaker-gated and hedged. On success
+  /// stores the globally re-indexed hits in `out`; returns false when the
+  /// shard is lost.
+  [[nodiscard]] bool scan_shard(std::size_t shard, const embed::Vector& query,
                                 std::size_t k, const MetadataFilter* filter,
                                 const ScatterOptions& sopts,
-                                std::vector<std::vector<SearchResult>>& out)
-      const;
+                                std::vector<SearchResult>& out) const;
 
   std::vector<Shard> shards_;
   std::vector<std::size_t> offsets_;  ///< global index base per shard

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <exception>
 #include <fstream>
 #include <mutex>
 #include <stdexcept>
@@ -113,70 +112,6 @@ std::vector<SearchResult> VectorStore::similarity_search(
 
   std::vector<SearchResult> out = select_top_k(scores, k, filter);
   metrics.histogram(obs::kVectordbSearchSeconds).observe(watch.seconds());
-  return out;
-}
-
-std::vector<std::vector<SearchResult>> VectorStore::similarity_search_batch(
-    const std::vector<embed::Vector>& queries, std::size_t k,
-    const MetadataFilter* filter) const {
-  std::vector<std::vector<SearchResult>> out(queries.size());
-  if (queries.empty()) return out;
-  if (k == 0 || docs_.empty()) return out;
-  for (const embed::Vector& q : queries) {
-    if (q.size() != dim_) {
-      throw std::invalid_argument("similarity_search_batch: dimension mismatch");
-    }
-  }
-  // One fault draw per query — the same ordinal accounting as the single
-  // path, so a configured fault rate is batch-size independent. All
-  // ordinals are drawn even when an early one faults (the batch fails as a
-  // unit), keeping FaultPlan::counts() identical to per-query scans.
-  {
-    std::exception_ptr fault;
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      try {
-        pkb::resilience::consult(fault_plan_,
-                                 pkb::resilience::Stage::VectorSearch);
-      } catch (const pkb::resilience::FaultError&) {
-        if (!fault) fault = std::current_exception();
-      }
-    }
-    if (fault) std::rethrow_exception(fault);
-  }
-  obs::MetricsRegistry& metrics = obs::global_metrics();
-  metrics.counter(obs::kVectordbBatchSearchesTotal).inc();
-  metrics.counter(obs::kVectordbBatchQueriesTotal).inc(queries.size());
-  pkb::util::Stopwatch watch;
-
-  std::vector<embed::Vector> qs = queries;
-  for (embed::Vector& q : qs) embed::l2_normalize(q);
-
-  // One blocked pass over the packed vectors: each block of rows is loaded
-  // once and scored against every query, so memory traffic is amortized
-  // across the batch instead of repeated per query. kernel_score(q, i) is
-  // the exact expression the single search evaluates, so the score matrix
-  // (and therefore the selection) is bit-identical to per-query scans.
-  pkb::util::AlignedBuffer qbuf(qs.size() * packed_.stride() * sizeof(float));
-  for (std::size_t qi = 0; qi < qs.size(); ++qi) {
-    packed_.pack_query(qs[qi].data(),
-                       qbuf.as<float>() + qi * packed_.stride());
-  }
-  std::vector<std::vector<float>> scores(qs.size());
-  for (auto& row : scores) row.resize(docs_.size());
-  pkb::util::parallel_for(
-      0, docs_.size(),
-      [&](std::size_t i) {
-        for (std::size_t qi = 0; qi < qs.size(); ++qi) {
-          scores[qi][i] = kernel_score(
-              qbuf.as<float>() + qi * packed_.stride(), i);
-        }
-      },
-      /*min_block=*/64);
-
-  for (std::size_t qi = 0; qi < qs.size(); ++qi) {
-    out[qi] = select_top_k(scores[qi], k, filter);
-  }
-  metrics.histogram(obs::kVectordbBatchSearchSeconds).observe(watch.seconds());
   return out;
 }
 

@@ -91,15 +91,6 @@ class VectorStore {
       const embed::Vector& query, std::size_t k,
       const MetadataFilter* filter = nullptr) const;
 
-  /// Batched exact top-k: one amortized pass over the stored vectors scores
-  /// every query (the store's memory is read once per block instead of once
-  /// per query). Returns one result list per query, each identical to what
-  /// similarity_search would return for that query alone (same scores, same
-  /// lower-index tie-break).
-  [[nodiscard]] std::vector<std::vector<SearchResult>> similarity_search_batch(
-      const std::vector<embed::Vector>& queries, std::size_t k,
-      const MetadataFilter* filter = nullptr) const;
-
   /// Convenience: embed the query text with `embedder` then search.
   [[nodiscard]] std::vector<SearchResult> similarity_search_text(
       std::string_view query, std::size_t k,
@@ -109,7 +100,7 @@ class VectorStore {
   [[nodiscard]] std::optional<std::size_t> find_id(std::string_view id) const;
 
   /// Attach a chaos plan consulted (Stage::VectorSearch) at each
-  /// similarity_search / similarity_search_batch entry: error decisions
+  /// similarity_search entry: error decisions
   /// throw the matching resilience::FaultError (latency spikes are ignored —
   /// search time here is real, not simulated). Not persisted by save/load.
   /// Setup-time only — must not race in-flight searches. Stores pinned in
@@ -133,8 +124,8 @@ class VectorStore {
   static VectorStore load(std::istream& in);
 
  private:
-  /// Shared top-k selection over a precomputed score array — the single and
-  /// batched searches must agree bit-for-bit, so both call this.
+  /// Top-k selection over a precomputed score array (score descending,
+  /// lower index first on ties — the order the shard merge reproduces).
   [[nodiscard]] std::vector<SearchResult> select_top_k(
       const std::vector<float>& scores, std::size_t k,
       const MetadataFilter* filter) const;

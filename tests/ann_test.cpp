@@ -533,20 +533,6 @@ TEST(AnnIndex, IvfInt8ComposesProbeAndRerank) {
   }
 }
 
-TEST(AnnIndex, BatchMatchesSingle) {
-  const VectorStore store = random_store(300, 16, 91);
-  IndexSpec spec;
-  spec.kind = IndexKind::Hnsw;
-  const auto index = vectordb::build_index(store, spec);
-  ASSERT_NE(index, nullptr);
-  const auto queries = random_queries(8, 16, 92);
-  const auto batch = index->search_batch(queries, 7);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_hits_equal(index->search(queries[i], 7), batch[i]);
-  }
-}
-
 // --- per-shard indexes -----------------------------------------------------
 
 TEST(AnnIndex, ShardedFlatInt8MergesBitIdentical) {

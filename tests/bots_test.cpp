@@ -146,8 +146,8 @@ TEST(Mail, ListFanOutAndArchive) {
 class Fig5Test : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    db_ = new rag::RagDatabase(
-        rag::RagDatabase::build(pkb::corpus::generate_corpus()));
+    db_ = new rag::KnowledgeBase(
+        rag::KnowledgeBase::build(pkb::corpus::generate_corpus()));
   }
   void SetUp() override {
     clock_ = std::make_unique<pkb::util::SimClock>();
@@ -177,7 +177,7 @@ class Fig5Test : public ::testing::Test {
                                           "petscbot@gmail.com");
   }
 
-  static rag::RagDatabase* db_;
+  static rag::KnowledgeBase* db_;
   std::unique_ptr<pkb::util::SimClock> clock_;
   std::unique_ptr<DiscordServer> server_;
   std::unique_ptr<MailingList> list_;
@@ -189,7 +189,7 @@ class Fig5Test : public ::testing::Test {
   std::unique_ptr<ChatBot> chat_bot_;
 };
 
-rag::RagDatabase* Fig5Test::db_ = nullptr;
+rag::KnowledgeBase* Fig5Test::db_ = nullptr;
 
 TEST_F(Fig5Test, EmailFlowsIntoForumPost) {
   list_->post("user@univ.edu", "rectangular systems",

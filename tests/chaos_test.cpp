@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -115,6 +116,44 @@ TEST_F(ChaosTest, RetrievalLostPastHedgesAnswersParametrically) {
   EXPECT_EQ(out.degradation, res::DegradationLevel::NoRetrieval);
   EXPECT_TRUE(out.retrieval.contexts.empty());
   EXPECT_FALSE(out.response.text.empty());
+}
+
+// A Server walks the same rung: its worker runs ask() under the request's
+// resilience context, so a search lost past its hedges answers at
+// NoRetrieval with exactly the serial ask(q, &ctx) answer.
+TEST_F(ChaosTest, ServerAnswersAtNoRetrievalWhenSearchLostPastHedges) {
+  auto lose_search = [] {
+    auto plan = std::make_unique<res::FaultPlan>();
+    plan->script(res::Stage::VectorSearch,
+                 {res::FaultKind::Permanent, res::FaultKind::Permanent});
+    return plan;
+  };
+  res::Resilience engine;
+
+  auto serial_wf = make_workflow();
+  const auto serial_plan = lose_search();
+  serial_wf->set_fault_plan(serial_plan.get(), /*search_hedges=*/1);
+  res::RequestContext ctx = engine.make_context();
+  const rag::WorkflowOutcome serial = serial_wf->ask(kQuestion, &ctx);
+  ASSERT_EQ(serial.degradation, res::DegradationLevel::NoRetrieval);
+
+  auto served_wf = make_workflow();
+  const auto served_plan = lose_search();
+  served_wf->set_fault_plan(served_plan.get(), /*search_hedges=*/1);
+  serve::ServerOptions opts;
+  opts.workers = 1;
+  opts.resilience = &engine;
+  serve::Server server(*served_wf, opts);
+  const rag::WorkflowOutcome served = server.ask(kQuestion);
+
+  EXPECT_EQ(served.degradation, res::DegradationLevel::NoRetrieval);
+  EXPECT_TRUE(served.retrieval.contexts.empty());
+  EXPECT_EQ(served.response.text, serial.response.text);
+  EXPECT_EQ(served.response.mode, serial.response.mode);
+  EXPECT_EQ(served.prompt, serial.prompt);
+  EXPECT_EQ(served_plan->counts(res::Stage::VectorSearch).calls, 2u);
+  EXPECT_EQ(server.stats().degraded, 1u);
+  EXPECT_EQ(server.stats().computed, 1u);
 }
 
 TEST_F(ChaosTest, HedgeRecoversASingleVectorSearchFault) {
@@ -386,8 +425,12 @@ TEST_F(ChaosTest, ServerMeetsServiceLevelUnderSustainedFaults) {
   for (std::size_t i = 0; i < kRequests; ++i) {
     questions.push_back(kQuestion + " (variant " + std::to_string(i) + ")");
   }
-  const std::vector<rag::WorkflowOutcome> outcomes =
-      server.ask_batch(questions);
+  std::vector<std::future<rag::WorkflowOutcome>> futures;
+  futures.reserve(kRequests);
+  for (const std::string& q : questions) futures.push_back(server.submit(q));
+  std::vector<rag::WorkflowOutcome> outcomes;
+  outcomes.reserve(kRequests);
+  for (auto& f : futures) outcomes.push_back(f.get());
 
   ASSERT_EQ(outcomes.size(), kRequests);
   std::size_t answered = 0;

@@ -95,14 +95,14 @@ class RunnerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     const auto tree = pkb::corpus::generate_corpus();
-    db_ = new rag::RagDatabase(rag::RagDatabase::build(tree));
+    db_ = new rag::KnowledgeBase(rag::KnowledgeBase::build(tree));
     runner_ = new BenchmarkRunner(*db_, llm::model_config("sim-gpt-4o"));
   }
-  static rag::RagDatabase* db_;
+  static rag::KnowledgeBase* db_;
   static BenchmarkRunner* runner_;
 };
 
-rag::RagDatabase* RunnerTest::db_ = nullptr;
+rag::KnowledgeBase* RunnerTest::db_ = nullptr;
 BenchmarkRunner* RunnerTest::runner_ = nullptr;
 
 TEST_F(RunnerTest, ReproducesTheHeadlineOrdering) {

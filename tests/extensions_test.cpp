@@ -138,8 +138,8 @@ TEST(HistoryRetriever, LookupReturnsRelevantPastAnswers) {
 TEST(HistoryRetriever, WorkflowInjectsPastAnswersIntoBaseline) {
   // A vetted past answer makes even the retrieval-free arm grounded: the
   // Fig 3 dotted arrow in action.
-  const rag::RagDatabase db =
-      rag::RagDatabase::build(corpus::generate_corpus());
+  const rag::KnowledgeBase db =
+      rag::KnowledgeBase::build(corpus::generate_corpus());
 
   history::HistoryStore store;
   const auto id = store.add(vetted_record(

@@ -429,6 +429,35 @@ TEST(SnapshotPersist, RejectsMissingGarbageAndTruncatedFiles) {
   std::filesystem::remove(path);
 }
 
+TEST(SnapshotPersist, RejectsVersionsOtherThanCurrent) {
+  auto kb = rag::KnowledgeBase::build(small_corpus());
+  const std::string path = temp_path("pkb_snapshot_version.bin");
+  kb.snapshot()->save(path);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 8u);
+  ASSERT_EQ(bytes[4], 4);  // u32 version, little-endian, after the magic
+  for (char version : {char{1}, char{2}, char{3}, char{5}}) {
+    bytes[4] = version;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+      (void)rag::Snapshot::load(path);
+      ADD_FAILURE() << "version " << int{version} << " loaded";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find("unsupported version"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 // --- E2E: live enhancement through a running server -------------------------
 
 TEST(Ingest, LiveEnhancementWithoutRestart) {

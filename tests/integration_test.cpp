@@ -18,14 +18,14 @@ class IntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     tree_ = new text::VirtualDir(corpus::generate_corpus());
-    db_ = new rag::RagDatabase(rag::RagDatabase::build(*tree_));
+    db_ = new rag::KnowledgeBase(rag::KnowledgeBase::build(*tree_));
   }
   static text::VirtualDir* tree_;
-  static rag::RagDatabase* db_;
+  static rag::KnowledgeBase* db_;
 };
 
 text::VirtualDir* IntegrationTest::tree_ = nullptr;
-rag::RagDatabase* IntegrationTest::db_ = nullptr;
+rag::KnowledgeBase* IntegrationTest::db_ = nullptr;
 
 TEST_F(IntegrationTest, EveryChunkTracesBackToACorpusFile) {
   std::set<std::string> paths;
@@ -134,7 +134,7 @@ TEST_F(IntegrationTest, CorpusRoundTripsThroughDisk) {
   const text::VirtualDir loaded = loader.load_from_disk(root.string());
   EXPECT_EQ(loaded.size(), tree_->size());
   // Building a database from the disk copy gives the same chunk count.
-  const rag::RagDatabase db2 = rag::RagDatabase::build(loaded);
+  const rag::KnowledgeBase db2 = rag::KnowledgeBase::build(loaded);
   EXPECT_EQ(db2.chunks().size(), db_->chunks().size());
   fs::remove_all(root);
 }

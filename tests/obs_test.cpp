@@ -10,7 +10,7 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rag/database.h"
+#include "rag/knowledge_base.h"
 #include "rag/workflow.h"
 #include "util/log.h"
 #include "util/stats.h"
@@ -318,13 +318,13 @@ TEST(Log, EnabledStatementsStillFormat) {
 class ObsIntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    db_ = new rag::RagDatabase(
-        rag::RagDatabase::build(corpus::generate_corpus()));
+    db_ = new rag::KnowledgeBase(
+        rag::KnowledgeBase::build(corpus::generate_corpus()));
   }
-  static rag::RagDatabase* db_;
+  static rag::KnowledgeBase* db_;
 };
 
-rag::RagDatabase* ObsIntegrationTest::db_ = nullptr;
+rag::KnowledgeBase* ObsIntegrationTest::db_ = nullptr;
 
 std::vector<std::string> child_names(const SpanData& span) {
   std::vector<std::string> names;

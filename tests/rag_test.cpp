@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "corpus/generator.h"
-#include "rag/database.h"
+#include "rag/knowledge_base.h"
 #include "rag/prompts.h"
 #include "rag/retriever.h"
 #include "rag/workflow.h"
@@ -14,12 +14,12 @@ class RagTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     const auto tree = pkb::corpus::generate_corpus();
-    db_ = new RagDatabase(RagDatabase::build(tree));
+    db_ = new KnowledgeBase(KnowledgeBase::build(tree));
   }
-  static RagDatabase* db_;
+  static KnowledgeBase* db_;
 };
 
-RagDatabase* RagTest::db_ = nullptr;
+KnowledgeBase* RagTest::db_ = nullptr;
 
 TEST_F(RagTest, DatabaseBuildProducesChunksAndIndexes) {
   EXPECT_GT(db_->source_count(), 100u);

@@ -208,27 +208,6 @@ TEST(ShardEquivalence, SingleQueryMatchesMonolithicAcrossShardCounts) {
   }
 }
 
-TEST(ShardEquivalence, BatchMatchesMonolithicAndSinglePath) {
-  const VectorStore store = random_store(40, 10, 12);
-  const std::vector<Vector> queries = random_queries(6, 10, 13);
-  const auto mono = store.similarity_search_batch(queries, 5);
-  for (const std::size_t shards : {2u, 4u, 7u}) {
-    const auto router = ShardRouter::partition(store, shards);
-    const std::vector<Scatter> scatters = router->search_batch(queries, 5);
-    ASSERT_EQ(scatters.size(), queries.size());
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_FALSE(scatters[q].partial());
-      expect_hits_equal(mono[q], scatters[q].hits,
-                        "batch shards=" + std::to_string(shards) + " q" +
-                            std::to_string(q));
-      // The batched scatter is identical to the single-query scatter.
-      expect_hits_equal(router->search(queries[q], 5).hits, scatters[q].hits,
-                        "batch-vs-single shards=" + std::to_string(shards) +
-                            " q" + std::to_string(q));
-    }
-  }
-}
-
 TEST(ShardEquivalence, MetadataFilterAppliesIdenticallyPerShard) {
   const VectorStore store = random_store(30, 8, 14);
   const MetadataFilter filter = [](const text::Metadata& meta) {
@@ -259,32 +238,25 @@ TEST(ShardEquivalence, KLargerThanCorpusReturnsEverythingInOrder) {
   EXPECT_TRUE(router->search(q, 0).hits.empty());
 }
 
-TEST(ShardEquivalence, FaultOrdinalAccountingMatchesAcrossPaths) {
-  // With a zero-rate plan attached, the scatter still draws one ordinal per
-  // query per shard attempt — so a batch of N and N single scatters consume
-  // identical ordinal streams (rates stay batch-size independent).
+TEST(ShardEquivalence, FaultOrdinalsDrawnOncePerShardScan) {
+  // With a zero-rate plan attached, every scatter draws exactly one ordinal
+  // per shard attempt, so configured rates apply per shard scan.
   const VectorStore store = random_store(20, 6, 18);
   const auto router = ShardRouter::partition(store, 4);
   const std::vector<Vector> queries = random_queries(3, 6, 19);
 
-  res::FaultPlan batch_plan;
-  ScatterOptions batch_opts;
-  batch_opts.plan = &batch_plan;
-  (void)router->search_batch(queries, 4, nullptr, batch_opts);
-
-  res::FaultPlan single_plan;
-  ScatterOptions single_opts;
-  single_opts.plan = &single_plan;
+  res::FaultPlan plan;
+  ScatterOptions opts;
+  opts.plan = &plan;
   for (const Vector& q : queries) {
-    (void)router->search(q, 4, nullptr, single_opts);
+    const Scatter sc = router->search(q, 4, nullptr, opts);
+    EXPECT_FALSE(sc.partial());
+    expect_hits_equal(store.similarity_search(q, 4), sc.hits, "with plan");
   }
 
-  const auto batch_counts = batch_plan.counts(res::Stage::VectorSearch);
-  const auto single_counts = single_plan.counts(res::Stage::VectorSearch);
-  EXPECT_EQ(batch_counts.calls, 4u * queries.size());
-  EXPECT_EQ(batch_counts.calls, single_counts.calls);
-  EXPECT_EQ(batch_counts.faults(), 0u);
-  EXPECT_EQ(single_counts.faults(), 0u);
+  const auto counts = plan.counts(res::Stage::VectorSearch);
+  EXPECT_EQ(counts.calls, 4u * queries.size());
+  EXPECT_EQ(counts.faults(), 0u);
 }
 
 // --- ShardChaos: partition tolerance --------------------------------------

@@ -1,6 +1,6 @@
-// Stage-graph refactor tests: the parity contract (the decomposed pipeline
-// reproduces the monolithic ask() content-identically on every path), the
-// budget charged-exactly-once and generation stamped-in-one-place
+// Stage-graph tests: the parity contract (every served request — a Server
+// worker or a SessionManager lane — reproduces a serial ask()
+// content-identically), the budget charge and generation stamped-in-one-place
 // guarantees, and the shared-history recall ordering contract. Suite names
 // (StageGraph*/StageParity*) are part of the scripts/run_tsan.sh filter.
 
@@ -20,6 +20,8 @@
 #include "rag/workflow.h"
 #include "resilience/fault_plan.h"
 #include "resilience/resilience.h"
+#include "serve/server.h"
+#include "serve/session.h"
 #include "util/clock.h"
 
 namespace {
@@ -53,27 +55,55 @@ class StageParityTest : public ::testing::Test {
     }
     return ids;
   }
+  static void expect_same_content(const rag::WorkflowOutcome& serial,
+                                  const rag::WorkflowOutcome& served,
+                                  const std::string& q) {
+    EXPECT_EQ(serial.response.text, served.response.text) << q;
+    EXPECT_EQ(serial.response.mode, served.response.mode) << q;
+    EXPECT_EQ(serial.prompt, served.prompt) << q;
+    EXPECT_EQ(serial.generation, served.generation) << q;
+    EXPECT_EQ(serial.degradation, served.degradation) << q;
+    EXPECT_EQ(serial.processed.plain_text, served.processed.plain_text) << q;
+    EXPECT_EQ(context_ids(serial), context_ids(served)) << q;
+  }
   static rag::KnowledgeBase* kb_;
 };
 
 rag::KnowledgeBase* StageParityTest::kb_ = nullptr;
 
-// ask() and ask_with_retrieval(retrieve(q)) must produce identical content
-// on every arm — the two entries run the same stage graph.
-TEST_F(StageParityTest, AskEqualsAskWithPrecomputedRetrieval) {
+// A Server answer is a serial ask() on every retrieval arm: the worker's
+// cache miss runs the same stage graph through the same entry point.
+TEST_F(StageParityTest, ServerAskEqualsSerialAsk) {
   for (const rag::PipelineArm arm :
        {rag::PipelineArm::Rag, rag::PipelineArm::RagRerank}) {
     auto workflow = make_workflow(arm);
+    serve::ServerOptions opts;
+    opts.workers = 2;
+    serve::Server server(*workflow, opts);
     for (const std::string& q : kQuestions) {
-      const rag::WorkflowOutcome direct = workflow->ask(q);
-      const rag::WorkflowOutcome precomputed = workflow->ask_with_retrieval(
-          q, workflow->retriever()->retrieve(q));
-      EXPECT_EQ(direct.response.text, precomputed.response.text) << q;
-      EXPECT_EQ(direct.response.mode, precomputed.response.mode) << q;
-      EXPECT_EQ(direct.prompt, precomputed.prompt) << q;
-      EXPECT_EQ(direct.generation, precomputed.generation) << q;
-      EXPECT_EQ(direct.degradation, precomputed.degradation) << q;
-      EXPECT_EQ(context_ids(direct), context_ids(precomputed)) << q;
+      expect_same_content(workflow->ask(q), server.ask(q), q);
+    }
+    EXPECT_EQ(server.stats().computed, kQuestions.size());
+  }
+}
+
+// The first turn of a session has no retrieval memory and no conversation
+// history yet, so it must equal a serial ask() on every retrieval arm.
+TEST_F(StageParityTest, FirstSessionTurnEqualsSerialAsk) {
+  for (const rag::PipelineArm arm :
+       {rag::PipelineArm::Rag, rag::PipelineArm::RagRerank}) {
+    auto workflow = make_workflow(arm);
+    serve::Server server(*workflow);
+    serve::SessionManager sessions(server);
+    for (std::size_t i = 0; i < kQuestions.size(); ++i) {
+      const std::string& q = kQuestions[i];
+      const serve::TurnOutcome turn =
+          sessions.ask("parity-" + std::to_string(i), q);
+      ASSERT_FALSE(turn.shed()) << q;
+      EXPECT_EQ(turn.turn, 1u) << q;
+      EXPECT_EQ(turn.deduped_contexts, 0u) << q;
+      EXPECT_EQ(turn.history_contexts, 0u) << q;
+      expect_same_content(workflow->ask(q), turn.outcome, q);
     }
   }
 }
@@ -119,8 +149,8 @@ TEST_F(StageParityTest, ChaosDeterminismAcrossSeeds) {
   }
 }
 
-// The history record is identical content on the direct and precomputed
-// paths (ids/timestamps aside): same question, response, prompt, contexts.
+// The history record is identical content on the serial and served paths
+// (ids/timestamps aside): same question, response, prompt, contexts.
 TEST_F(StageParityTest, HistoryRecordParityAcrossPaths) {
   const std::string q = kQuestions.front();
 
@@ -130,17 +160,17 @@ TEST_F(StageParityTest, HistoryRecordParityAcrossPaths) {
   direct_wf->attach_history(&direct_store, &direct_clock);
   const rag::WorkflowOutcome direct = direct_wf->ask(q);
 
-  history::HistoryStore pre_store;
-  pkb::util::SimClock pre_clock;
-  auto pre_wf = make_workflow();
-  pre_wf->attach_history(&pre_store, &pre_clock);
-  const rag::WorkflowOutcome pre =
-      pre_wf->ask_with_retrieval(q, pre_wf->retriever()->retrieve(q));
+  history::HistoryStore served_store;
+  pkb::util::SimClock served_clock;
+  auto served_wf = make_workflow();
+  served_wf->attach_history(&served_store, &served_clock);
+  serve::Server server(*served_wf);
+  const rag::WorkflowOutcome served = server.ask(q);
 
   ASSERT_EQ(direct_store.size(), 1u);
-  ASSERT_EQ(pre_store.size(), 1u);
+  ASSERT_EQ(served_store.size(), 1u);
   const history::InteractionRecord* a = direct_store.get(direct.history_id);
-  const history::InteractionRecord* b = pre_store.get(pre.history_id);
+  const history::InteractionRecord* b = served_store.get(served.history_id);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(a->question, b->question);
@@ -155,7 +185,7 @@ TEST_F(StageParityTest, HistoryRecordParityAcrossPaths) {
   EXPECT_NEAR(a->latency_seconds, b->latency_seconds, 0.5);
 }
 
-// --- satellite: budget charged exactly once -------------------------------
+// --- satellite: budget charge ---------------------------------------------
 
 // A context without an engine still gets retrieval wall time charged; the
 // charge equals rag_seconds exactly (one charge, nothing else).
@@ -166,56 +196,23 @@ TEST_F(StageParityTest, BudgetChargeEqualsRagSecondsWithoutEngine) {
   const rag::WorkflowOutcome out = workflow->ask(kQuestions.front(), &ctx);
   EXPECT_GT(out.retrieval.rag_seconds(), 0.0);
   EXPECT_DOUBLE_EQ(ctx.budget.spent_seconds(), out.retrieval.rag_seconds());
-  EXPECT_TRUE(out.retrieval.budget_charged);
-}
-
-// A RetrievalResult whose budget_charged flag is already set (batch paths
-// pre-charge) must not be charged again by PromptStage.
-TEST_F(StageParityTest, PrechargedRetrievalIsNotDoubleCharged) {
-  auto workflow = make_workflow();
-  rag::RetrievalResult retrieval =
-      workflow->retriever()->retrieve(kQuestions.front());
-  ASSERT_GT(retrieval.rag_seconds(), 0.0);
-  retrieval.budget_charged = true;  // caller says: already on the budget
-
-  res::RequestContext ctx;
-  ctx.budget = res::DeadlineBudget(1e9);
-  const rag::WorkflowOutcome out = workflow->ask_with_retrieval(
-      kQuestions.front(), std::move(retrieval), &ctx);
-  EXPECT_DOUBLE_EQ(ctx.budget.spent_seconds(), 0.0);
-  EXPECT_TRUE(out.retrieval.budget_charged);
-}
-
-// Passing the same retrieval through the workflow twice charges once: the
-// flag travels with the result.
-TEST_F(StageParityTest, SameRetrievalTwiceChargesOnce) {
-  auto workflow = make_workflow();
-  const rag::RetrievalResult retrieval =
-      workflow->retriever()->retrieve(kQuestions.front());
-
-  res::RequestContext ctx;
-  ctx.budget = res::DeadlineBudget(1e9);
-  rag::WorkflowOutcome first = workflow->ask_with_retrieval(
-      kQuestions.front(), retrieval, &ctx);
-  EXPECT_DOUBLE_EQ(ctx.budget.spent_seconds(), retrieval.rag_seconds());
-  // Feed the charged result back through: no second charge.
-  (void)workflow->ask_with_retrieval(kQuestions.front(),
-                                     std::move(first.retrieval), &ctx);
-  EXPECT_DOUBLE_EQ(ctx.budget.spent_seconds(), retrieval.rag_seconds());
 }
 
 // --- satellite: generation stamped in one place ---------------------------
 
-// The precomputed-retrieval path stamps the generation of the *pinned*
-// snapshot the retrieval ran against — not the live generation, which may
-// have moved on between retrieve() and ask_with_retrieval().
+// PromptStage stamps the generation of the *pinned* snapshot the retrieval
+// ran against — not the live generation, which may have moved on between
+// the Rerank and Prompt stages.
 TEST_F(StageParityTest, GenerationStampedFromPinnedSnapshot) {
   rag::KnowledgeBase kb(rag::KnowledgeBase::build(corpus::generate_corpus()));
   const rag::AugmentedWorkflow workflow(kb, rag::PipelineArm::RagRerank,
                                         llm::model_config("sim-gpt-4o"));
-  rag::RetrievalResult retrieval =
-      workflow.retriever()->retrieve(kQuestions.front());
-  const std::uint64_t pinned = retrieval.generation();
+  const rag::StageGraph& graph = rag::global_stage_graph();
+  rag::StageState st;
+  st.wf = &workflow;
+  st.question = kQuestions.front();
+  graph.run_range(st, rag::StageKind::Embed, rag::StageKind::Rerank);
+  const std::uint64_t pinned = st.outcome.retrieval.generation();
   ASSERT_GT(pinned, 0u);
 
   // The KB publishes a newer generation while the retrieval is in hand.
@@ -224,21 +221,17 @@ TEST_F(StageParityTest, GenerationStampedFromPinnedSnapshot) {
   kb.publish(next);
   ASSERT_EQ(kb.generation(), pinned + 1);
 
-  const rag::WorkflowOutcome out =
-      workflow.ask_with_retrieval(kQuestions.front(), std::move(retrieval));
-  EXPECT_EQ(out.generation, pinned);
-  EXPECT_EQ(out.generation, out.retrieval.generation());
+  graph.run_range(st, rag::StageKind::Prompt, rag::StageKind::Postprocess);
+  EXPECT_EQ(st.outcome.generation, pinned);
+  EXPECT_EQ(st.outcome.generation, st.outcome.retrieval.generation());
 }
 
-// Baseline outcomes read no corpus: generation stays 0 on both paths.
+// Baseline outcomes read no corpus: generation stays 0, served or serial.
 TEST_F(StageParityTest, BaselineGenerationIsZero) {
   auto workflow = make_workflow(rag::PipelineArm::Baseline);
   EXPECT_EQ(workflow->ask(kQuestions.front()).generation, 0u);
-  EXPECT_EQ(workflow
-                ->ask_with_retrieval(kQuestions.front(),
-                                     rag::RetrievalResult{})
-                .generation,
-            0u);
+  serve::Server server(*workflow);
+  EXPECT_EQ(server.ask(kQuestions.front()).generation, 0u);
 }
 
 // --- satellite: shared-history recall ordering ----------------------------

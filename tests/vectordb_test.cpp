@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "embed/tfidf.h"
-#include "resilience/fault_plan.h"
 #include "util/rng.h"
 #include "vectordb/ivf.h"
 #include "vectordb/vector_store.h"
@@ -86,50 +85,6 @@ TEST(VectorStore, TopOneIsSelfForExactQuery) {
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0].index, i);
   }
-}
-
-TEST(VectorStore, BatchSearchMatchesSerialExactly) {
-  const VectorStore store = random_store(200, 16, 7);
-  pkb::util::Rng rng(11);
-  std::vector<Vector> queries;
-  for (std::size_t q = 0; q < 24; ++q) {
-    Vector v(16);
-    for (float& x : v) x = static_cast<float>(rng.normal());
-    queries.push_back(std::move(v));
-  }
-  const auto batched = store.similarity_search_batch(queries, 8);
-  ASSERT_EQ(batched.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto serial = store.similarity_search(queries[q], 8);
-    ASSERT_EQ(batched[q].size(), serial.size()) << "query " << q;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      // Bit-identical, including tie-breaks: same index, same score bits.
-      EXPECT_EQ(batched[q][i].index, serial[i].index) << "query " << q;
-      EXPECT_EQ(batched[q][i].score, serial[i].score) << "query " << q;
-      EXPECT_EQ(batched[q][i].doc, serial[i].doc) << "query " << q;
-    }
-  }
-}
-
-TEST(VectorStore, BatchSearchRespectsFilterAndValidatesDims) {
-  const VectorStore store = random_store(30, 8, 8);
-  const MetadataFilter filter = [](const text::Metadata& meta) {
-    auto it = meta.find("parity");
-    return it != meta.end() && it->second == "odd";
-  };
-  const std::vector<Vector> queries = {store.vec(0), store.vec(1)};
-  const auto batched = store.similarity_search_batch(queries, 5, &filter);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto serial = store.similarity_search(queries[q], 5, &filter);
-    ASSERT_EQ(batched[q].size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(batched[q][i].index, serial[i].index);
-      EXPECT_EQ(batched[q][i].doc->meta("parity"), "odd");
-    }
-  }
-  EXPECT_TRUE(store.similarity_search_batch({}, 5).empty());
-  EXPECT_THROW((void)store.similarity_search_batch({Vector(3, 1.0f)}, 2),
-               std::invalid_argument);
 }
 
 TEST(VectorStore, FindId) {
@@ -284,66 +239,6 @@ TEST(VectorStoreHardening, PresetDimensionConstructorEnforcesDim) {
   EXPECT_THROW(store.add({"a", "", {}}, {1.0f, 2.0f}), std::invalid_argument);
   store.add({"a", "", {}}, {1.0f, 2.0f, 3.0f});
   EXPECT_EQ(store.size(), 1u);
-}
-
-// Regression: similarity_search_batch drew ONE fault ordinal per batch
-// while the single path draws one per query, making injected fault rates
-// batch-size dependent. Both paths must now consume identical per-query
-// ordinals, so FaultPlan::counts() agrees between a batch of N and N
-// serial scans under the same seed.
-TEST(VectorStoreHardening, BatchFaultConsultMatchesSingleOrdinals) {
-  namespace res = pkb::resilience;
-  const std::size_t n_queries = 16;
-  std::vector<Vector> queries;
-  {
-    pkb::util::Rng rng(21);
-    for (std::size_t q = 0; q < n_queries; ++q) {
-      Vector v(8);
-      for (float& x : v) x = static_cast<float>(rng.normal());
-      queries.push_back(std::move(v));
-    }
-  }
-  res::FaultPlanOptions fopts;
-  fopts.seed = 42;
-  fopts.vector_search.transient_rate = 0.3;
-
-  // Serial: one consult per query.
-  res::FaultPlan serial_plan(fopts);
-  VectorStore serial_store = random_store(40, 8, 22);
-  serial_store.set_fault_plan(&serial_plan);
-  std::size_t serial_faults = 0;
-  for (const Vector& q : queries) {
-    try {
-      (void)serial_store.similarity_search(q, 4);
-    } catch (const res::FaultError&) {
-      ++serial_faults;
-    }
-  }
-
-  // Batched: the same per-query ordinal stream under the same seed.
-  res::FaultPlan batch_plan(fopts);
-  VectorStore batch_store = random_store(40, 8, 22);
-  batch_store.set_fault_plan(&batch_plan);
-  bool batch_faulted = false;
-  try {
-    (void)batch_store.similarity_search_batch(queries, 4);
-  } catch (const res::FaultError&) {
-    batch_faulted = true;
-  }
-
-  const res::FaultPlan::StageCounts serial_counts =
-      serial_plan.counts(res::Stage::VectorSearch);
-  const res::FaultPlan::StageCounts batch_counts =
-      batch_plan.counts(res::Stage::VectorSearch);
-  EXPECT_EQ(serial_counts.calls, n_queries);
-  EXPECT_EQ(batch_counts.calls, serial_counts.calls);
-  EXPECT_EQ(batch_counts.transient, serial_counts.transient);
-  EXPECT_EQ(batch_counts.permanent, serial_counts.permanent);
-  EXPECT_EQ(batch_counts.timeout, serial_counts.timeout);
-  // With a 30% rate over 16 draws at this seed some fault fires; the batch
-  // then fails as a unit even though ordinals were fully drawn.
-  EXPECT_GT(serial_faults, 0u);
-  EXPECT_TRUE(batch_faulted);
 }
 
 TEST(Ivf, EmptyStoreThrows) {
