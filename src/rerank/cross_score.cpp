@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "text/tokenizer.h"
-#include "util/thread_pool.h"
 
 namespace pkb::rerank {
 
@@ -111,18 +110,14 @@ std::vector<RerankResult> CrossScoreReranker::rerank(
     std::string_view query, const std::vector<RerankCandidate>& candidates,
     std::size_t top_l) const {
   consult_fault_plan();
-  // Each (query, document) pair costs O(|query| * |doc|); score them across
-  // the pool. Writes go to distinct slots and score_pair is const, so the
-  // loop is race-free; the subsequent sort makes the output order identical
-  // to the serial loop's.
-  std::vector<RerankResult> out(candidates.size());
-  pkb::util::parallel_for(
-      0, candidates.size(),
-      [&](std::size_t i) {
-        out[i] = RerankResult{candidates[i].doc,
-                              score_pair(query, *candidates[i].doc), i};
-      },
-      /*min_block=*/2);
+  // Each (query, document) pair costs O(|query| * |doc|); the request's
+  // own thread scores them in candidate order.
+  std::vector<RerankResult> out;
+  out.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    out.push_back(RerankResult{candidates[i].doc,
+                               score_pair(query, *candidates[i].doc), i});
+  }
   std::sort(out.begin(), out.end(),
             [](const RerankResult& a, const RerankResult& b) {
               if (a.score != b.score) return a.score > b.score;

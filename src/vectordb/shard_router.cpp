@@ -1,17 +1,14 @@
 #include "vectordb/shard_router.h"
 
 #include <algorithm>
-#include <future>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/clock.h"
-#include "util/thread_pool.h"
 
 namespace pkb::vectordb {
 
@@ -69,13 +66,6 @@ std::shared_ptr<ShardRouter> ShardRouter::partition(const VectorStore& store,
   }
   router->rebuild_offsets();
 
-  std::size_t threads = router->opts_.scatter_threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = std::min<std::size_t>(shards, hw == 0 ? 1 : hw);
-  }
-  router->pool_ = std::make_shared<util::ThreadPool>(threads);
-
   obs::global_metrics()
       .gauge(obs::kShardCount)
       .set(static_cast<double>(shards));
@@ -95,7 +85,6 @@ std::shared_ptr<ShardRouter> ShardRouter::with_shard_replaced(
   }
   auto router = std::shared_ptr<ShardRouter>(new ShardRouter());
   router->opts_ = opts_;
-  router->pool_ = pool_;
   router->shards_ = shards_;  // shares untouched stores/breakers/dead flags
   router->shards_[shard] = make_shard(std::move(replacement));
   router->rebuild_offsets();
@@ -188,51 +177,41 @@ Scatter ShardRouter::search(const embed::Vector& query, std::size_t k,
   obs::MetricsRegistry& metrics = obs::global_metrics();
   metrics.counter(obs::kShardQueriesTotal).inc();
 
-  // --- scatter: every shard scans the query, in parallel. Shards 1..N-1
-  // run on the dedicated scatter pool; shard 0 on the calling thread (the
-  // same calling-thread-participates shape as util::parallel_for).
+  // --- scatter: shards 0..N-1 scan the query in order on the calling
+  // thread, so fault-plan ordinals are consumed in shard order and each
+  // shard's ann_search / hedge spans nest under shard_scatter. Surviving
+  // shards' top-k lists are collected into out.hits.
   pkb::util::Stopwatch watch;
-  std::vector<std::vector<SearchResult>> per_shard(shards_.size());
-  std::vector<char> shard_ok(shards_.size(), 0);
   {
     obs::Span span(obs::global_tracer(), obs::kSpanShardScatter);
     span.set_attr("shards", shards_.size());
     span.set_attr("k", k);
-    std::vector<std::future<void>> futures;
-    futures.reserve(shards_.size() - 1);
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-      futures.push_back(pool_->submit(
-          [this, s, &query, k, filter, &sopts, &per_shard, &shard_ok] {
-            shard_ok[s] =
-                scan_shard(s, query, k, filter, sopts, per_shard[s]) ? 1 : 0;
-          }));
+    std::vector<SearchResult> shard_hits;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (!scan_shard(s, query, k, filter, sopts, shard_hits)) {
+        ++out.shards_failed;
+        continue;
+      }
+      out.hits.insert(out.hits.end(), shard_hits.begin(), shard_hits.end());
     }
-    shard_ok[0] = scan_shard(0, query, k, filter, sopts, per_shard[0]) ? 1 : 0;
-    for (std::future<void>& f : futures) f.get();
-    for (char ok : shard_ok) out.shards_failed += ok == 0 ? 1 : 0;
     span.set_attr("failed", out.shards_failed);
   }
   metrics.histogram(obs::kShardScatterSeconds).observe(watch.seconds());
   if (out.partial()) metrics.counter(obs::kShardPartialResultsTotal).inc();
 
-  // --- gather: merge surviving shards' top-k lists with the monolithic
+  // --- gather: order the surviving shards' hits with the monolithic
   // comparator and truncate to k. The global top-k is a subset of the union
   // of per-shard top-k lists, so this reproduces the monolithic result
   // bit-for-bit when no shard failed.
   watch.reset();
   {
     obs::Span span(obs::global_tracer(), obs::kSpanShardMerge);
-    std::vector<SearchResult>& merged = out.hits;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (shard_ok[s] == 0) continue;
-      merged.insert(merged.end(), per_shard[s].begin(), per_shard[s].end());
-    }
-    std::sort(merged.begin(), merged.end(),
+    std::sort(out.hits.begin(), out.hits.end(),
               [](const SearchResult& a, const SearchResult& b) {
                 if (a.score != b.score) return a.score > b.score;
                 return a.index < b.index;
               });
-    if (merged.size() > k) merged.resize(k);
+    if (out.hits.size() > k) out.hits.resize(k);
   }
   metrics.histogram(obs::kShardMergeSeconds).observe(watch.seconds());
   return out;

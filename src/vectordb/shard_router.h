@@ -4,12 +4,10 @@
 // one scan's memory bandwidth).
 //
 // A ShardRouter holds N immutable VectorStore shards covering contiguous,
-// disjoint global index ranges. Each query fans out across the shards in
-// parallel (a dedicated scatter pool — NOT util::global_pool(), because the
-// per-shard scans themselves run parallel_for on the global pool and nesting
-// would deadlock; see util/thread_pool.h), then the per-shard top-k lists
-// are merged with exactly the monolithic comparator (score descending,
-// global index ascending). Because shard vectors are copied pre-normalized
+// disjoint global index ranges. Each query scans shards 0..N-1 in order on
+// the calling thread, then the per-shard top-k lists are merged with
+// exactly the monolithic comparator (score descending, global index
+// ascending). Because shard vectors are copied pre-normalized
 // and scored with the same SIMD kernels (vectordb/kernels.h) the monolithic
 // scan uses, the merged result is bit-identical to
 // VectorStore::similarity_search on the unsharded store — indices, scores,
@@ -51,10 +49,6 @@
 #include "vectordb/index.h"
 #include "vectordb/vector_store.h"
 
-namespace pkb::util {
-class ThreadPool;
-}  // namespace pkb::util
-
 namespace pkb::vectordb {
 
 struct ShardRouterOptions {
@@ -63,8 +57,6 @@ struct ShardRouterOptions {
   /// Breaker cooldown clock; defaults to resilience::mono_seconds. Tests
   /// inject a fake clock to drive open -> half-open deterministically.
   resilience::Clock breaker_clock;
-  /// Scatter pool width; 0 = one thread per shard (capped to hardware).
-  std::size_t scatter_threads = 0;
   /// ANN spec built per shard over its slice (index.h). The identity spec
   /// (flat fp32, the default) builds nothing and shards scan exactly.
   IndexSpec index;
@@ -105,10 +97,11 @@ class ShardRouter {
   [[nodiscard]] std::shared_ptr<ShardRouter> with_shard_replaced(
       std::size_t shard, VectorStore replacement) const;
 
-  /// Scatter one query across every live shard and merge per-shard top-k
-  /// into the global top-k (score descending, global index ascending — the
-  /// exact select_top_k order). Throws std::invalid_argument on dimension
-  /// mismatch; shard failures degrade the Scatter instead of throwing.
+  /// Scan every live shard for one query, in shard order on the calling
+  /// thread, and merge per-shard top-k into the global top-k (score
+  /// descending, global index ascending — the exact select_top_k order).
+  /// Throws std::invalid_argument on dimension mismatch; shard failures
+  /// degrade the Scatter instead of throwing.
   [[nodiscard]] Scatter search(const embed::Vector& query, std::size_t k,
                                const MetadataFilter* filter = nullptr,
                                const ScatterOptions& sopts = {}) const;
@@ -159,9 +152,6 @@ class ShardRouter {
   std::size_t total_ = 0;
   std::size_t dim_ = 0;
   ShardRouterOptions opts_;
-  /// Dedicated fan-out pool (see file comment); shared across derived
-  /// routers so a rolling swap does not respawn threads.
-  std::shared_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace pkb::vectordb

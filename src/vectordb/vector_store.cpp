@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "util/binio.h"
 #include "util/clock.h"
-#include "util/thread_pool.h"
 
 namespace pkb::vectordb {
 
@@ -98,17 +97,15 @@ std::vector<SearchResult> VectorStore::similarity_search(
   embed::Vector q = query;
   embed::l2_normalize(q);
 
-  // Score the packed SoA block in parallel with the SIMD kernels, then
-  // select top-k with a partial sort. The query is packed once (padded,
-  // aligned) so every row dot runs over the same lane layout.
+  // Score the whole packed SoA block with one streaming kernel pass on the
+  // calling thread, then select top-k with a partial sort. The query is
+  // packed once (padded, aligned) so every row dot runs over the same lane
+  // layout; score_range applies kernel_score's dot per row, so the scores
+  // are the ones every index reports.
   pkb::util::AlignedBuffer qbuf(packed_.stride() * sizeof(float));
   packed_.pack_query(q.data(), qbuf.as<float>());
-  const float* pq = qbuf.as<float>();
   std::vector<float> scores(docs_.size());
-  pkb::util::parallel_for(
-      0, docs_.size(),
-      [&](std::size_t i) { scores[i] = kernel_score(pq, i); },
-      /*min_block=*/256);
+  packed_.score_range(qbuf.as<float>(), 0, docs_.size(), scores.data());
 
   std::vector<SearchResult> out = select_top_k(scores, k, filter);
   metrics.histogram(obs::kVectordbSearchSeconds).observe(watch.seconds());

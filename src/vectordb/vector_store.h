@@ -3,10 +3,10 @@
 //
 // Stores (document, embedding) pairs and answers top-k similarity queries.
 // Exact search scans a packed SoA mirror of the vectors with the SIMD
-// kernels in kernels.h (parallelized, partial-sort top-k); the IVF index in
-// ivf.h and the HNSW graph in hnsw.h provide approximate fast paths, and
-// quantize.h adds an int8 scan with exact re-rank. Collections persist to a
-// simple binary format.
+// kernels in kernels.h on the calling thread (partial-sort top-k); the IVF
+// index in ivf.h and the HNSW graph in hnsw.h provide approximate fast
+// paths, and quantize.h adds an int8 scan with exact re-rank. Collections
+// persist to a simple binary format.
 
 #include <functional>
 #include <iosfwd>

@@ -161,6 +161,15 @@ class SessionManagerTest : public ::testing::Test {
     workflow_ = new rag::AugmentedWorkflow(*kb_, rag::PipelineArm::RagRerank,
                                            llm::model_config("sim-gpt-4o"));
   }
+  // SessionAdmissionTest and SessionEvictionTest inherit this fixture, and
+  // gtest runs SetUpTestSuite once per derived suite: free each suite's
+  // pair so the next SetUpTestSuite does not orphan it.
+  static void TearDownTestSuite() {
+    delete workflow_;
+    workflow_ = nullptr;
+    delete kb_;
+    kb_ = nullptr;
+  }
   static rag::KnowledgeBase* kb_;
   static rag::AugmentedWorkflow* workflow_;
 };

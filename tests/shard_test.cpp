@@ -12,10 +12,13 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ingest/ingestor.h"
 #include "llm/model_config.h"
+#include "obs/metric_names.h"
+#include "obs/trace.h"
 #include "rag/knowledge_base.h"
 #include "rag/retriever.h"
 #include "rag/workflow.h"
@@ -93,6 +96,25 @@ std::vector<SearchResult> survivors_top_k(const VectorStore& store,
   }
   if (kept.size() > k) kept.resize(k);
   return kept;
+}
+
+// The shard_scatter tree of the one router search since the tracer was
+// cleared. A bare search (no enclosing span) finishes exactly two traces:
+// shard_scatter, holding every shard's scan spans, then shard_merge.
+obs::SpanData scatter_span_of_last_search() {
+  const std::vector<obs::Trace> traces = obs::global_tracer().traces();
+  EXPECT_EQ(traces.size(), 2u);
+  if (traces.size() != 2u) return {};
+  EXPECT_EQ(traces[0].root.name, obs::kSpanShardScatter);
+  EXPECT_EQ(traces[1].root.name, obs::kSpanShardMerge);
+  return traces[0].root;
+}
+
+std::string attr_of(const obs::SpanData& span, std::string_view key) {
+  for (const auto& [k, v] : span.attrs) {
+    if (k == key) return v;
+  }
+  return "<missing " + std::string(key) + ">";
 }
 
 // --- ShardRouter: partition shapes and generational sharing ---------------
@@ -354,12 +376,17 @@ TEST(ShardChaos, HedgeRecoversAScriptedTransient) {
   sopts.plan = &plan;
   sopts.hedges = 1;
   const Vector q = random_queries(1, 8, 29)[0];
-  // Whichever shard draws the scripted transient hedges once and succeeds:
-  // the answer is full and bit-identical.
+  // Shards scan in order, so shard 0 draws the scripted transient, hedges
+  // once and succeeds: the answer is full and bit-identical.
+  obs::global_tracer().clear();
   const Scatter sc = router->search(q, 5, nullptr, sopts);
   EXPECT_FALSE(sc.partial());
   expect_hits_equal(store.similarity_search(q, 5), sc.hits, "hedged");
   EXPECT_EQ(plan.counts(res::Stage::VectorSearch).transient, 1u);
+  const obs::SpanData scatter = scatter_span_of_last_search();
+  ASSERT_EQ(scatter.children.size(), 1u);
+  EXPECT_EQ(scatter.children[0].name, obs::kSpanHedge);
+  EXPECT_EQ(attr_of(scatter.children[0], "shard"), "0");
 }
 
 TEST(ShardChaos, TransientsPastHedgesLoseExactlyThoseShards) {
@@ -373,22 +400,32 @@ TEST(ShardChaos, TransientsPastHedgesLoseExactlyThoseShards) {
   sopts.hedges = 0;  // no hedging: a faulted scan loses its shard
   const Vector q = random_queries(1, 8, 31)[0];
   const Scatter sc = router->search(q, 20, nullptr, sopts);
-  // Exactly two shards (whichever drew the scripted ordinals) are lost;
-  // every surviving hit is a genuine monolithic hit.
+  // Shards scan in order, so shards 0 and 1 draw the two scripted ordinals
+  // and are lost; the answer is the exact top-k over shards 2-3.
   EXPECT_EQ(sc.shards_failed, 2u);
-  const auto mono = store.similarity_search(q, store.size());
-  for (const SearchResult& hit : sc.hits) {
-    bool found = false;
-    for (const SearchResult& m : mono) {
-      if (m.index == hit.index) {
-        EXPECT_EQ(m.score, hit.score);
-        EXPECT_EQ(m.doc->id, hit.doc->id);
-        found = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(found) << "hit index " << hit.index;
-  }
+  expect_hits_equal(survivors_top_k(store, q, 20, 0, router->shard_offset(2)),
+                    sc.hits, "shards 0-1 lost");
+}
+
+TEST(ShardChaos, HedgeSpansNestUnderTheRequestsScatter) {
+  const VectorStore store = random_store(24, 8, 32);
+  const auto router = ShardRouter::partition(store, 4);
+  router->kill_shard(3);
+  ScatterOptions sopts;
+  sopts.hedges = 1;
+  obs::global_tracer().clear();
+  const Scatter sc = router->search(random_queries(1, 8, 33)[0], 5, nullptr,
+                                    sopts);
+  EXPECT_EQ(sc.shards_failed, 1u);
+
+  // Every shard scans on the calling thread, so the dead shard's hedge is a
+  // child of this request's shard_scatter span, not a separate trace.
+  const obs::SpanData scatter = scatter_span_of_last_search();
+  ASSERT_EQ(scatter.children.size(), 1u);
+  const obs::SpanData& hedge = scatter.children[0];
+  EXPECT_EQ(hedge.name, obs::kSpanHedge);
+  EXPECT_EQ(attr_of(hedge, "stage"), "shard_scan");
+  EXPECT_EQ(attr_of(hedge, "shard"), "3");
 }
 
 // --- ShardKnowledgeBase: generational wiring ------------------------------
