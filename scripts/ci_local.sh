@@ -3,7 +3,8 @@
 # {release, scalar, asan, tsan} matrix a CI runner would, so "green
 # locally" means "green in CI".
 #
-#   release — plain build, full ctest (includes check_docs), bench smoke
+#   release — plain build, full ctest (includes check_docs), bench smoke,
+#             benchmark harness self-check (perfbench/run.py --self-check)
 #   scalar  — release rebuilt with -DPKB_FORCE_SCALAR=ON (SIMD kernels
 #             compiled out), same ctest + bench smoke
 #   asan    — AddressSanitizer build + full test suite (run_asan.sh)
@@ -30,6 +31,8 @@ run_release() {
   ctest --test-dir "$repo_root/build" --output-on-failure -j "$(nproc)"
   echo "== ci_local[release]: bench smoke =="
   "$repo_root/scripts/bench_smoke.sh" "$repo_root/build"
+  echo "== ci_local[release]: benchmark harness self-check =="
+  python3 "$repo_root/perfbench/run.py" --self-check
 }
 
 run_scalar() {

@@ -345,19 +345,15 @@ std::string render_mat_chapter() {
 
 text::VirtualDir generate_corpus(const CorpusOptions& opts) {
   text::VirtualDir tree;
-  if (opts.include_manual_pages) {
-    for (const ApiSpec& spec : api_table()) {
-      tree.push_back(
-          text::VirtualFile{manual_page_path(spec), render_manual_page(spec)});
-    }
+  for (const ApiSpec& spec : api_table()) {
+    tree.push_back(
+        text::VirtualFile{manual_page_path(spec), render_manual_page(spec)});
   }
-  if (opts.include_user_manual) {
-    tree.push_back(text::VirtualFile{"docs/manual/ksp.md", render_ksp_chapter()});
-    tree.push_back(text::VirtualFile{"docs/manual/pc.md", pc_chapter_markdown()});
-    tree.push_back(text::VirtualFile{"docs/manual/mat.md", render_mat_chapter()});
-    tree.push_back(text::VirtualFile{"docs/manual/profiling.md",
-                                     profiling_chapter_markdown()});
-  }
+  tree.push_back(text::VirtualFile{"docs/manual/ksp.md", render_ksp_chapter()});
+  tree.push_back(text::VirtualFile{"docs/manual/pc.md", pc_chapter_markdown()});
+  tree.push_back(text::VirtualFile{"docs/manual/mat.md", render_mat_chapter()});
+  tree.push_back(text::VirtualFile{"docs/manual/profiling.md",
+                                   profiling_chapter_markdown()});
   if (opts.include_faq) {
     tree.push_back(text::VirtualFile{"docs/faq.md", faq_markdown()});
   }

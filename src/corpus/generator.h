@@ -21,10 +21,9 @@
 
 namespace pkb::corpus {
 
-/// Corpus generation options.
+/// Corpus generation options. Manual pages and the user manual are always
+/// rendered.
 struct CorpusOptions {
-  bool include_manual_pages = true;
-  bool include_user_manual = true;
   bool include_faq = true;
   bool include_tutorial = true;
   /// Include the synthetic petsc-users archive (the paper's future work —

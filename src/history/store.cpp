@@ -107,19 +107,20 @@ std::optional<double> HistoryStore::mean_score(std::uint64_t record_id) const {
   return std::nullopt;
 }
 
-std::vector<InteractionRecord> HistoryStore::vetted_records(
-    double min_mean_score, bool trust_unscored_human) const {
+std::vector<InteractionRecord> HistoryStore::vetted_records() const {
+  // Minimum mean blind score for a scored record to count as vetted.
+  constexpr double kMinMeanScore = 3.0;
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<InteractionRecord> out;
   for (const InteractionRecord& r : records_) {
     if (r.response.empty()) continue;
     if (r.scores.empty()) {
-      if (trust_unscored_human && r.model.empty()) out.push_back(r);
+      if (r.model.empty()) out.push_back(r);
       continue;
     }
     double sum = 0.0;
     for (const ScoreRecord& s : r.scores) sum += s.score;
-    if (sum / static_cast<double>(r.scores.size()) >= min_mean_score) {
+    if (sum / static_cast<double>(r.scores.size()) >= kMinMeanScore) {
       out.push_back(r);
     }
   }

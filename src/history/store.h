@@ -104,13 +104,12 @@ class HistoryStore {
   /// Mean score of a record across scorers; nullopt when unscored.
   [[nodiscard]] std::optional<double> mean_score(std::uint64_t record_id) const;
 
-  /// Records vetted for knowledge-base ingestion (the paper's curation
-  /// loop): every record with a non-empty response whose mean score is >=
-  /// `min_mean_score`. When `trust_unscored_human` is set, unscored records
-  /// whose model is "" (human-authored answers) also qualify. Returns
-  /// copies, not live views — safe to use while workers keep appending.
-  [[nodiscard]] std::vector<InteractionRecord> vetted_records(
-      double min_mean_score, bool trust_unscored_human = false) const;
+  /// Records vetted for knowledge-base ingestion and history recall (the
+  /// paper's curation loop): every record with a non-empty response whose
+  /// mean blind score (Table I rubric, 0..4) is >= 3, plus unscored records
+  /// whose model is "" (human-authored answers). Returns copies, not live
+  /// views — safe to use while workers keep appending.
+  [[nodiscard]] std::vector<InteractionRecord> vetted_records() const;
 
   /// JSON round-trip for persistence.
   [[nodiscard]] pkb::util::Json to_json() const;

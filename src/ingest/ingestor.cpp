@@ -37,8 +37,7 @@ rag::SnapshotPtr Ingestor::ingest_qa(std::string_view source_id,
 
 rag::SnapshotPtr Ingestor::ingest_vetted_history(
     const history::HistoryStore& store) {
-  const std::vector<history::InteractionRecord> vetted =
-      store.vetted_records(opts_.min_mean_score, opts_.trust_unscored_human);
+  const std::vector<history::InteractionRecord> vetted = store.vetted_records();
   std::lock_guard<std::mutex> lock(mu_);
   text::VirtualDir files;
   for (const history::InteractionRecord& record : vetted) {

@@ -39,11 +39,6 @@ struct IngestorOptions {
   /// Fractional chunk-count growth since the last embedder fit that
   /// triggers a full refit + re-embed instead of a delta merge.
   double refit_drift_threshold = 0.25;
-  /// Minimum mean blind score (Table I rubric, 0..4) for a history record
-  /// to qualify for ingest_vetted_history().
-  double min_mean_score = 3.0;
-  /// Also ingest unscored human-authored answers (model == "").
-  bool trust_unscored_human = true;
 };
 
 /// Cumulative ingestion statistics (monotonic).
@@ -74,10 +69,9 @@ class Ingestor {
                              std::string_view title, std::string_view question,
                              std::string_view answer);
 
-  /// Ingest every vetted record of `store` (mean score >= min_mean_score,
-  /// plus unscored human answers when trusted) that has not been ingested by
-  /// this Ingestor before. One new generation for the whole batch; returns
-  /// nullptr when nothing qualifies.
+  /// Ingest every vetted record of `store` (HistoryStore::vetted_records)
+  /// that has not been ingested by this Ingestor before. One new generation
+  /// for the whole batch; returns nullptr when nothing qualifies.
   rag::SnapshotPtr ingest_vetted_history(const history::HistoryStore& store);
 
   [[nodiscard]] IngestStats stats() const;

@@ -7,7 +7,13 @@
 
 namespace pkb::lexical {
 
-Bm25Index::Bm25Index(Bm25Options opts) : opts_(opts) {}
+namespace {
+
+// Standard Okapi BM25 parameters.
+constexpr double kK1 = 1.2;  // term-frequency saturation
+constexpr double kB = 0.75;  // length normalization strength
+
+}  // namespace
 
 void Bm25Index::build(std::vector<text::Document> docs) {
   docs_ = std::move(docs);
@@ -46,9 +52,8 @@ double Bm25Index::idf(std::string_view term) const {
 
 double Bm25Index::score_posting(double idf, double tf, double doc_len) const {
   const double denom =
-      tf + opts_.k1 * (1.0 - opts_.b + opts_.b * doc_len /
-                                           std::max(avg_len_, 1e-9));
-  return idf * tf * (opts_.k1 + 1.0) / denom;
+      tf + kK1 * (1.0 - kB + kB * doc_len / std::max(avg_len_, 1e-9));
+  return idf * tf * (kK1 + 1.0) / denom;
 }
 
 std::vector<Bm25Result> Bm25Index::search(std::string_view query,
@@ -82,21 +87,6 @@ std::vector<Bm25Result> Bm25Index::search(std::string_view query,
     out.push_back(Bm25Result{i, scores[i], &docs_[i]});
   }
   return out;
-}
-
-double Bm25Index::score_one(std::string_view query, std::size_t i) const {
-  double score = 0.0;
-  for (const std::string& term : text::tokens_of(query)) {
-    auto it = postings_.find(term);
-    if (it == postings_.end()) continue;
-    for (const Posting& p : it->second) {
-      if (p.doc == i) {
-        score += score_posting(idf(term), p.tf, doc_len_[i]);
-        break;
-      }
-    }
-  }
-  return score;
 }
 
 }  // namespace pkb::lexical

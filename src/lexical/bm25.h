@@ -21,17 +21,9 @@ struct Bm25Result {
   const text::Document* doc = nullptr;
 };
 
-/// BM25 parameters (standard Okapi defaults).
-struct Bm25Options {
-  double k1 = 1.2;   ///< term-frequency saturation
-  double b = 0.75;   ///< length normalization strength
-};
-
 /// Immutable-after-build inverted index.
 class Bm25Index {
  public:
-  explicit Bm25Index(Bm25Options opts = {});
-
   /// Index a collection (replaces any previous contents). Documents are
   /// stored by value; the index owns them.
   void build(std::vector<text::Document> docs);
@@ -43,9 +35,6 @@ class Bm25Index {
   /// from the index contribute nothing.
   [[nodiscard]] std::vector<Bm25Result> search(std::string_view query,
                                                std::size_t k) const;
-
-  /// BM25 score of one specific document for a query (0 when no overlap).
-  [[nodiscard]] double score_one(std::string_view query, std::size_t i) const;
 
   /// Smoothed IDF of a term under the BM25 formula (0 when unknown).
   [[nodiscard]] double idf(std::string_view term) const;
@@ -59,7 +48,6 @@ class Bm25Index {
   [[nodiscard]] double score_posting(double idf, double tf,
                                      double doc_len) const;
 
-  Bm25Options opts_;
   std::vector<text::Document> docs_;
   std::vector<double> doc_len_;
   double avg_len_ = 0.0;

@@ -1,6 +1,5 @@
 #include "lexical/keyword_search.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "corpus/api_spec.h"
@@ -19,27 +18,6 @@ SymbolIndex::SymbolIndex(const std::vector<text::Document>& chunks) {
     if (it == by_source.end()) continue;
     by_symbol_.emplace(spec.name, it->second);
   }
-}
-
-SymbolIndex SymbolIndex::from_entries(std::vector<SymbolEntry> entries) {
-  SymbolIndex index;
-  for (SymbolEntry& entry : entries) {
-    index.by_symbol_.emplace(std::move(entry.symbol), std::move(entry.chunks));
-  }
-  return index;
-}
-
-std::vector<SymbolEntry> SymbolIndex::entries() const {
-  std::vector<SymbolEntry> out;
-  out.reserve(by_symbol_.size());
-  for (const auto& [symbol, chunks] : by_symbol_) {
-    out.push_back(SymbolEntry{symbol, chunks});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const SymbolEntry& a, const SymbolEntry& b) {
-              return a.symbol < b.symbol;
-            });
-  return out;
 }
 
 std::vector<KeywordHit> SymbolIndex::lookup(std::string_view query,

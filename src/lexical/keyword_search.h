@@ -24,13 +24,6 @@ struct KeywordHit {
   std::vector<std::size_t> chunks;  ///< chunk indices in the collection
 };
 
-/// One serialized index entry: a canonical symbol and its chunk indices.
-/// entries()/from_entries round-trip the index through Snapshot persistence.
-struct SymbolEntry {
-  std::string symbol;
-  std::vector<std::size_t> chunks;
-};
-
 /// Maps API symbols to the corpus chunks of their manual pages.
 class SymbolIndex {
  public:
@@ -38,14 +31,6 @@ class SymbolIndex {
   /// its metadata["source"] equals the symbol's manual-page path.
   /// Symbol->page mapping comes from the corpus ApiSpec table.
   explicit SymbolIndex(const std::vector<text::Document>& chunks);
-
-  /// Rebuild an index from serialized entries (Snapshot::load). Chunk-index
-  /// validity against the owning chunk list is the caller's responsibility.
-  [[nodiscard]] static SymbolIndex from_entries(
-      std::vector<SymbolEntry> entries);
-
-  /// The index contents, sorted by symbol for deterministic serialization.
-  [[nodiscard]] std::vector<SymbolEntry> entries() const;
 
   /// Extract API-shaped symbols from `query` and resolve each to manual-page
   /// chunks. Unknown symbols resolve to no page but are still reported (the
@@ -62,8 +47,6 @@ class SymbolIndex {
   [[nodiscard]] std::size_t symbol_count() const { return by_symbol_.size(); }
 
  private:
-  SymbolIndex() = default;  ///< used by from_entries
-
   std::unordered_map<std::string, std::vector<std::size_t>> by_symbol_;
 };
 

@@ -4,9 +4,17 @@
 
 namespace pkb::rag {
 
-HistoryRetriever::HistoryRetriever(const history::HistoryStore* store,
-                                   HistoryRetrieverOptions opts)
-    : store_(store), opts_(opts) {
+namespace {
+
+// Maximum past interactions injected per query.
+constexpr std::size_t kMaxContexts = 2;
+// Minimum BM25 relevance for a past interaction to be injected.
+constexpr double kMinRelevance = 1.0;
+
+}  // namespace
+
+HistoryRetriever::HistoryRetriever(const history::HistoryStore* store)
+    : store_(store) {
   if (store_ == nullptr) {
     throw std::invalid_argument("HistoryRetriever: null store");
   }
@@ -16,13 +24,7 @@ HistoryRetriever::HistoryRetriever(const history::HistoryStore* store,
 void HistoryRetriever::refresh() {
   record_ids_.clear();
   std::vector<text::Document> docs;
-  for (const history::InteractionRecord& record : store_->records()) {
-    const auto mean = store_->mean_score(record.id);
-    const bool vetted_by_score =
-        mean.has_value() && *mean >= opts_.min_mean_score;
-    const bool human =
-        record.model.empty() && opts_.trust_unscored_human_answers;
-    if (!vetted_by_score && !human) continue;
+  for (const history::InteractionRecord& record : store_->vetted_records()) {
     text::Document doc;
     doc.id = "history#" + std::to_string(record.id);
     doc.text = record.question + " " + record.response;
@@ -35,9 +37,8 @@ void HistoryRetriever::refresh() {
 std::vector<llm::ContextDoc> HistoryRetriever::lookup(
     std::string_view question) const {
   std::vector<llm::ContextDoc> out;
-  for (const lexical::Bm25Result& hit :
-       index_.search(question, opts_.max_contexts)) {
-    if (hit.score < opts_.min_relevance) continue;
+  for (const lexical::Bm25Result& hit : index_.search(question, kMaxContexts)) {
+    if (hit.score < kMinRelevance) continue;
     const history::InteractionRecord* record =
         store_->get(record_ids_[hit.index]);
     llm::ContextDoc ctx;

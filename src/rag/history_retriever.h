@@ -3,10 +3,10 @@
 // the shared history will also eventually be included in the RAG and
 // reranking processing and passed to the LLM."
 //
-// Vetted past interactions (blind-review score >= a threshold, or answers
-// written by human developers) become retrievable context: when a similar
-// question arrives, the best past Q&A pairs are appended to the LLM's
-// context list. This is how the system gets better from its own reviewed
+// Vetted past interactions (mean blind-review score >= 3, or unscored
+// answers written by human developers) become retrievable context: when a
+// similar question arrives, the best past Q&A pairs are appended to the
+// LLM's context list. This is how the system gets better from its own reviewed
 // outputs without retraining anything.
 
 #include <string>
@@ -19,41 +19,30 @@
 
 namespace pkb::rag {
 
-/// Configuration for history recall.
-struct HistoryRetrieverOptions {
-  /// Minimum mean blind-review score for a record to be trusted as context.
-  double min_mean_score = 3.0;
-  /// Records authored by humans (empty model field) are trusted even when
-  /// unscored.
-  bool trust_unscored_human_answers = true;
-  /// Maximum past interactions injected per query.
-  std::size_t max_contexts = 2;
-  /// Minimum BM25 relevance for a past interaction to be injected.
-  double min_relevance = 1.0;
-};
-
-/// Indexes the vetted subset of a HistoryStore for question-similarity
-/// lookup. Call refresh() after the store changes.
+/// Indexes the vetted subset of a HistoryStore
+/// (HistoryStore::vetted_records, the same rule ingestion uses) for
+/// question-similarity lookup. Call refresh() after the store changes.
 class HistoryRetriever {
  public:
   /// The store must outlive the retriever.
-  explicit HistoryRetriever(const history::HistoryStore* store,
-                            HistoryRetrieverOptions opts = {});
+  explicit HistoryRetriever(const history::HistoryStore* store);
 
   /// Rebuild the index over the currently vetted records.
   void refresh();
 
-  /// Number of vetted records currently indexed.
-  [[nodiscard]] std::size_t indexed() const { return record_ids_.size(); }
+  /// Ids of the vetted records currently indexed, in store order.
+  [[nodiscard]] const std::vector<std::uint64_t>& record_ids() const {
+    return record_ids_;
+  }
 
-  /// Past Q&A contexts relevant to `question`, best first. Context ids are
+  /// Past Q&A contexts relevant to `question` (at most two, each with BM25
+  /// relevance >= 1), best first. Context ids are
   /// "history#<record-id>"; the text is "Q: ...\nVetted answer: ...".
   [[nodiscard]] std::vector<llm::ContextDoc> lookup(
       std::string_view question) const;
 
  private:
   const history::HistoryStore* store_;
-  HistoryRetrieverOptions opts_;
   lexical::Bm25Index index_;
   std::vector<std::uint64_t> record_ids_;  ///< parallel to index docs
 };

@@ -133,25 +133,23 @@ double KnowledgeBase::publish(SnapshotPtr next) {
 //         u64 embedder_fit_generation | u64 chunks_at_fit | u64 source_count
 //         | options (embedder, file_pattern, splitter fields)
 //         | VectorStore blob (its own magic/version, docs + vectors)
-//         | chunk section "CHNK": per-entry ids revalidating store order
-//         | symbol section "SYMS": symbol -> chunk indices.
+//         | chunk section "CHNK": per-entry ids revalidating store order.
 //
 // The chunks are reconstructed from the store's documents (entry i ==
-// chunks[i] by invariant); the embedder is refitted from them — fit() is
-// deterministic, so the reloaded generation embeds queries identically.
+// chunks[i] by invariant); the symbol index is rebuilt and the embedder
+// refitted from them — both are deterministic, so the reloaded generation
+// resolves keywords and embeds queries identically.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 constexpr char kSnapshotMagic[4] = {'P', 'K', 'B', 'S'};
 constexpr char kChunkSectionMagic[4] = {'C', 'H', 'N', 'K'};
-constexpr char kSymbolSectionMagic[4] = {'S', 'Y', 'M', 'S'};
 // Only the current version loads; no older snapshots are deployed, so an
 // older file fails with "unsupported version" instead of being migrated.
-// The options block carries opts.shards, then the IndexSpec (kind, a legacy
-// int8 flag still written as quant == Int8 and ignored on load,
+// The options block carries opts.shards, then the IndexSpec (kind,
 // rerank_factor, IVF and HNSW options, quant, PqOptions).
-constexpr std::uint32_t kSnapshotVersion = 4;
+constexpr std::uint32_t kSnapshotVersion = 5;
 
 void read_magic(std::istream& in, const char (&expect)[4], const char* what) {
   char magic[4] = {};
@@ -187,8 +185,6 @@ void Snapshot::save(const std::string& path) const {
   }
   bin::write_u64(out, opts.shards);
   bin::write_u32(out, static_cast<std::uint32_t>(opts.index.kind));
-  bin::write_u32(out,
-                 opts.index.quant == vectordb::Quantizer::Int8 ? 1 : 0);
   bin::write_u64(out, opts.index.rerank_factor);
   bin::write_u64(out, opts.index.ivf.clusters);
   bin::write_u64(out, opts.index.ivf.kmeans_iters);
@@ -209,17 +205,6 @@ void Snapshot::save(const std::string& path) const {
   bin::write_u64(out, chunks.size());
   for (const text::Document& chunk : chunks) {
     bin::write_str(out, chunk.id);
-  }
-
-  const std::vector<lexical::SymbolEntry> entries = symbols->entries();
-  out.write(kSymbolSectionMagic, sizeof kSymbolSectionMagic);
-  bin::write_u64(out, entries.size());
-  for (const lexical::SymbolEntry& entry : entries) {
-    bin::write_str(out, entry.symbol);
-    bin::write_u64(out, entry.chunks.size());
-    for (std::size_t index : entry.chunks) {
-      bin::write_u64(out, index);
-    }
   }
   if (!out) {
     throw std::runtime_error("Snapshot::save: write failed for " + path);
@@ -262,7 +247,6 @@ SnapshotPtr Snapshot::load(const std::string& path) {
                              std::to_string(kind));
   }
   snap->opts.index.kind = static_cast<vectordb::IndexKind>(kind);
-  (void)bin::read_u32(in, "index int8");  // legacy flag; quant below wins
   snap->opts.index.rerank_factor = bin::read_count(in, "rerank factor");
   snap->opts.index.ivf.clusters = bin::read_count(in, "ivf clusters");
   snap->opts.index.ivf.kmeans_iters = bin::read_count(in, "ivf iters");
@@ -301,27 +285,7 @@ SnapshotPtr Snapshot::load(const std::string& path) {
     snap->chunks.push_back(snap->store.doc(i));
   }
 
-  read_magic(in, kSymbolSectionMagic, "symbol section");
-  const std::uint64_t symbol_count = bin::read_count(in, "symbol count");
-  std::vector<lexical::SymbolEntry> entries;
-  entries.reserve(symbol_count);
-  for (std::uint64_t i = 0; i < symbol_count; ++i) {
-    lexical::SymbolEntry entry;
-    entry.symbol = bin::read_str(in, "symbol name");
-    const std::uint64_t n = bin::read_count(in, "symbol chunk count");
-    entry.chunks.reserve(n);
-    for (std::uint64_t c = 0; c < n; ++c) {
-      const std::uint64_t index = bin::read_u64(in, "symbol chunk index");
-      if (index >= chunk_count) {
-        throw std::runtime_error(
-            "Snapshot::load: symbol chunk index out of range");
-      }
-      entry.chunks.push_back(static_cast<std::size_t>(index));
-    }
-    entries.push_back(std::move(entry));
-  }
-  snap->symbols = std::make_shared<lexical::SymbolIndex>(
-      lexical::SymbolIndex::from_entries(std::move(entries)));
+  snap->symbols = std::make_shared<lexical::SymbolIndex>(snap->chunks);
 
   std::unique_ptr<embed::Embedder> embedder =
       embed::make_embedder(snap->opts.embedder);

@@ -31,10 +31,8 @@ Retriever::Retriever(const KnowledgeBase& kb, RetrieverOptions opts)
   }
 }
 
-void Retriever::set_fault_plan(const pkb::resilience::FaultPlan* plan,
-                               std::uint32_t search_hedges) {
+void Retriever::set_fault_plan(const pkb::resilience::FaultPlan* plan) {
   fault_plan_ = plan;
-  search_hedges_ = search_hedges;
   std::lock_guard<std::mutex> lock(rerank_mu_);
   if (reranker_ != nullptr) reranker_->set_fault_plan(plan);
 }
@@ -70,7 +68,7 @@ auto Retriever::search_with_hedge(SearchFn&& search) const
       }
       return hits;
     } catch (const res::FaultError&) {
-      if (attempt >= search_hedges_) throw;
+      if (attempt >= res::kSearchHedges) throw;
       obs::global_metrics()
           .counter(obs::kResilienceHedgesTotal, {{"stage", "vector_search"}})
           .inc();
@@ -90,9 +88,8 @@ std::vector<vectordb::SearchResult> Retriever::first_pass_hits(
     // live inside the router, so no search_with_hedge wrapper here. A lost
     // shard degrades the result (partial, tagged); only every shard failing
     // escalates to the caller's degradation ladder.
-    const vectordb::ScatterOptions sopts{fault_plan_, search_hedges_};
-    vectordb::Scatter sc =
-        snap.shards->search(query_vec, opts_.first_pass_k, nullptr, sopts);
+    vectordb::Scatter sc = snap.shards->search(query_vec, opts_.first_pass_k,
+                                               nullptr, fault_plan_);
     if (sc.shards_total > 0 && sc.shards_failed == sc.shards_total) {
       throw res::TransientError(res::Stage::VectorSearch,
                                 "shard scatter: every shard failed");

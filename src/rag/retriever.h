@@ -136,13 +136,12 @@ class Retriever {
 
   /// Attach a chaos plan. Vector-search decisions are consulted here (the
   /// snapshot's store is immutable, so the retriever is the injection
-  /// point on the serving path) with up to `search_hedges` hedged
+  /// point on the serving path) with resilience::kSearchHedges hedged
   /// re-attempts before the fault propagates; the plan is also handed to
   /// every reranker this retriever fits, whose rerank faults are caught in
   /// rerank_stage and degrade to first-pass order. Pass nullptr to
   /// detach. Setup-time only — must not race in-flight retrievals.
-  void set_fault_plan(const pkb::resilience::FaultPlan* plan,
-                      std::uint32_t search_hedges = 1);
+  void set_fault_plan(const pkb::resilience::FaultPlan* plan);
   [[nodiscard]] const KnowledgeBase& kb() const { return kb_; }
 
  private:
@@ -173,7 +172,6 @@ class Retriever {
   mutable std::shared_ptr<rerank::Reranker> reranker_;
   mutable std::uint64_t reranker_generation_ = 0;
   const pkb::resilience::FaultPlan* fault_plan_ = nullptr;
-  std::uint32_t search_hedges_ = 1;
 };
 
 }  // namespace pkb::rag

@@ -14,6 +14,9 @@ namespace {
 
 namespace res = pkb::resilience;
 
+// Virtual cost charged for composing a degraded (extractive or stub) answer.
+constexpr double kExtractiveLatencySeconds = 0.05;
+
 /// The extractive fallback (ladder level Extractive): the lead sentence of
 /// each attended context, stitched in retrieval order. No model involved,
 /// so it works with the LLM stage entirely lost.
@@ -85,10 +88,9 @@ void AugmentedWorkflow::attach_history_retrieval(
   history_retriever_ = retriever;
 }
 
-void AugmentedWorkflow::set_fault_plan(const resilience::FaultPlan* plan,
-                                       std::uint32_t search_hedges) {
+void AugmentedWorkflow::set_fault_plan(const resilience::FaultPlan* plan) {
   llm_.set_fault_plan(plan);
-  if (retriever_ != nullptr) retriever_->set_fault_plan(plan, search_hedges);
+  if (retriever_ != nullptr) retriever_->set_fault_plan(plan);
 }
 
 WorkflowOutcome AugmentedWorkflow::ask(std::string_view question,
@@ -272,7 +274,7 @@ llm::LlmResponse AugmentedWorkflow::complete_resilient(
     resp.mode = "degraded-unavailable";
   }
   resp.latency_seconds =
-      std::min(opts.extractive_latency_seconds, ctx.budget.remaining_seconds());
+      std::min(kExtractiveLatencySeconds, ctx.budget.remaining_seconds());
   ctx.budget.charge(resp.latency_seconds);
   resp.completion_tokens = text::approx_llm_tokens(resp.text);
 

@@ -51,8 +51,9 @@ struct WorkflowOutcome {
   /// How much of the full pipeline this answer reflects (the degradation
   /// ladder; Full when no resilience context was active or nothing failed).
   /// Callers — the serve layer's answer cache in particular — use this to
-  /// distinguish full answers (cacheable at the normal TTL) from degraded
-  /// ones (short TTL, so a transient outage cannot poison the cache).
+  /// distinguish full answers (cached until a newer generation retires
+  /// them) from degraded ones (short TTL, so a transient outage cannot
+  /// poison the cache).
   resilience::DegradationLevel degradation = resilience::DegradationLevel::Full;
   [[nodiscard]] bool degraded() const {
     return degradation != resilience::DegradationLevel::Full;
@@ -100,9 +101,8 @@ class AugmentedWorkflow : public QuestionService {
 
   /// Attach a chaos plan: forwarded to the simulated LLM and the retriever
   /// (which hands it to its rerankers and consults it for vector search
-  /// with `search_hedges` hedged re-attempts). Setup-time only.
-  void set_fault_plan(const resilience::FaultPlan* plan,
-                      std::uint32_t search_hedges = 1);
+  /// with hedged re-attempts). Setup-time only.
+  void set_fault_plan(const resilience::FaultPlan* plan);
 
   /// Run one question end to end. With a non-null `ctx` (minted by a
   /// resilience::Resilience engine, which rides along in ctx->engine),

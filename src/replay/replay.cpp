@@ -82,13 +82,11 @@ std::string ReplayDiff::summary() const {
 
 ReplayEngine::ReplayEngine(const rag::KnowledgeBase& kb) : kb_(kb) {}
 
-void ReplayEngine::set_fault_plan(const resilience::FaultPlan* plan,
-                                  std::uint32_t search_hedges) {
+void ReplayEngine::set_fault_plan(const resilience::FaultPlan* plan) {
   std::lock_guard<std::mutex> lock(mu_);
   fault_plan_ = plan;
-  search_hedges_ = search_hedges;
   for (auto& [key, wf] : workflows_) {
-    wf->set_fault_plan(plan, search_hedges);
+    wf->set_fault_plan(plan);
   }
 }
 
@@ -126,7 +124,7 @@ const rag::AugmentedWorkflow& ReplayEngine::workflow_for(
   opts.reranker = reranker;
   auto wf = std::make_unique<rag::AugmentedWorkflow>(
       kb_, *arm, llm::model_config(model), std::move(opts));
-  if (fault_plan_ != nullptr) wf->set_fault_plan(fault_plan_, search_hedges_);
+  if (fault_plan_ != nullptr) wf->set_fault_plan(fault_plan_);
   return *workflows_.emplace(std::move(key), std::move(wf)).first->second;
 }
 

@@ -91,8 +91,7 @@ class ReplayEngine {
 
   /// Chaos plan handed to every workflow the engine builds (tests use plan
   /// call counts to prove skipped stages really never ran). Setup-time only.
-  void set_fault_plan(const resilience::FaultPlan* plan,
-                      std::uint32_t search_hedges = 1);
+  void set_fault_plan(const resilience::FaultPlan* plan);
 
   /// Replay `recorded` from `overrides.from` (pulled upstream as overrides
   /// require). Emits pkb_replay_replays_total / stages_run / stages_skipped
@@ -108,7 +107,6 @@ class ReplayEngine {
 
   const rag::KnowledgeBase& kb_;
   const resilience::FaultPlan* fault_plan_ = nullptr;
-  std::uint32_t search_hedges_ = 1;
   mutable std::mutex mu_;
   mutable std::map<std::string, std::unique_ptr<rag::AugmentedWorkflow>>
       workflows_;

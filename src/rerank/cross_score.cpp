@@ -10,6 +10,16 @@ namespace pkb::rerank {
 
 namespace {
 
+// Gaussian width (in token positions) of the proximity kernel: query terms
+// matching close together in the document score more.
+constexpr double kProximitySigma = 12.0;
+// Weight of the proximity-weighted alignment vs plain coverage.
+constexpr double kAlignmentWeight = 1.0;
+constexpr double kCoverageWeight = 0.8;
+// Character-trigram soft matching threshold for near-miss terms (handles
+// morphology: "restarting" ~ "restart").
+constexpr double kSoftMatchThreshold = 0.55;
+
 /// Dice coefficient over character trigram multisets — cheap soft term
 /// similarity for morphological near-misses.
 double trigram_similarity(const std::string& a, const std::string& b) {
@@ -30,8 +40,6 @@ double trigram_similarity(const std::string& a, const std::string& b) {
 }
 
 }  // namespace
-
-CrossScoreReranker::CrossScoreReranker(CrossScoreOptions opts) : opts_(opts) {}
 
 void CrossScoreReranker::fit(const std::vector<text::Document>& corpus) {
   index_.build(corpus);
@@ -66,7 +74,7 @@ double CrossScoreReranker::score_pair(std::string_view query,
         s = 1.0;
       } else {
         const double t = trigram_similarity(term, d[di]);
-        s = t >= opts_.soft_match_threshold ? 0.7 * t : 0.0;
+        s = t >= kSoftMatchThreshold ? 0.7 * t : 0.0;
       }
       if (s > m.strength) {
         m.strength = s;
@@ -93,7 +101,7 @@ double CrossScoreReranker::score_pair(std::string_view query,
                                    static_cast<double>(best[j].pos));
       const double prox =
           std::exp(-(gap * gap) /
-                   (2.0 * opts_.proximity_sigma * opts_.proximity_sigma));
+                   (2.0 * kProximitySigma * kProximitySigma));
       const double w = best[i].idf * best[j].idf *
                        best[i].strength * best[j].strength;
       alignment += w * prox;
@@ -102,8 +110,8 @@ double CrossScoreReranker::score_pair(std::string_view query,
   }
   if (pair_weight > 0.0) alignment /= pair_weight;
 
-  return opts_.coverage_weight * coverage +
-         opts_.alignment_weight * alignment * coverage;
+  return kCoverageWeight * coverage +
+         kAlignmentWeight * alignment * coverage;
 }
 
 std::vector<RerankResult> CrossScoreReranker::rerank(

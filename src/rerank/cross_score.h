@@ -9,22 +9,8 @@
 
 namespace pkb::rerank {
 
-struct CrossScoreOptions {
-  /// Gaussian width (in token positions) of the proximity kernel: query
-  /// terms matching close together in the document score more.
-  double proximity_sigma = 12.0;
-  /// Weight of the proximity-weighted alignment vs plain coverage.
-  double alignment_weight = 1.0;
-  double coverage_weight = 0.8;
-  /// Character-trigram soft matching threshold for near-miss terms
-  /// (handles morphology: "restarting" ~ "restart").
-  double soft_match_threshold = 0.55;
-};
-
 class CrossScoreReranker final : public Reranker {
  public:
-  explicit CrossScoreReranker(CrossScoreOptions opts = {});
-
   [[nodiscard]] std::string name() const override { return "sim-nv-cross"; }
   void fit(const std::vector<text::Document>& corpus) override;
   [[nodiscard]] std::vector<RerankResult> rerank(
@@ -36,7 +22,6 @@ class CrossScoreReranker final : public Reranker {
                                   const text::Document& doc) const;
 
  private:
-  CrossScoreOptions opts_;
   lexical::Bm25Index index_;
 };
 

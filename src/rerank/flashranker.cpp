@@ -8,7 +8,21 @@
 
 namespace pkb::rerank {
 
-FlashRanker::FlashRanker(FlashRankerOptions opts) : opts_(opts) {}
+namespace {
+
+// Weights of the FlashRanker blend.
+constexpr double kCoverageWeight = 1.0;  // IDF-weighted query-term coverage
+constexpr double kBm25Weight = 0.35;     // BM25 score contribution
+constexpr double kSymbolBonus = 1.5;     // per exact API-symbol match (x IDF)
+constexpr double kBigramBonus = 0.3;     // per matched query bigram
+// Weight of IDF-weighted query terms found in the document title: a rare
+// query term matching the manual-page symbol ("richardson" in
+// "KSPRICHARDSON") is close to decisive.
+constexpr double kTitleWeight = 0.22;
+// Extra bonus when a query API symbol IS the document title.
+constexpr double kTitleSymbolBonus = 2.0;
+
+}  // namespace
 
 void FlashRanker::fit(const std::vector<text::Document>& corpus) {
   index_.build(corpus);  // copy: the index owns its documents
@@ -35,14 +49,14 @@ double FlashRanker::score_pair(std::string_view query,
     if (doc_terms.contains(term)) coverage += w;
   }
   double score = total_idf > 0.0
-                     ? opts_.coverage_weight * coverage / total_idf
+                     ? kCoverageWeight * coverage / total_idf
                      : 0.0;
 
   // Exact API-symbol matches (case-sensitive surface form in the raw text).
   for (const std::string& symbol : q.symbols) {
     if (doc.text.find(symbol) != std::string::npos) {
-      score += opts_.symbol_bonus * std::max(0.2, index_.idf(
-                   pkb::util::to_lower(symbol)));
+      score += kSymbolBonus *
+               std::max(0.2, index_.idf(pkb::util::to_lower(symbol)));
     }
   }
 
@@ -54,7 +68,7 @@ double FlashRanker::score_pair(std::string_view query,
     }
     const std::string bigram = q.tokens[i] + " " + q.tokens[i + 1];
     if (doc_lower.find(bigram) != std::string::npos) {
-      score += opts_.bigram_bonus;
+      score += kBigramBonus;
     }
   }
 
@@ -65,12 +79,12 @@ double FlashRanker::score_pair(std::string_view query,
     for (const std::string& term : seen) {
       if (text::stopwords().contains(term)) continue;
       if (title.find(term) != std::string::npos) {
-        score += opts_.title_weight * std::max(0.2, index_.idf(term));
+        score += kTitleWeight * std::max(0.2, index_.idf(term));
       }
     }
     for (const std::string& symbol : q.symbols) {
       if (pkb::util::iequals(symbol, doc.meta("title"))) {
-        score += opts_.title_symbol_bonus;
+        score += kTitleSymbolBonus;
       }
     }
   }
@@ -84,7 +98,7 @@ double FlashRanker::score_pair(std::string_view query,
         pkb::util::count_occurrences(doc_lower, term));
     bm25 += index_.idf(term) * (tf * 2.2) / (tf + 1.2);
   }
-  score += opts_.bm25_weight * bm25 / 10.0;
+  score += kBm25Weight * bm25 / 10.0;
 
   return score;
 }

@@ -36,10 +36,6 @@ struct ResilienceOptions {
   RetryPolicy llm_retry;
   /// Breaker around the LLM stage (shared across workers).
   CircuitBreaker::Options breaker;
-  /// Max hedged re-attempts for a failed vector search.
-  std::uint32_t search_hedges = 1;
-  /// Virtual cost charged for composing an extractive fallback answer.
-  double extractive_latency_seconds = 0.05;
   /// Seed for deterministic backoff jitter (mixed with request ordinal).
   std::uint64_t seed = 1;
 };

@@ -9,9 +9,10 @@
 // hold one extra entry; a capacity smaller than the shard count reduces the
 // shard count so every shard holds at least one entry — the cache never
 // silently provisions more or fewer entries than asked for). A full shard
-// evicts its least-recently-used entry; a TTL (seconds, 0 = never) expires
-// entries lazily at lookup time. The time source is injectable so tests can
-// drive expiry deterministically.
+// evicts its least-recently-used entry. Entries never expire unless put
+// with a per-entry TTL (put_with_ttl), which expires them lazily at lookup
+// time. The time source is injectable so tests can drive expiry
+// deterministically.
 
 #include <cstddef>
 #include <cstdint>
@@ -39,7 +40,6 @@ using CacheClock = std::function<double()>;
 struct LruCacheOptions {
   std::size_t capacity = 256;   ///< total entries across all shards
   std::size_t shards = 8;       ///< independent lock domains
-  double ttl_seconds = 0.0;     ///< 0 = entries never expire
   CacheClock clock;             ///< defaults to steady_seconds
 };
 
@@ -89,9 +89,7 @@ class ShardedLruCache {
       ++shard.stats.misses;
       return std::nullopt;
     }
-    const double ttl =
-        it->second->ttl_seconds > 0.0 ? it->second->ttl_seconds
-                                      : opts_.ttl_seconds;
+    const double ttl = it->second->ttl_seconds;
     if (ttl > 0.0 && opts_.clock() - it->second->stamp > ttl) {
       shard.order.erase(it->second);
       shard.index.erase(it);
@@ -105,16 +103,15 @@ class ShardedLruCache {
     return it->second->value;
   }
 
-  /// Insert or overwrite; refreshes the TTL stamp. Returns the number of
-  /// entries evicted to make room (0 or 1).
+  /// Insert or overwrite with no expiry. Returns the number of entries
+  /// evicted to make room (0 or 1).
   std::size_t put(const K& key, V value) {
     return put_with_ttl(key, std::move(value), 0.0);
   }
 
-  /// put() with a per-entry TTL override: `ttl_seconds` > 0 expires this
-  /// entry after that long regardless of the cache-wide TTL — the serving
-  /// layer gives degraded answers a short life so a transient outage never
-  /// poisons the long-TTL cache. 0 keeps the cache-wide policy.
+  /// put() with a per-entry TTL: `ttl_seconds` > 0 expires this entry that
+  /// long after this put — the serving layer gives degraded answers a short
+  /// life so a transient outage never poisons the cache. 0 = never expires.
   std::size_t put_with_ttl(const K& key, V value, double ttl_seconds) {
     if (!enabled()) return 0;
     Shard& shard = shard_for(key);
@@ -189,7 +186,7 @@ class ShardedLruCache {
     K key;
     V value;
     double stamp = 0.0;        ///< insertion/refresh time for TTL
-    double ttl_seconds = 0.0;  ///< per-entry override; 0 = cache-wide TTL
+    double ttl_seconds = 0.0;  ///< 0 = never expires
   };
   struct Shard {
     mutable std::mutex mu;

@@ -12,14 +12,22 @@
 
 namespace pkb::serve {
 
+namespace {
+
+// Lock shards of the answer cache.
+constexpr std::size_t kAnswerCacheShards = 8;
+// Life of a cached degraded answer: short, so a transient outage cannot
+// poison the answer cache.
+constexpr double kDegradedAnswerTtlSeconds = 2.0;
+
+}  // namespace
+
 Server::Server(const rag::AugmentedWorkflow& workflow, ServerOptions opts)
     : workflow_(workflow),
       opts_(std::move(opts)),
       queue_(opts_.queue_capacity),
       answer_cache_(LruCacheOptions{opts_.answer_cache_capacity,
-                                    opts_.cache_shards,
-                                    opts_.answer_ttl_seconds,
-                                    opts_.cache_clock}) {
+                                    kAnswerCacheShards, opts_.cache_clock}) {
   if (opts_.workers == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     opts_.workers = hw == 0 ? 1 : hw;
@@ -141,13 +149,11 @@ void Server::process(Request& req) {
       if (outcome.degraded()) {
         span.set_attr("degraded",
                       pkb::resilience::to_string(outcome.degradation));
-        // Degraded answers get a short life (or none): the next ask should
-        // retry the full pipeline once the fault clears, not inherit a
-        // transient outage at the normal TTL.
-        if (opts_.degraded_answer_ttl_seconds > 0.0) {
-          evicted = answer_cache_.put_with_ttl(
-              req.question, outcome, opts_.degraded_answer_ttl_seconds);
-        }
+        // Degraded answers get a short life: the next ask should retry the
+        // full pipeline once the fault clears, not inherit a transient
+        // outage for as long as a full answer lives.
+        evicted = answer_cache_.put_with_ttl(req.question, outcome,
+                                             kDegradedAnswerTtlSeconds);
       } else {
         evicted = answer_cache_.put(req.question, outcome);
       }

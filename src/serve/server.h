@@ -12,12 +12,15 @@
 // content a serial ask() would produce (only wall-clock timing fields and
 // history ids differ — cache hits do not re-append to history).
 //
-// The answer cache (question → WorkflowOutcome, sharded LRU, TTL + capacity
+// The answer cache (question → WorkflowOutcome, sharded LRU, capacity
 // eviction) lets an exact repeat skip the whole pipeline. It is
 // generation-aware so live ingestion never serves stale content: a cached
 // answer is only a hit while its stamped KnowledgeBase generation is still
 // current (stale entries count pkb_serve_cache_stale and are lazily
-// overwritten by the recompute).
+// overwritten by the recompute). That generation check is what retires a
+// full answer, so full answers carry no TTL; a degraded answer expires 2 s
+// after it is cached, so the next ask retries once a transient fault
+// clears.
 //
 // Everything is observable under the pkb_serve_* metric namespace and the
 // serve_request span (docs/OBSERVABILITY.md).
@@ -48,10 +51,6 @@ struct ServerOptions {
 
   /// Total answer-cache entries across shards; 0 disables the cache.
   std::size_t answer_cache_capacity = 256;
-  /// Lock shards of the answer cache.
-  std::size_t cache_shards = 8;
-  /// Answer TTL in seconds; 0 = entries never expire.
-  double answer_ttl_seconds = 0.0;
 
   /// When > 0, each uncached answer's *simulated* LLM latency is realized
   /// as real wait time scaled by this factor (e.g. 0.005 turns a 9.6 s
@@ -61,7 +60,8 @@ struct ServerOptions {
   /// benches measure something real. 0 (default) = off.
   double llm_latency_scale = 0.0;
 
-  /// Test hook: time source for cache TTLs (defaults to steady_seconds).
+  /// Test hook: time source for the degraded-answer TTL (defaults to
+  /// steady_seconds).
   CacheClock cache_clock;
 
   /// Shared resilience engine (policies + circuit breaker). Non-null
@@ -70,9 +70,6 @@ struct ServerOptions {
   /// LLM retries; the breaker; and the degradation ladder (see
   /// resilience/resilience.h). Not owned — must outlive the server.
   resilience::Resilience* resilience = nullptr;
-  /// TTL for cached *degraded* answers, so a transient outage cannot poison
-  /// the long-lived answer cache. 0 = never cache degraded answers.
-  double degraded_answer_ttl_seconds = 2.0;
 
   /// Trace recorder for the record/replay subsystem (replay/trace.h).
   /// Non-null records every Nth computed request's per-stage artifacts (the

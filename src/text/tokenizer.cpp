@@ -64,7 +64,7 @@ bool looks_like_symbol(std::string_view tok) {
   return has_interior_upper(tok) && has_lower(tok);
 }
 
-TokenizedText tokenize(std::string_view s, const TokenizerOptions& opts) {
+TokenizedText tokenize(std::string_view s) {
   TokenizedText out;
   std::unordered_set<std::string> seen_symbols;
   std::size_t i = 0;
@@ -78,26 +78,20 @@ TokenizedText tokenize(std::string_view s, const TokenizerOptions& opts) {
     // keep a single '-' when it forms a plausible runtime option.
     while (raw.size() > 1 && raw[0] == '-' && raw[1] == '-') raw.remove_prefix(1);
     if (raw == "-") continue;
-    if (raw.size() < opts.min_token_len) continue;
 
-    const bool symbol = looks_like_symbol(raw);
-    if (symbol) {
+    if (looks_like_symbol(raw)) {
       std::string original(raw);
       if (seen_symbols.insert(original).second) {
         out.symbols.push_back(original);
       }
     }
-    std::string tok = opts.lowercase ? pkb::util::to_lower(raw)
-                                     : std::string(raw);
-    if (opts.drop_stopwords && !symbol && stopwords().contains(tok)) continue;
-    out.tokens.push_back(std::move(tok));
+    out.tokens.push_back(pkb::util::to_lower(raw));
   }
   return out;
 }
 
-std::vector<std::string> tokens_of(std::string_view s,
-                                   const TokenizerOptions& opts) {
-  return tokenize(s, opts).tokens;
+std::vector<std::string> tokens_of(std::string_view s) {
+  return tokenize(s).tokens;
 }
 
 std::vector<std::string_view> split_sentences(std::string_view s) {

@@ -13,18 +13,6 @@
 
 namespace pkb::text {
 
-/// Tokenizer options.
-struct TokenizerOptions {
-  /// Lowercase prose tokens (API-symbol tokens keep their case in `symbols`
-  /// but are lowercased in the main stream so query/doc matching is
-  /// case-insensitive).
-  bool lowercase = true;
-  /// Drop tokens shorter than this many bytes (after splitting).
-  std::size_t min_token_len = 1;
-  /// Remove English stopwords from the prose stream.
-  bool drop_stopwords = false;
-};
-
 /// Result of tokenizing: the flat token stream plus the API-ish symbols that
 /// were seen (original case, deduplicated, in first-appearance order).
 struct TokenizedText {
@@ -32,13 +20,13 @@ struct TokenizedText {
   std::vector<std::string> symbols;
 };
 
-/// Tokenize `s` per `opts`.
-[[nodiscard]] TokenizedText tokenize(std::string_view s,
-                                     const TokenizerOptions& opts = {});
+/// Tokenize `s`. Every token is lowercased (API symbols keep their case in
+/// `symbols`) so query/doc matching is case-insensitive; stopwords stay in
+/// the stream.
+[[nodiscard]] TokenizedText tokenize(std::string_view s);
 
 /// Convenience: just the token stream.
-[[nodiscard]] std::vector<std::string> tokens_of(
-    std::string_view s, const TokenizerOptions& opts = {});
+[[nodiscard]] std::vector<std::string> tokens_of(std::string_view s);
 
 /// True if `tok` looks like an API symbol: CamelCase with an internal capital
 /// (KSPSolve), an ALLCAPS-prefixed identifier (KSPGMRES), or a runtime option

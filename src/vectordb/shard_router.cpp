@@ -117,7 +117,7 @@ res::CircuitBreaker::State ShardRouter::breaker_state(std::size_t i) const {
 
 bool ShardRouter::scan_shard(std::size_t shard, const embed::Vector& query,
                              std::size_t k, const MetadataFilter* filter,
-                             const ScatterOptions& sopts,
+                             const res::FaultPlan* plan,
                              std::vector<SearchResult>& out) const {
   const Shard& sh = shards_[shard];
   obs::MetricsRegistry& metrics = obs::global_metrics();
@@ -135,7 +135,7 @@ bool ShardRouter::scan_shard(std::size_t shard, const embed::Vector& query,
             res::Stage::VectorSearch,
             "shard " + std::to_string(shard) + " is dead");
       }
-      res::consult(sopts.plan, res::Stage::VectorSearch);
+      res::consult(plan, res::Stage::VectorSearch);
       // Route through the shard's ANN index when one exists; metadata
       // filters force the exact scan (candidate sets are not filter-aware).
       const bool filtered = filter != nullptr && *filter;
@@ -150,7 +150,7 @@ bool ShardRouter::scan_shard(std::size_t shard, const embed::Vector& query,
       return true;
     } catch (const res::FaultError&) {
       sh.breaker->record_failure();
-      if (attempt >= sopts.hedges) {
+      if (attempt >= res::kSearchHedges) {
         metrics
             .counter(obs::kShardScanFailuresTotal, {{"reason", "fault"}})
             .inc();
@@ -166,7 +166,7 @@ bool ShardRouter::scan_shard(std::size_t shard, const embed::Vector& query,
 
 Scatter ShardRouter::search(const embed::Vector& query, std::size_t k,
                             const MetadataFilter* filter,
-                            const ScatterOptions& sopts) const {
+                            const res::FaultPlan* plan) const {
   Scatter out;
   out.shards_total = shards_.size();
   if (k == 0 || total_ == 0) return out;
@@ -188,7 +188,7 @@ Scatter ShardRouter::search(const embed::Vector& query, std::size_t k,
     span.set_attr("k", k);
     std::vector<SearchResult> shard_hits;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!scan_shard(s, query, k, filter, sopts, shard_hits)) {
+      if (!scan_shard(s, query, k, filter, plan, shard_hits)) {
         ++out.shards_failed;
         continue;
       }

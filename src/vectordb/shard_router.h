@@ -62,15 +62,6 @@ struct ShardRouterOptions {
   IndexSpec index;
 };
 
-/// Knobs for one scatter, mirroring the Retriever's hedged search: `plan`
-/// is consulted (Stage::VectorSearch) once per shard scan attempt, and a
-/// faulted shard scan is re-attempted up to `hedges` extra times before the
-/// shard is declared lost for this query.
-struct ScatterOptions {
-  const resilience::FaultPlan* plan = nullptr;
-  std::uint32_t hedges = 1;
-};
-
 /// One scatter–gather answer. `hits` is bit-identical to the monolithic
 /// top-k when every shard answered; with failed shards it is the exact
 /// top-k over the surviving shards' documents (partial, tagged).
@@ -100,11 +91,15 @@ class ShardRouter {
   /// Scan every live shard for one query, in shard order on the calling
   /// thread, and merge per-shard top-k into the global top-k (score
   /// descending, global index ascending — the exact select_top_k order).
-  /// Throws std::invalid_argument on dimension mismatch; shard failures
-  /// degrade the Scatter instead of throwing.
-  [[nodiscard]] Scatter search(const embed::Vector& query, std::size_t k,
-                               const MetadataFilter* filter = nullptr,
-                               const ScatterOptions& sopts = {}) const;
+  /// `plan` (nullable) is consulted (Stage::VectorSearch) once per shard
+  /// scan attempt, and a faulted shard scan is re-attempted
+  /// resilience::kSearchHedges times before the shard is declared lost for
+  /// this query. Throws std::invalid_argument on dimension mismatch; shard
+  /// failures degrade the Scatter instead of throwing.
+  [[nodiscard]] Scatter search(
+      const embed::Vector& query, std::size_t k,
+      const MetadataFilter* filter = nullptr,
+      const resilience::FaultPlan* plan = nullptr) const;
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   /// Total documents across shards.
@@ -144,7 +139,7 @@ class ShardRouter {
   /// shard is lost.
   [[nodiscard]] bool scan_shard(std::size_t shard, const embed::Vector& query,
                                 std::size_t k, const MetadataFilter* filter,
-                                const ScatterOptions& sopts,
+                                const resilience::FaultPlan* plan,
                                 std::vector<SearchResult>& out) const;
 
   std::vector<Shard> shards_;

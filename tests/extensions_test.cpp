@@ -102,7 +102,7 @@ TEST(HistoryRetriever, IndexesOnlyVettedRecords) {
 
   rag::HistoryRetriever retriever(&store);
   // Initially built at construction: good (scored 4) + human.
-  EXPECT_EQ(retriever.indexed(), 2u);
+  EXPECT_EQ(retriever.record_ids().size(), 2u);
   (void)human;
 }
 
@@ -110,10 +110,10 @@ TEST(HistoryRetriever, RefreshPicksUpNewScores) {
   history::HistoryStore store;
   const auto id = store.add(vetted_record("q?", "a.", "sim-gpt-4o"));
   rag::HistoryRetriever retriever(&store);
-  EXPECT_EQ(retriever.indexed(), 0u);  // unscored model answer
+  EXPECT_EQ(retriever.record_ids().size(), 0u);  // unscored model answer
   store.record_score(id, {"bob", 3, ""});
   retriever.refresh();
-  EXPECT_EQ(retriever.indexed(), 1u);
+  EXPECT_EQ(retriever.record_ids().size(), 1u);
 }
 
 TEST(HistoryRetriever, LookupReturnsRelevantPastAnswers) {

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "history/store.h"
 #include "ingest/ingestor.h"
 #include "llm/model_config.h"
+#include "rag/history_retriever.h"
 #include "rag/knowledge_base.h"
 #include "rag/retriever.h"
 #include "rag/workflow.h"
@@ -284,6 +286,52 @@ TEST(Ingest, VettedHistorySelectsScoredAndTrustedRecordsOnce) {
   EXPECT_TRUE(any_chunk_contains(*gen3, "LATEANSWER"));
 }
 
+// Ingestion and history recall share HistoryStore::vetted_records, so both
+// admit exactly the same records: a low-scored human answer and an empty
+// response are admitted by neither.
+TEST(Ingest, HistoryRetrieverAdmitsExactlyTheIngestedRecords) {
+  history::HistoryStore store;
+  const auto add = [&store](std::string response, std::string model,
+                            std::optional<int> score) {
+    history::InteractionRecord record;
+    record.question = "Question " + std::to_string(store.size()) + "?";
+    record.response = std::move(response);
+    record.model = std::move(model);
+    const std::uint64_t id = store.add(record);
+    if (score.has_value()) store.record_score(id, {"barry", *score, ""});
+    return id;
+  };
+  const auto scored_model = add("A scored model answer.", "sim-gpt-4o", 4);
+  add("A low-scored model answer.", "sim-gpt-4o", 1);
+  add("An unscored model answer.", "sim-gpt-4o", std::nullopt);
+  const auto unscored_human =
+      add("An unscored human answer.", "", std::nullopt);
+  add("A low-scored human answer.", "", 1);
+  add("", "", std::nullopt);  // empty human response
+  add("", "sim-gpt-4o", 4);   // empty, yet well scored
+
+  auto kb = rag::KnowledgeBase::build(small_corpus());
+  ingest::Ingestor ingestor(kb);
+  const rag::SnapshotPtr next = ingestor.ingest_vetted_history(store);
+  ASSERT_NE(next, nullptr);
+  std::vector<std::uint64_t> ingested;
+  for (const auto& record : store.records()) {
+    const std::string source =
+        "history/qa-" + std::to_string(record.id) + ".md";
+    for (const text::Document& chunk : next->chunks) {
+      if (chunk.meta("source") == source) {
+        ingested.push_back(record.id);
+        break;
+      }
+    }
+  }
+
+  const rag::HistoryRetriever retriever(&store);
+  const std::vector<std::uint64_t> expected{scored_model, unscored_human};
+  EXPECT_EQ(ingested, expected);
+  EXPECT_EQ(retriever.record_ids(), expected);
+}
+
 // --- ChatBot: the Fig-5 curation loop --------------------------------------
 
 TEST(Ingest, ChatBotSendIngestsTheResolvedThread) {
@@ -335,7 +383,15 @@ std::string temp_path(const std::string& name) {
 }
 
 TEST(SnapshotPersist, RoundTripIsRetrievalIdentical) {
-  auto kb = rag::KnowledgeBase::build(small_corpus());
+  // A few manual pages give the symbol index something to resolve.
+  text::VirtualDir tree = small_corpus();
+  for (const char* name : {"KSPSolve", "KSPGMRES", "KSPLSQR", "PCJACOBI"}) {
+    const corpus::ApiSpec* spec = corpus::find_spec(name);
+    ASSERT_NE(spec, nullptr) << name;
+    tree.push_back({corpus::manual_page_path(*spec),
+                    corpus::render_manual_page(*spec)});
+  }
+  auto kb = rag::KnowledgeBase::build(tree);
   const rag::SnapshotPtr orig = kb.snapshot();
   const std::string path = temp_path("pkb_snapshot_rt.bin");
   orig->save(path);
@@ -367,6 +423,27 @@ TEST(SnapshotPersist, RoundTripIsRetrievalIdentical) {
     EXPECT_EQ(a.contexts[i].doc->id, b.contexts[i].doc->id);
     EXPECT_DOUBLE_EQ(a.contexts[i].score, b.contexts[i].score);
   }
+
+  // The symbol index is rebuilt from the chunks on load: keyword lookups,
+  // exact and fuzzy, resolve to the same pages and chunks.
+  ASSERT_GT(orig->symbols->symbol_count(), 0u);
+  EXPECT_EQ(loaded->symbols->symbol_count(), orig->symbols->symbol_count());
+  std::size_t resolved = 0;  // hits that reach manual-page chunks
+  for (const char* query :
+       {"KSPSolve with KSPGMRES", "Is KSPLSQR for least squares?",
+        "PCJACOBI and KSPGMRSE", "KSPSolv typo", "KSPBurb is unknown"}) {
+    const auto want = orig->symbols->lookup(query);
+    const auto got = loaded->symbols->lookup(query);
+    ASSERT_EQ(got.size(), want.size()) << query;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (!want[i].chunks.empty()) ++resolved;
+      EXPECT_EQ(got[i].symbol, want[i].symbol) << query;
+      EXPECT_EQ(got[i].resolved, want[i].resolved) << query;
+      EXPECT_EQ(got[i].page, want[i].page) << query;
+      EXPECT_EQ(got[i].chunks, want[i].chunks) << query;
+    }
+  }
+  EXPECT_EQ(resolved, 6u);  // every symbol but the unknown KSPBurb
 }
 
 TEST(SnapshotPersist, DeltaGenerationReloadsAsItsOwnFit) {
@@ -439,8 +516,8 @@ TEST(SnapshotPersist, RejectsVersionsOtherThanCurrent) {
     bytes.assign(std::istreambuf_iterator<char>(in), {});
   }
   ASSERT_GT(bytes.size(), 8u);
-  ASSERT_EQ(bytes[4], 4);  // u32 version, little-endian, after the magic
-  for (char version : {char{1}, char{2}, char{3}, char{5}}) {
+  ASSERT_EQ(bytes[4], 5);  // u32 version, little-endian, after the magic
+  for (char version : {char{1}, char{2}, char{3}, char{4}, char{6}}) {
     bytes[4] = version;
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "corpus/generator.h"
 #include "lexical/bm25.h"
 #include "lexical/keyword_search.h"
@@ -52,8 +55,11 @@ TEST(Bm25, TermFrequencySaturates) {
   index.build({{"once", "gmres aaa bbb ccc ddd eee fff ggg", {}},
                {"many", "gmres gmres gmres gmres eee fff ggg hhh", {}},
                {"other", "unrelated words entirely different content", {}}});
-  const double once = index.score_one("gmres", 0);
-  const double many = index.score_one("gmres", 1);
+  const auto hits = index.search("gmres", 3);
+  ASSERT_EQ(hits.size(), 2u);
+  ASSERT_EQ(hits[0].doc->id, "many");
+  const double many = hits[0].score;
+  const double once = hits[1].score;
   EXPECT_GT(once, 0.0);
   EXPECT_GT(many, once);
   EXPECT_LT(many / once, 4.0);  // saturation: 4x tf gives < 4x score
@@ -71,13 +77,32 @@ TEST(Bm25, LengthNormalizationPenalizesLongDocs) {
   EXPECT_EQ(hits[0].doc->id, "short");
 }
 
-TEST(Bm25, ScoreOneMatchesSearchScores) {
+// Golden scores, captured with k1 = 1.2 and b = 0.75 before they became
+// constants: every document with query overlap is returned with exactly
+// these scores, and no other document is.
+TEST(Bm25, SearchScoresMatchGoldenValues) {
   Bm25Index index;
   index.build(docs());
-  const auto hits = index.search("conjugate gradient", 1);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NEAR(hits[0].score, index.score_one("conjugate gradient", hits[0].index),
-              1e-12);
+  struct Golden {
+    const char* query;
+    std::vector<std::pair<std::size_t, double>> hits;
+  };
+  const Golden goldens[] = {
+      {"gmres matrices with restarts",
+       {{1, 5.2106197462853912},
+        {3, 0.44487562368232725},
+        {0, 0.42734865820700968}}},
+      {"rectangular least squares", {{2, 4.5159898899867645}}},
+      {"conjugate gradient", {{0, 2.8850704048042135}}},
+  };
+  for (const Golden& g : goldens) {
+    const auto hits = index.search(g.query, 4);
+    ASSERT_EQ(hits.size(), g.hits.size()) << g.query;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].index, g.hits[i].first) << g.query;
+      EXPECT_EQ(hits[i].score, g.hits[i].second) << g.query;
+    }
+  }
 }
 
 class SymbolIndexTest : public ::testing::Test {

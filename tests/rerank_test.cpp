@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <string_view>
 
 #include "rerank/cross_score.h"
 #include "rerank/flashranker.h"
@@ -133,6 +135,78 @@ TEST(FlashRanker, ScorePairIsNonNegativeAndZeroForNoOverlap) {
   ranker.fit(docs);
   EXPECT_DOUBLE_EQ(ranker.score_pair("zzz qqq", docs[5]), 0.0);
   EXPECT_GT(ranker.score_pair("least squares", docs[0]), 0.0);
+}
+
+// One (query, document id, score) golden triple for score_pair.
+struct GoldenPair {
+  const char* query;
+  const char* doc_id;
+  double score;
+};
+
+const text::Document& doc_by_id(const std::vector<text::Document>& docs,
+                                std::string_view id) {
+  for (const text::Document& doc : docs) {
+    if (doc.id == id) return doc;
+  }
+  throw std::invalid_argument("no such doc");
+}
+
+constexpr const char* kLsqrQuery =
+    "Can I solve a rectangular least squares system with KSPLSQR?";
+constexpr const char* kGmresQuery =
+    "How often does KSPGMRES restart for nonsymmetric matrices?";
+constexpr const char* kMonitorQuery =
+    "What does -ksp_monitor print at every iteration?";
+constexpr const char* kMorphologyQuery =
+    "restarting conjugate gradients on positive definite matrices";
+
+// Golden scores, captured before the blend weights became constants
+// (coverage 1.0, bm25 0.35, symbol 1.5, bigram 0.3, title 0.22, title
+// symbol 2.0). The pairs exercise every term of the blend.
+TEST(FlashRanker, ScorePairMatchesGoldenValues) {
+  FlashRanker ranker;
+  const auto docs = corpus();
+  ranker.fit(docs);
+  const GoldenPair goldens[] = {
+      {kLsqrQuery, "lsqr", 6.4431826249765285},
+      {kLsqrQuery, "cg", 0.0},
+      {kGmresQuery, "lsqr", 0.2179047718402696},
+      {kGmresQuery, "cg", 0.27649394701527813},
+      {kGmresQuery, "gmres", 6.2796334290435194},
+      {kMonitorQuery, "gmres", 0.32438635950621425},
+      {kMonitorQuery, "monitor", 6.6754207235495997},
+      {kMorphologyQuery, "cg", 1.7716358158692096},
+      {kMorphologyQuery, "gmres", 0.16560628536527261},
+  };
+  for (const GoldenPair& g : goldens) {
+    EXPECT_EQ(ranker.score_pair(g.query, doc_by_id(docs, g.doc_id)), g.score)
+        << g.query << " | " << g.doc_id;
+  }
+}
+
+// Golden scores, captured before the weights became constants (proximity
+// sigma 12, alignment 1.0, coverage 0.8, soft-match threshold 0.55).
+TEST(CrossScore, ScorePairMatchesGoldenValues) {
+  CrossScoreReranker ranker;
+  const auto docs = corpus();
+  ranker.fit(docs);
+  const GoldenPair goldens[] = {
+      {kLsqrQuery, "lsqr", 1.7229411435045958},
+      {kLsqrQuery, "gmres", 0.12083521748457744},
+      {kGmresQuery, "cg", 0.72460825540780771},
+      {kGmresQuery, "gmres", 1.6077317176934005},
+      {kGmresQuery, "info", 0.063494263317681252},
+      {kMonitorQuery, "monitor", 1.653823661861102},
+      {kMonitorQuery, "filler2", 0.22694086493041232},
+      {kMorphologyQuery, "cg", 1.7147742822004264},
+      {kMorphologyQuery, "gmres", 0.23200911874080582},
+      {kMorphologyQuery, "monitor", 0.0},
+  };
+  for (const GoldenPair& g : goldens) {
+    EXPECT_EQ(ranker.score_pair(g.query, doc_by_id(docs, g.doc_id)), g.score)
+        << g.query << " | " << g.doc_id;
+  }
 }
 
 TEST(CrossScore, ProximityRewardsClusteredMatches) {

@@ -415,24 +415,24 @@ TEST(ShardedLruCache, PerEntryTtlOverridesCacheWidePolicy) {
   pkb::serve::LruCacheOptions opts;
   opts.capacity = 16;
   opts.shards = 2;
-  opts.ttl_seconds = 100.0;
   opts.clock = [&clock] { return clock.now; };
   pkb::serve::ShardedLruCache<std::string, int> cache(opts);
 
-  cache.put("durable", 1);                   // cache-wide 100 s TTL
+  cache.put("durable", 1);                   // cache-wide: never expires
   cache.put_with_ttl("ephemeral", 2, 2.0);   // short per-entry override
   EXPECT_EQ(cache.get("durable").value_or(-1), 1);
   EXPECT_EQ(cache.get("ephemeral").value_or(-1), 2);
 
-  clock.now = 5.0;  // past the override, well inside the cache-wide TTL
+  clock.now = 5.0;  // past the override
   EXPECT_EQ(cache.get("durable").value_or(-1), 1);
   EXPECT_FALSE(cache.get("ephemeral").has_value());
 
   // Overwriting with plain put() clears the override.
   cache.put_with_ttl("key", 3, 2.0);
   cache.put("key", 4);
-  clock.now = 10.0;
+  clock.now = 1e6;
   EXPECT_EQ(cache.get("key").value_or(-1), 4);
+  EXPECT_EQ(cache.get("durable").value_or(-1), 1);
 }
 
 }  // namespace

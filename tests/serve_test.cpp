@@ -138,23 +138,22 @@ TEST(ShardedLruCache, TtlExpiresEntriesLazily) {
   LruCacheOptions opts;
   opts.capacity = 8;
   opts.shards = 1;
-  opts.ttl_seconds = 10.0;
   opts.clock = [&fake_now] { return fake_now; };
   ShardedLruCache<std::string, int> cache(opts);
 
-  cache.put("a", 1);
+  cache.put_with_ttl("a", 1, 10.0);
   fake_now = 5.0;
   EXPECT_EQ(cache.get("a").value(), 1);  // within TTL
   fake_now = 15.1;                       // 15.1 - 0 > 10 from insertion...
-  cache.put("b", 2);                     // b stamped at 15.1
+  cache.put_with_ttl("b", 2, 10.0);      // b stamped at 15.1
   EXPECT_FALSE(cache.get("a").has_value());  // expired -> miss + eviction
   EXPECT_EQ(cache.get("b").value(), 2);
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 1u);
 
-  // put() refreshes the stamp: a re-inserted entry lives a fresh TTL.
-  cache.put("a", 3);
+  // Re-inserting refreshes the stamp: the entry lives a fresh TTL.
+  cache.put_with_ttl("a", 3, 10.0);
   fake_now = 20.0;
   EXPECT_EQ(cache.get("a").value(), 3);
 }
@@ -380,19 +379,21 @@ TEST_F(ServeServerTest, BatchAfterWarmupServesFromCache) {
   }
 }
 
-TEST_F(ServeServerTest, TtlExpiryForcesRecomputeWithSameContent) {
+// A full answer carries no TTL: only a newer KnowledgeBase generation
+// retires it, so any clock advance still serves the cached outcome.
+TEST_F(ServeServerTest, FullAnswersNeverExpire) {
   double fake_now = 0.0;
   ServerOptions opts;
   opts.workers = 1;
-  opts.answer_ttl_seconds = 30.0;
   opts.cache_clock = [&fake_now] { return fake_now; };
   Server server(*workflow_, opts);
   const std::string q = questions(1)[0];
   const rag::WorkflowOutcome first = server.ask(q);
-  fake_now = 60.0;  // beyond the TTL
+  ASSERT_FALSE(first.degraded());
+  fake_now = 1e6;
   const rag::WorkflowOutcome second = server.ask(q);
-  expect_same_content(first, second, "post-TTL recompute");
-  EXPECT_EQ(server.stats().computed, 2u);
+  expect_same_content(first, second, "long-lived cache hit");
+  EXPECT_EQ(server.stats().computed, 1u);
 }
 
 TEST_F(ServeServerTest, StopDrainsThenRejectsLateSubmissions) {

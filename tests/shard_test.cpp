@@ -36,7 +36,6 @@ namespace res = pkb::resilience;
 using embed::Vector;
 using vectordb::MetadataFilter;
 using vectordb::Scatter;
-using vectordb::ScatterOptions;
 using vectordb::SearchResult;
 using vectordb::ShardRouter;
 using vectordb::ShardRouterOptions;
@@ -268,10 +267,8 @@ TEST(ShardEquivalence, FaultOrdinalsDrawnOncePerShardScan) {
   const std::vector<Vector> queries = random_queries(3, 6, 19);
 
   res::FaultPlan plan;
-  ScatterOptions opts;
-  opts.plan = &plan;
   for (const Vector& q : queries) {
-    const Scatter sc = router->search(q, 4, nullptr, opts);
+    const Scatter sc = router->search(q, 4, nullptr, &plan);
     EXPECT_FALSE(sc.partial());
     expect_hits_equal(store.similarity_search(q, 4), sc.hits, "with plan");
   }
@@ -328,8 +325,8 @@ TEST(ShardChaos, SustainedShardDeathTripsBreakerThenRecovers) {
   const auto router = ShardRouter::partition(store, 2, ropts);
   const Vector q = random_queries(1, 6, 25)[0];
 
-  // A dead shard fails every hedged attempt (2 failures per query at the
-  // default hedges=1), so one query trips the 2-sample breaker open.
+  // A dead shard fails every attempt (2 failures per query: the scan and
+  // its one hedge), so one query trips the 2-sample breaker open.
   router->kill_shard(1);
   EXPECT_TRUE(router->search(q, 4).partial());
   EXPECT_EQ(router->breaker_state(1), res::CircuitBreaker::State::Open);
@@ -356,11 +353,8 @@ TEST(ShardChaos, FaultRateOneLosesEveryShardWithFullHedging) {
   res::FaultPlanOptions fopts;
   fopts.vector_search.transient_rate = 1.0;
   res::FaultPlan plan(fopts);
-  ScatterOptions sopts;
-  sopts.plan = &plan;
-  sopts.hedges = 1;
   const Scatter sc = router->search(random_queries(1, 6, 27)[0], 4, nullptr,
-                                    sopts);
+                                    &plan);
   EXPECT_TRUE(sc.hits.empty());
   EXPECT_EQ(sc.shards_failed, 4u);
   // Every shard burned its initial attempt plus one hedge.
@@ -372,14 +366,11 @@ TEST(ShardChaos, HedgeRecoversAScriptedTransient) {
   const auto router = ShardRouter::partition(store, 3);
   res::FaultPlan plan;
   plan.script(res::Stage::VectorSearch, {res::FaultKind::Transient});
-  ScatterOptions sopts;
-  sopts.plan = &plan;
-  sopts.hedges = 1;
   const Vector q = random_queries(1, 8, 29)[0];
   // Shards scan in order, so shard 0 draws the scripted transient, hedges
   // once and succeeds: the answer is full and bit-identical.
   obs::global_tracer().clear();
-  const Scatter sc = router->search(q, 5, nullptr, sopts);
+  const Scatter sc = router->search(q, 5, nullptr, &plan);
   EXPECT_FALSE(sc.partial());
   expect_hits_equal(store.similarity_search(q, 5), sc.hits, "hedged");
   EXPECT_EQ(plan.counts(res::Stage::VectorSearch).transient, 1u);
@@ -393,16 +384,16 @@ TEST(ShardChaos, TransientsPastHedgesLoseExactlyThoseShards) {
   const VectorStore store = random_store(24, 8, 30);
   const auto router = ShardRouter::partition(store, 4);
   res::FaultPlan plan;
+  // Two faults per shard: the initial scan and its one hedge.
   plan.script(res::Stage::VectorSearch,
-              {res::FaultKind::Transient, res::FaultKind::Transient});
-  ScatterOptions sopts;
-  sopts.plan = &plan;
-  sopts.hedges = 0;  // no hedging: a faulted scan loses its shard
+              {res::FaultKind::Transient, res::FaultKind::Transient,
+               res::FaultKind::Transient, res::FaultKind::Transient});
   const Vector q = random_queries(1, 8, 31)[0];
-  const Scatter sc = router->search(q, 20, nullptr, sopts);
-  // Shards scan in order, so shards 0 and 1 draw the two scripted ordinals
+  const Scatter sc = router->search(q, 20, nullptr, &plan);
+  // Shards scan in order, so shards 0 and 1 draw the four scripted ordinals
   // and are lost; the answer is the exact top-k over shards 2-3.
   EXPECT_EQ(sc.shards_failed, 2u);
+  EXPECT_EQ(plan.counts(res::Stage::VectorSearch).transient, 4u);
   expect_hits_equal(survivors_top_k(store, q, 20, 0, router->shard_offset(2)),
                     sc.hits, "shards 0-1 lost");
 }
@@ -411,11 +402,8 @@ TEST(ShardChaos, HedgeSpansNestUnderTheRequestsScatter) {
   const VectorStore store = random_store(24, 8, 32);
   const auto router = ShardRouter::partition(store, 4);
   router->kill_shard(3);
-  ScatterOptions sopts;
-  sopts.hedges = 1;
   obs::global_tracer().clear();
-  const Scatter sc = router->search(random_queries(1, 8, 33)[0], 5, nullptr,
-                                    sopts);
+  const Scatter sc = router->search(random_queries(1, 8, 33)[0], 5);
   EXPECT_EQ(sc.shards_failed, 1u);
 
   // Every shard scans on the calling thread, so the dead shard's hedge is a

@@ -251,7 +251,7 @@ TEST_F(StageParityTest, HistoryContextsAppendAfterDocumentContexts) {
                      {.scorer = "expert", .score = 4});
   rag::HistoryRetriever history_retriever(&store);
   history_retriever.refresh();
-  ASSERT_EQ(history_retriever.indexed(), 1u);
+  ASSERT_EQ(history_retriever.record_ids().size(), 1u);
 
   auto workflow = make_workflow();
   workflow->attach_history_retrieval(&history_retriever);
@@ -291,7 +291,7 @@ TEST_F(StageParityTest, EmptySystemPromptPromotedOnHistoryRecall) {
                      {.scorer = "expert", .score = 4});
   rag::HistoryRetriever retriever(&store);
   retriever.refresh();
-  ASSERT_EQ(retriever.indexed(), 1u);
+  ASSERT_EQ(retriever.record_ids().size(), 1u);
 
   llm::LlmRequest request;  // no contexts, empty system prompt
   rag::recall_history_contexts(

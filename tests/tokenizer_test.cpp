@@ -35,20 +35,21 @@ TEST(Tokenizer, SymbolsDeduplicatedInFirstAppearanceOrder) {
   EXPECT_EQ(tt.symbols, (std::vector<std::string>{"KSPSolve", "KSPGMRES"}));
 }
 
-TEST(Tokenizer, StopwordRemovalOnlyWhenRequested) {
-  TokenizerOptions opts;
-  opts.drop_stopwords = true;
-  const auto toks = tokens_of("what is the matrix", opts);
-  EXPECT_EQ(toks, (std::vector<std::string>{"matrix"}));
-  const auto all = tokens_of("what is the matrix");
-  EXPECT_EQ(all.size(), 4u);
-}
-
-TEST(Tokenizer, MinTokenLengthFilter) {
-  TokenizerOptions opts;
-  opts.min_token_len = 3;
-  const auto toks = tokens_of("a bb ccc dddd", opts);
-  EXPECT_EQ(toks, (std::vector<std::string>{"ccc", "dddd"}));
+// Golden output, captured before the tokenizer lost its options: prose is
+// lowercased, stopwords and one-character tokens stay in the stream, and
+// symbols keep their case in first-appearance order.
+TEST(Tokenizer, GoldenOutputOnFixedInput) {
+  const auto tt = tokenize(
+      "How do I call KSPSetType -- with -ksp_type gmres, a PC and the "
+      "MatSetValues() routine? See src/ksp/ksp.c, e.g. KSPSetType again.");
+  EXPECT_EQ(tt.tokens,
+            (std::vector<std::string>{
+                "how", "do", "i", "call", "kspsettype", "with", "-ksp_type",
+                "gmres", "a", "pc", "and", "the", "matsetvalues", "routine",
+                "see", "src", "ksp", "ksp", "c", "e", "g", "kspsettype",
+                "again"}));
+  EXPECT_EQ(tt.symbols, (std::vector<std::string>{"KSPSetType", "-ksp_type",
+                                                  "MatSetValues"}));
 }
 
 TEST(Tokenizer, EmptyAndPunctuationOnly) {
