@@ -1,6 +1,6 @@
 // Micro-benchmarks of the vector hot path: packed-kernel scan scaling,
-// int8 / HNSW / PQ search costs, the ADC and transposed training kernels in
-// isolation, codebook build throughput, and store persistence.
+// exact / IVF / HNSW search costs, the transposed k-means assignment kernel
+// in isolation, k-means build throughput, and store persistence.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -11,8 +11,6 @@
 #include "vectordb/ivf.h"
 #include "vectordb/kernels.h"
 #include "vectordb/kmeans.h"
-#include "vectordb/pq.h"
-#include "vectordb/quantize.h"
 #include "vectordb/vector_store.h"
 
 namespace {
@@ -20,12 +18,8 @@ namespace {
 using pkb::embed::Vector;
 using pkb::vectordb::HnswIndex;
 using pkb::vectordb::HnswOptions;
-using pkb::vectordb::Int8Codes;
 using pkb::vectordb::IvfIndex;
 using pkb::vectordb::IvfOptions;
-using pkb::vectordb::PqCodebook;
-using pkb::vectordb::PqCodes;
-using pkb::vectordb::PqOptions;
 using pkb::vectordb::VectorStore;
 namespace kernels = pkb::vectordb::kernels;
 
@@ -68,42 +62,20 @@ void BM_KernelPackedScan(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 
-// ADC scan over PQ codes — the survivor-selection pass of pq_search.
-void BM_KernelAdcScan(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t dim = 128;
-  const VectorStore store = make_store(n, dim, 1);
-  const PqCodebook book = PqCodebook::train(store, PqOptions{});
-  const PqCodes codes = PqCodes::encode(store, book);
-  Vector q = make_query(dim, 2);
-  pkb::embed::l2_normalize(q);
-  std::vector<float> lut(book.lut_size());
-  book.build_lut(q.data(), lut.data());
-  std::vector<float> out(n);
-  for (auto _ : state) {
-    kernels::adc_scores(lut.data(), codes.row(0), n, codes.m(),
-                        codes.stride(), out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-
-// Transposed assignment kernel at PQ sub-vector width — the codebook
-// training hot loop (dim-2 slices against 256 centroids).
+// Transposed assignment kernel at the IVF coarse-quantizer shape — the
+// k-means training hot loop (one 128-dim row against 64 centroids, the
+// cluster count IVF picks at 4000 rows).
 void BM_KernelNearestTrans(benchmark::State& state) {
-  const std::size_t dim = 2;
-  const std::size_t k = 256;
+  const std::size_t dim = 128;
+  const std::size_t k = 64;
   pkb::util::Rng rng(3);
   std::vector<float> trans(dim * k);
-  std::vector<float> adjust(k);
   std::vector<float> q(dim);
   for (float& x : trans) x = static_cast<float>(rng.normal());
-  for (float& x : adjust) x = static_cast<float>(rng.normal());
   for (float& x : q) x = static_cast<float>(rng.normal());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::nearest_trans_f32(
-        q.data(), trans.data(), dim, k, k, adjust.data()));
+    benchmark::DoNotOptimize(
+        kernels::nearest_trans_f32(q.data(), trans.data(), dim, k, k));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(k));
@@ -121,32 +93,6 @@ void BM_ExactTopK(benchmark::State& state) {
     benchmark::DoNotOptimize(hits.data());
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-
-void BM_Int8TopK(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t dim = 128;
-  const VectorStore store = make_store(n, dim, 1);
-  const Int8Codes codes = Int8Codes::build(store);
-  const Vector q = make_query(dim, 2);
-  for (auto _ : state) {
-    auto hits = pkb::vectordb::quantized_search(store, codes, q, 8, 4);
-    benchmark::DoNotOptimize(hits.data());
-  }
-}
-
-void BM_PqTopK(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t dim = 128;
-  const VectorStore store = make_store(n, dim, 1);
-  const PqCodebook book = PqCodebook::train(store, PqOptions{});
-  const PqCodes codes = PqCodes::encode(store, book);
-  const Vector q = make_query(dim, 2);
-  for (auto _ : state) {
-    auto hits = pkb::vectordb::pq_search(store, book, codes, q, 8, 4);
-    benchmark::DoNotOptimize(hits.data());
-  }
-  state.counters["bytes/vec"] = static_cast<double>(codes.stride());
 }
 
 void BM_IvfTopK(benchmark::State& state) {
@@ -193,7 +139,7 @@ void BM_HnswTopK(benchmark::State& state) {
 
 // --- builds ----------------------------------------------------------------
 
-// The SIMD + pool codebook trainer (IVF coarse geometry).
+// The SIMD + pool k-means trainer (IVF coarse geometry).
 void BM_KmeansBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const VectorStore store = make_store(n, 64, 1);
@@ -203,17 +149,6 @@ void BM_KmeansBuild(benchmark::State& state) {
   for (auto _ : state) {
     auto res = pkb::vectordb::kmeans_cluster(store.packed(), opts);
     benchmark::DoNotOptimize(res.centroids.rows());
-  }
-}
-
-// Full PQ build: m sub-quantizer codebooks + every row encoded.
-void BM_PqBuild(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const VectorStore store = make_store(n, 64, 1);
-  for (auto _ : state) {
-    const PqCodebook book = PqCodebook::train(store, PqOptions{});
-    const PqCodes codes = PqCodes::encode(store, book);
-    benchmark::DoNotOptimize(codes.rows());
   }
 }
 
@@ -230,11 +165,8 @@ void BM_StoreSaveLoad(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_KernelPackedScan)->Arg(4000)->Arg(16000);
-BENCHMARK(BM_KernelAdcScan)->Arg(4000)->Arg(16000);
 BENCHMARK(BM_KernelNearestTrans);
 BENCHMARK(BM_ExactTopK)->Arg(1000)->Arg(4000)->Arg(16000)->Complexity();
-BENCHMARK(BM_Int8TopK)->Arg(4000)->Arg(16000);
-BENCHMARK(BM_PqTopK)->Arg(4000)->Arg(16000);
 BENCHMARK(BM_IvfTopK)
     ->Args({4000, 1})
     ->Args({4000, 4})
@@ -242,7 +174,6 @@ BENCHMARK(BM_IvfTopK)
     ->Args({16000, 4});
 BENCHMARK(BM_HnswTopK)->Args({4000, 32})->Args({16000, 32});
 BENCHMARK(BM_KmeansBuild)->Arg(4000);
-BENCHMARK(BM_PqBuild)->Arg(4000);
 BENCHMARK(BM_StoreSaveLoad);
 
 BENCHMARK_MAIN();

@@ -63,21 +63,15 @@ require_keys "$out_dir/BENCH_chaos.json" \
   config clean chaos faults_injected answered_rate degradation_rate \
   deadline_violations qps p99_seconds budget_spent_max_seconds
 
-run shard_scatter --docs 200 --dim 16 --queries 32 --threads 2 \
-  --shards 1,2,4 --output "$out_dir/BENCH_shards.json"
-require_keys "$out_dir/BENCH_shards.json" \
-  config equivalent results shards clean one_dead qps p50_seconds \
-  p99_seconds partial_rate answered_rate
-
-# Tiny corpus but a full sweep: the exactness, recall, and PQ gates run for
-# real (ef 64 covers the whole 300-doc store, so the recall floors hold even
-# at smoke size) and a gate failure exits nonzero here.
+# Tiny corpus but a full sweep: the exactness and recall gates run for real
+# (ef 64 covers the whole 300-doc store, so the recall floor holds even at
+# smoke size) and a gate failure exits nonzero here.
 run ann_frontier --docs 300 --dim 16 --queries 32 --ef 16,64 --nprobe 1,4 \
   --output "$out_dir/BENCH_ann.json"
 require_keys "$out_dir/BENCH_ann.json" \
-  config gates flat_exact default_recall pq_recall pq_memory build_speedup \
-  ok results index quant param recall_at_k p50_seconds p99_seconds qps \
-  build_seconds bytes_per_vector backend build ivf_pq_simd_seconds \
+  config gates flat_exact default_recall build_speedup \
+  ok results index param recall_at_k p50_seconds p99_seconds qps \
+  build_seconds backend build kmeans_simd_seconds \
   scalar_reference_seconds speedup gate_applies
 
 # Replay regression: re-execute the committed trace corpus and gate on zero
@@ -111,7 +105,7 @@ require_keys "$out_dir/BENCH_sessions.json" \
 run ann_frontier --docs 6000 --dim 64 --build-only \
   --output "$out_dir/BENCH_ann_build.json"
 require_keys "$out_dir/BENCH_ann_build.json" \
-  config gates build_speedup ok build ivf_pq_simd_seconds \
+  config gates build_speedup ok build kmeans_simd_seconds \
   scalar_reference_seconds speedup gate_applies
 
 echo "bench_smoke: OK"

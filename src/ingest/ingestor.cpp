@@ -165,8 +165,8 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
     next->chunks_at_fit = base->chunks_at_fit;
   }
   next->symbols = std::make_shared<lexical::SymbolIndex>(next->chunks);
-  // Sharded serving: the new generation carries its own router (built
-  // before publish, so no reader ever sees a snapshot without one).
+  // The new generation carries its own ANN index (built before publish, so
+  // no reader ever sees a snapshot without one).
   next->attach_indexes();
 
   std::unordered_set<std::string_view> sources;

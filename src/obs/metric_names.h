@@ -28,10 +28,6 @@ inline constexpr std::string_view kVectordbSearchesTotal =
 inline constexpr std::string_view kIvfSearchesTotal = "pkb_ivf_searches_total";
 inline constexpr std::string_view kIvfProbesTotal = "pkb_ivf_probes_total";
 inline constexpr std::string_view kAnnSearchesTotal = "pkb_ann_searches_total";
-inline constexpr std::string_view kAnnRerankCandidatesTotal =
-    "pkb_ann_rerank_candidates_total";
-inline constexpr std::string_view kAnnPqSearchesTotal =
-    "pkb_ann_pq_searches_total";
 inline constexpr std::string_view kLlmRequestsTotal = "pkb_llm_requests_total";
 inline constexpr std::string_view kLlmModeTotal = "pkb_llm_mode_total";
 inline constexpr std::string_view kLlmPromptTokensTotal =
@@ -69,13 +65,6 @@ inline constexpr std::string_view kSessionMemoryInvalidationsTotal =
     "pkb_session_memory_invalidations_total";
 inline constexpr std::string_view kSessionHistoryContextsTotal =
     "pkb_session_history_contexts_total";
-inline constexpr std::string_view kShardQueriesTotal =
-    "pkb_shard_queries_total";
-inline constexpr std::string_view kShardScansTotal = "pkb_shard_scans_total";
-inline constexpr std::string_view kShardScanFailuresTotal =
-    "pkb_shard_scan_failures_total";
-inline constexpr std::string_view kShardPartialResultsTotal =
-    "pkb_shard_partial_results_total";
 inline constexpr std::string_view kIngestBuildsTotal =
     "pkb_ingest_builds_total";
 inline constexpr std::string_view kIngestDocsTotal = "pkb_ingest_docs_total";
@@ -121,10 +110,6 @@ inline constexpr std::string_view kVectordbEntries = "pkb_vectordb_entries";
 inline constexpr std::string_view kIvfClusters = "pkb_ivf_clusters";
 inline constexpr std::string_view kAnnIndexEntries = "pkb_ann_index_entries";
 inline constexpr std::string_view kAnnGraphEdges = "pkb_ann_graph_edges";
-inline constexpr std::string_view kAnnPqSubquantizers =
-    "pkb_ann_pq_subquantizers";
-inline constexpr std::string_view kAnnPqCodeBytesPerVector =
-    "pkb_ann_pq_code_bytes_per_vector";
 inline constexpr std::string_view kServeQueueDepth = "pkb_serve_queue_depth";
 inline constexpr std::string_view kServeWorkers = "pkb_serve_workers";
 inline constexpr std::string_view kServeInflight = "pkb_serve_inflight";
@@ -132,7 +117,6 @@ inline constexpr std::string_view kSessionActive = "pkb_session_active";
 inline constexpr std::string_view kSessionLaneDepth =
     "pkb_session_lane_depth";
 inline constexpr std::string_view kSessionInflight = "pkb_session_inflight";
-inline constexpr std::string_view kShardCount = "pkb_shard_count";
 inline constexpr std::string_view kKbGeneration = "pkb_kb_generation";
 inline constexpr std::string_view kKbChunks = "pkb_kb_chunks";
 inline constexpr std::string_view kResilienceBreakerState =
@@ -155,8 +139,6 @@ inline constexpr std::string_view kAnnSearchSeconds = "pkb_ann_search_seconds";
 inline constexpr std::string_view kAnnBuildSeconds = "pkb_ann_build_seconds";
 inline constexpr std::string_view kAnnBuildKmeansSeconds =
     "pkb_ann_build_kmeans_seconds";
-inline constexpr std::string_view kAnnPqTrainSeconds =
-    "pkb_ann_pq_train_seconds";
 inline constexpr std::string_view kEmbedBatchSeconds =
     "pkb_embed_batch_seconds";
 inline constexpr std::string_view kLlmSimLatencySeconds =
@@ -173,10 +155,6 @@ inline constexpr std::string_view kSessionQueueWaitSeconds =
     "pkb_session_queue_wait_seconds";
 inline constexpr std::string_view kSessionTurnsPerSession =
     "pkb_session_turns_per_session";
-inline constexpr std::string_view kShardScatterSeconds =
-    "pkb_shard_scatter_seconds";
-inline constexpr std::string_view kShardMergeSeconds =
-    "pkb_shard_merge_seconds";
 inline constexpr std::string_view kKbSwapSeconds = "pkb_kb_swap_seconds";
 inline constexpr std::string_view kIngestBuildSeconds =
     "pkb_ingest_build_seconds";
@@ -204,8 +182,6 @@ inline constexpr std::string_view kSpanHistoryRecord = "history_record";
 inline constexpr std::string_view kSpanServeRequest = "serve_request";
 inline constexpr std::string_view kSpanSessionTurn = "session_turn";
 inline constexpr std::string_view kSpanAdmission = "admission";
-inline constexpr std::string_view kSpanShardScatter = "shard_scatter";
-inline constexpr std::string_view kSpanShardMerge = "shard_merge";
 inline constexpr std::string_view kSpanIngestBuild = "ingest_build";
 inline constexpr std::string_view kSpanKbSwap = "kb_swap";
 inline constexpr std::string_view kSpanRetry = "retry";
@@ -213,7 +189,6 @@ inline constexpr std::string_view kSpanHedge = "hedge";
 inline constexpr std::string_view kSpanBreakerState = "breaker_state";
 inline constexpr std::string_view kSpanDegradedAnswer = "degraded_answer";
 inline constexpr std::string_view kSpanAnnSearch = "ann_search";
-inline constexpr std::string_view kSpanQuantizeRerank = "quantize_rerank";
 inline constexpr std::string_view kSpanTraceRecord = "trace_record";
 inline constexpr std::string_view kSpanReplayStage = "replay_stage";
 

@@ -10,7 +10,6 @@
 #include "util/binio.h"
 #include "util/clock.h"
 #include "util/log.h"
-#include "vectordb/shard_router.h"
 
 namespace pkb::rag {
 
@@ -85,19 +84,7 @@ KnowledgeBase& KnowledgeBase::operator=(KnowledgeBase&& other) noexcept {
 }
 
 void Snapshot::attach_indexes() {
-  if (opts.shards < 2) {
-    shards = nullptr;
-    // Monolithic: one snapshot-level index (null for the identity spec).
-    ann = vectordb::build_index(store, opts.index);
-    return;
-  }
-  // Sharded: per-shard indexes live inside the router; the snapshot-level
-  // handle stays null so there is exactly one ANN path per configuration.
-  ann = nullptr;
-  vectordb::ShardRouterOptions ropts;
-  ropts.index = opts.index;
-  shards = vectordb::ShardRouter::partition(store, opts.shards,
-                                            std::move(ropts));
+  ann = vectordb::build_index(store, opts.index);
 }
 
 double KnowledgeBase::publish(SnapshotPtr next) {
@@ -131,7 +118,7 @@ double KnowledgeBase::publish(SnapshotPtr next) {
 //
 // Layout: magic "PKBS" | u32 version | u64 generation |
 //         u64 embedder_fit_generation | u64 chunks_at_fit | u64 source_count
-//         | options (embedder, file_pattern, splitter fields)
+//         | options (embedder, file_pattern, splitter fields, IndexSpec)
 //         | VectorStore blob (its own magic/version, docs + vectors)
 //         | chunk section "CHNK": per-entry ids revalidating store order.
 //
@@ -147,9 +134,9 @@ constexpr char kSnapshotMagic[4] = {'P', 'K', 'B', 'S'};
 constexpr char kChunkSectionMagic[4] = {'C', 'H', 'N', 'K'};
 // Only the current version loads; no older snapshots are deployed, so an
 // older file fails with "unsupported version" instead of being migrated.
-// The options block carries opts.shards, then the IndexSpec (kind,
-// rerank_factor, IVF and HNSW options, quant, PqOptions).
-constexpr std::uint32_t kSnapshotVersion = 5;
+// The options block ends with the IndexSpec: kind, then the IVF and HNSW
+// options.
+constexpr std::uint32_t kSnapshotVersion = 6;
 
 void read_magic(std::istream& in, const char (&expect)[4], const char* what) {
   char magic[4] = {};
@@ -183,9 +170,7 @@ void Snapshot::save(const std::string& path) const {
   for (const std::string& sep : opts.splitter.separators) {
     bin::write_str(out, sep);
   }
-  bin::write_u64(out, opts.shards);
   bin::write_u32(out, static_cast<std::uint32_t>(opts.index.kind));
-  bin::write_u64(out, opts.index.rerank_factor);
   bin::write_u64(out, opts.index.ivf.clusters);
   bin::write_u64(out, opts.index.ivf.kmeans_iters);
   bin::write_u64(out, opts.index.ivf.nprobe);
@@ -194,10 +179,6 @@ void Snapshot::save(const std::string& path) const {
   bin::write_u64(out, opts.index.hnsw.ef_construction);
   bin::write_u64(out, opts.index.hnsw.ef_search);
   bin::write_u64(out, opts.index.hnsw.seed);
-  bin::write_u32(out, static_cast<std::uint32_t>(opts.index.quant));
-  bin::write_u64(out, opts.index.pq.m);
-  bin::write_u64(out, opts.index.pq.kmeans_iters);
-  bin::write_u64(out, opts.index.pq.seed);
 
   store.save(out);
 
@@ -240,14 +221,12 @@ SnapshotPtr Snapshot::load(const std::string& path) {
   for (std::uint64_t i = 0; i < n_separators; ++i) {
     snap->opts.splitter.separators.push_back(bin::read_str(in, "separator"));
   }
-  snap->opts.shards = bin::read_count(in, "shard count", /*max=*/1 << 16);
   const std::uint32_t kind = bin::read_u32(in, "index kind");
   if (kind > static_cast<std::uint32_t>(vectordb::IndexKind::Hnsw)) {
     throw std::runtime_error("Snapshot::load: unknown index kind " +
                              std::to_string(kind));
   }
   snap->opts.index.kind = static_cast<vectordb::IndexKind>(kind);
-  snap->opts.index.rerank_factor = bin::read_count(in, "rerank factor");
   snap->opts.index.ivf.clusters = bin::read_count(in, "ivf clusters");
   snap->opts.index.ivf.kmeans_iters = bin::read_count(in, "ivf iters");
   snap->opts.index.ivf.nprobe = bin::read_count(in, "ivf nprobe");
@@ -257,15 +236,6 @@ SnapshotPtr Snapshot::load(const std::string& path) {
       bin::read_count(in, "hnsw ef_construction");
   snap->opts.index.hnsw.ef_search = bin::read_count(in, "hnsw ef_search");
   snap->opts.index.hnsw.seed = bin::read_u64(in, "hnsw seed");
-  const std::uint32_t quant = bin::read_u32(in, "index quant");
-  if (quant > static_cast<std::uint32_t>(vectordb::Quantizer::Pq)) {
-    throw std::runtime_error("Snapshot::load: unknown quantizer " +
-                             std::to_string(quant));
-  }
-  snap->opts.index.quant = static_cast<vectordb::Quantizer>(quant);
-  snap->opts.index.pq.m = bin::read_count(in, "pq m");
-  snap->opts.index.pq.kmeans_iters = bin::read_count(in, "pq iters");
-  snap->opts.index.pq.seed = bin::read_u64(in, "pq seed");
 
   snap->store = vectordb::VectorStore::load(in);
 

@@ -30,10 +30,6 @@
 #include "vectordb/index.h"
 #include "vectordb/vector_store.h"
 
-namespace pkb::vectordb {
-class ShardRouter;
-}  // namespace pkb::vectordb
-
 namespace pkb::rag {
 
 /// Build configuration, shared by the initial build and every later
@@ -48,18 +44,9 @@ struct KnowledgeBaseOptions {
                                     .chunk_overlap = 100,
                                     .separators = {"\n\n", "\n", " ", ""},
                                     .keep_separator = false};
-  /// Vector-store partitions for scatter–gather retrieval. 0 or 1 keeps the
-  /// monolithic scan; >= 2 attaches a vectordb::ShardRouter to every
-  /// published snapshot and the Retriever fans queries out across shards
-  /// (bit-identical results; see vectordb/shard_router.h). The monolithic
-  /// `store` stays authoritative — the router is a derived read path, so
-  /// sharding costs one extra copy of the vectors.
-  std::size_t shards = 0;
-  /// ANN strategy for the snapshot's searches (vectordb/index.h): flat/IVF/
-  /// HNSW × optional int8 quantization with exact re-rank. The default
-  /// (flat fp32) builds no index and keeps the exact scan. Composes with
-  /// `shards`: a sharded snapshot builds one index per shard and merges
-  /// unchanged. Rebuilt per generation on every ingest publish.
+  /// ANN strategy for the snapshot's searches (vectordb/index.h): flat, IVF
+  /// or HNSW over fp32 rows. The default (flat) builds no index and keeps
+  /// the exact scan. Rebuilt per generation on every ingest publish.
   vectordb::IndexSpec index;
 };
 
@@ -76,16 +63,7 @@ struct Snapshot {
   /// full refit (see embedder_fit_generation).
   std::shared_ptr<const embed::Embedder> embedder;
   vectordb::VectorStore store;
-  /// Scatter–gather partitions of `store` (null when opts.shards < 2). The
-  /// pointee is internally synchronized (breakers, dead flags), so the
-  /// chaos switches stay usable through a SnapshotPtr; the partition shape
-  /// itself is immutable. A pinned snapshot pins every shard of its
-  /// generation — a rolling shard swap publishes a new snapshot whose
-  /// router shares the untouched shard objects, so no reader ever sees a
-  /// mixed generation.
-  std::shared_ptr<vectordb::ShardRouter> shards;
-  /// ANN index over `store` per opts.index (null for the identity spec or
-  /// when sharded — per-shard indexes live inside the router then). The
+  /// ANN index over `store` per opts.index (null for the flat spec). The
   /// retriever routes first-pass searches through it when present.
   std::shared_ptr<const vectordb::AnnIndex> ann;
   std::shared_ptr<const lexical::SymbolIndex> symbols;
@@ -106,11 +84,9 @@ struct Snapshot {
   void save(const std::string& path) const;
   static std::shared_ptr<const Snapshot> load(const std::string& path);
 
-  /// (Re)build the derived read paths from `store`: the shard router per
-  /// opts.shards (with per-shard ANN indexes per opts.index) and, when
-  /// monolithic, the snapshot-level ANN index. Called by build(), load(),
-  /// and the ingestor after assembling a new generation; clears both when
-  /// not configured.
+  /// (Re)build `ann` from `store` per opts.index (null for the flat spec).
+  /// Called by build(), load(), and the ingestor after assembling a new
+  /// generation.
   void attach_indexes();
 };
 

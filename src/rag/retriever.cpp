@@ -7,9 +7,15 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/clock.h"
-#include "vectordb/shard_router.h"
 
 namespace pkb::rag {
+
+namespace {
+
+/// Hedged re-attempts of a faulted vector search before the fault stands.
+constexpr std::uint32_t kSearchHedges = 1;
+
+}  // namespace
 
 void Retriever::observe_retrieval_metrics(const RetrievalResult& result) const {
   obs::MetricsRegistry& metrics = obs::global_metrics();
@@ -52,14 +58,16 @@ std::shared_ptr<const rerank::Reranker> Retriever::reranker_for(
   return reranker_;
 }
 
-template <typename SearchFn>
-auto Retriever::search_with_hedge(SearchFn&& search) const
-    -> decltype(search()) {
+std::vector<vectordb::SearchResult> Retriever::first_pass_hits(
+    const Snapshot& snap, const embed::Vector& query_vec) const {
   namespace res = pkb::resilience;
   for (std::uint32_t attempt = 0;; ++attempt) {
     try {
       res::consult(fault_plan_, res::Stage::VectorSearch);
-      auto hits = search();
+      std::vector<vectordb::SearchResult> hits =
+          snap.ann != nullptr
+              ? snap.ann->search(query_vec, opts_.first_pass_k)
+              : snap.store.similarity_search(query_vec, opts_.first_pass_k);
       if (attempt > 0) {
         obs::global_metrics()
             .counter(obs::kResilienceHedgeWinsTotal,
@@ -68,7 +76,7 @@ auto Retriever::search_with_hedge(SearchFn&& search) const
       }
       return hits;
     } catch (const res::FaultError&) {
-      if (attempt >= res::kSearchHedges) throw;
+      if (attempt >= kSearchHedges) throw;
       obs::global_metrics()
           .counter(obs::kResilienceHedgesTotal, {{"stage", "vector_search"}})
           .inc();
@@ -77,35 +85,6 @@ auto Retriever::search_with_hedge(SearchFn&& search) const
       span.set_attr("attempt", static_cast<std::uint64_t>(attempt) + 1);
     }
   }
-}
-
-std::vector<vectordb::SearchResult> Retriever::first_pass_hits(
-    const Snapshot& snap, const embed::Vector& query_vec,
-    RetrievalResult& result) const {
-  namespace res = pkb::resilience;
-  if (snap.shards != nullptr) {
-    // Scatter–gather: hedging, fault consultation, and per-shard breakers
-    // live inside the router, so no search_with_hedge wrapper here. A lost
-    // shard degrades the result (partial, tagged); only every shard failing
-    // escalates to the caller's degradation ladder.
-    vectordb::Scatter sc = snap.shards->search(query_vec, opts_.first_pass_k,
-                                               nullptr, fault_plan_);
-    if (sc.shards_total > 0 && sc.shards_failed == sc.shards_total) {
-      throw res::TransientError(res::Stage::VectorSearch,
-                                "shard scatter: every shard failed");
-    }
-    result.shards_failed = sc.shards_failed;
-    result.shards_total = sc.shards_total;
-    return std::move(sc.hits);
-  }
-  if (snap.ann != nullptr) {
-    // Monolithic ANN path (opts.index): same hedging as the exact scan.
-    return search_with_hedge(
-        [&] { return snap.ann->search(query_vec, opts_.first_pass_k); });
-  }
-  return search_with_hedge([&] {
-    return snap.store.similarity_search(query_vec, opts_.first_pass_k);
-  });
 }
 
 void Retriever::embed_stage(const Snapshot& snap, std::string_view query,
@@ -129,7 +108,7 @@ std::vector<vectordb::SearchResult> Retriever::search_stage(
   std::vector<vectordb::SearchResult> vector_hits;
   {
     obs::Span search_span(obs::global_tracer(), obs::kSpanVectorSearch);
-    vector_hits = first_pass_hits(snap, query_vec, result);
+    vector_hits = first_pass_hits(snap, query_vec);
     search_span.set_attr("hits", vector_hits.size());
   }
   result.search_seconds = watch.seconds();

@@ -57,18 +57,10 @@ struct RetrievalResult {
   /// The rerank stage failed (injected fault/timeout) and `contexts` is the
   /// unreranked first-pass order — the first rung of the degradation ladder.
   bool rerank_degraded = false;
-  /// Scatter–gather shard accounting (0/0 on the monolithic path). A
-  /// nonzero shards_failed tags the answer partial: the first pass covered
-  /// only the surviving shards' documents. All shards failing raises a
-  /// FaultError instead (degradation ladder: NoRetrieval), so shards_failed
-  /// < shards_total whenever a result is returned.
-  std::size_t shards_failed = 0;
-  std::size_t shards_total = 0;
   /// The query embedding that produced the first pass (shared so copies of
   /// the result stay cheap). Carried for the record/replay subsystem's
   /// Embed artifact. Null only for an empty (degraded) result.
   std::shared_ptr<const embed::Vector> query_embedding;
-  [[nodiscard]] bool partial() const { return shards_failed > 0; }
   /// Total RAG processing time (embed + search + rerank).
   [[nodiscard]] double rag_seconds() const {
     return embed_seconds + search_seconds + rerank_seconds;
@@ -113,8 +105,8 @@ class Retriever {
                    RetrievalResult& result) const;
 
   /// First-pass vector hits for an already-embedded query (vector_search
-  /// span, search_seconds, shard accounting). Throws FaultError when the
-  /// search is lost past its hedges.
+  /// span, search_seconds). Throws FaultError when the search is lost past
+  /// its hedges.
   [[nodiscard]] std::vector<vectordb::SearchResult> search_stage(
       const Snapshot& snap, const embed::Vector& query_vec,
       RetrievalResult& result) const;
@@ -136,8 +128,8 @@ class Retriever {
 
   /// Attach a chaos plan. Vector-search decisions are consulted here (the
   /// snapshot's store is immutable, so the retriever is the injection
-  /// point on the serving path) with resilience::kSearchHedges hedged
-  /// re-attempts before the fault propagates; the plan is also handed to
+  /// point on the serving path) with one hedged re-attempt before the
+  /// fault propagates; the plan is also handed to
   /// every reranker this retriever fits, whose rerank faults are caught in
   /// rerank_stage and degrade to first-pass order. Pass nullptr to
   /// detach. Setup-time only — must not race in-flight retrievals.
@@ -150,21 +142,12 @@ class Retriever {
   [[nodiscard]] std::shared_ptr<const rerank::Reranker> reranker_for(
       const Snapshot& snap) const;
 
-  /// Vector search with fault consultation and hedged re-attempts; the
-  /// exact scan and the ANN index share the retry shape through the
-  /// `search` callable.
-  template <typename SearchFn>
-  auto search_with_hedge(SearchFn&& search) const
-      -> decltype(search());
-
-  /// First-pass vector hits for one query: the snapshot's ShardRouter when
-  /// sharding is on (per-shard hedging and breakers inside; shard losses
-  /// tagged on `result`), the monolithic hedged scan otherwise. Throws a
-  /// FaultError when no shard (or the single scan, past its hedges) could
-  /// answer.
+  /// First-pass vector hits for one query — the snapshot's ANN index when
+  /// it has one, the exact scan otherwise — with fault consultation and
+  /// hedged re-attempts. Throws a FaultError when the search is lost past
+  /// its hedges.
   [[nodiscard]] std::vector<vectordb::SearchResult> first_pass_hits(
-      const Snapshot& snap, const embed::Vector& query_vec,
-      RetrievalResult& result) const;
+      const Snapshot& snap, const embed::Vector& query_vec) const;
 
   const KnowledgeBase& kb_;
   RetrieverOptions opts_;

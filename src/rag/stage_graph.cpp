@@ -296,8 +296,6 @@ void capture_stage_trace(const StageState& st, StageTrace& trace) {
   for (const RetrievedContext& ctx : retrieval.first_pass) {
     trace.retrieve.candidates.push_back(to_ref(ctx));
   }
-  trace.retrieve.shards_failed = retrieval.shards_failed;
-  trace.retrieve.shards_total = retrieval.shards_total;
 
   trace.rerank.contexts.clear();
   for (const RetrievedContext& ctx : retrieval.contexts) {

@@ -63,11 +63,9 @@ struct ContextRef {
 };
 
 /// Output of RetrieveStage: the first-pass candidate set (vector + keyword,
-/// pre-rerank) and the scatter-gather accounting.
+/// pre-rerank).
 struct RetrieveArtifact {
   std::vector<ContextRef> candidates;
-  std::uint64_t shards_failed = 0;
-  std::uint64_t shards_total = 0;
 };
 
 /// Output of RerankStage: the final context list, best first.

@@ -180,8 +180,6 @@ ReplayResult ReplayEngine::replay(const rag::StageTrace& recorded,
     if (from > StageKind::Retrieve) {
       resolve(recorded.retrieve.candidates, st.outcome.retrieval.first_pass);
       st.outcome.retrieval.search_seconds = recorded.search_seconds;
-      st.outcome.retrieval.shards_failed = recorded.retrieve.shards_failed;
-      st.outcome.retrieval.shards_total = recorded.retrieve.shards_total;
     }
     if (from > StageKind::Rerank) {
       resolve(recorded.rerank.contexts, st.outcome.retrieval.contexts);

@@ -20,6 +20,9 @@ namespace fs = std::filesystem;
 namespace bin = pkb::util;
 
 constexpr std::uint32_t kTraceMagic = 0x54424B50;  // "PKBT" little-endian
+// Version 1 keeps two retrieve-record counters from the removed sharded
+// scan (failed and total shards). They are written as 0 and skipped on load;
+// retiring them needs a version bump and a re-recorded trace corpus.
 constexpr std::uint32_t kTraceVersion = 1;
 
 void write_context_refs(std::ostream& out,
@@ -139,8 +142,8 @@ void TraceRecorder::save(const rag::StageTrace& trace,
   bin::write_f32_array(out, trace.embed.query_vec);
 
   write_context_refs(out, trace.retrieve.candidates);
-  bin::write_u64(out, trace.retrieve.shards_failed);
-  bin::write_u64(out, trace.retrieve.shards_total);
+  bin::write_u64(out, 0);  // retired shard counters, see kTraceVersion
+  bin::write_u64(out, 0);
 
   bin::write_u8(out, trace.rerank.rerank_degraded ? 1 : 0);
   write_context_refs(out, trace.rerank.contexts);
@@ -207,8 +210,8 @@ rag::StageTrace TraceRecorder::load(const std::string& path) {
   trace.embed.query_vec = bin::read_f32_array(in, "query_vec");
 
   trace.retrieve.candidates = read_context_refs(in, "candidates");
-  trace.retrieve.shards_failed = bin::read_u64(in, "shards_failed");
-  trace.retrieve.shards_total = bin::read_u64(in, "shards_total");
+  (void)bin::read_u64(in, "shards_failed");
+  (void)bin::read_u64(in, "shards_total");
 
   trace.rerank.rerank_degraded = bin::read_u8(in, "rerank_degraded") != 0;
   trace.rerank.contexts = read_context_refs(in, "contexts");

@@ -105,8 +105,4 @@ class FaultPlan {
 /// pkb_resilience_faults_injected_total{stage,kind}.
 double consult(const FaultPlan* plan, Stage stage);
 
-/// Hedged re-attempts of a faulted vector search before the fault stands:
-/// the retriever's monolithic search and each ShardRouter shard scan.
-inline constexpr std::uint32_t kSearchHedges = 1;
-
 }  // namespace pkb::resilience

@@ -142,9 +142,6 @@ void Server::process(Request& req) {
       metrics.counter(obs::kServeAnswerCacheMissesTotal).inc();
       span.set_attr("cache", "miss");
       outcome = compute(req.question, queue_wait, nullptr);
-      if (outcome.retrieval.partial()) {
-        span.set_attr("partial_shards", outcome.retrieval.shards_failed);
-      }
       std::size_t evicted = 0;
       if (outcome.degraded()) {
         span.set_attr("degraded",
@@ -203,11 +200,6 @@ rag::WorkflowOutcome Server::compute(const std::string& question,
   computed_.fetch_add(1, std::memory_order_relaxed);
   if (trace != nullptr) opts_.recorder->record(std::move(trace_storage));
   if (outcome.degraded()) degraded_.fetch_add(1, std::memory_order_relaxed);
-  // Scatter–gather answered without every shard: the answer is usable but
-  // tagged partial (see rag::RetrievalResult).
-  if (outcome.retrieval.partial()) {
-    partial_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   // Realize a slice of the simulated LLM latency as real wall time so that
   // multi-worker overlap (and cache hits skipping this stall) are
@@ -230,7 +222,6 @@ Server::Stats Server::stats() const {
   s.computed = computed_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.degraded = degraded_.load(std::memory_order_relaxed);
-  s.partial = partial_.load(std::memory_order_relaxed);
   s.answer_cache = answer_cache_.stats();
   s.queue_depth = queue_.size();
   s.workers = workers_.size();

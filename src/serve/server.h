@@ -127,7 +127,6 @@ class Server final : public rag::QuestionService {
     std::uint64_t computed = 0;        ///< full pipeline executions
     std::uint64_t rejected = 0;        ///< submissions after stop()
     std::uint64_t degraded = 0;        ///< computed answers below Full
-    std::uint64_t partial = 0;         ///< answers missing >= 1 shard
     CacheStats answer_cache;
     std::size_t queue_depth = 0;
     std::size_t workers = 0;
@@ -151,7 +150,7 @@ class Server final : public rag::QuestionService {
   [[nodiscard]] bool outcome_fresh(const rag::WorkflowOutcome& outcome) const;
   /// Compute one answer: workflow_.ask() under a fresh resilience context
   /// (with `queue_wait_seconds` charged to its budget), optional trace
-  /// recording, degraded/partial accounting, and the LLM-latency sleep.
+  /// recording, degraded accounting, and the LLM-latency sleep.
   [[nodiscard]] rag::WorkflowOutcome compute(
       const std::string& question, double queue_wait_seconds,
       rag::SessionPromptContext* session);
@@ -166,7 +165,6 @@ class Server final : public rag::QuestionService {
   std::atomic<std::uint64_t> computed_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> partial_{0};
   std::atomic<bool> stopped_{false};
 };
 

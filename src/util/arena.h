@@ -4,7 +4,7 @@
 // The SIMD kernels (vectordb/kernels.h) load rows with aligned vector
 // instructions, so the packed SoA blocks they scan must start on a cache
 // line. `AlignedBuffer` is a growable, cache-line-aligned byte buffer —
-// the allocation primitive under every packed fp32/int8 matrix — and
+// the allocation primitive under every packed fp32 matrix — and
 // `Arena` is a bump allocator over large aligned slabs for callers that
 // carve many small aligned pieces (per-level HNSW adjacency lists) without
 // one malloc per piece.

@@ -45,30 +45,10 @@ void sort_best_first(std::vector<Scored>& v) {
 
 }  // namespace
 
-HnswIndex::HnswIndex(const VectorStore& store, HnswOptions opts,
-                     const Int8Codes* codes, const PqCodebook* pq_book,
-                     const PqCodes* pq_codes)
-    : store_(store),
-      opts_(opts),
-      codes_(codes),
-      pq_book_(pq_book),
-      pq_codes_(pq_codes) {
+HnswIndex::HnswIndex(const VectorStore& store, HnswOptions opts)
+    : store_(store), opts_(opts) {
   if (store_.empty()) {
     throw std::invalid_argument("HnswIndex: empty store");
-  }
-  if (codes_ != nullptr && codes_->rows() != store_.size()) {
-    throw std::invalid_argument("HnswIndex: stale codes");
-  }
-  if ((pq_book_ == nullptr) != (pq_codes_ == nullptr)) {
-    throw std::invalid_argument("HnswIndex: PQ codebook and codes required");
-  }
-  if (pq_codes_ != nullptr &&
-      (pq_codes_->rows() != store_.size() ||
-       pq_codes_->m() != pq_book_->m())) {
-    throw std::invalid_argument("HnswIndex: stale PQ codes");
-  }
-  if (codes_ != nullptr && pq_codes_ != nullptr) {
-    throw std::invalid_argument("HnswIndex: pick one quantization");
   }
   opts_.m = std::max<std::size_t>(2, opts_.m);
   opts_.ef_construction = std::max(opts_.ef_construction, opts_.m + 1);
@@ -76,20 +56,29 @@ HnswIndex::HnswIndex(const VectorStore& store, HnswOptions opts,
   build();
 }
 
-float HnswIndex::node_score(const QueryCtx& ctx, std::uint32_t id) const {
-  if (ctx.approx) {
-    if (ctx.lut != nullptr) {
-      return kernels::adc_f32(ctx.lut, pq_codes_->row(id), pq_codes_->m());
+std::uint32_t HnswIndex::greedy_step(const float* packed_query,
+                                     std::uint32_t entry,
+                                     std::size_t layer) const {
+  std::uint32_t cur = entry;
+  float cur_score = store_.kernel_score(packed_query, cur);
+  bool moved = true;
+  while (moved) {
+    moved = false;
+    const Links& links = links_[cur][layer];
+    for (std::uint16_t e = 0; e < links.count; ++e) {
+      const std::uint32_t nb = links.nbr[e];
+      const float s = store_.kernel_score(packed_query, nb);
+      if (s > cur_score) {
+        cur_score = s;
+        cur = nb;
+        moved = true;
+      }
     }
-    float s = 0.0f;
-    codes_->packed().score_range(ctx.query_codes, ctx.query_scale, id, id + 1,
-                                 &s);
-    return s;
   }
-  return store_.kernel_score(ctx.packed_query, id);
+  return cur;
 }
 
-std::vector<Scored> HnswIndex::search_layer(const QueryCtx& ctx,
+std::vector<Scored> HnswIndex::search_layer(const float* packed_query,
                                             std::uint32_t entry,
                                             std::size_t ef,
                                             std::size_t layer) const {
@@ -97,7 +86,7 @@ std::vector<Scored> HnswIndex::search_layer(const QueryCtx& ctx,
   std::priority_queue<Scored, std::vector<Scored>, BestFirst> cand;
   std::priority_queue<Scored, std::vector<Scored>, WorstFirst> best;
 
-  const float es = node_score(ctx, entry);
+  const float es = store_.kernel_score(packed_query, entry);
   visited[entry] = 1;
   cand.push({es, entry});
   best.push({es, entry});
@@ -111,7 +100,7 @@ std::vector<Scored> HnswIndex::search_layer(const QueryCtx& ctx,
       const std::uint32_t nb = links.nbr[e];
       if (visited[nb]) continue;
       visited[nb] = 1;
-      const float s = node_score(ctx, nb);
+      const float s = store_.kernel_score(packed_query, nb);
       if (best.size() < ef || WorstFirst{}(Scored{s, nb}, best.top())) {
         cand.push({s, nb});
         best.push({s, nb});
@@ -173,33 +162,16 @@ void HnswIndex::insert(std::size_t node, std::size_t level,
     return;
   }
 
-  QueryCtx ctx;
-  ctx.packed_query = packed_query;
-
   std::uint32_t cur = entry_;
   // Greedy descent through layers above the node's level.
   for (std::size_t layer = max_level_; layer > level; --layer) {
-    bool moved = true;
-    float cur_score = node_score(ctx, cur);
-    while (moved) {
-      moved = false;
-      const Links& links = links_[cur][layer];
-      for (std::uint16_t e = 0; e < links.count; ++e) {
-        const std::uint32_t nb = links.nbr[e];
-        const float s = node_score(ctx, nb);
-        if (s > cur_score) {
-          cur_score = s;
-          cur = nb;
-          moved = true;
-        }
-      }
-    }
+    cur = greedy_step(packed_query, cur, layer);
   }
 
   // Beam search and bidirectional linking on layers min(level, max) .. 0.
   for (std::size_t layer = std::min(level, max_level_) + 1; layer-- > 0;) {
     const std::vector<Scored> beam =
-        search_layer(ctx, cur, opts_.ef_construction, layer);
+        search_layer(packed_query, cur, opts_.ef_construction, layer);
     Links& mine = links_[node][layer];
     select_neighbors(beam, mine.cap, mine);
     // Link back; prune overful neighbor lists with the same heuristic.
@@ -282,59 +254,23 @@ std::vector<SearchResult> HnswIndex::search_ef(const embed::Vector& query,
   pkb::util::AlignedBuffer qbuf(packed.stride() * sizeof(float));
   packed.pack_query(q.data(), qbuf.as<float>());
 
-  // Build the traversal context: exact fp32 by default, int8 codes or a
-  // per-query ADC LUT when the index carries a quantization.
-  QueryCtx ctx;
-  ctx.packed_query = qbuf.as<float>();
-  ctx.approx = codes_ != nullptr || pq_codes_ != nullptr;
-  pkb::util::AlignedBuffer qcodes(codes_ != nullptr ? codes_->packed().stride()
-                                                    : 1);
-  std::vector<float> lut;
-  if (codes_ != nullptr) {
-    ctx.query_scale = codes_->quantize_query(q.data(), qcodes.as<std::int8_t>());
-    ctx.query_codes = qcodes.as<std::int8_t>();
-  } else if (pq_book_ != nullptr) {
-    lut.resize(pq_book_->lut_size());
-    pq_book_->build_lut(q.data(), lut.data());
-    ctx.lut = lut.data();
-  }
-
   // Greedy descent to layer 1, then a beam on layer 0.
+  const float* packed_query = qbuf.as<float>();
   std::uint32_t cur = entry_;
-  float cur_score = node_score(ctx, cur);
   for (std::size_t layer = max_level_; layer > 0; --layer) {
-    bool moved = true;
-    while (moved) {
-      moved = false;
-      const Links& links = links_[cur][layer];
-      for (std::uint16_t e = 0; e < links.count; ++e) {
-        const std::uint32_t nb = links.nbr[e];
-        const float s = node_score(ctx, nb);
-        if (s > cur_score) {
-          cur_score = s;
-          cur = nb;
-          moved = true;
-        }
-      }
-    }
+    cur = greedy_step(packed_query, cur, layer);
   }
-  const std::vector<Scored> beam = search_layer(ctx, cur, ef, 0);
+  const std::vector<Scored> beam = search_layer(packed_query, cur, ef, 0);
 
-  // Exact fp32 scores on the way out — hits carry the flat scan's scores
-  // even when traversal ran on int8 or PQ/ADC approximations.
+  // The beam is best-first (score descending, lower id on ties — the flat
+  // scan's order) and its scores are the store's kernel scores.
+  const std::size_t keep = std::min(k, beam.size());
   std::vector<SearchResult> hits;
-  hits.reserve(beam.size());
-  for (const Scored& s : beam) {
-    hits.push_back(SearchResult{s.second,
-                                store_.kernel_score(ctx.packed_query, s.second),
-                                &store_.doc(s.second)});
+  hits.reserve(keep);
+  for (std::size_t i = 0; i < keep; ++i) {
+    hits.push_back(SearchResult{beam[i].second, beam[i].first,
+                                &store_.doc(beam[i].second)});
   }
-  std::sort(hits.begin(), hits.end(),
-            [](const SearchResult& a, const SearchResult& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.index < b.index;
-            });
-  if (hits.size() > k) hits.resize(k);
   return hits;
 }
 

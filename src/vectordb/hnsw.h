@@ -20,21 +20,12 @@
 // hits carry flat-scan-identical scores; only membership is approximate.
 // Cost is O(ef · log n) distance evaluations versus the flat scan's O(n).
 //
-// Optionally pass Int8Codes to traverse on quantized scores (≈4× less
-// memory traffic per hop), or a PqCodebook + PqCodes pair to traverse on
-// ADC lookup-table scores (≈16× less), with the returned beam re-ranked
-// exactly either way — the HNSW × int8 and HNSW × pq cells of the
-// bench/ann_frontier.cpp frontier.
-//
-// The index is immutable after construction; the store (and codes, when
-// given) must outlive it. Concurrent search() calls are safe — all scratch
-// is per-call.
+// The index is immutable after construction; the store must outlive it.
+// Concurrent search() calls are safe — all scratch is per-call.
 
 #include <cstdint>
 
 #include "util/arena.h"
-#include "vectordb/pq.h"
-#include "vectordb/quantize.h"
 #include "vectordb/vector_store.h"
 
 namespace pkb::vectordb {
@@ -57,15 +48,8 @@ struct HnswOptions {
 /// grow after construction).
 class HnswIndex {
  public:
-  /// Build the graph. When `codes` is non-null, traversal scores are int8
-  /// approximations; when `pq_book` + `pq_codes` are non-null, traversal
-  /// scores are PQ/ADC approximations (at most one quantization may be
-  /// given). The final beam is exactly re-ranked either way; codes must
-  /// mirror `store` and outlive the index.
-  explicit HnswIndex(const VectorStore& store, HnswOptions opts = {},
-                     const Int8Codes* codes = nullptr,
-                     const PqCodebook* pq_book = nullptr,
-                     const PqCodes* pq_codes = nullptr);
+  /// Build the graph over every row of `store`.
+  explicit HnswIndex(const VectorStore& store, HnswOptions opts = {});
 
   /// Approximate top-k using the default beam width (options().ef_search).
   [[nodiscard]] std::vector<SearchResult> search(const embed::Vector& query,
@@ -94,17 +78,6 @@ class HnswIndex {
     std::uint16_t cap = 0;
   };
 
-  /// Per-query traversal context: the packed fp32 query always, plus the
-  /// quantized query form when `approx` scoring is active (int8 codes or a
-  /// PQ LUT — whichever quantization the index was built with).
-  struct QueryCtx {
-    const float* packed_query = nullptr;
-    const std::int8_t* query_codes = nullptr;  ///< int8 traversal
-    float query_scale = 0.0f;
-    const float* lut = nullptr;  ///< PQ/ADC traversal
-    bool approx = false;
-  };
-
   void build();
   void insert(std::size_t node, std::size_t level,
               const float* packed_query);
@@ -114,19 +87,19 @@ class HnswIndex {
   void select_neighbors(const std::vector<std::pair<float, std::uint32_t>>&
                             candidates,
                         std::size_t cap, Links& out) const;
-  /// Beam search of width ef on `layer` from `entry`; returns (score, id)
-  /// best-first. Scores are fp32 kernel scores during build and fp32
-  /// search; int8 or PQ/ADC approximations when ctx.approx is set.
+  /// Beam search of width ef on `layer` from `entry` for a packed query;
+  /// returns (score, id) best-first. Scores are the store's fp32 kernel
+  /// scores, so the beam already carries flat-scan-exact scores.
   [[nodiscard]] std::vector<std::pair<float, std::uint32_t>> search_layer(
-      const QueryCtx& ctx, std::uint32_t entry, std::size_t ef,
+      const float* packed_query, std::uint32_t entry, std::size_t ef,
       std::size_t layer) const;
-  [[nodiscard]] float node_score(const QueryCtx& ctx, std::uint32_t id) const;
+  /// Greedy descent from `entry` on one upper layer; returns the local best.
+  [[nodiscard]] std::uint32_t greedy_step(const float* packed_query,
+                                          std::uint32_t entry,
+                                          std::size_t layer) const;
 
   const VectorStore& store_;
   HnswOptions opts_;
-  const Int8Codes* codes_ = nullptr;
-  const PqCodebook* pq_book_ = nullptr;
-  const PqCodes* pq_codes_ = nullptr;
   util::Arena arena_;
   std::vector<std::vector<Links>> links_;  ///< per node, layers 0..level
   std::uint32_t entry_ = 0;

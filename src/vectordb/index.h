@@ -2,19 +2,15 @@
 // Index selection — one handle over the ANN strategies in vectordb.
 //
 // `IndexSpec` names a point on the recall-vs-latency frontier: an index
-// kind (flat scan, IVF, HNSW) crossed with a quantizer (none, int8, or PQ
-// with ADC lookup tables — always with exact fp32 re-rank). `build_index`
-// turns a spec into an immutable `AnnIndex`
-// bound to a VectorStore; the generational KB stores a spec in
+// kind (flat scan, IVF, HNSW) with its tuning options. Every kind scans the
+// store's fp32 rows. `build_index` turns a spec into an immutable
+// `AnnIndex` bound to a VectorStore; the generational KB stores a spec in
 // `rag::KnowledgeBaseOptions::index`, builds the index per Snapshot
 // (rebuilt on every ingest publish), and the retriever routes searches
-// through it. The ShardRouter composes the same way — one index per shard,
-// merge unchanged — because every index returns store-local hit indices
-// with flat-scan-exact fp32 scores.
+// through it.
 //
-// Flat+fp32 is the identity spec: build_index returns nullptr and callers
-// fall through to VectorStore::similarity_search, keeping the default
-// configuration byte-for-byte the pre-index behavior.
+// Flat is the identity spec: build_index returns nullptr and callers fall
+// through to VectorStore::similarity_search, the exact scan.
 //
 // All search() calls are instrumented here (pkb_ann_* metrics, the
 // `ann_search` span) so the strategies themselves stay mechanism-only.
@@ -24,8 +20,6 @@
 
 #include "vectordb/hnsw.h"
 #include "vectordb/ivf.h"
-#include "vectordb/pq.h"
-#include "vectordb/quantize.h"
 #include "vectordb/vector_store.h"
 
 namespace pkb::vectordb {
@@ -37,42 +31,22 @@ enum class IndexKind : std::uint8_t {
   Hnsw = 2,  ///< navigable small-world graph (hnsw.h)
 };
 
-/// Which compressed representation the candidate scan reads (the re-rank is
-/// always exact fp32).
-enum class Quantizer : std::uint8_t {
-  None = 0,  ///< scan fp32 rows
-  Int8 = 1,  ///< scalar int8 codes (quantize.h), ~4× smaller
-  Pq = 2,    ///< product-quantization ADC (pq.h), ~16× smaller
-};
-
-/// A point on the recall-vs-latency-vs-memory frontier. Persisted with
-/// snapshots (rag snapshot format v4), so keep fields append-only.
+/// A point on the recall-vs-latency frontier. Persisted with snapshots (rag
+/// snapshot format v6).
 struct IndexSpec {
   IndexKind kind = IndexKind::Flat;
-  /// Scan quantized codes and exactly re-rank k × rerank_factor survivors.
-  Quantizer quant = Quantizer::None;
-  /// Survivor multiplier for the quantized re-rank (≥ 1).
-  std::size_t rerank_factor = 4;
   IvfOptions ivf;
   HnswOptions hnsw;
-  PqOptions pq;
 
-  /// The identity spec — no index is built, callers use the flat scan.
-  [[nodiscard]] bool is_flat_fp32() const {
-    return kind == IndexKind::Flat && quant == Quantizer::None;
-  }
-
-  /// Stable label for metrics and bench output: "flat", "ivf_int8",
-  /// "hnsw_pq", ...
+  /// Stable label for metrics and bench output: "flat", "ivf" or "hnsw".
   [[nodiscard]] std::string name() const;
 
   bool operator==(const IndexSpec&) const = default;
 };
 
-/// An immutable search index over one VectorStore. Implementations return
-/// store-local indices with exact fp32 scores (the flat scan's expression),
-/// which is what lets the ShardRouter merge hits from per-shard indexes
-/// with the monolithic comparator.
+/// An immutable search index over one VectorStore. Every hit's score is
+/// bit-equal to the flat scan's score for the same row (the store's kernel
+/// expression); only membership is approximate.
 class AnnIndex {
  public:
   virtual ~AnnIndex() = default;
@@ -83,19 +57,12 @@ class AnnIndex {
   /// Approximate top-k (query need not be normalized).
   [[nodiscard]] virtual std::vector<SearchResult> search(
       const embed::Vector& query, std::size_t k) const = 0;
-
-  /// Bytes of the per-vector representation the candidate scan reads (fp32
-  /// rows, int8 codes, or PQ codes, padded strides included). The fp32
-  /// store backing the exact re-rank is not counted — this is the metric
-  /// the memory gate in bench/ann_frontier.cpp measures.
-  [[nodiscard]] virtual std::size_t scan_bytes_per_vector() const = 0;
 };
 
 /// Build the index `spec` describes over `store`. Returns nullptr for the
-/// identity spec (flat + fp32) and for an empty store — callers fall back
-/// to the flat scan. The store must outlive the returned index. Emits
-/// pkb_ann_build_seconds and the pkb_ann_index_entries / pkb_ann_graph_edges
-/// gauges.
+/// flat spec and for an empty store — callers fall back to the flat scan.
+/// The store must outlive the returned index. Emits pkb_ann_build_seconds
+/// and the pkb_ann_index_entries / pkb_ann_graph_edges gauges.
 [[nodiscard]] std::shared_ptr<const AnnIndex> build_index(
     const VectorStore& store, const IndexSpec& spec);
 

@@ -28,15 +28,14 @@ IvfIndex::IvfIndex(const VectorStore& store, IvfOptions opts,
 }
 
 void IvfIndex::build(util::ThreadPool* pool) {
-  // The coarse quantizer is the shared deterministic parallel trainer
+  // The coarse quantizer is the deterministic parallel trainer
   // (vectordb/kmeans.h): packed SIMD kernels, chunked double reductions
-  // merged in fixed order, fresh-row degenerate re-seeds. Cosine metric —
-  // stored vectors are unit norm.
+  // merged in fixed order, fresh-row degenerate re-seeds. Stored vectors
+  // are unit norm, as the trainer's cosine geometry requires.
   KmeansOptions ko;
   ko.k = opts_.clusters;
   ko.iters = opts_.kmeans_iters;
   ko.seed = opts_.seed;
-  ko.metric = KmeansMetric::Cosine;
   ko.pool = pool;
   const KmeansResult km = kmeans_cluster(store_.packed(), ko);
 
@@ -55,33 +54,6 @@ void IvfIndex::build(util::ThreadPool* pool) {
       .set(static_cast<double>(centroids_.size()));
 }
 
-std::vector<std::size_t> IvfIndex::probe_candidates(
-    const embed::Vector& normalized_query) const {
-  // Rank clusters by centroid similarity (kernel dot over the unpadded
-  // dimension — probe ORDER only; hit scores come from the store kernels).
-  std::vector<std::size_t> cluster_order(centroids_.size());
-  for (std::size_t c = 0; c < centroids_.size(); ++c) cluster_order[c] = c;
-  std::vector<float> cscore(centroids_.size());
-  for (std::size_t c = 0; c < centroids_.size(); ++c) {
-    cscore[c] = kernels::dot_f32(normalized_query.data(),
-                                 centroids_[c].data(), centroids_[c].size());
-  }
-  const std::size_t probes = std::min(opts_.nprobe, centroids_.size());
-  std::partial_sort(cluster_order.begin(),
-                    cluster_order.begin() + static_cast<std::ptrdiff_t>(probes),
-                    cluster_order.end(), [&](std::size_t a, std::size_t b) {
-                      if (cscore[a] != cscore[b]) return cscore[a] > cscore[b];
-                      return a < b;
-                    });
-
-  std::vector<std::size_t> candidates;
-  for (std::size_t p = 0; p < probes; ++p) {
-    const auto& bucket = buckets_[cluster_order[p]];
-    candidates.insert(candidates.end(), bucket.begin(), bucket.end());
-  }
-  return candidates;
-}
-
 std::vector<SearchResult> IvfIndex::search(const embed::Vector& query,
                                            std::size_t k) const {
   if (k == 0) return {};
@@ -91,20 +63,35 @@ std::vector<SearchResult> IvfIndex::search(const embed::Vector& query,
   embed::Vector q = query;
   embed::l2_normalize(q);
 
+  // Rank clusters by centroid similarity (kernel dot over the unpadded
+  // dimension — probe ORDER only; hit scores come from the store kernels).
+  std::vector<std::size_t> cluster_order(centroids_.size());
+  for (std::size_t c = 0; c < centroids_.size(); ++c) cluster_order[c] = c;
+  std::vector<float> cscore(centroids_.size());
+  for (std::size_t c = 0; c < centroids_.size(); ++c) {
+    cscore[c] = kernels::dot_f32(q.data(), centroids_[c].data(),
+                                 centroids_[c].size());
+  }
   const std::size_t probes = std::min(opts_.nprobe, centroids_.size());
-  const std::vector<std::size_t> candidates = probe_candidates(q);
+  std::partial_sort(cluster_order.begin(),
+                    cluster_order.begin() + static_cast<std::ptrdiff_t>(probes),
+                    cluster_order.end(), [&](std::size_t a, std::size_t b) {
+                      if (cscore[a] != cscore[b]) return cscore[a] > cscore[b];
+                      return a < b;
+                    });
 
-  // Score the probed entries with the store's packed kernels — the exact
-  // flat-scan expression, so every hit's score is flat-scan-identical.
+  // Score the probed buckets' entries with the store's packed kernels — the
+  // exact flat-scan expression, so every hit's score is flat-scan-identical.
   const kernels::PackedF32& packed = store_.packed();
   pkb::util::AlignedBuffer qbuf(packed.stride() * sizeof(float));
   packed.pack_query(q.data(), qbuf.as<float>());
   std::vector<SearchResult> hits;
-  hits.reserve(candidates.size());
-  for (std::size_t i : candidates) {
-    hits.push_back(
-        SearchResult{i, store_.kernel_score(qbuf.as<float>(), i),
-                     &store_.doc(i)});
+  for (std::size_t p = 0; p < probes; ++p) {
+    for (std::size_t i : buckets_[cluster_order[p]]) {
+      hits.push_back(
+          SearchResult{i, store_.kernel_score(qbuf.as<float>(), i),
+                       &store_.doc(i)});
+    }
   }
   std::sort(hits.begin(), hits.end(), [](const SearchResult& a,
                                          const SearchResult& b) {

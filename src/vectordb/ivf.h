@@ -12,10 +12,8 @@
 // query is packed once and bucket entries are scored with the exact same
 // expression the flat scan uses, so hits carry flat-scan-identical scores —
 // only membership can differ (a true neighbor whose bucket was not probed).
-// `probe_candidates()` exposes the probe set so quantize.h can compose IVF
-// pruning with int8 scanning + exact re-rank; `recall_at_k()` measures the
-// recall cost of a given `nprobe`, and bench/ann_frontier.cpp sweeps the
-// whole frontier into BENCH_ann.json.
+// `recall_at_k()` measures the recall cost of a given `nprobe`, and
+// bench/ann_frontier.cpp sweeps the whole frontier into BENCH_ann.json.
 //
 // The index is immutable after construction and holds a reference to its
 // store, which must outlive it and must not grow after build — the
@@ -67,13 +65,6 @@ class IvfIndex {
   /// Approximate top-k: probes the `nprobe` nearest clusters.
   [[nodiscard]] std::vector<SearchResult> search(const embed::Vector& query,
                                                  std::size_t k) const;
-
-  /// Entry ids of the `nprobe` nearest buckets for an already-normalized
-  /// query, in probe order (ids within a bucket keep store order). This is
-  /// the candidate set search() scores; quantize.h feeds it to the int8
-  /// scan so IVF pruning and quantized scoring compose.
-  [[nodiscard]] std::vector<std::size_t> probe_candidates(
-      const embed::Vector& normalized_query) const;
 
   /// Recall@k of this index vs exact search for the given queries (fraction
   /// of exact top-k hits the index also returned).

@@ -17,8 +17,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar backend — the portable reference. Sequential double accumulation is
-// exactly the embed::dot contract; int32 accumulation is exact, so the int8
-// kernel is the reference AND the specification for the SIMD backends.
+// exactly the embed::dot contract.
 // ---------------------------------------------------------------------------
 
 float dot_f32_scalar(const float* a, const float* b, std::size_t n) {
@@ -43,11 +42,11 @@ void dots_trans_f32_scalar(const float* q, const float* trans,
 
 std::size_t nearest_trans_f32_scalar(const float* q, const float* trans,
                                      std::size_t dim, std::size_t k,
-                                     std::size_t ld, const float* adjust) {
+                                     std::size_t ld) {
   std::size_t best_c = 0;
   float best = -std::numeric_limits<float>::infinity();
   for (std::size_t c = 0; c < k; ++c) {
-    float acc = adjust ? adjust[c] : 0.0f;
+    float acc = 0.0f;
     for (std::size_t d = 0; d < dim; ++d) {
       acc += q[d] * trans[d * ld + c];
     }
@@ -59,24 +58,6 @@ std::size_t nearest_trans_f32_scalar(const float* q, const float* trans,
   return best_c;
 }
 
-std::int32_t dot_i8_scalar(const std::int8_t* a, const std::int8_t* b,
-                           std::size_t n) {
-  std::int32_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<std::int32_t>(a[i]) * b[i];
-  }
-  return acc;
-}
-
-float adc_f32_scalar(const float* lut, const std::uint8_t* codes,
-                     std::size_t m) {
-  double acc = 0.0;
-  for (std::size_t s = 0; s < m; ++s) {
-    acc += static_cast<double>(lut[s * kPqBook + codes[s]]);
-  }
-  return static_cast<float>(acc);
-}
-
 #if defined(PKB_KERNELS_X86)
 
 // ---------------------------------------------------------------------------
@@ -85,8 +66,6 @@ float adc_f32_scalar(const float* lut, const std::uint8_t* codes,
 // double, so precision matches the scalar path (both round once, to float,
 // at the end); only the association order differs, which top-k selection
 // tolerates because every score in a process comes from this same kernel.
-// The int8 kernel sign-extends to i16 and uses madd_epi16 (i16*i16 pairs
-// summed into i32) — exact integer math, bit-identical to the scalar loop.
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2,fma"))) float dot_f32_avx2(const float* a,
@@ -112,33 +91,6 @@ __attribute__((target("avx2,fma"))) float dot_f32_avx2(const float* a,
     acc += static_cast<double>(a[i]) * b[i];
   }
   return static_cast<float>(acc);
-}
-
-__attribute__((target("avx2"))) std::int32_t dot_i8_avx2(const std::int8_t* a,
-                                                         const std::int8_t* b,
-                                                         std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-    const __m256i a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-    const __m256i b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-    const __m256i b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_lo, b_lo));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_hi, b_hi));
-  }
-  alignas(32) std::int32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::int32_t sum = 0;
-  for (std::int32_t lane : lanes) sum += lane;
-  for (; i < n; ++i) {
-    sum += static_cast<std::int32_t>(a[i]) * b[i];
-  }
-  return sum;
 }
 
 // The transposed kernel runs 16 centroids per pass (four 4-double
@@ -194,7 +146,7 @@ __attribute__((target("avx2,fma"))) void dots_trans_f32_avx2(
 // are always above every vector index.
 __attribute__((target("avx2,fma"))) std::size_t nearest_trans_f32_avx2(
     const float* q, const float* trans, std::size_t dim, std::size_t k,
-    std::size_t ld, const float* adjust) {
+    std::size_t ld) {
   std::size_t best_c = 0;
   float best = -std::numeric_limits<float>::infinity();
   std::size_t c = 0;
@@ -212,19 +164,11 @@ __attribute__((target("avx2,fma"))) std::size_t nearest_trans_f32_avx2(
     __m256i vidx0 = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
     __m256i vidx1 = _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15);
     const __m256i vstep = _mm256_set1_epi32(16);
-    // Hoist query broadcasts out of the column loop at codebook-training
-    // widths (PQ slices are dim 2) — set1 inside the loop re-issues per
-    // 16-column block.
-    __m256 qv_small[8];
-    const std::size_t dh = dim <= 8 ? dim : 0;
-    for (std::size_t d = 0; d < dh; ++d) qv_small[d] = _mm256_set1_ps(q[d]);
     for (; c + 16 <= k; c += 16) {
-      __m256 acc0 =
-          adjust ? _mm256_loadu_ps(adjust + c) : _mm256_setzero_ps();
-      __m256 acc1 =
-          adjust ? _mm256_loadu_ps(adjust + c + 8) : _mm256_setzero_ps();
+      __m256 acc0 = _mm256_setzero_ps();
+      __m256 acc1 = _mm256_setzero_ps();
       for (std::size_t d = 0; d < dim; ++d) {
-        const __m256 qv = d < dh ? qv_small[d] : _mm256_set1_ps(q[d]);
+        const __m256 qv = _mm256_set1_ps(q[d]);
         acc0 = _mm256_fmadd_ps(qv, _mm256_loadu_ps(trans + d * ld + c), acc0);
         acc1 =
             _mm256_fmadd_ps(qv, _mm256_loadu_ps(trans + d * ld + c + 8), acc1);
@@ -238,8 +182,7 @@ __attribute__((target("avx2,fma"))) std::size_t nearest_trans_f32_avx2(
       vidx0 = _mm256_add_epi32(vidx0, vstep);
       vidx1 = _mm256_add_epi32(vidx1, vstep);
     }
-    // Branch-free resolve (the scalar 16-lane loop dominated per-call cost
-    // at training widths): horizontal max of both chains, then the lowest
+    // Branch-free resolve: horizontal max of both chains, then the lowest
     // column index among max-equal lanes — non-max lanes are masked to
     // INT_MAX before a horizontal min, preserving the tie-to-lowest rule.
     const __m256 vm = _mm256_max_ps(vbest0, vbest1);
@@ -268,7 +211,7 @@ __attribute__((target("avx2,fma"))) std::size_t nearest_trans_f32_avx2(
   }
   if (c + 8 <= k) {
     // At most one 8-wide remainder block after the 16-wide loop.
-    __m256 acc = adjust ? _mm256_loadu_ps(adjust + c) : _mm256_setzero_ps();
+    __m256 acc = _mm256_setzero_ps();
     for (std::size_t d = 0; d < dim; ++d) {
       acc = _mm256_fmadd_ps(_mm256_set1_ps(q[d]),
                             _mm256_loadu_ps(trans + d * ld + c), acc);
@@ -285,7 +228,7 @@ __attribute__((target("avx2,fma"))) std::size_t nearest_trans_f32_avx2(
     c += 8;
   }
   for (; c < k; ++c) {
-    float acc = adjust ? adjust[c] : 0.0f;
+    float acc = 0.0f;
     for (std::size_t d = 0; d < dim; ++d) {
       acc += q[d] * trans[d * ld + c];
     }
@@ -297,47 +240,10 @@ __attribute__((target("avx2,fma"))) std::size_t nearest_trans_f32_avx2(
   return best_c;
 }
 
-// The ADC kernel gathers 8 LUT entries per step: 8 code bytes widen to i32
-// lane indices, each offset by its sub-quantizer's table base (s * kPqBook),
-// one vgatherdps pulls the floats, and the accumulation widens to the same
-// two 4-double lanes as dot_f32_avx2. The gathered summands are the exact
-// floats the scalar loop reads, so only association order differs.
-__attribute__((target("avx2"))) float adc_f32_avx2(const float* lut,
-                                                   const std::uint8_t* codes,
-                                                   std::size_t m) {
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  constexpr int kB = static_cast<int>(kPqBook);
-  const __m256i lane_base = _mm256_setr_epi32(0, 1 * kB, 2 * kB, 3 * kB,
-                                              4 * kB, 5 * kB, 6 * kB, 7 * kB);
-  std::size_t s = 0;
-  for (; s + 8 <= m; s += 8) {
-    const __m128i raw =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + s));
-    const __m256i idx = _mm256_add_epi32(
-        _mm256_cvtepu8_epi32(raw),
-        _mm256_add_epi32(lane_base,
-                         _mm256_set1_epi32(static_cast<int>(s * kPqBook))));
-    const __m256 gathered = _mm256_i32gather_ps(lut, idx, 4);
-    acc_lo = _mm256_add_pd(
-        acc_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(gathered)));
-    acc_hi = _mm256_add_pd(
-        acc_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(gathered, 1)));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, _mm256_add_pd(acc_lo, acc_hi));
-  double acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; s < m; ++s) {
-    acc += static_cast<double>(lut[s * kPqBook + codes[s]]);
-  }
-  return static_cast<float>(acc);
-}
-
 #elif defined(PKB_KERNELS_NEON)
 
 // NEON backend (aarch64). float64x2 accumulation mirrors the AVX2 shape:
-// widen 4-float steps to two 2-double lanes; int8 via vmull_s8 → i16 pairs
-// accumulated with vpadalq into i32 (exact).
+// widen 4-float steps to two 2-double lanes.
 
 float dot_f32_neon(const float* a, const float* b, std::size_t n) {
   float64x2_t acc_lo = vdupq_n_f64(0.0);
@@ -396,7 +302,7 @@ void dots_trans_f32_neon(const float* q, const float* trans, std::size_t dim,
 // the scalar first-index tie-break is reproduced.
 std::size_t nearest_trans_f32_neon(const float* q, const float* trans,
                                    std::size_t dim, std::size_t k,
-                                   std::size_t ld, const float* adjust) {
+                                   std::size_t ld) {
   std::size_t best_c = 0;
   float best = -std::numeric_limits<float>::infinity();
   std::size_t c = 0;
@@ -412,9 +318,8 @@ std::size_t nearest_trans_f32_neon(const float* q, const float* trans,
     uint32x4_t vidx0 = {0u, 1u, 2u, 3u};
     uint32x4_t vidx1 = {4u, 5u, 6u, 7u};
     for (; c + 8 <= k; c += 8) {
-      float32x4_t acc0 = adjust ? vld1q_f32(adjust + c) : vdupq_n_f32(0.0f);
-      float32x4_t acc1 =
-          adjust ? vld1q_f32(adjust + c + 4) : vdupq_n_f32(0.0f);
+      float32x4_t acc0 = vdupq_n_f32(0.0f);
+      float32x4_t acc1 = vdupq_n_f32(0.0f);
       for (std::size_t d = 0; d < dim; ++d) {
         acc0 = vfmaq_n_f32(acc0, vld1q_f32(trans + d * ld + c), q[d]);
         acc1 = vfmaq_n_f32(acc1, vld1q_f32(trans + d * ld + c + 4), q[d]);
@@ -444,7 +349,7 @@ std::size_t nearest_trans_f32_neon(const float* q, const float* trans,
   }
   if (c + 4 <= k) {
     // At most one 4-wide remainder block after the 8-wide loop.
-    float32x4_t acc = adjust ? vld1q_f32(adjust + c) : vdupq_n_f32(0.0f);
+    float32x4_t acc = vdupq_n_f32(0.0f);
     for (std::size_t d = 0; d < dim; ++d) {
       acc = vfmaq_n_f32(acc, vld1q_f32(trans + d * ld + c), q[d]);
     }
@@ -460,7 +365,7 @@ std::size_t nearest_trans_f32_neon(const float* q, const float* trans,
     c += 4;
   }
   for (; c < k; ++c) {
-    float acc = adjust ? adjust[c] : 0.0f;
+    float acc = 0.0f;
     for (std::size_t d = 0; d < dim; ++d) {
       acc += q[d] * trans[d * ld + c];
     }
@@ -472,45 +377,23 @@ std::size_t nearest_trans_f32_neon(const float* q, const float* trans,
   return best_c;
 }
 
-std::int32_t dot_i8_neon(const std::int8_t* a, const std::int8_t* b,
-                         std::size_t n) {
-  int32x4_t acc = vdupq_n_s32(0);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const int8x16_t va = vld1q_s8(a + i);
-    const int8x16_t vb = vld1q_s8(b + i);
-    acc = vpadalq_s16(acc, vmull_s8(vget_low_s8(va), vget_low_s8(vb)));
-    acc = vpadalq_s16(acc, vmull_s8(vget_high_s8(va), vget_high_s8(vb)));
-  }
-  std::int32_t sum = vaddvq_s32(acc);
-  for (; i < n; ++i) {
-    sum += static_cast<std::int32_t>(a[i]) * b[i];
-  }
-  return sum;
-}
-
 #endif
 
 // ---------------------------------------------------------------------------
 // Dispatch: resolved once per process at first kernel use. All scores in a
 // process therefore come from one backend — the invariant the bit-exactness
-// gates (shard vs monolithic, index vs flat, rerank vs flat) rest on.
+// gates (index vs flat, rerank vs flat) rest on.
 // ---------------------------------------------------------------------------
 
 using DotF32Fn = float (*)(const float*, const float*, std::size_t);
-using DotI8Fn = std::int32_t (*)(const std::int8_t*, const std::int8_t*,
-                                 std::size_t);
-using AdcF32Fn = float (*)(const float*, const std::uint8_t*, std::size_t);
 using DotsTransF32Fn = void (*)(const float*, const float*, std::size_t,
                                 std::size_t, std::size_t, float*);
 using NearestTransF32Fn = std::size_t (*)(const float*, const float*,
                                           std::size_t, std::size_t,
-                                          std::size_t, const float*);
+                                          std::size_t);
 
 struct Backend {
   DotF32Fn dot_f32;
-  DotI8Fn dot_i8;
-  AdcF32Fn adc_f32;
   DotsTransF32Fn dots_trans_f32;
   NearestTransF32Fn nearest_trans_f32;
   std::string_view name;
@@ -519,19 +402,14 @@ struct Backend {
 Backend select_backend() {
 #if defined(PKB_KERNELS_X86)
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return Backend{dot_f32_avx2,        dot_i8_avx2,
-                   adc_f32_avx2,        dots_trans_f32_avx2,
-                   nearest_trans_f32_avx2, "avx2"};
+    return Backend{dot_f32_avx2, dots_trans_f32_avx2, nearest_trans_f32_avx2,
+                   "avx2"};
   }
 #elif defined(PKB_KERNELS_NEON)
-  // aarch64 has no float gather; the table walk stays scalar (it is cheap —
-  // m loads per row — and keeps the summand set identical).
-  return Backend{dot_f32_neon,        dot_i8_neon,
-                 adc_f32_scalar,      dots_trans_f32_neon,
-                 nearest_trans_f32_neon, "neon"};
+  return Backend{dot_f32_neon, dots_trans_f32_neon, nearest_trans_f32_neon,
+                 "neon"};
 #endif
-  return Backend{dot_f32_scalar,        dot_i8_scalar,
-                 adc_f32_scalar,        dots_trans_f32_scalar,
+  return Backend{dot_f32_scalar, dots_trans_f32_scalar,
                  nearest_trans_f32_scalar, "scalar"};
 }
 
@@ -562,27 +440,9 @@ void dots_trans_f32(const float* q, const float* trans, std::size_t dim,
 }
 
 std::size_t nearest_trans_f32(const float* q, const float* trans,
-                              std::size_t dim, std::size_t k, std::size_t ld,
-                              const float* adjust) {
-  return backend().nearest_trans_f32(q, trans, dim, k, ld, adjust);
-}
-
-std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b,
-                    std::size_t n) {
-  return backend().dot_i8(a, b, n);
-}
-
-float adc_f32(const float* lut, const std::uint8_t* codes, std::size_t m) {
-  return backend().adc_f32(lut, codes, m);
-}
-
-void adc_scores(const float* lut, const std::uint8_t* codes_base,
-                std::size_t rows, std::size_t m, std::size_t stride,
-                float* out) {
-  const AdcF32Fn adc = backend().adc_f32;
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = adc(lut, codes_base + r * stride, m);
-  }
+                              std::size_t dim, std::size_t k,
+                              std::size_t ld) {
+  return backend().nearest_trans_f32(q, trans, dim, k, ld);
 }
 
 // ---------------------------------------------------------------------------
@@ -611,26 +471,6 @@ void PackedF32::pack_query(const float* query, float* scratch) const {
 void PackedF32::score_range(const float* packed_query, std::size_t begin,
                             std::size_t end, float* out) const {
   dots_f32(packed_query, row(begin), end - begin, stride_, out);
-}
-
-void PackedI8::append(const std::int8_t* codes, float scale) {
-  buf_.resize((rows_ + 1) * stride_ * sizeof(std::int8_t));
-  std::int8_t* dst = buf_.as<std::int8_t>() + rows_ * stride_;
-  for (std::size_t d = 0; d < dim_; ++d) dst[d] = codes[d];
-  scales_.push_back(scale);
-  ++rows_;
-}
-
-void PackedI8::score_range(const std::int8_t* query_codes, float query_scale,
-                           std::size_t begin, std::size_t end,
-                           float* out) const {
-  const DotI8Fn dot = backend().dot_i8;
-  const std::int8_t* base = buf_.as<std::int8_t>();
-  for (std::size_t r = begin; r < end; ++r) {
-    out[r - begin] = query_scale * scales_[r] *
-                     static_cast<float>(
-                         dot(query_codes, base + r * stride_, stride_));
-  }
 }
 
 }  // namespace pkb::vectordb::kernels

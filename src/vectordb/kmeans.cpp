@@ -90,8 +90,6 @@ KmeansResult kmeans_cluster(const kernels::PackedF32& data,
   util::ThreadPool& pool = opts.pool ? *opts.pool : util::global_pool();
   const std::size_t k = opts.k;
   const std::size_t dim = data.dim();
-  const std::size_t stride = data.stride();
-  const bool l2 = opts.metric == KmeansMetric::L2;
   util::Rng rng(opts.seed);
   const std::size_t nchunks = chunk_count_for(n);
 
@@ -99,32 +97,17 @@ KmeansResult kmeans_cluster(const kernels::PackedF32& data,
   // Seeding works on a deterministic evenly-strided subsample: every round
   // updates min-distances and walks a weighted draw over the whole pool,
   // and the draw is inherently sequential scalar work, so on the full
-  // corpus it dominated PQ builds (k=256 rounds × m subs). The sample is a
-  // pure function of n and k — determinism is untouched — and Lloyd below
-  // refines on every row.
+  // corpus it dominated the build. The sample is a pure function of n and
+  // k — determinism is untouched — and Lloyd below refines on every row.
   const std::size_t seed_n = std::min(n, std::max<std::size_t>(2048, 8 * k));
   const auto sample_row = [n, seed_n](std::size_t i) {
     return i * n / seed_n;  // evenly strided, strictly increasing
   };
   const std::size_t seed_chunks = chunk_count_for(seed_n);
 
-  // ‖x‖² per sampled row (L2 distances need it; padding lanes are zero so
-  // the strided self-dot equals the unpadded one).
-  std::vector<double> norm2(l2 ? seed_n : 0, 0.0);
-  if (l2) {
-    run_chunks(pool, seed_n, [&](std::size_t, std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        const float* row = data.row(sample_row(i));
-        norm2[i] = static_cast<double>(kernels::dot_f32(row, row, stride));
-      }
-    });
-  }
-
   // Dimension-major copy of the sampled rows (data_trans[d * seed_n + i] =
   // sampled row i, dim d): one centroid scored against a chunk of rows is
-  // then a dots_trans_f32 call with full lane occupancy — the row-major
-  // layout pads small sub-dimensions to a 16-float stride and wastes most
-  // of each lane.
+  // then a dots_trans_f32 call with full lane occupancy.
   std::vector<float> data_trans(dim * seed_n);
   run_chunks(pool, seed_n, [&](std::size_t, std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
@@ -143,28 +126,21 @@ KmeansResult kmeans_cluster(const kernels::PackedF32& data,
   // a cluster.
   kernels::PackedF32 centroids(dim);
   centroids.append(data.row(rng.below(n)));
-  std::vector<double> min_dist(
-      seed_n, l2 ? std::numeric_limits<double>::infinity() : 2.0);
+  std::vector<double> min_dist(seed_n, 2.0);
   std::vector<double> chunk_total(seed_chunks, 0.0);
   while (centroids.rows() < k) {
     const float* latest = centroids.row(centroids.rows() - 1);
-    const double latest_norm2 =
-        l2 ? static_cast<double>(kernels::dot_f32(latest, latest, stride))
-           : 0.0;
     run_chunks(pool, seed_n, [&](std::size_t c, std::size_t b, std::size_t e) {
       // One transposed kernel pass per chunk: the new centroid against rows
       // [b, e) of the dimension-major copy, each dot bit-identical to the
-      // scalar backend; per-row dispatch on the padded row-major layout
-      // dominated at small sub-dimensions.
+      // scalar backend.
       std::vector<float> dots(e - b);
       kernels::dots_trans_f32(latest, data_trans.data() + b, dim, e - b,
                               seed_n, dots.data());
       double total = 0.0;
       for (std::size_t i = b; i < e; ++i) {
-        const double dot = static_cast<double>(dots[i - b]);
         const double d =
-            l2 ? std::max(0.0, norm2[i] - 2.0 * dot + latest_norm2)
-               : std::max(0.0, 1.0 - dot);
+            std::max(0.0, 1.0 - static_cast<double>(dots[i - b]));
         if (d < min_dist[i]) min_dist[i] = d;
         total += min_dist[i];
       }
@@ -200,8 +176,7 @@ KmeansResult kmeans_cluster(const kernels::PackedF32& data,
   // Assignment scores every row against every centroid — the build's hot
   // loop. It runs on the fused transposed kernel (nearest_trans_f32):
   // centroids in dimension-major order, SIMD lanes across centroids with the
-  // running max kept in registers, so small sub-dimensions (PQ trains dim-2
-  // slices) waste no padding lanes and no score buffer is materialized.
+  // running max kept in registers, so no score buffer is materialized.
   //
   // Columns are padded to a multiple of 16 with copies of centroid 0 so the
   // kernel's widest vector loop covers every column (IVF's k = ⌈√n⌉ leaves
@@ -210,20 +185,6 @@ KmeansResult kmeans_cluster(const kernels::PackedF32& data,
   // ties resolve to the lowest index — so padding never changes an
   // assignment.
   const std::size_t kpad = (k + 15) / 16 * 16;
-
-  // argmin‖x−c‖² = argmax(x·c − ‖c‖²/2), so L2 assignment reuses the dot
-  // kernels with a per-centroid offset (stored negated, the kernel adds it).
-  std::vector<float> neg_half_cnorm(l2 ? kpad : 0, 0.0f);
-  const auto refresh_half_cnorm = [&] {
-    if (!l2) return;
-    for (std::size_t c = 0; c < k; ++c) {
-      const float* row = centroids.row(c);
-      neg_half_cnorm[c] = -0.5f * kernels::dot_f32(row, row, stride);
-    }
-    for (std::size_t c = k; c < kpad; ++c) {
-      neg_half_cnorm[c] = neg_half_cnorm[0];
-    }
-  };
 
   std::vector<float> trans(dim * kpad);
   const auto refresh_trans = [&] {
@@ -237,12 +198,11 @@ KmeansResult kmeans_cluster(const kernels::PackedF32& data,
     }
   };
 
-  const float* adjust = l2 ? neg_half_cnorm.data() : nullptr;
   const auto assign_pass = [&] {
     run_chunks(pool, n, [&](std::size_t, std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; ++i) {
         assign[i] = static_cast<std::uint32_t>(kernels::nearest_trans_f32(
-            data.row(i), trans.data(), dim, kpad, kpad, adjust));
+            data.row(i), trans.data(), dim, kpad, kpad));
       }
     });
   };
@@ -286,32 +246,25 @@ KmeansResult kmeans_cluster(const kernels::PackedF32& data,
       }
       const double inv = 1.0 / static_cast<double>(counts[c]);
       const double* src = sums.data() + c * dim;
-      if (l2) {
-        for (std::size_t d = 0; d < dim; ++d) {
-          tmp[d] = static_cast<float>(src[d] * inv);
-        }
-      } else {
-        double norm = 0.0;
-        for (std::size_t d = 0; d < dim; ++d) {
-          const double v = src[d] * inv;
-          norm += v * v;
-        }
-        norm = std::sqrt(norm);
-        if (norm <= 0.0) {
-          centroids.set_row(
-              c, data.row(find_fresh_row(data, centroids, rng.below(n))));
-          continue;
-        }
-        for (std::size_t d = 0; d < dim; ++d) {
-          tmp[d] = static_cast<float>(src[d] * inv / norm);
-        }
+      double norm = 0.0;
+      for (std::size_t d = 0; d < dim; ++d) {
+        const double v = src[d] * inv;
+        norm += v * v;
+      }
+      norm = std::sqrt(norm);
+      if (norm <= 0.0) {
+        centroids.set_row(
+            c, data.row(find_fresh_row(data, centroids, rng.below(n))));
+        continue;
+      }
+      for (std::size_t d = 0; d < dim; ++d) {
+        tmp[d] = static_cast<float>(src[d] * inv / norm);
       }
       centroids.set_row(c, tmp.data());
     }
   };
 
   for (std::size_t iter = 0; iter < opts.iters; ++iter) {
-    refresh_half_cnorm();
     refresh_trans();
     assign_pass();
     reduce_pass();
@@ -323,7 +276,6 @@ KmeansResult kmeans_cluster(const kernels::PackedF32& data,
   // fresh re-seed rounds so a cluster is only ever wasted when the data has
   // fewer distinct rows than k.
   for (std::size_t round = 0; round < 4; ++round) {
-    refresh_half_cnorm();
     refresh_trans();
     assign_pass();
     counts.assign(k, 0);
@@ -359,7 +311,6 @@ KmeansResult kmeans_cluster_reference(const kernels::PackedF32& data,
   opts.k = std::min(opts.k, n);
   const std::size_t k = opts.k;
   const std::size_t dim = data.dim();
-  const bool l2 = opts.metric == KmeansMetric::L2;
   util::Rng rng(opts.seed);
 
   const auto ref_dot = [dim](const float* a, const float* b) {
@@ -377,24 +328,15 @@ KmeansResult kmeans_cluster_reference(const kernels::PackedF32& data,
     return i * n / seed_n;
   };
 
-  std::vector<double> norm2(l2 ? seed_n : 0, 0.0);
-  for (std::size_t i = 0; i < norm2.size(); ++i) {
-    const float* row = data.row(sample_row(i));
-    norm2[i] = ref_dot(row, row);
-  }
-
   kernels::PackedF32 centroids(dim);
   centroids.append(data.row(rng.below(n)));
-  std::vector<double> min_dist(
-      seed_n, l2 ? std::numeric_limits<double>::infinity() : 2.0);
+  std::vector<double> min_dist(seed_n, 2.0);
   while (centroids.rows() < k) {
     const float* latest = centroids.row(centroids.rows() - 1);
-    const double latest_norm2 = l2 ? ref_dot(latest, latest) : 0.0;
     double total = 0.0;
     for (std::size_t i = 0; i < seed_n; ++i) {
-      const double dot = ref_dot(latest, data.row(sample_row(i)));
-      const double d = l2 ? std::max(0.0, norm2[i] - 2.0 * dot + latest_norm2)
-                          : std::max(0.0, 1.0 - dot);
+      const double d =
+          std::max(0.0, 1.0 - ref_dot(latest, data.row(sample_row(i))));
       if (d < min_dist[i]) min_dist[i] = d;
       total += min_dist[i];
     }
@@ -418,21 +360,16 @@ KmeansResult kmeans_cluster_reference(const kernels::PackedF32& data,
   KmeansResult res;
   res.assign.assign(n, 0);
   std::vector<std::uint32_t> counts(k, 0);
-  std::vector<double> half_cnorm(l2 ? k : 0, 0.0);
   std::vector<double> sums(k * dim, 0.0);
   std::vector<float> tmp(dim);
 
   const auto assign_pass = [&] {
-    for (std::size_t c = 0; c < half_cnorm.size(); ++c) {
-      half_cnorm[c] = 0.5 * ref_dot(centroids.row(c), centroids.row(c));
-    }
     for (std::size_t i = 0; i < n; ++i) {
       const float* row = data.row(i);
       std::size_t arg = 0;
       double best = -std::numeric_limits<double>::infinity();
       for (std::size_t c = 0; c < k; ++c) {
-        const double s =
-            ref_dot(row, centroids.row(c)) - (l2 ? half_cnorm[c] : 0.0);
+        const double s = ref_dot(row, centroids.row(c));
         if (s > best) {
           best = s;
           arg = c;
@@ -460,19 +397,16 @@ KmeansResult kmeans_cluster_reference(const kernels::PackedF32& data,
       }
       const double inv = 1.0 / static_cast<double>(counts[c]);
       const double* src = sums.data() + c * dim;
-      double norm = 1.0;
-      if (!l2) {
-        norm = 0.0;
-        for (std::size_t d = 0; d < dim; ++d) {
-          const double v = src[d] * inv;
-          norm += v * v;
-        }
-        norm = std::sqrt(norm);
-        if (norm <= 0.0) {
-          centroids.set_row(
-              c, data.row(find_fresh_row(data, centroids, rng.below(n))));
-          continue;
-        }
+      double norm = 0.0;
+      for (std::size_t d = 0; d < dim; ++d) {
+        const double v = src[d] * inv;
+        norm += v * v;
+      }
+      norm = std::sqrt(norm);
+      if (norm <= 0.0) {
+        centroids.set_row(
+            c, data.row(find_fresh_row(data, centroids, rng.below(n))));
+        continue;
       }
       for (std::size_t d = 0; d < dim; ++d) {
         tmp[d] = static_cast<float>(src[d] * inv / norm);

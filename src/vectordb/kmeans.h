@@ -1,7 +1,7 @@
 #pragma once
-// Deterministic parallel k-means — the shared codebook trainer under every
-// ANN build (IVF coarse clusters in ivf.cpp, PQ sub-quantizer codebooks in
-// pq.cpp).
+// Deterministic parallel k-means — the coarse quantizer under the IVF build
+// (ivf.cpp). Points are unit norm and distance is 1 − dot; centroids are
+// re-normalized every iteration.
 //
 // The trainer runs entirely on the packed SIMD kernels (vectordb/kernels.h)
 // and a util::ThreadPool, yet is bit-deterministic regardless of worker
@@ -17,9 +17,7 @@
 // k-means++ seeds on a deterministic evenly-strided subsample of at most
 // max(2048, 8k) rows (a pure function of n and k, so determinism is
 // untouched): seeding is O(k · sample) with an inherently sequential
-// weighted draw per round, and on the full corpus that scalar walk — not
-// the SIMD distance pass — dominated PQ builds (256 centroids × m subs).
-// Lloyd refinement always runs on every row.
+// weighted draw per round. Lloyd refinement always runs on every row.
 //
 // Degenerate re-seeds (a k-means++ round with zero total weight, or a Lloyd
 // cluster that lost all members) draw a random starting row and then probe
@@ -43,16 +41,6 @@ class ThreadPool;
 
 namespace pkb::vectordb {
 
-/// Distance geometry of a clustering.
-enum class KmeansMetric : std::uint8_t {
-  /// Unit-norm points, distance 1 − dot; centroids re-normalized each
-  /// iteration (IVF coarse quantizer).
-  Cosine,
-  /// Squared Euclidean; centroids are plain means (PQ sub-vectors, which
-  /// are slices of unit vectors and not themselves unit).
-  L2,
-};
-
 struct KmeansOptions {
   /// Cluster count; clamped to the number of rows.
   std::size_t k = 1;
@@ -60,7 +48,6 @@ struct KmeansOptions {
   std::size_t iters = 10;
   /// Seed for k-means++ sampling and degenerate re-seeds.
   std::uint64_t seed = 42;
-  KmeansMetric metric = KmeansMetric::Cosine;
   /// Pool for the chunked passes; nullptr = util::global_pool(). Worker
   /// count never changes the result.
   util::ThreadPool* pool = nullptr;

@@ -183,8 +183,8 @@ VectorStore VectorStore::load(std::istream& in) {
   }
   VectorStore store;
   // Restore the header dimension even when the store is empty: a saved
-  // dim-D empty store (e.g. an underfull shard slice) must reload as dim-D,
-  // not as a dim-0 store that would accept vectors of any size.
+  // dim-D empty store must reload as dim-D, not as a dim-0 store that would
+  // accept vectors of any size.
   store.dim_ = static_cast<std::size_t>(dim);
   for (std::uint64_t i = 0; i < count; ++i) {
     text::Document doc;

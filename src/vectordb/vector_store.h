@@ -5,8 +5,7 @@
 // Exact search scans a packed SoA mirror of the vectors with the SIMD
 // kernels in kernels.h on the calling thread (partial-sort top-k); the IVF
 // index in ivf.h and the HNSW graph in hnsw.h provide approximate fast
-// paths, and quantize.h adds an int8 scan with exact re-rank. Collections
-// persist to a simple binary format.
+// paths. Collections persist to a simple binary format.
 
 #include <functional>
 #include <iosfwd>
@@ -41,8 +40,7 @@ class VectorStore {
 
   /// An empty store with its dimension fixed up front: add() and
   /// add_prenormalized() then reject any other dimension from the first
-  /// entry on. The shard router builds slices this way so an underfull
-  /// partition (fewer documents than shards) still validates queries.
+  /// entry on, and an empty store still validates query dimensions.
   explicit VectorStore(std::size_t dim) : dim_(dim) {}
 
   /// Build a store by embedding every document with `embedder` (which must
@@ -70,8 +68,7 @@ class VectorStore {
 
   /// The packed SoA mirror of the stored vectors (64-byte-aligned rows,
   /// dimension padded to a lane multiple). Every scoring path — the flat
-  /// scan here, IVF bucket scoring, HNSW traversal, the quantized re-rank —
-  /// reads rows from this block through the same kernel, which is what
+  /// scan here, IVF bucket scoring, HNSW traversal — reads rows from this block through the same kernel, which is what
   /// keeps their scores mutually bit-identical.
   [[nodiscard]] const kernels::PackedF32& packed() const { return packed_; }
 
@@ -125,7 +122,7 @@ class VectorStore {
 
  private:
   /// Top-k selection over a precomputed score array (score descending,
-  /// lower index first on ties — the order the shard merge reproduces).
+  /// lower index first on ties — the order every index reproduces).
   [[nodiscard]] std::vector<SearchResult> select_top_k(
       const std::vector<float>& scores, std::size_t k,
       const MetadataFilter* filter) const;

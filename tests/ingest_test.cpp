@@ -516,8 +516,8 @@ TEST(SnapshotPersist, RejectsVersionsOtherThanCurrent) {
     bytes.assign(std::istreambuf_iterator<char>(in), {});
   }
   ASSERT_GT(bytes.size(), 8u);
-  ASSERT_EQ(bytes[4], 5);  // u32 version, little-endian, after the magic
-  for (char version : {char{1}, char{2}, char{3}, char{4}, char{6}}) {
+  ASSERT_EQ(bytes[4], 6);  // u32 version, little-endian, after the magic
+  for (char version : {char{1}, char{2}, char{3}, char{4}, char{5}, char{7}}) {
     bytes[4] = version;
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);

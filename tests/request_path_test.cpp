@@ -1,6 +1,6 @@
 // The request path never waits on util::global_pool(). Each test parks
 // every global-pool worker on a latch and then runs one request-path call
-// (flat scan, sharded scan, CrossScore rerank) under a watchdog: the call
+// (flat scan, CrossScore rerank) under a watchdog: the call
 // must return while the pool is still parked. A call that farmed work out
 // to the pool would block until the latch opens. The RequestPathOffPool
 // suite is part of the scripts/run_tsan.sh filter.
@@ -17,7 +17,6 @@
 #include "rerank/cross_score.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
-#include "vectordb/shard_router.h"
 #include "vectordb/vector_store.h"
 
 namespace {
@@ -98,18 +97,6 @@ TEST(RequestPathOffPool, FlatScanRunsOnTheCallingThread) {
       [&] { hits = store.similarity_search(q, 8).size(); },
       "similarity_search");
   EXPECT_EQ(hits, 8u);
-}
-
-TEST(RequestPathOffPool, ShardedScanRunsOnTheCallingThread) {
-  const VectorStore store = random_store(2048, 16, 3);
-  const auto router = vectordb::ShardRouter::partition(store, 4);
-  ASSERT_EQ(router->shard(0).size(), 512u);
-  const Vector q = random_store(1, 16, 4).vec(0);
-  vectordb::Scatter sc;
-  expect_returns_while_pool_parked([&] { sc = router->search(q, 8); },
-                                   "ShardRouter::search");
-  EXPECT_FALSE(sc.partial());
-  EXPECT_EQ(sc.hits.size(), 8u);
 }
 
 TEST(RequestPathOffPool, CrossScoreRerankRunsOnTheCallingThread) {
