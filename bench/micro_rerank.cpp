@@ -1,6 +1,8 @@
 // Micro-benchmarks of the rerankers: per-candidate-set cost of the
 // lightweight FlashRanker vs the heavy cross-scoring reranker, for the
-// paper's K=8 candidate sets.
+// paper's K=8 candidate sets. The chunk analyses and term statistics are
+// built once, as a snapshot build does; each iteration analyses the query
+// and scores the candidates, as a request does.
 #include <benchmark/benchmark.h>
 
 #include "corpus/generator.h"
@@ -23,10 +25,16 @@ const std::vector<pkb::text::Document>& chunks() {
   return *result;
 }
 
+const pkb::lexical::CorpusAnalysis& analysis() {
+  static const auto result = pkb::lexical::CorpusAnalysis::build(chunks());
+  return *result;
+}
+
 std::vector<pkb::rerank::RerankCandidate> candidate_set(std::size_t k) {
   std::vector<pkb::rerank::RerankCandidate> cands;
   for (std::size_t i = 0; i < k && i < chunks().size(); ++i) {
-    cands.push_back({&chunks()[i * 7 % chunks().size()], 0.5f});
+    const std::size_t row = i * 7 % chunks().size();
+    cands.push_back({&chunks()[row], row, 0.5f});
   }
   return cands;
 }
@@ -37,11 +45,10 @@ constexpr const char* kQuery =
 
 template <typename Ranker>
 void run_rerank(benchmark::State& state) {
-  Ranker ranker;
-  ranker.fit(chunks());
+  const Ranker ranker;
   const auto cands = candidate_set(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto ranked = ranker.rerank(kQuery, cands, 4);
+    auto ranked = ranker.rerank(kQuery, analysis(), cands, 4);
     benchmark::DoNotOptimize(ranked.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

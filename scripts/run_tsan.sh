@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Build with ThreadSanitizer (-DPKB_SANITIZE=thread) and run the
 # concurrency-heavy tests: the serving layer, session manager + admission,
-# history store, observability registry, thread-pool, resilience/chaos, and
-# request-path-off-the-pool suites. Usage, from anywhere:
+# history store, observability registry, thread-pool, resilience/chaos,
+# request-path-off-the-pool and publish-under-reads suites. Usage, from
+# anywhere:
 #
 #   scripts/run_tsan.sh [extra gtest filter]
 #
@@ -14,7 +15,7 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="$repo_root/build-tsan"
 
-filter="ServeServer*:BoundedQueue*:ShardedLruCache*:HistoryStore*:Metrics*:Tracer*:ThreadPool*:SimClock*:KnowledgeBase*:Ingest*:SnapshotPersist*:Resilience*:FaultPlan*:CircuitBreaker*:Chaos*:SimClockWait*:Kernels*:KernelsArena*:Hnsw*:Kmeans*:AnnIndex*:AnnKnowledgeBase*:StageGraph*:StageParity*:TraceRecorder*:Replay*:Session*:RequestPathOffPool*"
+filter="ServeServer*:BoundedQueue*:ShardedLruCache*:HistoryStore*:Metrics*:Tracer*:ThreadPool*:SimClock*:KnowledgeBase*:Ingest*:SnapshotPersist*:Resilience*:FaultPlan*:CircuitBreaker*:Chaos*:SimClockWait*:Kernels*:KernelsArena*:Hnsw*:Kmeans*:AnnIndex*:AnnKnowledgeBase*:StageGraph*:StageParity*:TraceRecorder*:Replay*:Session*:RequestPathOffPool*:PublishUnderReads*"
 if [[ $# -ge 1 ]]; then
   filter="$filter:$1"
 fi

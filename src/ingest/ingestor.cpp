@@ -1,6 +1,7 @@
 #include "ingest/ingestor.h"
 
 #include <cmath>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -165,6 +166,11 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
     next->chunks_at_fit = base->chunks_at_fit;
   }
   next->symbols = std::make_shared<lexical::SymbolIndex>(next->chunks);
+  // Retained chunks keep the base generation's analyses; only the new
+  // chunks are analysed, and the term statistics follow the delta.
+  next->analysis = lexical::CorpusAnalysis::next(
+      *base->analysis, retained,
+      std::span<const text::Document>(next->chunks).last(n_new));
   // The new generation carries its own ANN index (built before publish, so
   // no reader ever sees a snapshot without one).
   next->attach_indexes();

@@ -1,9 +1,9 @@
 #pragma once
 // Inverted index with BM25 ranking.
 //
-// Used (a) by the keyword-search augmentation of §III-C, (b) as a scoring
-// signal inside the FlashRanker, and (c) as a lexical baseline in the
-// retrieval benches.
+// Used by the history retriever and the parametric-knowledge lookup, and as
+// a lexical baseline in the retrieval benches. The rerankers read the same
+// idf from a snapshot's lexical::TermStats instead (lexical/term_stats.h).
 
 #include <string>
 #include <string_view>

@@ -50,13 +50,17 @@ TermWeights compute_term_weights(const QueryTerms& q,
                                  const LlmRequest& request,
                                  std::size_t attended) {
   TermWeights tw;
+  std::vector<std::string> lowered;
+  lowered.reserve(attended);
+  for (std::size_t c = 0; c < attended; ++c) {
+    lowered.push_back(pkb::util::to_lower(request.contexts[c].text));
+  }
   auto df_of = [&](const std::string& needle, bool icase) {
     std::size_t df = 0;
     for (std::size_t c = 0; c < attended; ++c) {
       const bool hit =
           icase ? pkb::util::icontains(request.contexts[c].text, needle)
-                : pkb::util::to_lower(request.contexts[c].text).find(needle) !=
-                      std::string::npos;
+                : lowered[c].find(needle) != std::string::npos;
       if (hit) ++df;
     }
     return df;

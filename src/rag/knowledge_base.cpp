@@ -45,6 +45,7 @@ KnowledgeBase KnowledgeBase::build(const text::VirtualDir& corpus,
   snap->store = vectordb::VectorStore::from_documents(snap->chunks, *embedder);
   snap->embedder = std::move(embedder);
   snap->symbols = std::make_shared<lexical::SymbolIndex>(snap->chunks);
+  snap->analysis = lexical::CorpusAnalysis::build(snap->chunks);
   snap->embedder_fit_generation = 1;
   snap->chunks_at_fit = snap->chunks.size();
   snap->attach_indexes();
@@ -123,9 +124,10 @@ double KnowledgeBase::publish(SnapshotPtr next) {
 //         | chunk section "CHNK": per-entry ids revalidating store order.
 //
 // The chunks are reconstructed from the store's documents (entry i ==
-// chunks[i] by invariant); the symbol index is rebuilt and the embedder
-// refitted from them — both are deterministic, so the reloaded generation
-// resolves keywords and embeds queries identically.
+// chunks[i] by invariant); the symbol index and the chunk analyses are
+// rebuilt and the embedder refitted from them — all deterministic, so the
+// reloaded generation resolves keywords, reranks and embeds queries
+// identically.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -256,6 +258,7 @@ SnapshotPtr Snapshot::load(const std::string& path) {
   }
 
   snap->symbols = std::make_shared<lexical::SymbolIndex>(snap->chunks);
+  snap->analysis = lexical::CorpusAnalysis::build(snap->chunks);
 
   std::unique_ptr<embed::Embedder> embedder =
       embed::make_embedder(snap->opts.embedder);

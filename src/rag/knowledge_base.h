@@ -3,7 +3,8 @@
 // RCU-style sequence of immutable generations.
 //
 // A `Snapshot` is one immutable generation of the knowledge base: chunked
-// corpus + fitted embedder + vector store + symbol index, stamped with a
+// corpus + fitted embedder + vector store + symbol index + per-chunk text
+// analyses and term statistics (for reranking), stamped with a
 // monotonically increasing generation id. `KnowledgeBase` holds an atomic
 // shared_ptr to the current snapshot: readers pin a generation with
 // snapshot() (cheap, lock-free to them) and keep using it for as long as
@@ -25,6 +26,7 @@
 
 #include "embed/embedder.h"
 #include "lexical/keyword_search.h"
+#include "lexical/term_stats.h"
 #include "text/loader.h"
 #include "text/splitter.h"
 #include "vectordb/index.h"
@@ -52,8 +54,8 @@ struct KnowledgeBaseOptions {
 
 /// One immutable generation: everything retrieval needs, bundled. Invariant:
 /// `store` entry i is the embedding of `chunks[i]` (same document, same
-/// order); `symbols` indexes into `chunks`. Never mutated after publish —
-/// share freely across threads via SnapshotPtr.
+/// order); `symbols` and `analysis->chunks` index into `chunks`. Never
+/// mutated after publish — share freely across threads via SnapshotPtr.
 struct Snapshot {
   /// Monotonic generation id; the initial build is generation 1.
   std::uint64_t generation = 0;
@@ -67,6 +69,9 @@ struct Snapshot {
   /// retriever routes first-pass searches through it when present.
   std::shared_ptr<const vectordb::AnnIndex> ann;
   std::shared_ptr<const lexical::SymbolIndex> symbols;
+  /// Each chunk analysed once plus the term statistics over them, which the
+  /// rerankers score against. Built with the generation, never per request.
+  std::shared_ptr<const lexical::CorpusAnalysis> analysis;
   /// Number of source documents that contributed to `chunks`.
   std::size_t source_count = 0;
   /// Generation at which `embedder` was last fitted: delta generations

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "rag/knowledge_base.h"
@@ -32,6 +31,10 @@ struct RetrieverOptions {
 /// pinned by the owning RetrievalResult.
 struct RetrievedContext {
   const text::Document* doc = nullptr;
+  /// Row of `doc` in the snapshot's chunk list (and vector store), which
+  /// indexes its analysis. Vector hits point `doc` into the store's copy of
+  /// the chunk, so the row, not the pointer, finds the analysis.
+  std::size_t row = 0;
   double score = 0.0;
   /// "vector", "keyword", or "vector+keyword" — how the candidate was found.
   std::string via;
@@ -73,9 +76,8 @@ struct RetrievalResult {
 
 /// Bound to a KnowledgeBase; owns its reranker. All retrieval entry points
 /// are const and safe to call concurrently from many threads: snapshots are
-/// immutable and the reranker's rerank() is const. The reranker is refitted
-/// lazily (under an internal mutex) when a retrieval first observes a new
-/// generation, so its corpus statistics track the published chunk list.
+/// immutable and the reranker holds no corpus state — it scores against the
+/// pinned snapshot's chunk analyses and term statistics.
 class Retriever {
  public:
   Retriever(const KnowledgeBase& kb, RetrieverOptions opts = {});
@@ -129,19 +131,14 @@ class Retriever {
   /// Attach a chaos plan. Vector-search decisions are consulted here (the
   /// snapshot's store is immutable, so the retriever is the injection
   /// point on the serving path) with one hedged re-attempt before the
-  /// fault propagates; the plan is also handed to
-  /// every reranker this retriever fits, whose rerank faults are caught in
-  /// rerank_stage and degrade to first-pass order. Pass nullptr to
-  /// detach. Setup-time only — must not race in-flight retrievals.
+  /// fault propagates; the plan is also handed to the reranker, whose
+  /// rerank faults are caught in rerank_stage and degrade to first-pass
+  /// order. Pass nullptr to detach. Setup-time only — must not race
+  /// in-flight retrievals.
   void set_fault_plan(const pkb::resilience::FaultPlan* plan);
   [[nodiscard]] const KnowledgeBase& kb() const { return kb_; }
 
  private:
-  /// The reranker fitted for `snap`'s generation, refitting if this is the
-  /// first retrieval to observe it. Returns nullptr when reranking is off.
-  [[nodiscard]] std::shared_ptr<const rerank::Reranker> reranker_for(
-      const Snapshot& snap) const;
-
   /// First-pass vector hits for one query — the snapshot's ANN index when
   /// it has one, the exact scan otherwise — with fault consultation and
   /// hedged re-attempts. Throws a FaultError when the search is lost past
@@ -151,9 +148,8 @@ class Retriever {
 
   const KnowledgeBase& kb_;
   RetrieverOptions opts_;
-  mutable std::mutex rerank_mu_;
-  mutable std::shared_ptr<rerank::Reranker> reranker_;
-  mutable std::uint64_t reranker_generation_ = 0;
+  /// Null when reranking is off.
+  std::unique_ptr<rerank::Reranker> reranker_;
   const pkb::resilience::FaultPlan* fault_plan_ = nullptr;
 };
 

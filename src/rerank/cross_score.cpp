@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <cstdint>
 
 #include "text/tokenizer.h"
 
@@ -20,36 +20,86 @@ constexpr double kCoverageWeight = 0.8;
 // morphology: "restarting" ~ "restart").
 constexpr double kSoftMatchThreshold = 0.55;
 
-/// Dice coefficient over character trigram multisets — cheap soft term
-/// similarity for morphological near-misses.
-double trigram_similarity(const std::string& a, const std::string& b) {
-  if (a == b) return 1.0;
-  if (a.size() < 3 || b.size() < 3) return 0.0;
-  std::unordered_set<std::string> ta;
-  for (std::size_t i = 0; i + 3 <= a.size(); ++i) ta.insert(a.substr(i, 3));
-  std::size_t common = 0;
-  std::size_t nb = 0;
-  std::unordered_set<std::string> counted;
-  for (std::size_t i = 0; i + 3 <= b.size(); ++i) {
-    const std::string g = b.substr(i, 3);
-    ++nb;
-    if (ta.contains(g) && counted.insert(g).second) ++common;
+/// A character trigram packed into one integer (equal iff the bytes are).
+std::uint32_t trigram_at(std::string_view s, std::size_t i) {
+  return static_cast<std::uint32_t>(static_cast<unsigned char>(s[i])) << 16 |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(s[i + 1]))
+             << 8 |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(s[i + 2]));
+}
+
+/// A content term of the query with its idf and its distinct trigrams
+/// (sorted), built once per score() call.
+struct QueryTerm {
+  std::string term;
+  double idf = 0.0;
+  std::vector<std::uint32_t> trigrams;
+};
+
+struct Query {
+  bool empty = true;  ///< the query has no tokens at all
+  std::vector<QueryTerm> terms;
+  double total_idf = 0.0;
+};
+
+Query analyze_query(std::string_view query, const lexical::TermStats& stats) {
+  Query out;
+  const std::vector<std::string> q = text::tokens_of(query);
+  out.empty = q.empty();
+  for (const std::string& term : q) {
+    if (text::stopwords().contains(term) || term.size() < 2) continue;
+    QueryTerm t;
+    t.term = term;
+    t.idf = std::max(0.1, stats.idf(term));
+    out.total_idf += t.idf;
+    for (std::size_t i = 0; i + 3 <= term.size(); ++i) {
+      t.trigrams.push_back(trigram_at(term, i));
+    }
+    std::sort(t.trigrams.begin(), t.trigrams.end());
+    t.trigrams.erase(std::unique(t.trigrams.begin(), t.trigrams.end()),
+                     t.trigrams.end());
+    out.terms.push_back(std::move(t));
   }
-  const double denom = static_cast<double>(ta.size() + nb);
+  return out;
+}
+
+/// Dice coefficient over character trigram multisets — cheap soft term
+/// similarity for morphological near-misses. `a` is the query term, `b` a
+/// different document token.
+double trigram_similarity(const QueryTerm& a, std::string_view b) {
+  if (a.term.size() < 3 || b.size() < 3) return 0.0;
+  const std::size_t nb = b.size() - 2;
+  std::size_t common = 0;
+  std::vector<std::uint32_t> counted;
+  for (std::size_t i = 0; i < nb; ++i) {
+    const std::uint32_t g = trigram_at(b, i);
+    if (std::binary_search(a.trigrams.begin(), a.trigrams.end(), g) &&
+        std::find(counted.begin(), counted.end(), g) == counted.end()) {
+      counted.push_back(g);
+      ++common;
+    }
+  }
+  const double denom = static_cast<double>(a.trigrams.size() + nb);
   return denom == 0.0 ? 0.0 : 2.0 * static_cast<double>(common) / denom;
 }
 
-}  // namespace
-
-void CrossScoreReranker::fit(const std::vector<text::Document>& corpus) {
-  index_.build(corpus);
+/// Soft match strength of query term `t` at one document token.
+double match_strength(const QueryTerm& t, std::string_view token) {
+  if (token == t.term) return 1.0;
+  // Common trigrams are at most min(|a|, nb); when that cannot reach a
+  // Dice of 0.5 it cannot pass the threshold either, so skip the count.
+  if (token.size() >= 3) {
+    const std::size_t nb = token.size() - 2;
+    if (4 * std::min(t.trigrams.size(), nb) < t.trigrams.size() + nb) {
+      return 0.0;
+    }
+  }
+  const double s = trigram_similarity(t, token);
+  return s >= kSoftMatchThreshold ? 0.7 * s : 0.0;
 }
 
-double CrossScoreReranker::score_pair(std::string_view query,
-                                      const text::Document& doc) const {
-  const std::vector<std::string> q = text::tokens_of(query);
-  const std::vector<std::string> d = text::tokens_of(doc.text);
-  if (q.empty() || d.empty()) return 0.0;
+double score_doc(const Query& q, const text::TextAnalysis& d) {
+  if (q.empty || d.tokens.empty()) return 0.0;
 
   // For each content query term, find its best (soft) match position(s) in
   // the document; alignment rewards matches, proximity rewards clusters.
@@ -59,23 +109,11 @@ double CrossScoreReranker::score_pair(std::string_view query,
     double idf = 0.0;
   };
   std::vector<Match> best;
-  double total_idf = 0.0;
-
-  for (std::size_t qi = 0; qi < q.size(); ++qi) {
-    const std::string& term = q[qi];
-    if (text::stopwords().contains(term) || term.size() < 2) continue;
-    const double idf = std::max(0.1, index_.idf(term));
-    total_idf += idf;
+  for (const QueryTerm& t : q.terms) {
     Match m;
-    m.idf = idf;
-    for (std::size_t di = 0; di < d.size(); ++di) {
-      double s = 0.0;
-      if (d[di] == term) {
-        s = 1.0;
-      } else {
-        const double t = trigram_similarity(term, d[di]);
-        s = t >= kSoftMatchThreshold ? 0.7 * t : 0.0;
-      }
+    m.idf = t.idf;
+    for (std::size_t di = 0; di < d.tokens.size(); ++di) {
+      const double s = match_strength(t, d.view(d.tokens[di]));
       if (s > m.strength) {
         m.strength = s;
         m.pos = di;
@@ -83,12 +121,12 @@ double CrossScoreReranker::score_pair(std::string_view query,
     }
     if (m.strength > 0.0) best.push_back(m);
   }
-  if (best.empty() || total_idf <= 0.0) return 0.0;
+  if (best.empty() || q.total_idf <= 0.0) return 0.0;
 
   // Coverage: IDF-weighted fraction of query terms matched.
   double coverage = 0.0;
   for (const Match& m : best) coverage += m.idf * m.strength;
-  coverage /= total_idf;
+  coverage /= q.total_idf;
 
   // Alignment: pairwise proximity of the matched positions — matched terms
   // that sit near each other in the document indicate a passage that
@@ -114,24 +152,19 @@ double CrossScoreReranker::score_pair(std::string_view query,
          kAlignmentWeight * alignment * coverage;
 }
 
-std::vector<RerankResult> CrossScoreReranker::rerank(
-    std::string_view query, const std::vector<RerankCandidate>& candidates,
-    std::size_t top_l) const {
-  consult_fault_plan();
+}  // namespace
+
+std::vector<double> CrossScoreReranker::score(
+    std::string_view query, const lexical::CorpusAnalysis& corpus,
+    const std::vector<RerankCandidate>& candidates) const {
   // Each (query, document) pair costs O(|query| * |doc|); the request's
   // own thread scores them in candidate order.
-  std::vector<RerankResult> out;
+  const Query q = analyze_query(query, *corpus.stats);
+  std::vector<double> out;
   out.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    out.push_back(RerankResult{candidates[i].doc,
-                               score_pair(query, *candidates[i].doc), i});
+  for (const RerankCandidate& c : candidates) {
+    out.push_back(score_doc(q, *corpus.chunks.at(c.row)));
   }
-  std::sort(out.begin(), out.end(),
-            [](const RerankResult& a, const RerankResult& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.original_rank < b.original_rank;
-            });
-  if (out.size() > top_l) out.resize(top_l);
   return out;
 }
 

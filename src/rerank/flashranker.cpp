@@ -22,103 +22,131 @@ constexpr double kTitleWeight = 0.22;
 // Extra bonus when a query API symbol IS the document title.
 constexpr double kTitleSymbolBonus = 2.0;
 
-}  // namespace
+/// A query term with the weight it contributes to one part of the blend.
+struct WeightedTerm {
+  std::string term;
+  double weight = 0.0;
+};
 
-void FlashRanker::fit(const std::vector<text::Document>& corpus) {
-  index_.build(corpus);  // copy: the index owns its documents
-}
+/// An API symbol of the query: its surface form, its lowercase form (for
+/// the title test) and its match bonus.
+struct QuerySymbol {
+  std::string surface;
+  std::string lower;
+  double bonus = 0.0;
+};
 
-double FlashRanker::score_pair(std::string_view query,
-                               const text::Document& doc) const {
-  const text::TokenizedText q = text::tokenize(query);
-  const std::string doc_lower = pkb::util::to_lower(doc.text);
-
-  // IDF-weighted coverage of distinct query terms.
-  std::unordered_set<std::string> doc_terms;
-  for (std::string& tok : text::tokens_of(doc.text)) {
-    doc_terms.insert(std::move(tok));
-  }
-  double coverage = 0.0;
+/// The query side of the blend, analysed once per score() call. Each list
+/// is in the order the blend sums it; floating-point sums depend on that
+/// order, and the golden and parity tests pin every score to the bit.
+struct Query {
+  /// Distinct non-stopword terms in first-appearance order, max(0.1, idf).
+  std::vector<WeightedTerm> coverage;
   double total_idf = 0.0;
+  std::vector<QuerySymbol> symbols;
+  /// Adjacent token pairs that are not both stopwords ("a b").
+  std::vector<std::string> bigrams;
+  /// The distinct terms in the iteration order of an unordered_set<string>
+  /// built by inserting the tokens in order: non-stopwords with
+  /// kTitleWeight * max(0.2, idf) for the title sum, every term with its
+  /// idf for the BM25 sum.
+  std::vector<WeightedTerm> title_terms;
+  std::vector<WeightedTerm> bm25_terms;
+};
+
+Query analyze_query(std::string_view query, const lexical::TermStats& stats) {
+  const text::TokenizedText q = text::tokenize(query);
+  const auto& stop = text::stopwords();
+  Query out;
   std::unordered_set<std::string> seen;
   for (const std::string& term : q.tokens) {
     if (!seen.insert(term).second) continue;
-    if (text::stopwords().contains(term)) continue;
-    const double w = std::max(0.1, index_.idf(term));
-    total_idf += w;
-    if (doc_terms.contains(term)) coverage += w;
+    if (stop.contains(term)) continue;
+    const double w = std::max(0.1, stats.idf(term));
+    out.total_idf += w;
+    out.coverage.push_back({term, w});
   }
-  double score = total_idf > 0.0
-                     ? kCoverageWeight * coverage / total_idf
+  for (const std::string& symbol : q.symbols) {
+    std::string lower = pkb::util::to_lower(symbol);
+    const double bonus = kSymbolBonus * std::max(0.2, stats.idf(lower));
+    out.symbols.push_back({symbol, std::move(lower), bonus});
+  }
+  for (std::size_t i = 0; i + 1 < q.tokens.size(); ++i) {
+    if (stop.contains(q.tokens[i]) && stop.contains(q.tokens[i + 1])) {
+      continue;
+    }
+    out.bigrams.push_back(q.tokens[i] + " " + q.tokens[i + 1]);
+  }
+  for (const std::string& term : seen) {
+    const double idf = stats.idf(term);
+    if (!stop.contains(term)) {
+      out.title_terms.push_back({term, kTitleWeight * std::max(0.2, idf)});
+    }
+    out.bm25_terms.push_back({term, idf});
+  }
+  return out;
+}
+
+double score_doc(const Query& q, const text::Document& doc,
+                 const text::TextAnalysis& a) {
+  // IDF-weighted coverage of distinct query terms.
+  double coverage = 0.0;
+  for (const WeightedTerm& t : q.coverage) {
+    if (a.has_term(t.term)) coverage += t.weight;
+  }
+  double score = q.total_idf > 0.0
+                     ? kCoverageWeight * coverage / q.total_idf
                      : 0.0;
 
   // Exact API-symbol matches (case-sensitive surface form in the raw text).
-  for (const std::string& symbol : q.symbols) {
-    if (doc.text.find(symbol) != std::string::npos) {
-      score += kSymbolBonus *
-               std::max(0.2, index_.idf(pkb::util::to_lower(symbol)));
+  for (const QuerySymbol& symbol : q.symbols) {
+    if (doc.text.find(symbol.surface) != std::string::npos) {
+      score += symbol.bonus;
     }
   }
 
   // Query bigrams appearing verbatim (lowercased) in the document.
-  for (std::size_t i = 0; i + 1 < q.tokens.size(); ++i) {
-    if (text::stopwords().contains(q.tokens[i]) &&
-        text::stopwords().contains(q.tokens[i + 1])) {
-      continue;
-    }
-    const std::string bigram = q.tokens[i] + " " + q.tokens[i + 1];
-    if (doc_lower.find(bigram) != std::string::npos) {
-      score += kBigramBonus;
-    }
+  for (const std::string& bigram : q.bigrams) {
+    if (a.lower.find(bigram) != std::string::npos) score += kBigramBonus;
   }
 
   // Title hits, IDF-weighted: rare query terms matching the page symbol are
-  // near-decisive.
-  const std::string title = pkb::util::to_lower(doc.meta("title"));
-  if (!title.empty()) {
-    for (const std::string& term : seen) {
-      if (text::stopwords().contains(term)) continue;
-      if (title.find(term) != std::string::npos) {
-        score += kTitleWeight * std::max(0.2, index_.idf(term));
-      }
+  // near-decisive. Substring matches, as for the bigrams.
+  if (!a.title.empty()) {
+    for (const WeightedTerm& t : q.title_terms) {
+      if (a.title.find(t.term) != std::string::npos) score += t.weight;
     }
-    for (const std::string& symbol : q.symbols) {
-      if (pkb::util::iequals(symbol, doc.meta("title"))) {
-        score += kTitleSymbolBonus;
-      }
+    for (const QuerySymbol& symbol : q.symbols) {
+      if (symbol.lower == a.title) score += kTitleSymbolBonus;
     }
   }
 
-  // BM25 against the fitted corpus statistics: approximate by scoring the
-  // candidate text directly (per-term idf * saturated tf).
+  // BM25 against the generation's statistics: approximate by scoring the
+  // candidate text directly (per-term idf * saturated tf, tf counted as
+  // substring occurrences).
   double bm25 = 0.0;
-  for (const std::string& term : seen) {
-    if (!doc_terms.contains(term)) continue;
-    const double tf = static_cast<double>(
-        pkb::util::count_occurrences(doc_lower, term));
-    bm25 += index_.idf(term) * (tf * 2.2) / (tf + 1.2);
+  for (const WeightedTerm& t : q.bm25_terms) {
+    if (!a.has_term(t.term)) continue;
+    const double tf =
+        static_cast<double>(pkb::util::count_occurrences(a.lower, t.term));
+    bm25 += t.weight * (tf * 2.2) / (tf + 1.2);
   }
   score += kBm25Weight * bm25 / 10.0;
 
   return score;
 }
 
-std::vector<RerankResult> FlashRanker::rerank(
-    std::string_view query, const std::vector<RerankCandidate>& candidates,
-    std::size_t top_l) const {
-  consult_fault_plan();
-  std::vector<RerankResult> out;
+}  // namespace
+
+std::vector<double> FlashRanker::score(
+    std::string_view query, const lexical::CorpusAnalysis& corpus,
+    const std::vector<RerankCandidate>& candidates) const {
+  const Query q = analyze_query(query, *corpus.stats);
+  std::vector<double> out;
   out.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    out.push_back(RerankResult{candidates[i].doc,
-                               score_pair(query, *candidates[i].doc), i});
+  for (const RerankCandidate& c : candidates) {
+    out.push_back(score_doc(q, *c.doc, *corpus.chunks.at(c.row)));
   }
-  std::sort(out.begin(), out.end(),
-            [](const RerankResult& a, const RerankResult& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.original_rank < b.original_rank;
-            });
-  if (out.size() > top_l) out.resize(top_l);
   return out;
 }
 

@@ -1,11 +1,31 @@
 #include "rerank/reranker.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "rerank/cross_score.h"
 #include "rerank/flashranker.h"
 
 namespace pkb::rerank {
+
+std::vector<RerankResult> Reranker::rerank(
+    std::string_view query, const lexical::CorpusAnalysis& corpus,
+    const std::vector<RerankCandidate>& candidates, std::size_t top_l) const {
+  pkb::resilience::consult(fault_plan_, pkb::resilience::Stage::Rerank);
+  const std::vector<double> scores = score(query, corpus, candidates);
+  std::vector<RerankResult> out;
+  out.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    out.push_back(RerankResult{candidates[i].doc, scores[i], i});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const RerankResult& a, const RerankResult& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.original_rank < b.original_rank;
+            });
+  if (out.size() > top_l) out.resize(top_l);
+  return out;
+}
 
 std::unique_ptr<Reranker> make_reranker(std::string_view name) {
   if (name == "sim-flashrank") return std::make_unique<FlashRanker>();

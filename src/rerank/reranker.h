@@ -20,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "lexical/term_stats.h"
 #include "resilience/fault_plan.h"
 #include "text/document.h"
 
@@ -28,6 +29,9 @@ namespace pkb::rerank {
 /// A first-pass candidate entering the reranker.
 struct RerankCandidate {
   const text::Document* doc = nullptr;
+  /// Row of `doc` in the generation's chunk list: its analysis is
+  /// CorpusAnalysis::chunks[row].
+  std::size_t row = 0;
   /// First-pass (embedding or keyword) score, informational only.
   float retrieval_score = 0.0f;
 };
@@ -40,22 +44,27 @@ struct RerankResult {
   std::size_t original_rank = 0;
 };
 
-/// Common interface. fit() learns corpus statistics (IDF); rerank() scores
-/// candidates and returns the best `top_l` in descending score order.
+/// Common interface. A reranker holds no corpus state: it analyses the
+/// query once per call, then scores each candidate against its chunk
+/// analysis and the term statistics (IDF) of the caller's pinned generation.
 class Reranker {
  public:
   virtual ~Reranker() = default;
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Learn corpus statistics used for term weighting.
-  virtual void fit(const std::vector<text::Document>& corpus) = 0;
-
   /// Score and reorder; returns min(top_l, candidates.size()) results,
-  /// descending score, ties broken by original rank. Deterministic.
-  [[nodiscard]] virtual std::vector<RerankResult> rerank(
-      std::string_view query, const std::vector<RerankCandidate>& candidates,
-      std::size_t top_l) const = 0;
+  /// descending score, ties broken by original rank. Deterministic. Consults
+  /// the fault plan first.
+  [[nodiscard]] std::vector<RerankResult> rerank(
+      std::string_view query, const lexical::CorpusAnalysis& corpus,
+      const std::vector<RerankCandidate>& candidates,
+      std::size_t top_l) const;
+
+  /// The score of each candidate, in candidate order.
+  [[nodiscard]] virtual std::vector<double> score(
+      std::string_view query, const lexical::CorpusAnalysis& corpus,
+      const std::vector<RerankCandidate>& candidates) const = 0;
 
   /// Attach a chaos plan consulted (Stage::Rerank) at each rerank() entry:
   /// error/timeout decisions throw the matching resilience::FaultError,
@@ -63,12 +72,6 @@ class Reranker {
   /// Setup-time only — must not race in-flight rerank() calls.
   void set_fault_plan(const pkb::resilience::FaultPlan* plan) {
     fault_plan_ = plan;
-  }
-
- protected:
-  /// Implementations call this first thing in rerank().
-  void consult_fault_plan() const {
-    pkb::resilience::consult(fault_plan_, pkb::resilience::Stage::Rerank);
   }
 
  private:

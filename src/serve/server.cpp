@@ -65,6 +65,7 @@ std::future<rag::WorkflowOutcome> Server::submit(std::string question) {
   std::promise<rag::WorkflowOutcome> promise;
   std::future<rag::WorkflowOutcome> future = promise.get_future();
 
+  retire_superseded_answers();
   // Fast path: answer already cached and still current — resolve on the
   // caller's thread without touching the queue.
   if (std::optional<rag::WorkflowOutcome> hit = answer_cache_.get(question)) {
@@ -114,6 +115,18 @@ bool Server::outcome_fresh(const rag::WorkflowOutcome& outcome) const {
   return false;
 }
 
+void Server::retire_superseded_answers() {
+  const std::uint64_t live = workflow_.kb().generation();
+  std::uint64_t seen = cache_generation_.load(std::memory_order_acquire);
+  while (live > seen) {
+    if (cache_generation_.compare_exchange_weak(seen, live,
+                                                std::memory_order_acq_rel)) {
+      answer_cache_.clear();
+      return;
+    }
+  }
+}
+
 void Server::worker_loop() {
   while (std::optional<Request> req = queue_.pop()) {
     process(*req);
@@ -142,17 +155,25 @@ void Server::process(Request& req) {
       metrics.counter(obs::kServeAnswerCacheMissesTotal).inc();
       span.set_attr("cache", "miss");
       outcome = compute(req.question, queue_wait, nullptr);
-      std::size_t evicted = 0;
       if (outcome.degraded()) {
         span.set_attr("degraded",
                       pkb::resilience::to_string(outcome.degradation));
+      }
+      // An answer computed on a generation superseded while it ran is served
+      // but not cached: the entry would only pin that snapshot.
+      const bool superseded =
+          outcome.generation != 0 &&
+          outcome.generation <
+              cache_generation_.load(std::memory_order_acquire);
+      std::size_t evicted = 0;
+      if (!superseded) {
         // Degraded answers get a short life: the next ask should retry the
         // full pipeline once the fault clears, not inherit a transient
         // outage for as long as a full answer lives.
-        evicted = answer_cache_.put_with_ttl(req.question, outcome,
-                                             kDegradedAnswerTtlSeconds);
-      } else {
-        evicted = answer_cache_.put(req.question, outcome);
+        evicted = outcome.degraded()
+                      ? answer_cache_.put_with_ttl(req.question, outcome,
+                                                   kDegradedAnswerTtlSeconds)
+                      : answer_cache_.put(req.question, outcome);
       }
       if (evicted > 0) {
         metrics.counter(obs::kServeCacheEvictionsTotal).inc(evicted);

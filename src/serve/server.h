@@ -16,11 +16,13 @@
 // eviction) lets an exact repeat skip the whole pipeline. It is
 // generation-aware so live ingestion never serves stale content: a cached
 // answer is only a hit while its stamped KnowledgeBase generation is still
-// current (stale entries count pkb_serve_cache_stale and are lazily
-// overwritten by the recompute). That generation check is what retires a
-// full answer, so full answers carry no TTL; a degraded answer expires 2 s
-// after it is cached, so the next ask retries once a transient fault
-// clears.
+// current (stale entries count pkb_serve_cache_stale and are overwritten by
+// the recompute). That generation check is what retires a full answer, so
+// full answers carry no TTL; a degraded answer expires 2 s after it is
+// cached, so the next ask retries once a transient fault clears. A cached
+// outcome pins its generation's snapshot, so the first request that sees a
+// newer generation empties the cache: dead generations are freed instead
+// of living on in up to answer_cache_capacity stale entries.
 //
 // Everything is observable under the pkb_serve_* metric namespace and the
 // serve_request span (docs/OBSERVABILITY.md).
@@ -148,6 +150,9 @@ class Server final : public rag::QuestionService {
   /// generation (Baseline outcomes, generation 0, never go stale). Counts
   /// pkb_serve_cache_stale_total when false.
   [[nodiscard]] bool outcome_fresh(const rag::WorkflowOutcome& outcome) const;
+  /// Empty the answer cache the first time a newer KnowledgeBase generation
+  /// is seen, so cached outcomes stop pinning superseded snapshots.
+  void retire_superseded_answers();
   /// Compute one answer: workflow_.ask() under a fresh resilience context
   /// (with `queue_wait_seconds` charged to its budget), optional trace
   /// recording, degraded accounting, and the LLM-latency sleep.
@@ -165,6 +170,8 @@ class Server final : public rag::QuestionService {
   std::atomic<std::uint64_t> computed_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> degraded_{0};
+  /// Newest KnowledgeBase generation the answer cache has been aligned to.
+  std::atomic<std::uint64_t> cache_generation_{0};
   std::atomic<bool> stopped_{false};
 };
 

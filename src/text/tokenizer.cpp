@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
+#include <stdexcept>
 
 #include "util/strings.h"
 
@@ -29,6 +31,26 @@ bool all_upper_or_digit(std::string_view tok) {
   return std::all_of(tok.begin(), tok.end(), [](char c) {
     return (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '_';
   });
+}
+
+/// The one definition of a token: calls `emit(offset, raw)` for every token
+/// of `s` in order, where `raw` is the original-case token and `offset` its
+/// position in `s`.
+template <typename Emit>
+void for_each_token(std::string_view s, Emit&& emit) {
+  std::size_t i = 0;
+  while (i < s.size()) {
+    while (i < s.size() && !is_symbol_char(s[i])) ++i;
+    std::size_t start = i;
+    while (i < s.size() && is_symbol_char(s[i])) ++i;
+    if (i == start) continue;
+    // Strip leading '-' runs that are prose dashes (e.g. "--" separators) but
+    // keep a single '-' when it forms a plausible runtime option.
+    while (i - start > 1 && s[start] == '-' && s[start + 1] == '-') ++start;
+    std::string_view raw = s.substr(start, i - start);
+    if (raw == "-") continue;
+    emit(start, raw);
+  }
 }
 
 }  // namespace
@@ -67,18 +89,7 @@ bool looks_like_symbol(std::string_view tok) {
 TokenizedText tokenize(std::string_view s) {
   TokenizedText out;
   std::unordered_set<std::string> seen_symbols;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && !is_symbol_char(s[i])) ++i;
-    std::size_t start = i;
-    while (i < s.size() && is_symbol_char(s[i])) ++i;
-    if (i == start) continue;
-    std::string_view raw = s.substr(start, i - start);
-    // Strip leading '-' runs that are prose dashes (e.g. "--" separators) but
-    // keep a single '-' when it forms a plausible runtime option.
-    while (raw.size() > 1 && raw[0] == '-' && raw[1] == '-') raw.remove_prefix(1);
-    if (raw == "-") continue;
-
+  for_each_token(s, [&](std::size_t, std::string_view raw) {
     if (looks_like_symbol(raw)) {
       std::string original(raw);
       if (seen_symbols.insert(original).second) {
@@ -86,8 +97,44 @@ TokenizedText tokenize(std::string_view s) {
       }
     }
     out.tokens.push_back(pkb::util::to_lower(raw));
-  }
+  });
   return out;
+}
+
+TextAnalysis analyze(const Document& doc) {
+  if (doc.text.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("analyze: text longer than a span can address");
+  }
+  TextAnalysis out;
+  out.lower = pkb::util::to_lower(doc.text);
+  out.title = pkb::util::to_lower(doc.meta("title"));
+  // to_lower maps byte for byte, so each lowercased token is the substring
+  // of `lower` at the raw token's offset. Spans are collected in a scratch
+  // vector so the analysis keeps exact-size arrays.
+  std::vector<TextAnalysis::Span> spans;
+  for_each_token(doc.text, [&](std::size_t offset, std::string_view raw) {
+    spans.push_back(TextAnalysis::Span{
+        static_cast<std::uint32_t>(offset),
+        static_cast<std::uint32_t>(raw.size())});
+  });
+  out.tokens.assign(spans.begin(), spans.end());
+  const auto less = [&](TextAnalysis::Span a, TextAnalysis::Span b) {
+    return out.view(a) < out.view(b);
+  };
+  const auto equal = [&](TextAnalysis::Span a, TextAnalysis::Span b) {
+    return out.view(a) == out.view(b);
+  };
+  std::sort(spans.begin(), spans.end(), less);
+  spans.erase(std::unique(spans.begin(), spans.end(), equal), spans.end());
+  out.terms.assign(spans.begin(), spans.end());
+  return out;
+}
+
+bool TextAnalysis::has_term(std::string_view term) const {
+  const auto it = std::lower_bound(
+      terms.begin(), terms.end(), term,
+      [&](Span a, std::string_view t) { return view(a) < t; });
+  return it != terms.end() && view(*it) == term;
 }
 
 std::vector<std::string> tokens_of(std::string_view s) {

@@ -2,17 +2,22 @@
 // the Ingestor's delta/upsert/refit lifecycle, the ChatBot curation hook,
 // Snapshot persistence, the end-to-end live-enhancement proof (a fact only
 // present in an ingested document becomes retrievable with no restart), and
-// a swap-under-load stress test. Suite names (KnowledgeBase*, Ingest*,
-// SnapshotPersist*) are part of the scripts/run_tsan.sh filter.
+// a swap-under-load stress test, and reads checked against serial asks
+// while a writer publishes. Suite names (KnowledgeBase*, Ingest*,
+// SnapshotPersist*, PublishUnderReads*) are part of the scripts/run_tsan.sh
+// filter.
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +29,8 @@
 #include "corpus/questions.h"
 #include "history/store.h"
 #include "ingest/ingestor.h"
+#include "lexical/bm25.h"
+#include "lexical/term_stats.h"
 #include "llm/model_config.h"
 #include "rag/history_retriever.h"
 #include "rag/knowledge_base.h"
@@ -217,6 +224,46 @@ TEST(Ingest, LargeIngestTriggersRefit) {
   EXPECT_EQ(next->chunks_at_fit, next->chunks.size());
   // Re-embedded store still upholds the row invariant.
   ASSERT_EQ(next->store.size(), next->chunks.size());
+}
+
+// Publishes update the term statistics from the delta (new chunks added,
+// replaced chunks taken out); every idf must equal a full count's, through
+// the delta chain and past the point where it is recounted.
+TEST(Ingest, TermStatsFollowTheDeltaExactly) {
+  auto kb = rag::KnowledgeBase::build(small_corpus());
+  ingest::Ingestor ingestor(kb);
+  std::size_t max_depth = 0;
+  bool recounted = false;
+  for (int g = 0; g < 20; ++g) {
+    // Every third publish replaces an earlier source: its chunks leave.
+    const int source = g % 3 == 2 ? g - 2 : g;
+    ASSERT_NE(ingestor.ingest_files(
+                  {{"delta/d" + std::to_string(source) + ".md",
+                    "# Delta " + std::to_string(g) + "\n\nVersion " +
+                        std::to_string(g) + " mentions uniqueterm" +
+                        std::to_string(g) + " and KSPGMRES restarts."}}),
+              nullptr);
+    const rag::SnapshotPtr snap = kb.snapshot();
+    const lexical::TermStats& stats = *snap->analysis->stats;
+    max_depth = std::max(max_depth, stats.depth());
+    recounted = recounted || (g > 0 && stats.depth() == 0);
+    ASSERT_EQ(snap->analysis->chunks.size(), snap->chunks.size());
+    const lexical::TermStats full(snap->analysis->chunks);
+    lexical::Bm25Index bm25;
+    bm25.build(snap->chunks);
+    std::vector<std::string> terms = {"uniqueterm0", "uniqueterm2",
+                                      "neverseen"};
+    for (const auto& a : snap->analysis->chunks) {
+      for (const auto span : a->terms) terms.emplace_back(a->view(span));
+    }
+    for (const std::string& t : terms) {
+      ASSERT_EQ(stats.idf(t), full.idf(t)) << "generation " << snap->generation
+                                           << " term " << t;
+      ASSERT_EQ(stats.idf(t), bm25.idf(t)) << t;
+    }
+  }
+  EXPECT_GT(max_depth, 1u);
+  EXPECT_TRUE(recounted);
 }
 
 TEST(Ingest, QaExchangeBecomesARetrievableDocument) {
@@ -642,6 +689,128 @@ TEST(IngestStress, SwapUnderServingLoad) {
     EXPECT_GE(s, 0.0);
     EXPECT_LT(s, 0.1);  // a swap is a pointer exchange, not a rebuild
   }
+}
+
+
+// A cached outcome holds its generation's SnapshotPtr. Each generation here
+// caches answers to questions no later generation asks again, so without the
+// purge every superseded generation would stay alive in the cache.
+TEST(IngestServe, CachedAnswersStopPinningSupersededGenerations) {
+  auto kb = rag::KnowledgeBase::build(small_corpus());
+  rag::AugmentedWorkflow workflow(kb, rag::PipelineArm::RagRerank,
+                                  llm::model_config("sim-gpt-4o"));
+  serve::ServerOptions opts;
+  opts.workers = 1;
+  opts.answer_cache_capacity = 32;
+  serve::Server server(workflow, opts);
+  ingest::Ingestor ingestor(kb);
+
+  constexpr int kGenerations = 20;
+  constexpr int kQuestionsPerGeneration = 2;
+  std::vector<std::weak_ptr<const rag::Snapshot>> generations;
+  generations.push_back(kb.snapshot());
+  for (int g = 0; g < kGenerations; ++g) {
+    ASSERT_NE(ingestor.ingest_qa("resolved/pin-" + std::to_string(g) + ".md",
+                                 "Case " + std::to_string(g),
+                                 "How do I monitor convergence?",
+                                 "Use -ksp_monitor_true_residual."),
+              nullptr);
+    generations.push_back(kb.snapshot());
+    for (int q = 0; q < kQuestionsPerGeneration; ++q) {
+      (void)server.ask("question " + std::to_string(g) + "-" +
+                       std::to_string(q) + " about Krylov restarts");
+    }
+  }
+  EXPECT_EQ(server.stats().answer_cache.entries,
+            static_cast<std::uint64_t>(kQuestionsPerGeneration));
+  std::size_t alive = 0;
+  for (const auto& weak : generations) alive += weak.expired() ? 0 : 1;
+  EXPECT_LE(alive, 2u);
+  EXPECT_FALSE(generations.back().expired());
+}
+
+// Readers go through a Server while a writer publishes back to back; every
+// sampled answer must equal a serial ask on the snapshot it pinned.
+TEST(PublishUnderReads, ServedAnswersEqualSerialAskOnThePinnedSnapshot) {
+  auto kb = rag::KnowledgeBase::build(full_corpus());
+  rag::AugmentedWorkflow workflow(kb, rag::PipelineArm::RagRerank,
+                                  llm::model_config("sim-gpt-4o"));
+  serve::ServerOptions opts;
+  opts.workers = 3;
+  serve::Server server(workflow, opts);
+  ingest::Ingestor ingestor(kb);
+
+  constexpr int kReaders = 3;
+  constexpr int kAsksPerReader = 16;
+  constexpr int kSampleEvery = 2;
+  constexpr int kPublishes = 6;
+  const auto& bench = corpus::krylov_benchmark();
+
+  std::atomic<bool> writer_done{false};
+  std::vector<std::vector<std::pair<std::string, rag::WorkflowOutcome>>>
+      samples(kReaders);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (int i = 0; i < kAsksPerReader || !writer_done.load(); ++i) {
+        const std::string& q =
+            bench[(r * kAsksPerReader + i) % bench.size()].question;
+        rag::WorkflowOutcome out = server.ask(q);
+        if (i % kSampleEvery == 0) {
+          samples[r].emplace_back(q, std::move(out));
+        }
+      }
+    });
+  }
+  for (int g = 0; g < kPublishes; ++g) {
+    // EXPECT, not ASSERT: the readers run until writer_done is set.
+    EXPECT_NE(ingestor.ingest_qa(
+                  "resolved/race-" + std::to_string(g) + ".md",
+                  "Restart case " + std::to_string(g),
+                  bench[g % bench.size()].question,
+                  "Raise -ksp_gmres_restart to " + std::to_string(40 + g) +
+                      " and call KSPSetFromOptions()."),
+              nullptr);
+  }
+  writer_done.store(true);
+  for (auto& t : readers) t.join();
+
+  // One serial workflow per pinned generation.
+  std::map<const rag::Snapshot*,
+           std::pair<std::unique_ptr<rag::KnowledgeBase>,
+                     std::unique_ptr<rag::AugmentedWorkflow>>>
+      serial;
+  std::size_t checked = 0;
+  for (const auto& reader : samples) {
+    for (const auto& [question, served] : reader) {
+      const rag::SnapshotPtr& snap = served.retrieval.snapshot;
+      ASSERT_NE(snap, nullptr);
+      ASSERT_EQ(served.generation, snap->generation);
+      auto& entry = serial[snap.get()];
+      if (entry.second == nullptr) {
+        entry.first = std::make_unique<rag::KnowledgeBase>(snap);
+        entry.second = std::make_unique<rag::AugmentedWorkflow>(
+            *entry.first, rag::PipelineArm::RagRerank,
+            llm::model_config("sim-gpt-4o"));
+      }
+      const rag::WorkflowOutcome want = entry.second->ask(question);
+      EXPECT_EQ(served.response.text, want.response.text) << question;
+      EXPECT_EQ(served.prompt, want.prompt) << question;
+      ASSERT_EQ(served.retrieval.contexts.size(),
+                want.retrieval.contexts.size());
+      for (std::size_t i = 0; i < want.retrieval.contexts.size(); ++i) {
+        EXPECT_EQ(served.retrieval.contexts[i].doc->id,
+                  want.retrieval.contexts[i].doc->id);
+        EXPECT_EQ(served.retrieval.contexts[i].score,
+                  want.retrieval.contexts[i].score);
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, static_cast<std::size_t>(kReaders * kAsksPerReader /
+                                              kSampleEvery));
+  EXPECT_EQ(kb.generation(), 1u + kPublishes);
 }
 
 }  // namespace

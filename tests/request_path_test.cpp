@@ -106,15 +106,17 @@ TEST(RequestPathOffPool, CrossScoreRerankRunsOnTheCallingThread) {
     docs[i].text = "KSPSolve solves the linear system with preconditioner " +
                    std::to_string(i);
   }
+  const auto analysis = lexical::CorpusAnalysis::build(docs);
   rerank::CrossScoreReranker reranker;
-  reranker.fit(docs);
   std::vector<rerank::RerankCandidate> candidates;
-  for (const text::Document& doc : docs) candidates.push_back({&doc, 0.0f});
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    candidates.push_back({&docs[i], i, 0.0f});
+  }
   std::size_t kept = 0;
   expect_returns_while_pool_parked(
       [&] {
         kept = reranker.rerank("which preconditioner does KSPSolve use",
-                               candidates, 4)
+                               *analysis, candidates, 4)
                    .size();
       },
       "CrossScoreReranker::rerank");

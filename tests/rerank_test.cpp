@@ -34,8 +34,24 @@ std::vector<text::Document> corpus() {
 
 std::vector<RerankCandidate> candidates(const std::vector<text::Document>& d) {
   std::vector<RerankCandidate> out;
-  for (const auto& doc : d) out.push_back({&doc, 0.5f});
+  for (std::size_t i = 0; i < d.size(); ++i) out.push_back({&d[i], i, 0.5f});
   return out;
+}
+
+/// The candidate for the document with `id`.
+RerankCandidate candidate(const std::vector<text::Document>& docs,
+                          std::string_view id) {
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    if (docs[i].id == id) return {&docs[i], i, 0.0f};
+  }
+  throw std::invalid_argument("no such doc");
+}
+
+/// One (query, candidate) score.
+double score_pair(const Reranker& ranker, std::string_view query,
+                  const lexical::CorpusAnalysis& analysis,
+                  const RerankCandidate& c) {
+  return ranker.score(query, analysis, {c}).front();
 }
 
 class RerankerParamTest : public ::testing::TestWithParam<std::string> {};
@@ -43,9 +59,10 @@ class RerankerParamTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(RerankerParamTest, PutsTheDecisiveDocFirst) {
   auto ranker = make_reranker(GetParam());
   const auto docs = corpus();
-  ranker->fit(docs);
-  const auto ranked = ranker->rerank(
-      "Can I solve a rectangular least squares system?", candidates(docs), 4);
+  const auto analysis = lexical::CorpusAnalysis::build(docs);
+  const auto ranked =
+      ranker->rerank("Can I solve a rectangular least squares system?",
+                     *analysis, candidates(docs), 4);
   ASSERT_EQ(ranked.size(), 4u);
   EXPECT_EQ(ranked[0].doc->id, "lsqr") << GetParam();
 }
@@ -53,20 +70,23 @@ TEST_P(RerankerParamTest, PutsTheDecisiveDocFirst) {
 TEST_P(RerankerParamTest, TruncatesToTopL) {
   auto ranker = make_reranker(GetParam());
   const auto docs = corpus();
-  ranker->fit(docs);
-  EXPECT_EQ(ranker->rerank("query about matrices", candidates(docs), 2).size(),
-            2u);
-  EXPECT_EQ(ranker->rerank("query", candidates(docs), 100).size(), docs.size());
-  EXPECT_TRUE(ranker->rerank("query", {}, 4).empty());
+  const auto analysis = lexical::CorpusAnalysis::build(docs);
+  EXPECT_EQ(
+      ranker->rerank("query about matrices", *analysis, candidates(docs), 2)
+          .size(),
+      2u);
+  EXPECT_EQ(ranker->rerank("query", *analysis, candidates(docs), 100).size(),
+            docs.size());
+  EXPECT_TRUE(ranker->rerank("query", *analysis, {}, 4).empty());
 }
 
 TEST_P(RerankerParamTest, ScoresDescendAndTiesKeepOriginalOrder) {
   auto ranker = make_reranker(GetParam());
   const auto docs = corpus();
-  ranker->fit(docs);
+  const auto analysis = lexical::CorpusAnalysis::build(docs);
   const auto ranked =
-      ranker->rerank("preallocation malloc diagnostics", candidates(docs),
-                     docs.size());
+      ranker->rerank("preallocation malloc diagnostics", *analysis,
+                     candidates(docs), docs.size());
   for (std::size_t i = 1; i < ranked.size(); ++i) {
     if (ranked[i - 1].score == ranked[i].score) {
       EXPECT_LT(ranked[i - 1].original_rank, ranked[i].original_rank);
@@ -82,11 +102,13 @@ TEST_P(RerankerParamTest, PermutationInvariantScores) {
   // legitimately swap positions — ties break by arrival order).
   auto ranker = make_reranker(GetParam());
   const auto docs = corpus();
-  ranker->fit(docs);
+  const auto analysis = lexical::CorpusAnalysis::build(docs);
   auto cands = candidates(docs);
-  const auto a = ranker->rerank("rectangular least squares", cands, docs.size());
+  const auto a = ranker->rerank("rectangular least squares", *analysis,
+                               cands, docs.size());
   std::reverse(cands.begin(), cands.end());
-  const auto b = ranker->rerank("rectangular least squares", cands, docs.size());
+  const auto b = ranker->rerank("rectangular least squares", *analysis,
+                               cands, docs.size());
   ASSERT_EQ(a.size(), b.size());
   std::map<std::string, double> score_a;
   std::map<std::string, double> score_b;
@@ -101,10 +123,9 @@ TEST_P(RerankerParamTest, Deterministic) {
   auto r1 = make_reranker(GetParam());
   auto r2 = make_reranker(GetParam());
   const auto docs = corpus();
-  r1->fit(docs);
-  r2->fit(docs);
-  const auto a = r1->rerank("monitor residual", candidates(docs), 3);
-  const auto b = r2->rerank("monitor residual", candidates(docs), 3);
+  const auto analysis = lexical::CorpusAnalysis::build(docs);
+  const auto a = r1->rerank("monitor residual", *analysis, candidates(docs), 3);
+  const auto b = r2->rerank("monitor residual", *analysis, candidates(docs), 3);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].doc->id, b[i].doc->id);
@@ -121,10 +142,10 @@ INSTANTIATE_TEST_SUITE_P(BothRerankers, RerankerParamTest,
 TEST(FlashRanker, SymbolMatchOutweighsProse) {
   FlashRanker ranker;
   const auto docs = corpus();
-  ranker.fit(docs);
+  const auto analysis = lexical::CorpusAnalysis::build(docs);
   // Query names the API symbol: the exact match must dominate.
   const auto ranked =
-      ranker.rerank("what does KSPGMRES do", candidates(docs), 1);
+      ranker.rerank("what does KSPGMRES do", *analysis, candidates(docs), 1);
   ASSERT_EQ(ranked.size(), 1u);
   EXPECT_EQ(ranked[0].doc->id, "gmres");
 }
@@ -132,9 +153,10 @@ TEST(FlashRanker, SymbolMatchOutweighsProse) {
 TEST(FlashRanker, ScorePairIsNonNegativeAndZeroForNoOverlap) {
   FlashRanker ranker;
   const auto docs = corpus();
-  ranker.fit(docs);
-  EXPECT_DOUBLE_EQ(ranker.score_pair("zzz qqq", docs[5]), 0.0);
-  EXPECT_GT(ranker.score_pair("least squares", docs[0]), 0.0);
+  const auto analysis = lexical::CorpusAnalysis::build(docs);
+  EXPECT_DOUBLE_EQ(score_pair(ranker, "zzz qqq", *analysis, {&docs[5], 5}),
+                   0.0);
+  EXPECT_GT(score_pair(ranker, "least squares", *analysis, {&docs[0], 0}), 0.0);
 }
 
 // One (query, document id, score) golden triple for score_pair.
@@ -143,14 +165,6 @@ struct GoldenPair {
   const char* doc_id;
   double score;
 };
-
-const text::Document& doc_by_id(const std::vector<text::Document>& docs,
-                                std::string_view id) {
-  for (const text::Document& doc : docs) {
-    if (doc.id == id) return doc;
-  }
-  throw std::invalid_argument("no such doc");
-}
 
 constexpr const char* kLsqrQuery =
     "Can I solve a rectangular least squares system with KSPLSQR?";
@@ -167,7 +181,7 @@ constexpr const char* kMorphologyQuery =
 TEST(FlashRanker, ScorePairMatchesGoldenValues) {
   FlashRanker ranker;
   const auto docs = corpus();
-  ranker.fit(docs);
+  const auto analysis = lexical::CorpusAnalysis::build(docs);
   const GoldenPair goldens[] = {
       {kLsqrQuery, "lsqr", 6.4431826249765285},
       {kLsqrQuery, "cg", 0.0},
@@ -180,7 +194,8 @@ TEST(FlashRanker, ScorePairMatchesGoldenValues) {
       {kMorphologyQuery, "gmres", 0.16560628536527261},
   };
   for (const GoldenPair& g : goldens) {
-    EXPECT_EQ(ranker.score_pair(g.query, doc_by_id(docs, g.doc_id)), g.score)
+    EXPECT_EQ(score_pair(ranker, g.query, *analysis, candidate(docs, g.doc_id)),
+              g.score)
         << g.query << " | " << g.doc_id;
   }
 }
@@ -190,7 +205,7 @@ TEST(FlashRanker, ScorePairMatchesGoldenValues) {
 TEST(CrossScore, ScorePairMatchesGoldenValues) {
   CrossScoreReranker ranker;
   const auto docs = corpus();
-  ranker.fit(docs);
+  const auto analysis = lexical::CorpusAnalysis::build(docs);
   const GoldenPair goldens[] = {
       {kLsqrQuery, "lsqr", 1.7229411435045958},
       {kLsqrQuery, "gmres", 0.12083521748457744},
@@ -204,7 +219,8 @@ TEST(CrossScore, ScorePairMatchesGoldenValues) {
       {kMorphologyQuery, "monitor", 0.0},
   };
   for (const GoldenPair& g : goldens) {
-    EXPECT_EQ(ranker.score_pair(g.query, doc_by_id(docs, g.doc_id)), g.score)
+    EXPECT_EQ(score_pair(ranker, g.query, *analysis, candidate(docs, g.doc_id)),
+              g.score)
         << g.query << " | " << g.doc_id;
   }
 }
@@ -219,20 +235,20 @@ TEST(CrossScore, ProximityRewardsClusteredMatches) {
            "and diagnostics; eventually least squares appears far away; "
            "and after yet more filler text the word solver shows up",
       {}};
-  ranker.fit({clustered, scattered});
-  const double c = ranker.score_pair("rectangular least squares solver",
-                                     clustered);
-  const double s = ranker.score_pair("rectangular least squares solver",
-                                     scattered);
+  const auto analysis = lexical::CorpusAnalysis::build({clustered, scattered});
+  const double c = score_pair(ranker, "rectangular least squares solver",
+                              *analysis, {&clustered, 0});
+  const double s = score_pair(ranker, "rectangular least squares solver",
+                              *analysis, {&scattered, 1});
   EXPECT_GT(c, s);
 }
 
 TEST(CrossScore, SoftMatchingHandlesMorphology) {
   CrossScoreReranker ranker;
   text::Document doc{"d", "restarting the iteration bounds memory usage", {}};
-  ranker.fit({doc});
+  const auto analysis = lexical::CorpusAnalysis::build({doc});
   // "restart" ~ "restarting" via trigram soft match.
-  EXPECT_GT(ranker.score_pair("restart memory", doc), 0.3);
+  EXPECT_GT(score_pair(ranker, "restart memory", *analysis, {&doc, 0}), 0.3);
 }
 
 TEST(Registry, NamesConstructAndUnknownThrows) {

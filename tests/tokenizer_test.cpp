@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
+
+#include "util/strings.h"
 
 namespace pkb::text {
 namespace {
@@ -60,6 +64,32 @@ TEST(Tokenizer, EmptyAndPunctuationOnly) {
 TEST(Tokenizer, DoubleDashProseSeparatorNotAnOption) {
   const auto tt = tokenize("yes -- and no");
   EXPECT_TRUE(tt.symbols.empty());
+}
+
+// The analysis spans reproduce tokenize() exactly, including stripped
+// leading dashes ("---ksp_view" -> "-ksp_view") and symbols.
+TEST(Tokenizer, AnalysisSpansReproduceTheTokenStream) {
+  Document doc;
+  doc.text =
+      "How do I call KSPSetType -- with -ksp_type gmres, a PC and the "
+      "MatSetValues() routine? Try ---ksp_view; KSPSetType again, ksp.";
+  doc.metadata["title"] = "KSPSetType";
+  const TextAnalysis a = analyze(doc);
+  EXPECT_EQ(a.lower, pkb::util::to_lower(doc.text));
+  EXPECT_EQ(a.title, "kspsettype");
+  std::vector<std::string> tokens;
+  for (const TextAnalysis::Span s : a.tokens) tokens.emplace_back(a.view(s));
+  EXPECT_EQ(tokens, tokens_of(doc.text));
+  std::vector<std::string> terms;
+  for (const TextAnalysis::Span s : a.terms) terms.emplace_back(a.view(s));
+  std::vector<std::string> want = tokens;
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  EXPECT_EQ(terms, want);
+  EXPECT_TRUE(a.has_term("-ksp_view"));
+  EXPECT_TRUE(a.has_term("kspsettype"));
+  EXPECT_FALSE(a.has_term("KSPSetType"));
+  EXPECT_FALSE(a.has_term("ksp_view"));
 }
 
 TEST(LooksLikeSymbol, Positive) {
