@@ -42,7 +42,7 @@ using pkb::serve::Server;
 using pkb::serve::ServerOptions;
 namespace res = pkb::resilience;
 
-// Same scale as serve_throughput: realizes simulated LLM latencies as
+// Same scale as session_load: realizes simulated LLM latencies as
 // ~5-35 ms real stalls so worker overlap (and degraded fast paths) show up
 // in QPS.
 constexpr double kLlmLatencyScale = 0.002;

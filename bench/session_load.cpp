@@ -23,7 +23,7 @@
 // its deadline budget, and shedding rises monotonically before p99
 // collapses (every rung's admitted p99 stays under the bound).
 //
-// Usage: session_load [--lanes N] [--lane-queue C] [--sessions S]
+// Usage: session_load [--workers N] [--queue-capacity C] [--sessions S]
 //                     [--requests-per-mode R] [--overload-window SECONDS]
 //                     [--mode all|steady,bursty,diurnal,overload]
 //                     [--deadline SECONDS] [--p99-bound SECONDS]
@@ -64,8 +64,8 @@ using pkb::serve::SessionOptions;
 using pkb::serve::TurnOutcome;
 namespace res = pkb::resilience;
 
-// Same scale as the other serve benches: simulated LLM latencies become
-// ~5-35 ms real stalls, so lanes have a real service time to saturate.
+// Same scale as chaos_serve: simulated LLM latencies become ~5-35 ms real
+// stalls, so the workers have a real service time to saturate.
 constexpr double kLlmLatencyScale = 0.002;
 
 constexpr double kOverloadMultipliers[] = {0.5, 1.0, 2.0, 4.0, 8.0};
@@ -226,15 +226,9 @@ struct ModeResult {
 /// per-mode).
 ModeResult run_mode(const char* name,
                     const pkb::rag::AugmentedWorkflow& workflow,
-                    res::Resilience& engine, const SessionOptions& mopts,
+                    const ServerOptions& sopts, const SessionOptions& mopts,
                     const std::vector<Arrival>& arrivals) {
   pkb::obs::global_metrics().reset();
-  ServerOptions sopts;
-  sopts.workers = 1;  // session turns run on the manager's lanes
-  sopts.queue_capacity = 1;
-  sopts.answer_cache_capacity = 0;  // session prompts are state-dependent
-  sopts.llm_latency_scale = kLlmLatencyScale;
-  sopts.resilience = &engine;
   Server server(workflow, sopts);
   SessionManager manager(server, mopts);
 
@@ -358,8 +352,8 @@ pkb::util::Json mode_json(const ModeResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t lanes = 4;
-  std::size_t lane_queue = 64;
+  std::size_t workers = 4;
+  std::size_t queue_capacity = 256;
   std::size_t pool_sessions = 24;
   std::size_t requests_per_mode = 240;
   double overload_window = 1.0;
@@ -370,10 +364,12 @@ int main(int argc, char** argv) {
   std::string mode_arg = "all";
   std::string output = "BENCH_sessions.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      lanes = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--lane-queue") == 0 && i + 1 < argc) {
-      lane_queue =
+    if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
+      workers =
+          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+    } else if (std::strcmp(argv[i], "--queue-capacity") == 0 &&
+               i + 1 < argc) {
+      queue_capacity =
           static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
       pool_sessions =
@@ -401,7 +397,8 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(
           stderr,
-          "usage: session_load [--lanes N] [--lane-queue C] [--sessions S] "
+          "usage: session_load [--workers N] [--queue-capacity C] "
+          "[--sessions S] "
           "[--requests-per-mode R] [--overload-window SECONDS] "
           "[--mode all|steady,bursty,diurnal,overload] [--deadline SECONDS] "
           "[--p99-bound SECONDS] [--admission-deadline SECONDS] [--seed S] "
@@ -409,7 +406,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (lanes == 0) lanes = 1;
+  if (workers == 0) workers = 1;
   if (requests_per_mode == 0) requests_per_mode = 1;
   const auto mode_on = [&](const char* m) {
     return mode_arg == "all" || mode_arg.find(m) != std::string::npos;
@@ -426,19 +423,20 @@ int main(int argc, char** argv) {
   ropts.seed = seed;
   res::Resilience engine(ropts);
 
-  // --- Calibration: closed-loop mean turn time -> capacity estimate. ---
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.queue_capacity = queue_capacity;
+  sopts.answer_cache_capacity = 0;  // session prompts are state-dependent
+  sopts.llm_latency_scale = kLlmLatencyScale;
+  sopts.resilience = &engine;
+
+  // --- Calibration: closed-loop mean turn time on one worker -> capacity
+  // estimate. ---
   double mean_turn_seconds;
   {
     pkb::obs::global_metrics().reset();
-    ServerOptions sopts;
-    sopts.workers = 1;
-    sopts.answer_cache_capacity = 0;
-    sopts.llm_latency_scale = kLlmLatencyScale;
-    sopts.resilience = &engine;
     Server server(workflow, sopts);
-    SessionOptions mopts;
-    mopts.lanes = 1;
-    SessionManager manager(server, mopts);
+    SessionManager manager(server);
     const std::size_t warm = 12;
     pkb::util::Stopwatch watch;
     for (std::size_t i = 0; i < warm; ++i) {
@@ -449,14 +447,13 @@ int main(int argc, char** argv) {
     mean_turn_seconds = watch.seconds() / static_cast<double>(warm);
   }
   const double capacity_qps =
-      static_cast<double>(lanes) / mean_turn_seconds;
+      static_cast<double>(workers) / mean_turn_seconds;
   std::printf("calibration: mean turn %.1f ms -> capacity estimate %.0f QPS "
-              "(%zu lanes)\n\n",
-              mean_turn_seconds * 1e3, capacity_qps, lanes);
+              "(%zu workers)\n\n",
+              mean_turn_seconds * 1e3, capacity_qps, workers);
 
+  sopts.workers = workers;
   SessionOptions mopts;
-  mopts.lanes = lanes;
-  mopts.lane_queue_capacity = lane_queue;
   mopts.admission_deadline_seconds =
       admission_deadline < 0.0 ? p99_bound * 0.5 : admission_deadline;
   mopts.initial_turn_seconds_estimate = mean_turn_seconds;
@@ -468,26 +465,26 @@ int main(int argc, char** argv) {
   std::vector<ModeResult> results;
   if (mode_on("steady")) {
     results.push_back(run_mode(
-        "steady", workflow, engine, mopts,
+        "steady", workflow, sopts, mopts,
         gen_steady(rng, picker, capacity_qps, requests_per_mode)));
     print_mode(results.back());
   }
   if (mode_on("bursty")) {
     results.push_back(run_mode(
-        "bursty", workflow, engine, mopts,
+        "bursty", workflow, sopts, mopts,
         gen_bursty(rng, picker, capacity_qps, requests_per_mode)));
     print_mode(results.back());
   }
   if (mode_on("diurnal")) {
     results.push_back(run_mode(
-        "diurnal", workflow, engine, mopts,
+        "diurnal", workflow, sopts, mopts,
         gen_diurnal(rng, picker, capacity_qps, requests_per_mode)));
     print_mode(results.back());
   }
   const ModeResult* overload = nullptr;
   if (mode_on("overload")) {
     results.push_back(run_mode(
-        "overload", workflow, engine, mopts,
+        "overload", workflow, sopts, mopts,
         gen_overload(rng, picker, capacity_qps, overload_window)));
     print_mode(results.back());
     overload = &results.back();
@@ -550,8 +547,8 @@ int main(int argc, char** argv) {
 
   using pkb::util::Json;
   Json config = Json::object();
-  config.set("lanes", Json(static_cast<double>(lanes)));
-  config.set("lane_queue_capacity", Json(static_cast<double>(lane_queue)));
+  config.set("workers", Json(static_cast<double>(workers)));
+  config.set("queue_capacity", Json(static_cast<double>(queue_capacity)));
   config.set("session_pool", Json(static_cast<double>(pool_sessions)));
   config.set("requests_per_mode",
              Json(static_cast<double>(requests_per_mode)));

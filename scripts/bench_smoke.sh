@@ -47,16 +47,6 @@ run() {
   "$build_dir/bench/$name" "$@"
 }
 
-run serve_throughput --workers 2 --requests 24 \
-  --output "$out_dir/BENCH_serve.json"
-require_keys "$out_dir/BENCH_serve.json" \
-  config scaling caching workers_1 workers_n speedup qps p99_seconds
-
-run ingest_swap --generations 2 --docs-per-gen 2 --workers 2 --requests 24 \
-  --output "$out_dir/BENCH_ingest.json"
-require_keys "$out_dir/BENCH_ingest.json" \
-  config steady_state during_ingestion qps_ratio swap p99_seconds ingest
-
 run chaos_serve --workers 2 --requests 24 \
   --output "$out_dir/BENCH_chaos.json"
 require_keys "$out_dir/BENCH_chaos.json" \
@@ -89,7 +79,7 @@ require_keys "$out_dir/BENCH_replay.json" \
 # of admitted turns are answered, nothing overdraws its deadline budget, and
 # shedding rises monotonically across the overload rungs before p99
 # collapses), so a smoke pass certifies the knee measurement end to end.
-run session_load --lanes 2 --lane-queue 8 --sessions 8 \
+run session_load --workers 2 --queue-capacity 16 --sessions 8 \
   --requests-per-mode 48 --overload-window 0.3 \
   --output "$out_dir/BENCH_sessions.json"
 require_keys "$out_dir/BENCH_sessions.json" \

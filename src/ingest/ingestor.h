@@ -76,7 +76,7 @@ class Ingestor {
 
   [[nodiscard]] IngestStats stats() const;
   /// Seconds spent inside each publish's swap critical section, in publish
-  /// order (what bench/ingest_swap summarizes).
+  /// order.
   [[nodiscard]] std::vector<double> swap_history() const;
 
   /// Attach a chaos plan (Stage::Ingest). A transient fault earns the build

@@ -114,8 +114,8 @@ inline constexpr std::string_view kServeQueueDepth = "pkb_serve_queue_depth";
 inline constexpr std::string_view kServeWorkers = "pkb_serve_workers";
 inline constexpr std::string_view kServeInflight = "pkb_serve_inflight";
 inline constexpr std::string_view kSessionActive = "pkb_session_active";
-inline constexpr std::string_view kSessionLaneDepth =
-    "pkb_session_lane_depth";
+inline constexpr std::string_view kSessionQueueDepth =
+    "pkb_session_queue_depth";
 inline constexpr std::string_view kSessionInflight = "pkb_session_inflight";
 inline constexpr std::string_view kKbGeneration = "pkb_kb_generation";
 inline constexpr std::string_view kKbChunks = "pkb_kb_chunks";

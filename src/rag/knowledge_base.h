@@ -141,7 +141,7 @@ class KnowledgeBase {
   /// `next`. Requires next->generation > generation() (publishers are
   /// serialized internally; a stale build throws std::logic_error).
   /// Returns the seconds spent inside the swap critical section (what
-  /// bench/ingest_swap reports as swap latency).
+  /// perfbench's live_ingest reports as ingest.swap_us).
   double publish(SnapshotPtr next);
 
   // --- compat accessors (current generation; see class comment) -----------

@@ -5,9 +5,9 @@
 //
 // The pipeline body is an explicit composition of six typed stages
 // (rag/stage_graph.h): ask() pins a snapshot and runs Embed..Postprocess.
-// It is the one definition of the pipeline — the serve layer's workers and
-// session lanes call it too. Passing a StageTrace captures every stage's
-// serializable artifact for the record/replay subsystem (src/replay/).
+// It is the one definition of the pipeline — the serve layer's workers run
+// it for requests and session turns. Passing a StageTrace captures every
+// stage's serializable artifact for the record/replay subsystem (src/replay/).
 
 #include <memory>
 #include <optional>

@@ -44,15 +44,10 @@ class BoundedQueue {
 
   /// Enqueue only if there is room right now; never blocks. Returns false
   /// when full or closed (load-shedding entry point).
-  bool try_push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
+  bool try_push(T item) { return enqueue(std::move(item), true); }
+
+  /// Enqueue past capacity (the caller bounds the work); false when closed.
+  bool force_push(T item) { return enqueue(std::move(item), false); }
 
   /// Block until an item is available or the queue is closed AND drained;
   /// nullopt signals shutdown.
@@ -92,6 +87,16 @@ class BoundedQueue {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
+  bool enqueue(T item, bool bounded) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (closed_ || (bounded && items_.size() >= capacity_)) return false;
+      items_.push_back(std::move(item));
+    }
+    not_empty_.notify_one();
+    return true;
+  }
+
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_full_;

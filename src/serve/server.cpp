@@ -81,10 +81,10 @@ std::future<rag::WorkflowOutcome> Server::submit(std::string question) {
   req.question = std::move(question);
   req.promise = std::move(promise);
   req.enqueue_seconds = steady_seconds();
-  if (!queue_.push(std::move(req))) {
+  if (!queue_.push(Job(std::move(req)))) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     metrics.counter(obs::kServeRejectedTotal).inc();
-    // req was not consumed by the closed queue; fail its promise.
+    // The request (and its promise) went down with the rejected job.
     std::promise<rag::WorkflowOutcome> failed;
     future = failed.get_future();
     failed.set_exception(std::make_exception_ptr(
@@ -127,9 +127,20 @@ void Server::retire_superseded_answers() {
   }
 }
 
+bool Server::post(std::function<void()> task) {
+  if (!queue_.force_push(Job(std::move(task)))) return false;
+  publish_queue_gauges();
+  return true;
+}
+
 void Server::worker_loop() {
-  while (std::optional<Request> req = queue_.pop()) {
-    process(*req);
+  while (std::optional<Job> job = queue_.pop()) {
+    publish_queue_gauges();
+    if (Request* req = std::get_if<Request>(&*job)) {
+      process(*req);
+    } else {
+      std::get<std::function<void()>>(*job)();
+    }
   }
 }
 
@@ -139,7 +150,6 @@ void Server::process(Request& req) {
   const double queue_wait = start - req.enqueue_seconds;
   metrics.histogram(obs::kServeQueueWaitSeconds).observe(queue_wait);
   metrics.gauge(obs::kServeInflight).add(1.0);
-  publish_queue_gauges();
 
   obs::Span span(obs::global_tracer(), obs::kSpanServeRequest);
   try {
@@ -189,12 +199,6 @@ void Server::process(Request& req) {
       .observe(steady_seconds() - req.enqueue_seconds);
 }
 
-rag::WorkflowOutcome Server::run_session_turn(
-    const std::string& question, rag::SessionPromptContext& session,
-    double queue_wait_seconds) {
-  return compute(question, queue_wait_seconds, &session);
-}
-
 rag::WorkflowOutcome Server::compute(const std::string& question,
                                      double queue_wait_seconds,
                                      rag::SessionPromptContext* session) {
@@ -203,8 +207,7 @@ rag::WorkflowOutcome Server::compute(const std::string& question,
   pkb::resilience::RequestContext* ctxp = nullptr;
   if (opts_.resilience != nullptr) {
     ctx = opts_.resilience->make_context();
-    // Time already spent queued (server queue or session lane) comes off
-    // the budget.
+    // Time already spent queued comes off the budget.
     ctx.budget.charge(queue_wait_seconds);
     ctxp = &ctx;
   }

@@ -5,7 +5,8 @@
 // threads that each run the full retrieve → rerank → LLM → postprocess
 // pipeline against a pinned generation of the shared rag::KnowledgeBase
 // (ingestion may publish new generations at any moment; see
-// rag/knowledge_base.h).
+// rag/knowledge_base.h). The same workers run session turns
+// (serve/session.h), posted as tasks: there is one executor.
 //
 // Every computed answer — a worker's answer-cache miss or a session turn —
 // is one AugmentedWorkflow::ask() call, so served answers carry exactly the
@@ -29,9 +30,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "rag/workflow.h"
@@ -48,7 +51,7 @@ struct ServerOptions {
   /// Worker threads running the pipeline. 0 means one per hardware thread.
   std::size_t workers = 4;
   /// Bounded request-queue capacity; full queue blocks submitters
-  /// (backpressure).
+  /// (backpressure). Also caps a SessionManager's admitted, unstarted turns.
   std::size_t queue_capacity = 64;
 
   /// Total answer-cache entries across shards; 0 disables the cache.
@@ -105,20 +108,6 @@ class Server final : public rag::QuestionService {
   [[nodiscard]] rag::WorkflowOutcome answer(
       std::string_view question) const override;
 
-  /// Run one session turn through the pipeline on the caller's thread —
-  /// the session serving layer's entry point (serve/session.h calls this
-  /// from its affinity lanes; it owns its own queues and admission
-  /// control, so the server's request queue is not involved). The answer
-  /// cache is bypassed in both directions: a session prompt depends on the
-  /// session's retrieval memory and conversation history, so its outcome
-  /// is neither reusable by nor reusable from sessionless traffic. The
-  /// resilience treatment (with `queue_wait_seconds` charged to the
-  /// budget), trace recorder, and latency realization are shared with the
-  /// worker path.
-  [[nodiscard]] rag::WorkflowOutcome run_session_turn(
-      const std::string& question, rag::SessionPromptContext& session,
-      double queue_wait_seconds);
-
   /// Graceful shutdown: stop accepting, drain the queue, join the workers.
   /// Idempotent; called by the destructor.
   void stop();
@@ -138,12 +127,19 @@ class Server final : public rag::QuestionService {
   [[nodiscard]] const ServerOptions& options() const { return opts_; }
 
  private:
+  friend class SessionManager;  // runs turns via post() and compute()
+
   struct Request {
     std::string question;
     std::promise<rag::WorkflowOutcome> promise;
     double enqueue_seconds = 0.0;  ///< steady_seconds() at submit time
   };
 
+  using Job = std::variant<Request, std::function<void()>>;
+
+  /// Queue `task` (a session strand) for a worker; never blocks. False once
+  /// stopped.
+  [[nodiscard]] bool post(std::function<void()> task);
   void worker_loop();
   void process(Request& req);
   /// True when a cached outcome still reflects the current KnowledgeBase
@@ -155,7 +151,8 @@ class Server final : public rag::QuestionService {
   void retire_superseded_answers();
   /// Compute one answer: workflow_.ask() under a fresh resilience context
   /// (with `queue_wait_seconds` charged to its budget), optional trace
-  /// recording, degraded accounting, and the LLM-latency sleep.
+  /// recording, degraded accounting, and the LLM-latency sleep. Session
+  /// turns pass their prompt context and never touch the answer cache.
   [[nodiscard]] rag::WorkflowOutcome compute(
       const std::string& question, double queue_wait_seconds,
       rag::SessionPromptContext* session);
@@ -163,7 +160,7 @@ class Server final : public rag::QuestionService {
 
   const rag::AugmentedWorkflow& workflow_;
   ServerOptions opts_;
-  BoundedQueue<Request> queue_;
+  BoundedQueue<Job> queue_;
   ShardedLruCache<std::string, rag::WorkflowOutcome> answer_cache_;
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> submitted_{0};

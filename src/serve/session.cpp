@@ -28,29 +28,19 @@ std::string_view to_string(Admission admission) {
 
 SessionManager::SessionManager(Server& server, SessionOptions opts)
     : server_(server), opts_(std::move(opts)) {
-  if (opts_.lanes == 0) opts_.lanes = 1;
-  if (opts_.lane_queue_capacity == 0) opts_.lane_queue_capacity = 1;
+  opts_.lanes = server_.options().workers;
   if (opts_.max_sessions == 0) opts_.max_sessions = 1;
   if (opts_.max_inflight_per_session == 0) opts_.max_inflight_per_session = 1;
   if (!opts_.clock) opts_.clock = steady_seconds;
-  lanes_.reserve(opts_.lanes);
-  for (std::size_t i = 0; i < opts_.lanes; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(opts_.lane_queue_capacity));
-  }
-  for (std::size_t i = 0; i < opts_.lanes; ++i) {
-    Lane& lane = *lanes_[i];
-    lane.index = i;
-    lane.worker = std::thread([this, &lane] { lane_loop(lane); });
-  }
 }
 
 SessionManager::~SessionManager() { stop(); }
 
 void SessionManager::stop() {
-  if (stopped_.exchange(true)) return;
-  for (auto& lane : lanes_) lane->queue.close();
-  for (auto& lane : lanes_) {
-    if (lane->worker.joinable()) lane->worker.join();
+  {
+    std::unique_lock<std::mutex> lock(strands_mu_);
+    if (stopped_.exchange(true)) return;
+    strands_idle_.wait(lock, [this] { return busy_strands_ == 0; });
   }
   // Final per-session turn counts for the distribution histogram (evicted
   // sessions were observed at eviction time).
@@ -64,7 +54,7 @@ void SessionManager::stop() {
 }
 
 std::size_t SessionManager::lane_of(const std::string& session_id) const {
-  return std::hash<std::string>{}(session_id) % lanes_.size();
+  return std::hash<std::string>{}(session_id) % opts_.lanes;
 }
 
 double SessionManager::now_seconds() const { return opts_.clock(); }
@@ -86,35 +76,34 @@ std::future<TurnOutcome> SessionManager::submit(const std::string& session_id,
   }
   sweep_idle(now);
 
-  bool created = false;
   std::shared_ptr<Session> session =
-      lookup_session(session_id, /*create_if_missing=*/false, created);
+      lookup_session(session_id, /*create_if_missing=*/false);
   const bool is_new = session == nullptr;
-  const std::size_t lane_idx = lane_of(session_id);
-  Lane& lane = *lanes_[lane_idx];
-  const std::size_t depth = lane.queue.size();
-  span.set_attr("lane", static_cast<std::uint64_t>(lane_idx));
+  const ServerOptions& pool = server_.options();
+  const std::size_t depth = queued_.load(std::memory_order_relaxed);
   span.set_attr("depth", static_cast<std::uint64_t>(depth));
   span.set_attr("new_session", is_new);
 
-  // Admission, in shed order: a runaway session first, hard lane capacity
+  // Admission, in shed order: a runaway session first, hard capacity
   // second, new-before-in-flight at the watermark third, and the
   // estimated-wait deadline last.
   Admission decision = Admission::Admitted;
-  if (session != nullptr && session->inflight.load(std::memory_order_relaxed)
-                                >= opts_.max_inflight_per_session) {
+  if (session != nullptr &&
+      session->inflight() >= opts_.max_inflight_per_session) {
     decision = Admission::ShedSessionInflight;
-  } else if (depth >= lane.queue.capacity()) {
+  } else if (depth >= pool.queue_capacity) {
     decision = Admission::ShedQueueFull;
   } else if (is_new && opts_.new_session_shed_fraction > 0.0 &&
              static_cast<double>(depth) >=
                  opts_.new_session_shed_fraction *
-                     static_cast<double>(lane.queue.capacity())) {
+                     static_cast<double>(pool.queue_capacity)) {
     decision = Admission::ShedNewSession;
   } else if (opts_.admission_deadline_seconds > 0.0) {
-    double estimate = lane.ema_turn_seconds.load(std::memory_order_relaxed);
+    double estimate = ema_turn_seconds_.load(std::memory_order_relaxed);
     if (estimate <= 0.0) estimate = opts_.initial_turn_seconds_estimate;
-    if (estimate * static_cast<double>(depth + 1) >
+    if (estimate * (static_cast<double>(depth) /
+                        static_cast<double>(pool.workers) +
+                    1.0) >
         opts_.admission_deadline_seconds) {
       decision = Admission::ShedDeadline;
     }
@@ -125,21 +114,19 @@ std::future<TurnOutcome> SessionManager::submit(const std::string& session_id,
   }
 
   if (session == nullptr) {
-    session = lookup_session(session_id, /*create_if_missing=*/true, created);
+    session = lookup_session(session_id, /*create_if_missing=*/true);
   }
   session->last_active_seconds.store(now, std::memory_order_relaxed);
-  session->inflight.fetch_add(1, std::memory_order_relaxed);
 
   Turn turn;
-  turn.session = session;
   turn.question = std::move(question);
   turn.submit_seconds = now;
-  std::promise<TurnOutcome> promise;
-  std::future<TurnOutcome> future = promise.get_future();
-  turn.promise = std::move(promise);
-  if (!lane.queue.try_push(std::move(turn))) {
-    // Raced to full (or closed) between the depth check and the push.
-    session->inflight.fetch_sub(1, std::memory_order_relaxed);
+  std::future<TurnOutcome> future = turn.promise.get_future();
+  // Take a queue slot and hand the turn to its strand; either fails if
+  // racing submitters filled the queue or the manager stopped meanwhile.
+  if (queued_.fetch_add(1, std::memory_order_relaxed) >= pool.queue_capacity ||
+      !schedule(session, std::move(turn))) {
+    queued_.fetch_sub(1, std::memory_order_relaxed);
     span.set_attr("decision", to_string(Admission::ShedQueueFull));
     return shed_turn(session_id, Admission::ShedQueueFull);
   }
@@ -156,30 +143,15 @@ TurnOutcome SessionManager::ask(const std::string& session_id,
 
 std::future<TurnOutcome> SessionManager::shed_turn(
     const std::string& session_id, Admission reason) {
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  switch (reason) {
-    case Admission::ShedSessionInflight:
-      shed_session_inflight_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case Admission::ShedQueueFull:
-      shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case Admission::ShedNewSession:
-      shed_new_session_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case Admission::ShedDeadline:
-      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case Admission::Admitted:
-      break;
-  }
+  shed_[static_cast<std::size_t>(reason)].fetch_add(1,
+                                                    std::memory_order_relaxed);
   obs::global_metrics()
       .counter(obs::kSessionShedTotal,
                {{"reason", std::string(to_string(reason))}})
       .inc();
 
   // The typed Overload answer: the bottom rung of the degradation ladder,
-  // resolved on the caller's thread — a shed turn never occupies a lane.
+  // resolved on the caller's thread — a shed turn never reaches a worker.
   TurnOutcome out;
   out.admission = reason;
   out.session_id = session_id;
@@ -195,8 +167,7 @@ std::future<TurnOutcome> SessionManager::shed_turn(
 }
 
 std::shared_ptr<SessionManager::Session> SessionManager::lookup_session(
-    const std::string& session_id, bool create_if_missing, bool& created) {
-  created = false;
+    const std::string& session_id, bool create_if_missing) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   auto it = sessions_.find(session_id);
   if (it != sessions_.end()) {
@@ -215,7 +186,6 @@ std::shared_ptr<SessionManager::Session> SessionManager::lookup_session(
   lru_.push_back(session_id);
   session->lru_pos = std::prev(lru_.end());
   sessions_.emplace(session_id, session);
-  created = true;
   sessions_created_.fetch_add(1, std::memory_order_relaxed);
   obs::MetricsRegistry& metrics = obs::global_metrics();
   metrics.counter(obs::kSessionCreatedTotal).inc();
@@ -258,34 +228,58 @@ void SessionManager::sweep_idle(double now) {
 }
 
 void SessionManager::publish_gauges() {
-  std::size_t depth = 0;
-  for (const auto& lane : lanes_) depth += lane->queue.size();
   obs::global_metrics()
-      .gauge(obs::kSessionLaneDepth)
-      .set(static_cast<double>(depth));
+      .gauge(obs::kSessionQueueDepth)
+      .set(static_cast<double>(queued_.load(std::memory_order_relaxed)));
 }
 
-void SessionManager::lane_loop(Lane& lane) {
-  while (std::optional<Turn> turn = lane.queue.pop()) {
-    process_turn(lane, *turn);
+bool SessionManager::schedule(const std::shared_ptr<Session>& session,
+                              Turn turn) {
+  std::lock_guard<std::mutex> lock(session->mu);
+  // Pending turns mean the strand is queued or running and will take this.
+  if (session->pending.empty()) {
+    std::lock_guard<std::mutex> strands(strands_mu_);
+    if (stopped_.load(std::memory_order_relaxed) ||
+        !server_.post([this, session] { run_strand(*session); })) {
+      return false;
+    }
+    ++busy_strands_;
   }
+  session->pending.push_back(std::move(turn));
+  return true;
 }
 
-void SessionManager::process_turn(Lane& lane, Turn& turn) {
+void SessionManager::run_strand(Session& session) {
+  std::unique_lock<std::mutex> lock(session.mu);
+  while (!session.pending.empty()) {
+    // The running turn stays in `pending` (appends keep the reference
+    // valid), so pending.size() is the session's inflight count.
+    Turn& turn = session.pending.front();
+    lock.unlock();
+    process_turn(session, turn);
+    lock.lock();
+    session.pending.pop_front();
+  }
+  // Notify under the lock: stop() may return, and the manager be destroyed,
+  // as soon as it is released.
+  std::lock_guard<std::mutex> strands(strands_mu_);
+  if (--busy_strands_ == 0) strands_idle_.notify_all();
+}
+
+void SessionManager::process_turn(Session& session, Turn& turn) {
   obs::MetricsRegistry& metrics = obs::global_metrics();
   const double start = now_seconds();
   const double wait = std::max(0.0, start - turn.submit_seconds);
+  queued_.fetch_sub(1, std::memory_order_relaxed);
   metrics.histogram(obs::kSessionQueueWaitSeconds).observe(wait);
   metrics.gauge(obs::kSessionInflight).add(1.0);
   publish_gauges();
 
-  Session& session = *turn.session;
   obs::Span span(obs::global_tracer(), obs::kSpanSessionTurn);
   span.set_attr("session", session.id);
-  span.set_attr("lane", static_cast<std::uint64_t>(lane.index));
 
-  // Session state below is touched without a lock: affinity makes this
-  // lane's worker the only writer of this session's memory and history.
+  // Session state below is touched without a lock: the strand runs one
+  // turn at a time, so this turn is its memory and history's only writer.
   rag::SessionPromptContext prompt_ctx;
   if (!session.seen_context_ids.empty()) {
     prompt_ctx.seen_context_ids = &session.seen_context_ids;
@@ -301,7 +295,7 @@ void SessionManager::process_turn(Lane& lane, Turn& turn) {
   out.turn = session.turns.fetch_add(1, std::memory_order_relaxed) + 1;
   span.set_attr("turn", out.turn);
   try {
-    out.outcome = server_.run_session_turn(turn.question, prompt_ctx, wait);
+    out.outcome = server_.compute(turn.question, wait, &prompt_ctx);
     out.deduped_contexts = prompt_ctx.deduped;
     out.history_contexts = prompt_ctx.history_attached;
 
@@ -365,14 +359,11 @@ void SessionManager::process_turn(Lane& lane, Turn& turn) {
 
   const double end = now_seconds();
   const double service = std::max(0.0, end - start);
-  const double prev = lane.ema_turn_seconds.load(std::memory_order_relaxed);
-  lane.ema_turn_seconds.store(prev <= 0.0 ? service
-                                          : 0.8 * prev + 0.2 * service,
-                              std::memory_order_relaxed);
+  const double prev = ema_turn_seconds_.load(std::memory_order_relaxed);
+  ema_turn_seconds_.store(prev <= 0.0 ? service : 0.8 * prev + 0.2 * service,
+                          std::memory_order_relaxed);
   session.last_active_seconds.store(end, std::memory_order_relaxed);
-  session.inflight.fetch_sub(1, std::memory_order_relaxed);
   metrics.gauge(obs::kSessionInflight).add(-1.0);
-  publish_gauges();
 }
 
 SessionManager::Stats SessionManager::stats() const {
@@ -380,12 +371,16 @@ SessionManager::Stats SessionManager::stats() const {
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.admitted = admitted_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.shed_session_inflight =
-      shed_session_inflight_.load(std::memory_order_relaxed);
-  s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
-  s.shed_new_session = shed_new_session_.load(std::memory_order_relaxed);
-  s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
+  const auto shed = [this](Admission reason) {
+    return shed_[static_cast<std::size_t>(reason)].load(
+        std::memory_order_relaxed);
+  };
+  s.shed_session_inflight = shed(Admission::ShedSessionInflight);
+  s.shed_queue_full = shed(Admission::ShedQueueFull);
+  s.shed_new_session = shed(Admission::ShedNewSession);
+  s.shed_deadline = shed(Admission::ShedDeadline);
+  s.shed = s.shed_session_inflight + s.shed_queue_full + s.shed_new_session +
+           s.shed_deadline;
   s.sessions_created = sessions_created_.load(std::memory_order_relaxed);
   s.sessions_evicted = sessions_evicted_.load(std::memory_order_relaxed);
   s.dedup_dropped = dedup_dropped_.load(std::memory_order_relaxed);
@@ -395,7 +390,7 @@ SessionManager::Stats SessionManager::stats() const {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     s.active_sessions = sessions_.size();
   }
-  for (const auto& lane : lanes_) s.queue_depth += lane->queue.size();
+  s.queue_depth = queued_.load(std::memory_order_relaxed);
   return s;
 }
 

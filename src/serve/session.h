@@ -3,36 +3,38 @@
 // of the coding-agent workload: bursts of dependent, session-affine queries
 // instead of independent one-shot questions.
 //
-// A SessionManager keys conversation state by session id and routes every
-// turn of a session to the same lane (worker thread + bounded queue, picked
-// by hashing the id), so a session's turns execute in order. Each turn is
-// one Server::run_session_turn, i.e. one AugmentedWorkflow::ask(); the
-// session's own retrieval memory dedups context chunks the conversation has
-// already seen (rag::SessionPromptContext). Prior turns are appended to the
-// prompt through the stage graph's history path, after the document
-// contexts.
+// A SessionManager keys conversation state by session id. Each session is
+// a serial strand on the Server's workers: it is posted to the server's
+// queue when a turn arrives while it is idle, and the worker that pops it
+// runs its turns one at a time in submit order. Each turn is
+// one AugmentedWorkflow::ask(); the session's retrieval memory dedups
+// context chunks the conversation has already seen
+// (rag::SessionPromptContext), and prior turns are appended to the prompt
+// after the document contexts.
 //
 // Admission control is open-loop friendly: submit() NEVER blocks. A turn
 // that cannot be served within bounds is shed immediately with a typed
 // Overload answer (degradation rung Unavailable — the bottom of the
-// existing five-rung ladder), in shed order:
+// existing five-rung ladder), in shed order (depth = admitted turns not yet
+// started):
 //
 //   1. per-session inflight cap      (one runaway agent cannot monopolize)
-//   2. lane queue full               (hard capacity)
+//   2. depth at the server's queue_capacity (hard capacity)
 //   3. new sessions at high watermark (shed new before in-flight sessions)
-//   4. estimated wait past the admission deadline (EMA of lane service time)
+//   4. estimated wait (EMA turn time x (depth / workers + 1)) past deadline
 //
-// Session state is single-writer by construction: only the owning lane's
-// worker thread touches a session's memory and history, so no per-session
-// lock is needed; the manager's map/LRU mutex covers lookup, creation, and
-// eviction (capacity + idle TTL). Evicting a session mid-turn is safe — the
-// in-flight turn holds a shared_ptr and completes against the orphaned
-// state.
+// Session state is single-writer by construction: a strand runs on one
+// worker at a time, so a session's memory and history need no lock; the
+// manager's map/LRU mutex covers lookup, creation, and eviction (capacity +
+// idle TTL). Evicting a session mid-turn is safe — the running strand holds
+// a shared_ptr and completes against the orphaned state.
 //
 // Everything is observable under pkb_session_* and the session_turn /
 // admission spans (docs/OBSERVABILITY.md).
 
+#include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -41,23 +43,18 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "rag/stages.h"
-#include "serve/bounded_queue.h"
 #include "serve/lru_cache.h"
 #include "serve/server.h"
 
 namespace pkb::serve {
 
 struct SessionOptions {
-  /// Affinity lanes: worker threads, each with its own bounded turn queue.
+  /// Not an input: set by the manager to the server's worker count.
   std::size_t lanes = 4;
-  /// Per-lane queue capacity; a full lane sheds (never blocks).
-  std::size_t lane_queue_capacity = 16;
   /// Max turns of one session queued-or-running at once; excess is shed.
   std::size_t max_inflight_per_session = 4;
   /// Max live sessions; the least recently active is evicted beyond this.
@@ -69,16 +66,16 @@ struct SessionOptions {
   std::size_t max_history_turns = 2;
   /// Retrieval-memory entries per session (oldest forgotten beyond this).
   std::size_t max_memory_entries = 512;
-  /// Deadline-aware admission: shed when estimated wait (lane depth x EMA
-  /// turn seconds) would exceed this. 0 = disabled.
+  /// Deadline-aware admission: shed when the estimated wait (EMA turn
+  /// seconds x (depth / workers + 1)) would exceed this. 0 = disabled.
   double admission_deadline_seconds = 0.0;
-  /// Seed for the lane service-time EMA before any turn has completed
-  /// (lets deadline admission act from the first burst). 0 = learn only.
+  /// Seed for the service-time EMA before any turn has completed (lets
+  /// deadline admission act from the first burst). 0 = learn only.
   double initial_turn_seconds_estimate = 0.0;
-  /// New-session watermark: when a lane's queue depth reaches this fraction
-  /// of its capacity, turns that would CREATE a session are shed while
-  /// turns of existing sessions are still admitted (shed order: new before
-  /// in-flight).
+  /// New-session watermark: when the depth reaches this fraction of the
+  /// server's queue_capacity, turns that would CREATE a session are shed
+  /// while turns of existing sessions are still admitted (shed order: new
+  /// before in-flight).
   double new_session_shed_fraction = 0.5;
   /// Test hook: time source for waits, EMA, and idle TTL (defaults to
   /// steady_seconds).
@@ -89,7 +86,7 @@ struct SessionOptions {
 enum class Admission : int {
   Admitted = 0,
   ShedSessionInflight,  ///< the session is over its inflight cap
-  ShedQueueFull,        ///< the lane queue is at capacity
+  ShedQueueFull,        ///< depth is at the server's queue_capacity
   ShedNewSession,       ///< new session at the high watermark
   ShedDeadline,         ///< estimated wait past the admission deadline
 };
@@ -113,12 +110,11 @@ struct TurnOutcome {
 };
 
 /// Multi-turn session front end. Construct over a Server, submit() turns
-/// from any thread, stop() (or destroy) to drain and join the lanes.
+/// from any thread, stop() (or destroy) to drain admitted turns.
 class SessionManager {
  public:
-  /// The server (and its workflow) must outlive the manager. The manager
-  /// runs turns on its own lane threads via Server::run_session_turn — the
-  /// server's request queue and workers are not involved.
+  /// Turns run on the server's workers: it (and its workflow) must outlive
+  /// the manager and keep running until stop(). Starts no threads.
   explicit SessionManager(Server& server, SessionOptions opts = {});
   ~SessionManager();
 
@@ -126,7 +122,7 @@ class SessionManager {
   SessionManager& operator=(const SessionManager&) = delete;
 
   /// Submit one turn. Never blocks: the future is either pending on the
-  /// session's lane or already resolved with a shed TurnOutcome.
+  /// session's strand or already resolved with a shed TurnOutcome.
   [[nodiscard]] std::future<TurnOutcome> submit(const std::string& session_id,
                                                 std::string question);
 
@@ -134,12 +130,12 @@ class SessionManager {
   [[nodiscard]] TurnOutcome ask(const std::string& session_id,
                                 std::string question);
 
-  /// Close the lane queues, drain queued turns, join the lane threads.
-  /// Idempotent; called by the destructor.
+  /// Stop admitting (later turns shed) and wait until every admitted turn
+  /// has run. Idempotent; called by the destructor.
   void stop();
 
-  /// The lane a session's turns are routed to (stable for the manager's
-  /// lifetime; exposed for affinity tests).
+  /// hash(id) % options().lanes: a stable partition of session ids for
+  /// callers that replay sessions on that many threads.
   [[nodiscard]] std::size_t lane_of(const std::string& session_id) const;
 
   /// Point-in-time session-serving statistics.
@@ -157,55 +153,53 @@ class SessionManager {
     std::uint64_t dedup_dropped = 0;
     std::uint64_t memory_invalidations = 0;
     std::size_t active_sessions = 0;
-    std::size_t queue_depth = 0;  ///< sum across lanes
+    std::size_t queue_depth = 0;  ///< admitted turns not yet started
   };
   [[nodiscard]] Stats stats() const;
 
   [[nodiscard]] const SessionOptions& options() const { return opts_; }
 
  private:
-  /// Conversation state for one session id. The retrieval memory and
-  /// history are written only by the owning lane's worker (affinity =
-  /// single writer); the atomics are read cross-thread by admission and
-  /// stats.
+  struct Turn {
+    std::string question;
+    std::promise<TurnOutcome> promise;
+    double submit_seconds = 0.0;
+  };
+
+  /// Conversation state for one session id, and its strand. The retrieval
+  /// memory and history are written only by the strand's running turn.
   struct Session {
     std::string id;
-    std::atomic<std::uint64_t> inflight{0};
     std::atomic<std::uint64_t> turns{0};
     std::atomic<double> last_active_seconds{0.0};
     /// Position in the manager's LRU list (guarded by sessions_mu_).
     std::list<std::string>::iterator lru_pos;
 
-    // --- lane-thread-only state -------------------------------------------
+    /// Admitted turns not yet finished, in submit order (guarded by mu).
+    /// Non-empty exactly while the strand is queued or running.
+    std::mutex mu;
+    std::deque<Turn> pending;
+    [[nodiscard]] std::size_t inflight() {
+      std::lock_guard<std::mutex> lock(mu);
+      return pending.size();
+    }
+
+    // --- written only by the running turn ---------------------------------
     std::unordered_set<std::string> seen_context_ids;
     std::deque<std::string> seen_order;  ///< FIFO forget beyond the cap
     std::uint64_t memory_generation = 0;
     std::deque<llm::ContextDoc> history;  ///< last N turns, oldest first
   };
 
-  struct Turn {
-    std::shared_ptr<Session> session;
-    std::string question;
-    std::promise<TurnOutcome> promise;
-    double submit_seconds = 0.0;
-  };
-
-  struct Lane {
-    explicit Lane(std::size_t capacity) : queue(capacity) {}
-    std::size_t index = 0;
-    BoundedQueue<Turn> queue;
-    std::thread worker;
-    /// EMA of turn service seconds, the deadline-admission estimator.
-    std::atomic<double> ema_turn_seconds{0.0};
-  };
-
-  void lane_loop(Lane& lane);
-  void process_turn(Lane& lane, Turn& turn);
-  /// Find-or-create under sessions_mu_; `created` reports creation.
-  /// Returns null without creating when `create_if_missing` is false.
+  /// Append `turn` to the strand, posting it if idle. False once stopped.
+  [[nodiscard]] bool schedule(const std::shared_ptr<Session>& session,
+                              Turn turn);
+  void run_strand(Session& session);
+  void process_turn(Session& session, Turn& turn);
+  /// Find-or-create under sessions_mu_. Returns null without creating when
+  /// `create_if_missing` is false.
   std::shared_ptr<Session> lookup_session(const std::string& session_id,
-                                          bool create_if_missing,
-                                          bool& created);
+                                          bool create_if_missing);
   /// Build the immediately-resolved future for a shed turn.
   std::future<TurnOutcome> shed_turn(const std::string& session_id,
                                      Admission reason);
@@ -218,7 +212,16 @@ class SessionManager {
 
   Server& server_;
   SessionOptions opts_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  /// Admitted turns not yet started: the admission depth.
+  std::atomic<std::size_t> queued_{0};
+  /// EMA of turn service seconds, the deadline-admission estimator.
+  std::atomic<double> ema_turn_seconds_{0.0};
+
+  /// Strands queued or running; stopped_ is written under strands_mu_.
+  std::mutex strands_mu_;
+  std::condition_variable strands_idle_;
+  std::size_t busy_strands_ = 0;
+  std::atomic<bool> stopped_{false};
 
   mutable std::mutex sessions_mu_;
   std::unordered_map<std::string, std::shared_ptr<Session>> sessions_;
@@ -228,16 +231,12 @@ class SessionManager {
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> shed_session_inflight_{0};
-  std::atomic<std::uint64_t> shed_queue_full_{0};
-  std::atomic<std::uint64_t> shed_new_session_{0};
-  std::atomic<std::uint64_t> shed_deadline_{0};
+  /// Shed turns by Admission value (index 0, Admitted, stays 0).
+  std::array<std::atomic<std::uint64_t>, 5> shed_{};
   std::atomic<std::uint64_t> sessions_created_{0};
   std::atomic<std::uint64_t> sessions_evicted_{0};
   std::atomic<std::uint64_t> dedup_dropped_{0};
   std::atomic<std::uint64_t> memory_invalidations_{0};
-  std::atomic<bool> stopped_{false};
 };
 
 }  // namespace pkb::serve

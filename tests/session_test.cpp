@@ -1,13 +1,15 @@
 // Multi-turn session serving tests: the SessionPromptContext hooks in the
 // stage graph (retrieval-memory dedup, history attachment, generation
-// staleness), the SessionManager's affinity lanes and conversation state,
-// the four-rung admission/shed order, memory invalidation across live
-// ingest generation swaps, and capacity/idle eviction. Suite names all
-// start with `Session` so scripts/run_tsan.sh picks them up.
+// staleness), the SessionManager's strands on the server's workers and
+// conversation state, the four-rung admission/shed order, memory
+// invalidation across live ingest generation swaps, and capacity/idle
+// eviction. Suite names all start with `Session` so scripts/run_tsan.sh
+// picks them up.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -59,7 +61,7 @@ constexpr const char* kQuestion =
     "How do I monitor convergence of a Krylov solver?";
 
 // Spin until `pred` holds or ~2 s elapse; returns whether it held. Used to
-// wait out lane-worker scheduling without fixed sleeps.
+// wait out worker scheduling without fixed sleeps.
 template <typename Pred>
 bool wait_for(Pred pred) {
   for (int i = 0; i < 2000; ++i) {
@@ -214,14 +216,14 @@ TEST_F(SessionManagerTest, HistoryIsCappedAtMaxHistoryTurns) {
 }
 
 TEST_F(SessionManagerTest, LaneAffinityIsStableAndInRange) {
-  Server server(*workflow_, {});
-  SessionOptions opts;
-  opts.lanes = 4;
-  SessionManager manager(server, opts);
+  ServerOptions sopts;
+  sopts.workers = 4;
+  Server server(*workflow_, sopts);
+  SessionManager manager(server, {});
   for (int i = 0; i < 16; ++i) {
     const std::string id = "session-" + std::to_string(i);
     const std::size_t lane = manager.lane_of(id);
-    EXPECT_LT(lane, opts.lanes);
+    EXPECT_LT(lane, manager.options().lanes);
     EXPECT_EQ(lane, manager.lane_of(id));  // stable per id
   }
 }
@@ -251,6 +253,119 @@ TEST_F(SessionManagerTest, SubmitAfterStopResolvesShed) {
   EXPECT_TRUE(f.get().shed());
 }
 
+// --- Strands on the server's workers ---------------------------------------
+
+class SessionStrandTest : public SessionManagerTest {};
+
+// A question tagged with its session and turn number, so a later prompt
+// shows whether it carries this turn as history.
+std::string tagged(const std::string& id, std::size_t turn) {
+  return std::string(kQuestion) + " [" + id + " #" + std::to_string(turn) +
+         "]";
+}
+
+TEST_F(SessionStrandTest, TurnsOfOneSessionRunInOrderWithHistory) {
+  ServerOptions sopts;
+  sopts.workers = 4;
+  sopts.answer_cache_capacity = 0;
+  sopts.llm_latency_scale = 0.002;  // turns overlap across workers
+  Server server(*workflow_, sopts);
+  SessionOptions opts;
+  opts.max_inflight_per_session = 8;  // admit all 8 back-to-back turns
+  SessionManager manager(server, opts);
+
+  const std::vector<std::pair<std::string, std::size_t>> sessions{
+      {"long", 8}, {"a", 3}, {"b", 3}, {"c", 3}};
+  std::vector<std::vector<std::future<TurnOutcome>>> futures(sessions.size());
+  for (std::size_t k = 1; k <= 8; ++k) {
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+      const auto& [id, n] = sessions[i];
+      if (k <= n) futures[i].push_back(manager.submit(id, tagged(id, k)));
+    }
+  }
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const std::string& id = sessions[i].first;
+    for (std::size_t k = 1; k <= futures[i].size(); ++k) {
+      const TurnOutcome out = futures[i][k - 1].get();
+      ASSERT_FALSE(out.shed()) << id << " #" << k;
+      EXPECT_EQ(out.turn, k) << id;
+      if (k > 1) {
+        // The previous turn finished before this one was prompted.
+        EXPECT_NE(out.outcome.prompt.find(tagged(id, k - 1)),
+                  std::string::npos)
+            << id << " #" << k;
+        EXPECT_GE(out.history_contexts, 1u) << id << " #" << k;
+      }
+    }
+  }
+  const SessionManager::Stats stats = manager.stats();
+  EXPECT_EQ(stats.admitted, 17u);
+  EXPECT_EQ(stats.completed, 17u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+// Hash routing pinned sessions to lanes, so a session could wait behind a
+// slow turn of another session while other workers sat idle. On the shared
+// pool, a turn starts as soon as any worker is free.
+TEST_F(SessionStrandTest, NoHeadOfLineBlockingAcrossSessions) {
+  ServerOptions sopts;
+  sopts.workers = 2;
+  sopts.answer_cache_capacity = 0;
+  sopts.llm_latency_scale = 0.02;  // each turn stalls for real milliseconds
+  Server server(*workflow_, sopts);
+  SessionManager manager(server, {});
+
+  // Two ids in the same hash partition (equal hash % 4, hence % 2): a
+  // hash-routed executor with 2 or 4 lanes queues them on one lane.
+  const auto part = [](const std::string& id) {
+    return std::hash<std::string>{}(id) % 4;
+  };
+  const std::string a = "slow-a";
+  std::string b;
+  for (int i = 0; b.empty(); ++i) {
+    const std::string id = "quick-b" + std::to_string(i);
+    if (part(id) == part(a)) b = id;
+  }
+
+  std::future<TurnOutcome> fa = manager.submit(a, kQuestion);
+  std::future<TurnOutcome> fb = manager.submit(b, kQuestion);
+  const TurnOutcome ta = fa.get();
+  const TurnOutcome tb = fb.get();
+  ASSERT_FALSE(ta.shed());
+  ASSERT_FALSE(tb.shed());
+  const double a_service = ta.turn_seconds - ta.queue_wait_seconds;
+  // B started on the free worker well before A's turn finished.
+  EXPECT_LT(tb.queue_wait_seconds, 0.5 * a_service)
+      << "b waited " << tb.queue_wait_seconds << " s, a ran " << a_service
+      << " s";
+}
+
+TEST_F(SessionStrandTest, StopDrainsQueuedTurns) {
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.answer_cache_capacity = 0;
+  sopts.llm_latency_scale = 0.005;
+  Server server(*workflow_, sopts);
+  SessionOptions opts;
+  opts.max_inflight_per_session = 8;
+  SessionManager manager(server, opts);
+  std::vector<std::future<TurnOutcome>> futures;
+  for (int k = 0; k < 3; ++k) {
+    for (const char* id : {"x", "y", "z"}) {
+      futures.push_back(manager.submit(id, kQuestion));
+    }
+  }
+  manager.stop();  // turns are still queued behind the one worker
+  for (std::future<TurnOutcome>& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_FALSE(f.get().shed());
+  }
+  const SessionManager::Stats stats = manager.stats();
+  EXPECT_EQ(stats.admitted, 9u);
+  EXPECT_EQ(stats.admitted, stats.completed);
+  EXPECT_EQ(stats.queue_depth, 0u);
+}
+
 // --- Admission and the shed order ------------------------------------------
 
 class SessionAdmissionTest : public SessionManagerTest {};
@@ -260,10 +375,9 @@ TEST_F(SessionAdmissionTest, ShedsSessionOverInflightCap) {
   sopts.workers = 1;
   sopts.answer_cache_capacity = 0;
   sopts.llm_latency_scale = 0.02;  // turns take real tens of milliseconds
+  sopts.queue_capacity = 8;
   Server server(*workflow_, sopts);
   SessionOptions opts;
-  opts.lanes = 1;
-  opts.lane_queue_capacity = 8;
   opts.max_inflight_per_session = 1;
   opts.new_session_shed_fraction = 0.0;  // isolate the inflight rung
   SessionManager manager(server, opts);
@@ -288,15 +402,14 @@ TEST_F(SessionAdmissionTest, ShedsWhenLaneQueueExactlyFull) {
   sopts.workers = 1;
   sopts.answer_cache_capacity = 0;
   sopts.llm_latency_scale = 0.02;
+  sopts.queue_capacity = 1;
   Server server(*workflow_, sopts);
   SessionOptions opts;
-  opts.lanes = 1;
-  opts.lane_queue_capacity = 1;
   opts.max_inflight_per_session = 8;     // keep the inflight rung out of it
   opts.new_session_shed_fraction = 0.0;  // and the watermark rung too
   SessionManager manager(server, opts);
   std::future<TurnOutcome> running = manager.submit("chat", kQuestion);
-  // Wait for the lane worker to pop the first turn: it is now executing a
+  // Wait for a worker to start the first turn: it is now executing a
   // multi-ms simulated LLM stall and the queue is empty again.
   ASSERT_TRUE(wait_for([&] { return manager.stats().queue_depth == 0; }));
   std::future<TurnOutcome> queued = manager.submit("chat", kQuestion);
@@ -317,10 +430,9 @@ TEST_F(SessionAdmissionTest, ShedsNewSessionsBeforeExistingOnes) {
   sopts.workers = 1;
   sopts.answer_cache_capacity = 0;
   sopts.llm_latency_scale = 0.02;
+  sopts.queue_capacity = 4;
   Server server(*workflow_, sopts);
   SessionOptions opts;
-  opts.lanes = 1;
-  opts.lane_queue_capacity = 4;
   opts.max_inflight_per_session = 8;
   opts.new_session_shed_fraction = 0.25;  // watermark: depth >= 1
   SessionManager manager(server, opts);
@@ -343,9 +455,10 @@ TEST_F(SessionAdmissionTest, ShedsNewSessionsBeforeExistingOnes) {
 }
 
 TEST_F(SessionAdmissionTest, ShedsOnEstimatedDeadlineFromTheFirstTurn) {
-  Server server(*workflow_, {});
+  ServerOptions sopts;
+  sopts.workers = 1;
+  Server server(*workflow_, sopts);
   SessionOptions opts;
-  opts.lanes = 1;
   opts.admission_deadline_seconds = 0.05;
   opts.initial_turn_seconds_estimate = 0.2;  // 0.2 * 1 > 0.05: shed at once
   SessionManager manager(server, opts);
@@ -434,7 +547,6 @@ TEST_F(SessionEvictionTest, EvictionWhileTurnInFlightIsSafe) {
   sopts.llm_latency_scale = 0.02;
   Server server(*workflow_, sopts);
   SessionOptions opts;
-  opts.lanes = 1;
   opts.max_sessions = 1;
   opts.new_session_shed_fraction = 0.0;
   SessionManager manager(server, opts);

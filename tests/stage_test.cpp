@@ -1,5 +1,5 @@
 // Stage-graph tests: the parity contract (every served request — a Server
-// worker or a SessionManager lane — reproduces a serial ask()
+// request or a SessionManager turn — reproduces a serial ask()
 // content-identically), the budget charge and generation stamped-in-one-place
 // guarantees, and the shared-history recall ordering contract. Suite names
 // (StageGraph*/StageParity*) are part of the scripts/run_tsan.sh filter.
