@@ -31,7 +31,8 @@ int main() {
         runner.run(rag::PipelineArm::RagRerank).scores.mean();
     std::printf("%-28s %10.2f %10.2f %10.2f %8zu\n",
                 with_archive ? "docs + petsc-users archive" : "docs only",
-                baseline, rag_mean, rerank_mean, db.chunks().size());
+                baseline, rag_mean, rerank_mean,
+                db.snapshot()->chunks.size());
   }
   std::printf("\n(The baseline arm ignores the corpus; its column is a "
               "sanity check that only retrieval changes.)\n");

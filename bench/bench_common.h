@@ -42,11 +42,12 @@ inline Setup make_setup(const std::string& embedder = "sim-embed-3-large",
 }
 
 inline void print_header(const char* what, const Setup& s) {
+  const rag::SnapshotPtr snap = s.db->snapshot();
   std::printf("=== %s ===\n", what);
   std::printf("corpus: %zu documents, %zu chunks | embedder %s | model %s | "
               "reranker %s | K=%zu L=%zu\n\n",
-              s.db->source_count(), s.db->chunks().size(),
-              s.db->embedder().name().c_str(), s.model.name.c_str(),
+              snap->source_count, snap->chunks.size(),
+              snap->embedder->name().c_str(), s.model.name.c_str(),
               s.retriever.reranker.c_str(), s.retriever.first_pass_k,
               s.retriever.final_l);
 }

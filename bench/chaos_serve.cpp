@@ -188,7 +188,6 @@ int main(int argc, char** argv) {
 
   ServerOptions opts;
   opts.workers = workers;
-  opts.answer_cache_capacity = 0;  // all-unique stream: measure the pipeline
   opts.llm_latency_scale = kLlmLatencyScale;
   opts.resilience = &engine;
 

@@ -426,7 +426,6 @@ int main(int argc, char** argv) {
   ServerOptions sopts;
   sopts.workers = 1;
   sopts.queue_capacity = queue_capacity;
-  sopts.answer_cache_capacity = 0;  // session prompts are state-dependent
   sopts.llm_latency_scale = kLlmLatencyScale;
   sopts.resilience = &engine;
 

@@ -37,8 +37,10 @@ int main(int argc, char** argv) {
   db_opts.embedder = embedder;
   const pkb::rag::KnowledgeBase db =
       pkb::rag::KnowledgeBase::build(corpus, db_opts);
+  const pkb::rag::SnapshotPtr snap = db.snapshot();
   std::printf("  %zu source documents -> %zu chunks (embedder %s)\n\n",
-              db.source_count(), db.chunks().size(), db.embedder().name().c_str());
+              snap->source_count, snap->chunks.size(),
+              snap->embedder->name().c_str());
 
   pkb::rag::RetrieverOptions retriever_opts;
   retriever_opts.reranker = reranker;

@@ -114,9 +114,10 @@ int main() {
   std::printf("petsc-kb assistant — building the knowledge base...\n");
   const rag::KnowledgeBase db =
       rag::KnowledgeBase::build(corpus::generate_corpus());
+  const rag::SnapshotPtr snap = db.snapshot();
   std::printf("ready: %zu documents, %zu chunks. Ask about PETSc Krylov "
               "solvers; :quit to exit.\n\n",
-              db.source_count(), db.chunks().size());
+              snap->source_count, snap->chunks.size());
 
   history::HistoryStore store;
   pkb::util::SimClock clock;

@@ -22,9 +22,10 @@ int main(int argc, char** argv) {
   // 2) Build the RAG database: load -> chunk -> embed -> index (Fig 3,
   //    "Generating the RAG databases").
   const pkb::rag::KnowledgeBase db = pkb::rag::KnowledgeBase::build(corpus);
+  const pkb::rag::SnapshotPtr snap = db.snapshot();
   std::printf("knowledge base: %zu documents -> %zu chunks (embedder %s)\n\n",
-              db.source_count(), db.chunks().size(),
-              db.embedder().name().c_str());
+              snap->source_count, snap->chunks.size(),
+              snap->embedder->name().c_str());
 
   // 3) Assemble the augmented workflow: retrieval (K=8) + keyword search +
   //    reranking (L=4) + LLM + postprocessing (Fig 3, boxes 1-4).

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Build with AddressSanitizer (-DPKB_SANITIZE=address) and run the full test
 # suite. The generational KnowledgeBase hands out snapshot pointers across
-# threads and caches; ASan is what proves no stale generation is ever read
-# after free. Usage, from anywhere:
+# threads; ASan is what proves no stale generation is ever read after free. Usage, from anywhere:
 #
 #   scripts/run_asan.sh [gtest filter]
 #

@@ -27,7 +27,7 @@ ArmReport BenchmarkRunner::run(
   report.arm = std::string(rag::to_string(arm));
   report.model = model_.name;
   if (arm != rag::PipelineArm::Baseline) {
-    report.embedder = db_.embedder().name();
+    report.embedder = db_.snapshot()->embedder->name();
     if (arm == rag::PipelineArm::RagRerank) {
       report.reranker = retriever_opts_.reranker;
     }

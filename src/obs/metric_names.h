@@ -41,16 +41,8 @@ inline constexpr std::string_view kBotsButtonPressesTotal =
     "pkb_bots_button_presses_total";
 inline constexpr std::string_view kServeRequestsTotal =
     "pkb_serve_requests_total";
-inline constexpr std::string_view kServeAnswerCacheHitsTotal =
-    "pkb_serve_answer_cache_hits_total";
-inline constexpr std::string_view kServeAnswerCacheMissesTotal =
-    "pkb_serve_answer_cache_misses_total";
-inline constexpr std::string_view kServeCacheEvictionsTotal =
-    "pkb_serve_cache_evictions_total";
 inline constexpr std::string_view kServeRejectedTotal =
     "pkb_serve_rejected_total";
-inline constexpr std::string_view kServeCacheStaleTotal =
-    "pkb_serve_cache_stale_total";
 inline constexpr std::string_view kSessionTurnsTotal =
     "pkb_session_turns_total";
 inline constexpr std::string_view kSessionShedTotal =

@@ -101,11 +101,7 @@ using SnapshotPtr = std::shared_ptr<const Snapshot>;
 /// the publish protocol. Readers are wait-free with respect to publishers;
 /// a reader's pinned snapshot stays fully usable (and alive) across any
 /// number of publishes.
-///
-/// The chunks()/store()/embedder()/symbols() accessors delegate to the
-/// *current* snapshot. They are safe in single-generation use (every bench
-/// and example); code that runs concurrently with live ingestion must pin
-/// snapshot() instead.
+/// Every reader pins snapshot() once and reads from that generation.
 class KnowledgeBase {
  public:
   /// Build generation 1 from an in-memory corpus tree.
@@ -130,8 +126,7 @@ class KnowledgeBase {
     return snap_.load(std::memory_order_acquire);
   }
 
-  /// Current generation id without pinning (cheap staleness checks, e.g.
-  /// the serve layer's cache validation).
+  /// Current generation id without pinning.
   [[nodiscard]] std::uint64_t generation() const {
     return gen_.load(std::memory_order_acquire);
   }
@@ -144,33 +139,7 @@ class KnowledgeBase {
   /// perfbench's live_ingest reports as ingest.swap_us).
   double publish(SnapshotPtr next);
 
-  // --- compat accessors (current generation; see class comment) -----------
-  [[nodiscard]] const std::vector<text::Document>& chunks() const {
-    return current().chunks;
-  }
-  [[nodiscard]] const vectordb::VectorStore& store() const {
-    return current().store;
-  }
-  [[nodiscard]] const embed::Embedder& embedder() const {
-    return *current().embedder;
-  }
-  [[nodiscard]] const lexical::SymbolIndex& symbols() const {
-    return *current().symbols;
-  }
-  [[nodiscard]] const KnowledgeBaseOptions& options() const {
-    return current().opts;
-  }
-  [[nodiscard]] std::size_t source_count() const {
-    return current().source_count;
-  }
-
  private:
-  /// Reference into the current snapshot. The KnowledgeBase itself keeps
-  /// the snapshot alive, so the reference is valid until the next publish.
-  [[nodiscard]] const Snapshot& current() const {
-    return *snap_.load(std::memory_order_acquire);
-  }
-
   std::atomic<SnapshotPtr> snap_;
   std::atomic<std::uint64_t> gen_{0};
   mutable std::mutex publish_mu_;  ///< serializes publishers only

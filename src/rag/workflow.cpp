@@ -147,9 +147,9 @@ void AugmentedWorkflow::record_history(StageState& st) const {
   record.response = outcome.response.text;
   record.model = llm_.config().name;
   if (retriever_ != nullptr) {
-    record.embedding_model = outcome.retrieval.snapshot != nullptr
-                                 ? outcome.retrieval.snapshot->embedder->name()
-                                 : kb_.embedder().name();
+    // EmbedStage pinned st.snapshot before any search fault; a lost
+    // retrieval resets outcome.retrieval but not the pin.
+    record.embedding_model = st.snapshot->embedder->name();
     record.reranker = retriever_->options().reranker;
   }
   record.pipeline = std::string(to_string(arm_));

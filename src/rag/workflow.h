@@ -50,20 +50,14 @@ struct WorkflowOutcome {
   std::uint64_t history_id = 0;     ///< record id when history is attached
   /// How much of the full pipeline this answer reflects (the degradation
   /// ladder; Full when no resilience context was active or nothing failed).
-  /// Callers — the serve layer's answer cache in particular — use this to
-  /// distinguish full answers (cached until a newer generation retires
-  /// them) from degraded ones (short TTL, so a transient outage cannot
-  /// poison the cache).
   resilience::DegradationLevel degradation = resilience::DegradationLevel::Full;
   [[nodiscard]] bool degraded() const {
     return degradation != resilience::DegradationLevel::Full;
   }
   /// KnowledgeBase generation the answer was computed against (0 for the
   /// Baseline arm, which reads no corpus). Stamped in exactly one place —
-  /// PromptStage. The serve layer compares this to the live generation to
-  /// detect stale
-  /// cached answers; retrieval.snapshot keeps the generation's documents
-  /// alive while the outcome is cached.
+  /// PromptStage. retrieval.snapshot keeps the generation's documents alive
+  /// for as long as the outcome is held.
   std::uint64_t generation = 0;
 };
 

@@ -8,22 +8,12 @@
 // rag/knowledge_base.h). The same workers run session turns
 // (serve/session.h), posted as tasks: there is one executor.
 //
-// Every computed answer — a worker's answer-cache miss or a session turn —
-// is one AugmentedWorkflow::ask() call, so served answers carry exactly the
-// content a serial ask() would produce (only wall-clock timing fields and
-// history ids differ — cache hits do not re-append to history).
-//
-// The answer cache (question → WorkflowOutcome, sharded LRU, capacity
-// eviction) lets an exact repeat skip the whole pipeline. It is
-// generation-aware so live ingestion never serves stale content: a cached
-// answer is only a hit while its stamped KnowledgeBase generation is still
-// current (stale entries count pkb_serve_cache_stale and are overwritten by
-// the recompute). That generation check is what retires a full answer, so
-// full answers carry no TTL; a degraded answer expires 2 s after it is
-// cached, so the next ask retries once a transient fault clears. A cached
-// outcome pins its generation's snapshot, so the first request that sees a
-// newer generation empties the cache: dead generations are freed instead
-// of living on in up to answer_cache_capacity stale entries.
+// Every served answer — a submitted request or a session turn — is one
+// AugmentedWorkflow::ask() call on a worker, so served answers carry exactly
+// the content a serial ask() would produce (only wall-clock timing fields
+// and history ids differ). The server keeps no answers: a repeat computes
+// again against the current generation, and once a future resolves the
+// server holds no WorkflowOutcome and so pins no snapshot.
 //
 // Everything is observable under the pkb_serve_* metric namespace and the
 // serve_request span (docs/OBSERVABILITY.md).
@@ -39,7 +29,6 @@
 
 #include "rag/workflow.h"
 #include "serve/bounded_queue.h"
-#include "serve/lru_cache.h"
 
 namespace pkb::replay {
 class TraceRecorder;
@@ -54,20 +43,13 @@ struct ServerOptions {
   /// (backpressure). Also caps a SessionManager's admitted, unstarted turns.
   std::size_t queue_capacity = 64;
 
-  /// Total answer-cache entries across shards; 0 disables the cache.
-  std::size_t answer_cache_capacity = 256;
-
-  /// When > 0, each uncached answer's *simulated* LLM latency is realized
+  /// When > 0, each computed answer's *simulated* LLM latency is realized
   /// as real wait time scaled by this factor (e.g. 0.005 turns a 9.6 s
   /// simulated response into a 48 ms stall). In deployment the LLM call is
   /// network I/O that concurrent workers overlap; this knob makes the
   /// simulated serving pipeline exhibit the same behaviour so throughput
   /// benches measure something real. 0 (default) = off.
   double llm_latency_scale = 0.0;
-
-  /// Test hook: time source for the degraded-answer TTL (defaults to
-  /// steady_seconds).
-  CacheClock cache_clock;
 
   /// Shared resilience engine (policies + circuit breaker). Non-null
   /// enables the full treatment per request: a deadline budget charged with
@@ -78,8 +60,7 @@ struct ServerOptions {
 
   /// Trace recorder for the record/replay subsystem (replay/trace.h).
   /// Non-null records every Nth computed request's per-stage artifacts (the
-  /// recorder's sample_every knob); cache hits record nothing (no pipeline
-  /// ran). Not owned — must outlive the server.
+  /// recorder's sample_every knob). Not owned — must outlive the server.
   replay::TraceRecorder* recorder = nullptr;
 };
 
@@ -118,7 +99,11 @@ class Server final : public rag::QuestionService {
     std::uint64_t computed = 0;        ///< full pipeline executions
     std::uint64_t rejected = 0;        ///< submissions after stop()
     std::uint64_t degraded = 0;        ///< computed answers below Full
-    CacheStats answer_cache;
+    /// Always 0: the server keeps no answers. Kept only because the
+    /// perfbench harness reconciles computed + answer_cache.hits.
+    struct {
+      std::uint64_t hits = 0;
+    } answer_cache;
     std::size_t queue_depth = 0;
     std::size_t workers = 0;
   };
@@ -132,7 +117,7 @@ class Server final : public rag::QuestionService {
   struct Request {
     std::string question;
     std::promise<rag::WorkflowOutcome> promise;
-    double enqueue_seconds = 0.0;  ///< steady_seconds() at submit time
+    double enqueue_seconds = 0.0;  ///< util::steady_seconds() at submit
   };
 
   using Job = std::variant<Request, std::function<void()>>;
@@ -142,17 +127,10 @@ class Server final : public rag::QuestionService {
   [[nodiscard]] bool post(std::function<void()> task);
   void worker_loop();
   void process(Request& req);
-  /// True when a cached outcome still reflects the current KnowledgeBase
-  /// generation (Baseline outcomes, generation 0, never go stale). Counts
-  /// pkb_serve_cache_stale_total when false.
-  [[nodiscard]] bool outcome_fresh(const rag::WorkflowOutcome& outcome) const;
-  /// Empty the answer cache the first time a newer KnowledgeBase generation
-  /// is seen, so cached outcomes stop pinning superseded snapshots.
-  void retire_superseded_answers();
   /// Compute one answer: workflow_.ask() under a fresh resilience context
   /// (with `queue_wait_seconds` charged to its budget), optional trace
   /// recording, degraded accounting, and the LLM-latency sleep. Session
-  /// turns pass their prompt context and never touch the answer cache.
+  /// turns pass their prompt context.
   [[nodiscard]] rag::WorkflowOutcome compute(
       const std::string& question, double queue_wait_seconds,
       rag::SessionPromptContext* session);
@@ -161,14 +139,11 @@ class Server final : public rag::QuestionService {
   const rag::AugmentedWorkflow& workflow_;
   ServerOptions opts_;
   BoundedQueue<Job> queue_;
-  ShardedLruCache<std::string, rag::WorkflowOutcome> answer_cache_;
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> computed_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> degraded_{0};
-  /// Newest KnowledgeBase generation the answer cache has been aligned to.
-  std::atomic<std::uint64_t> cache_generation_{0};
   std::atomic<bool> stopped_{false};
 };
 

@@ -7,6 +7,7 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/clock.h"
 
 namespace pkb::serve {
 
@@ -31,7 +32,7 @@ SessionManager::SessionManager(Server& server, SessionOptions opts)
   opts_.lanes = server_.options().workers;
   if (opts_.max_sessions == 0) opts_.max_sessions = 1;
   if (opts_.max_inflight_per_session == 0) opts_.max_inflight_per_session = 1;
-  if (!opts_.clock) opts_.clock = steady_seconds;
+  if (!opts_.clock) opts_.clock = util::steady_seconds;
 }
 
 SessionManager::~SessionManager() { stop(); }

@@ -37,6 +37,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <list>
 #include <memory>
@@ -47,7 +48,6 @@
 #include <unordered_set>
 
 #include "rag/stages.h"
-#include "serve/lru_cache.h"
 #include "serve/server.h"
 
 namespace pkb::serve {
@@ -78,8 +78,8 @@ struct SessionOptions {
   /// before in-flight).
   double new_session_shed_fraction = 0.5;
   /// Test hook: time source for waits, EMA, and idle TTL (defaults to
-  /// steady_seconds).
-  CacheClock clock;
+  /// util::steady_seconds).
+  std::function<double()> clock;
 };
 
 /// The admission decision for one submitted turn, in shed order.

@@ -4,6 +4,7 @@
 // Two clocks coexist in the system:
 //  * `Stopwatch` measures real wall time for stages we genuinely execute
 //    (retrieval, reranking, embedding) — used by the Table II benchmark.
+//    `steady_seconds()` stamps real instants (serving queue waits).
 //  * `SimClock` is a virtual clock used by the simulated LLM and the Discord
 //    workflow simulation, so that "a 9.6 second LLM response" and "poll email
 //    every 5 minutes" cost nothing at test time yet produce faithful
@@ -17,6 +18,13 @@
 #include <string>
 
 namespace pkb::util {
+
+/// Monotonic wall-clock seconds since an arbitrary epoch.
+[[nodiscard]] inline double steady_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// Wall-clock stopwatch with nanosecond resolution.
 class Stopwatch {

@@ -1,7 +1,7 @@
 // Chaos tests: the Fig-3 pipeline under injected faults. These drive the
 // end-to-end resilience contract — deadline budgets, bounded retries, the
-// LLM circuit breaker, hedged vector search, the degradation ladder, the
-// degraded-answer cache TTL, and ingest-build aborts — with deterministic
+// LLM circuit breaker, hedged vector search, the degradation ladder, and
+// ingest-build aborts — with deterministic
 // seed-driven fault plans, so every schedule is reproducible. Suite name
 // (Chaos*) is part of the scripts/run_tsan.sh filter.
 
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "history/store.h"
 #include "ingest/ingestor.h"
 #include "llm/model_config.h"
 #include "obs/metric_names.h"
@@ -116,6 +117,29 @@ TEST_F(ChaosTest, RetrievalLostPastHedgesAnswersParametrically) {
   EXPECT_EQ(out.degradation, res::DegradationLevel::NoRetrieval);
   EXPECT_TRUE(out.retrieval.contexts.empty());
   EXPECT_FALSE(out.response.text.empty());
+}
+
+// A lost retrieval resets the outcome's retrieval, but the history record
+// still names the embedder of the snapshot the ask pinned.
+TEST_F(ChaosTest, HistoryRecordOfLostRetrievalNamesThePinnedEmbedder) {
+  auto workflow = make_workflow();
+  history::HistoryStore store;
+  workflow->attach_history(&store);
+  res::FaultPlan plan;
+  plan.script(res::Stage::VectorSearch,
+              {res::FaultKind::Permanent, res::FaultKind::Permanent});
+  workflow->set_fault_plan(&plan);
+  res::Resilience engine;
+  res::RequestContext ctx = engine.make_context();
+
+  const rag::SnapshotPtr pinned = kb_->snapshot();
+  const rag::WorkflowOutcome out = workflow->ask(kQuestion, &ctx);
+  ASSERT_EQ(out.degradation, res::DegradationLevel::NoRetrieval);
+  ASSERT_EQ(out.retrieval.snapshot, nullptr);
+  const history::InteractionRecord* record = store.get(out.history_id);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->embedding_model, pinned->embedder->name());
+  EXPECT_FALSE(record->embedding_model.empty());
 }
 
 // A Server walks the same rung: its worker runs ask() under the request's
@@ -282,7 +306,7 @@ TEST_F(ChaosTest, BreakerTransitionsMatchScriptedSchedule) {
   }
 }
 
-// --- The serving layer: degraded answers and the cache --------------------
+// --- The serving layer: degraded answers are never reused -----------------
 
 TEST_F(ChaosTest, DegradedAnswersExpireOnTheShortTtl) {
   auto workflow = make_workflow();
@@ -291,38 +315,22 @@ TEST_F(ChaosTest, DegradedAnswersExpireOnTheShortTtl) {
   workflow->set_fault_plan(&plan);
   res::Resilience engine;
 
-  pkb::util::SimClock cache_clock;
   serve::ServerOptions opts;
   opts.workers = 1;
   opts.resilience = &engine;
-  opts.cache_clock = [&cache_clock] { return cache_clock.now(); };
   serve::Server server(*workflow, opts);
 
-  // The outage answer is served degraded and cached on the 2 s TTL.
+  // The outage answer is served degraded.
   const rag::WorkflowOutcome first = server.ask(kQuestion);
   EXPECT_EQ(first.degradation, res::DegradationLevel::Extractive);
   EXPECT_EQ(server.stats().degraded, 1u);
 
-  // Within the TTL the degraded answer is a legitimate hit.
-  cache_clock.advance(1.5);
-  const rag::WorkflowOutcome again = server.ask(kQuestion);
-  EXPECT_TRUE(again.degraded());
-  EXPECT_EQ(server.stats().computed, 1u);
-
-  // Past the TTL (fault cleared: the script is exhausted) the next ask
-  // recomputes and the full answer replaces the degraded one.
-  cache_clock.advance(1.0);
+  // The server kept nothing: with the fault cleared (the script is
+  // exhausted) the very next ask recomputes at full quality.
   const rag::WorkflowOutcome healed = server.ask(kQuestion);
   EXPECT_EQ(healed.degradation, res::DegradationLevel::Full);
   EXPECT_EQ(server.stats().computed, 2u);
   EXPECT_EQ(server.stats().degraded, 1u);
-
-  // The healed full answer never expires: still a hit long after the
-  // degraded TTL would have expired it.
-  cache_clock.advance(100.0);
-  const rag::WorkflowOutcome cached = server.ask(kQuestion);
-  EXPECT_EQ(cached.degradation, res::DegradationLevel::Full);
-  EXPECT_EQ(server.stats().computed, 2u);
 }
 
 // --- Ingest-build aborts --------------------------------------------------

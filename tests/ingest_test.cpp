@@ -133,7 +133,8 @@ TEST(KnowledgeBase, AdoptLoadedSnapshotConstructor) {
   auto built = rag::KnowledgeBase::build(small_corpus());
   rag::KnowledgeBase adopted(built.snapshot());
   EXPECT_EQ(adopted.generation(), 1u);
-  EXPECT_EQ(adopted.chunks().size(), built.chunks().size());
+  EXPECT_EQ(adopted.snapshot()->chunks.size(),
+            built.snapshot()->chunks.size());
 }
 
 // --- Ingestor: delta merge, upsert, refit, Q&A, vetted history -------------
@@ -617,17 +618,11 @@ TEST(Ingest, LiveEnhancementWithoutRestart) {
             nullptr);
   EXPECT_EQ(kb.generation(), 2u);
 
-  // Same server, same question: the cached gen-1 answer is detected stale,
-  // the pipeline reruns on the new generation, and the new document is
-  // retrieved. No restart happened.
+  // Same server, same question: the pipeline runs on the new generation
+  // and the new document is retrieved. No restart happened.
   const auto after = server.ask(question);
   EXPECT_EQ(after.generation, 2u);
   EXPECT_TRUE(any_context_contains(after.retrieval, "KSPBurb"));
-  // And the recomputed answer replaced the stale cache entry: a repeat is a
-  // fresh-generation cache hit with the same content.
-  const auto repeat = server.ask(question);
-  EXPECT_EQ(repeat.generation, 2u);
-  EXPECT_EQ(repeat.response.text, after.response.text);
 }
 
 // --- Stress: publishes racing a serving fleet -------------------------------
@@ -638,7 +633,6 @@ TEST(IngestStress, SwapUnderServingLoad) {
                                   llm::model_config("sim-gpt-4o"));
   serve::ServerOptions opts;
   opts.workers = 4;
-  opts.answer_cache_capacity = 64;
   serve::Server server(workflow, opts);
   ingest::Ingestor ingestor(kb);
 
@@ -692,16 +686,15 @@ TEST(IngestStress, SwapUnderServingLoad) {
 }
 
 
-// A cached outcome holds its generation's SnapshotPtr. Each generation here
-// caches answers to questions no later generation asks again, so without the
-// purge every superseded generation would stay alive in the cache.
+// An outcome holds its generation's SnapshotPtr, and the server keeps no
+// outcomes: each generation here answers questions no later generation asks
+// again, and none of the superseded generations stays alive in the server.
 TEST(IngestServe, CachedAnswersStopPinningSupersededGenerations) {
   auto kb = rag::KnowledgeBase::build(small_corpus());
   rag::AugmentedWorkflow workflow(kb, rag::PipelineArm::RagRerank,
                                   llm::model_config("sim-gpt-4o"));
   serve::ServerOptions opts;
   opts.workers = 1;
-  opts.answer_cache_capacity = 32;
   serve::Server server(workflow, opts);
   ingest::Ingestor ingestor(kb);
 
@@ -721,8 +714,6 @@ TEST(IngestServe, CachedAnswersStopPinningSupersededGenerations) {
                        std::to_string(q) + " about Krylov restarts");
     }
   }
-  EXPECT_EQ(server.stats().answer_cache.entries,
-            static_cast<std::uint64_t>(kQuestionsPerGeneration));
   std::size_t alive = 0;
   for (const auto& weak : generations) alive += weak.expired() ? 0 : 1;
   EXPECT_LE(alive, 2u);

@@ -30,7 +30,8 @@ rag::KnowledgeBase* IntegrationTest::db_ = nullptr;
 TEST_F(IntegrationTest, EveryChunkTracesBackToACorpusFile) {
   std::set<std::string> paths;
   for (const auto& file : *tree_) paths.insert(file.path);
-  for (const auto& chunk : db_->chunks()) {
+  const rag::SnapshotPtr snap = db_->snapshot();
+  for (const auto& chunk : snap->chunks) {
     const std::string source(chunk.meta("source"));
     EXPECT_TRUE(paths.contains(source)) << chunk.id;
     // Chunk text is a substring-free derivation (markup stripped), but every
@@ -135,7 +136,7 @@ TEST_F(IntegrationTest, CorpusRoundTripsThroughDisk) {
   EXPECT_EQ(loaded.size(), tree_->size());
   // Building a database from the disk copy gives the same chunk count.
   const rag::KnowledgeBase db2 = rag::KnowledgeBase::build(loaded);
-  EXPECT_EQ(db2.chunks().size(), db_->chunks().size());
+  EXPECT_EQ(db2.snapshot()->chunks.size(), db_->snapshot()->chunks.size());
   fs::remove_all(root);
 }
 

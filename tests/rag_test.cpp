@@ -22,20 +22,22 @@ class RagTest : public ::testing::Test {
 KnowledgeBase* RagTest::db_ = nullptr;
 
 TEST_F(RagTest, DatabaseBuildProducesChunksAndIndexes) {
-  EXPECT_GT(db_->source_count(), 100u);
-  EXPECT_GT(db_->chunks().size(), db_->source_count() / 2);
-  EXPECT_GT(db_->embedder().dimension(), 0u);
-  EXPECT_EQ(db_->store().size(), db_->chunks().size());
-  EXPECT_GE(db_->symbols().symbol_count(), 90u);
-  for (const auto& chunk : db_->chunks()) {
+  const SnapshotPtr snap = db_->snapshot();
+  EXPECT_GT(snap->source_count, 100u);
+  EXPECT_GT(snap->chunks.size(), snap->source_count / 2);
+  EXPECT_GT(snap->embedder->dimension(), 0u);
+  EXPECT_EQ(snap->store.size(), snap->chunks.size());
+  EXPECT_GE(snap->symbols->symbol_count(), 90u);
+  for (const auto& chunk : snap->chunks) {
     EXPECT_FALSE(chunk.text.empty());
     EXPECT_FALSE(std::string(chunk.meta("source")).empty());
   }
 }
 
 TEST_F(RagTest, ChunksRespectSplitterLimit) {
-  const std::size_t limit = db_->options().splitter.chunk_size;
-  for (const auto& chunk : db_->chunks()) {
+  const SnapshotPtr snap = db_->snapshot();
+  const std::size_t limit = snap->opts.splitter.chunk_size;
+  for (const auto& chunk : snap->chunks) {
     EXPECT_LE(chunk.text.size(), limit) << chunk.id;
   }
 }

@@ -198,13 +198,13 @@ TEST_F(ReplayTest, ServerRecordsSampledRequests) {
     serve::Server server(*workflow, opts);
     const rag::WorkflowOutcome out = server.ask(kQuestion);
     (void)server.ask("How do I monitor the true residual norm?");
-    // A cache hit runs no pipeline and records nothing.
+    // A repeat runs the pipeline again and is recorded too.
     (void)server.ask(kQuestion);
     EXPECT_FALSE(out.response.text.empty());
   }
-  EXPECT_EQ(recorder.recorded(), 2u);
+  EXPECT_EQ(recorder.recorded(), 3u);
   const std::vector<std::uint64_t> ids = TraceRecorder::list(dir);
-  ASSERT_EQ(ids.size(), 2u);
+  ASSERT_EQ(ids.size(), 3u);
   // The recorded traces replay to the very answers the server returned.
   for (const std::uint64_t id : ids) {
     const rag::StageTrace t =

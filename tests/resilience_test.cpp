@@ -1,15 +1,13 @@
 // Unit tests for the resilience layer's building blocks: deterministic
-// fault plans, deadline budgets, retry backoff, the circuit breaker, the
-// SimClock wait hooks, and the per-entry cache TTL override. End-to-end
-// fault handling through the pipeline lives in chaos_test.cpp. Suite names
-// (Resilience*, FaultPlan*, CircuitBreaker*, SimClock*, ShardedLruCache*)
-// are part of the scripts/run_tsan.sh filter.
+// fault plans, deadline budgets, retry backoff, the circuit breaker, and the
+// SimClock wait hooks. End-to-end fault handling through the pipeline lives
+// in chaos_test.cpp. Suite names (Resilience*, FaultPlan*, CircuitBreaker*,
+// SimClock*) are part of the scripts/run_tsan.sh filter.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,7 +15,6 @@
 #include "resilience/fault_plan.h"
 #include "resilience/policy.h"
 #include "resilience/resilience.h"
-#include "serve/lru_cache.h"
 #include "util/clock.h"
 
 namespace pkb::resilience {
@@ -406,33 +403,6 @@ TEST(SimClockWait, AdvanceToWakesWaiters) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   clock.advance_to(7.0);
   waiter.join();
-}
-
-// --- ShardedLruCache per-entry TTL ----------------------------------------
-
-TEST(ShardedLruCache, PerEntryTtlOverridesCacheWidePolicy) {
-  FakeClock clock;
-  pkb::serve::LruCacheOptions opts;
-  opts.capacity = 16;
-  opts.shards = 2;
-  opts.clock = [&clock] { return clock.now; };
-  pkb::serve::ShardedLruCache<std::string, int> cache(opts);
-
-  cache.put("durable", 1);                   // cache-wide: never expires
-  cache.put_with_ttl("ephemeral", 2, 2.0);   // short per-entry override
-  EXPECT_EQ(cache.get("durable").value_or(-1), 1);
-  EXPECT_EQ(cache.get("ephemeral").value_or(-1), 2);
-
-  clock.now = 5.0;  // past the override
-  EXPECT_EQ(cache.get("durable").value_or(-1), 1);
-  EXPECT_FALSE(cache.get("ephemeral").has_value());
-
-  // Overwriting with plain put() clears the override.
-  cache.put_with_ttl("key", 3, 2.0);
-  cache.put("key", 4);
-  clock.now = 1e6;
-  EXPECT_EQ(cache.get("key").value_or(-1), 4);
-  EXPECT_EQ(cache.get("durable").value_or(-1), 1);
 }
 
 }  // namespace

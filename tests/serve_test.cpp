@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "corpus/generator.h"
@@ -14,7 +12,6 @@
 #include "rag/knowledge_base.h"
 #include "rag/workflow.h"
 #include "serve/bounded_queue.h"
-#include "serve/lru_cache.h"
 #include "serve/server.h"
 
 namespace pkb::serve {
@@ -102,153 +99,6 @@ TEST(BoundedQueue, CloseWakesBlockedConsumer) {
   consumer.join();
 }
 
-// --- ShardedLruCache ------------------------------------------------------
-
-TEST(ShardedLruCache, EvictsLeastRecentlyUsedInOrder) {
-  LruCacheOptions opts;
-  opts.capacity = 3;
-  opts.shards = 1;  // single shard -> strict global LRU order
-  ShardedLruCache<std::string, int> cache(opts);
-  EXPECT_EQ(cache.put("a", 1), 0u);
-  EXPECT_EQ(cache.put("b", 2), 0u);
-  EXPECT_EQ(cache.put("c", 3), 0u);
-  EXPECT_EQ(cache.get("a").value(), 1);  // refresh a: b is now LRU
-  EXPECT_EQ(cache.put("d", 4), 1u);      // evicts b
-  EXPECT_FALSE(cache.get("b").has_value());
-  EXPECT_TRUE(cache.get("a").has_value());
-  EXPECT_TRUE(cache.get("c").has_value());
-  EXPECT_TRUE(cache.get("d").has_value());
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(ShardedLruCache, PutOverwritesWithoutEviction) {
-  LruCacheOptions opts;
-  opts.capacity = 2;
-  opts.shards = 1;
-  ShardedLruCache<std::string, int> cache(opts);
-  cache.put("a", 1);
-  EXPECT_EQ(cache.put("a", 10), 0u);  // overwrite, no eviction
-  EXPECT_EQ(cache.get("a").value(), 10);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ShardedLruCache, TtlExpiresEntriesLazily) {
-  double fake_now = 0.0;
-  LruCacheOptions opts;
-  opts.capacity = 8;
-  opts.shards = 1;
-  opts.clock = [&fake_now] { return fake_now; };
-  ShardedLruCache<std::string, int> cache(opts);
-
-  cache.put_with_ttl("a", 1, 10.0);
-  fake_now = 5.0;
-  EXPECT_EQ(cache.get("a").value(), 1);  // within TTL
-  fake_now = 15.1;                       // 15.1 - 0 > 10 from insertion...
-  cache.put_with_ttl("b", 2, 10.0);      // b stamped at 15.1
-  EXPECT_FALSE(cache.get("a").has_value());  // expired -> miss + eviction
-  EXPECT_EQ(cache.get("b").value(), 2);
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-
-  // Re-inserting refreshes the stamp: the entry lives a fresh TTL.
-  cache.put_with_ttl("a", 3, 10.0);
-  fake_now = 20.0;
-  EXPECT_EQ(cache.get("a").value(), 3);
-}
-
-TEST(ShardedLruCache, ZeroCapacityDisablesCaching) {
-  LruCacheOptions opts;
-  opts.capacity = 0;
-  ShardedLruCache<std::string, int> cache(opts);
-  EXPECT_FALSE(cache.enabled());
-  EXPECT_EQ(cache.put("a", 1), 0u);
-  EXPECT_FALSE(cache.get("a").has_value());
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ShardedLruCache, ShardedCapacityAndStatsAggregation) {
-  LruCacheOptions opts;
-  opts.capacity = 16;
-  opts.shards = 4;
-  ShardedLruCache<std::string, int> cache(opts);
-  EXPECT_EQ(cache.shard_count(), 4u);
-  EXPECT_EQ(cache.shard_capacity(0), 4u);
-  EXPECT_EQ(cache.total_capacity(), 16u);
-  for (int i = 0; i < 100; ++i) {
-    cache.put("key-" + std::to_string(i), i);
-  }
-  // No shard exceeds its capacity.
-  EXPECT_LE(cache.size(), 16u);
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, cache.size());
-  EXPECT_GE(stats.evictions, 100u - 16u);
-}
-
-// Regression: capacity / shards used to truncate (100/8 -> 12 per shard ->
-// 96 total), silently shrinking the cache. Capacities must now sum to
-// exactly the configured capacity, never exceeding max(capacity, shards).
-TEST(ShardedLruCache, CapacityDistributionIsExact) {
-  LruCacheOptions opts;
-  opts.capacity = 100;
-  opts.shards = 8;
-  ShardedLruCache<std::string, int> cache(opts);
-  EXPECT_EQ(cache.shard_count(), 8u);
-  EXPECT_EQ(cache.total_capacity(), 100u);
-  std::size_t sum = 0;
-  for (std::size_t i = 0; i < cache.shard_count(); ++i) {
-    EXPECT_GE(cache.shard_capacity(i), 12u);
-    EXPECT_LE(cache.shard_capacity(i), 13u);
-    sum += cache.shard_capacity(i);
-  }
-  EXPECT_EQ(sum, 100u);
-  EXPECT_LE(sum, std::max<std::size_t>(opts.capacity, opts.shards));
-}
-
-// Regression: capacity < shards used to over-provision to one entry per
-// shard (capacity 3, shards 8 -> up to 8 resident entries). The shard count
-// now shrinks so every shard holds >= 1 entry and the total stays exact.
-TEST(ShardedLruCache, CapacitySmallerThanShardsDoesNotOverProvision) {
-  LruCacheOptions opts;
-  opts.capacity = 3;
-  opts.shards = 8;
-  ShardedLruCache<std::string, int> cache(opts);
-  EXPECT_EQ(cache.shard_count(), 3u);
-  EXPECT_EQ(cache.total_capacity(), 3u);
-  for (std::size_t i = 0; i < cache.shard_count(); ++i) {
-    EXPECT_EQ(cache.shard_capacity(i), 1u);
-  }
-  for (int i = 0; i < 64; ++i) {
-    cache.put("key-" + std::to_string(i), i);
-  }
-  EXPECT_LE(cache.size(), 3u);
-  EXPECT_LE(cache.size(),
-            std::max<std::size_t>(opts.capacity, opts.shards));
-}
-
-// The resident-entry invariant holds across a sweep of shapes: fill well
-// past capacity and assert the cache never holds more than configured (and
-// can actually reach it when keys spread across shards).
-TEST(ShardedLruCache, ResidentEntriesNeverExceedConfiguredCapacity) {
-  for (const auto& [capacity, shards] :
-       std::vector<std::pair<std::size_t, std::size_t>>{
-           {1, 1}, {1, 8}, {5, 8}, {8, 2}, {17, 4}, {100, 8}, {64, 64}}) {
-    LruCacheOptions opts;
-    opts.capacity = capacity;
-    opts.shards = shards;
-    ShardedLruCache<std::string, int> cache(opts);
-    EXPECT_EQ(cache.total_capacity(), capacity)
-        << "capacity=" << capacity << " shards=" << shards;
-    for (int i = 0; i < 500; ++i) {
-      cache.put("key-" + std::to_string(i), i);
-    }
-    EXPECT_LE(cache.size(), capacity)
-        << "capacity=" << capacity << " shards=" << shards;
-    EXPECT_LE(cache.size(), std::max(capacity, shards));
-  }
-}
-
 // --- Server ---------------------------------------------------------------
 
 // The database build is the expensive part; share one across the suite.
@@ -299,22 +149,9 @@ TEST_F(ServeServerTest, SingleAskMatchesSerialWorkflow) {
   expect_same_content(serial, served, "single ask");
 }
 
-TEST_F(ServeServerTest, CachedAnswerIsIdenticalAndSkipsPipeline) {
-  ServerOptions opts;
-  opts.workers = 2;
-  Server server(*workflow_, opts);
-  const std::string q = questions(1)[0];
-  const rag::WorkflowOutcome first = server.ask(q);
-  const rag::WorkflowOutcome second = server.ask(q);
-  expect_same_content(first, second, "cache hit");
-  const Server::Stats stats = server.stats();
-  EXPECT_EQ(stats.computed, 1u);  // second answer came from the cache
-  EXPECT_GE(stats.answer_cache.hits, 1u);
-}
-
 TEST_F(ServeServerTest, ConcurrentClientsMatchSerialContent) {
   constexpr std::size_t kClients = 4;
-  constexpr std::size_t kQuestions = 10;  // repeats hit the answer cache
+  constexpr std::size_t kQuestions = 10;
   const std::vector<std::string> qs = questions(kQuestions);
   std::vector<rag::WorkflowOutcome> serial;
   serial.reserve(qs.size());
@@ -349,51 +186,7 @@ TEST_F(ServeServerTest, ConcurrentClientsMatchSerialContent) {
   const Server::Stats stats = server.stats();
   EXPECT_EQ(stats.submitted, kClients * kQuestions);
   EXPECT_EQ(stats.rejected, 0u);
-  // At most one computation per unique question... plus any duplicates that
-  // raced past the submit-side cache check before the first answer landed.
-  EXPECT_GE(stats.computed, kQuestions / 2);
-  EXPECT_GE(stats.answer_cache.hits + stats.answer_cache.misses,
-            kClients * kQuestions - kQuestions);
-}
-
-// A batch of submit() calls repeated after warm-up is answered entirely
-// from the answer cache.
-TEST_F(ServeServerTest, BatchAfterWarmupServesFromCache) {
-  const std::vector<std::string> qs = questions(5);
-  ServerOptions opts;
-  opts.workers = 2;
-  Server server(*workflow_, opts);
-  auto answer_all = [&server, &qs] {
-    std::vector<std::future<rag::WorkflowOutcome>> futures;
-    for (const std::string& q : qs) futures.push_back(server.submit(q));
-    std::vector<rag::WorkflowOutcome> out;
-    for (auto& f : futures) out.push_back(f.get());
-    return out;
-  };
-  const std::vector<rag::WorkflowOutcome> cold = answer_all();
-  const std::uint64_t computed_after_cold = server.stats().computed;
-  const std::vector<rag::WorkflowOutcome> warm = answer_all();
-  EXPECT_EQ(server.stats().computed, computed_after_cold);  // all cached
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    expect_same_content(cold[i], warm[i], "warm slot " + std::to_string(i));
-  }
-}
-
-// A full answer carries no TTL: only a newer KnowledgeBase generation
-// retires it, so any clock advance still serves the cached outcome.
-TEST_F(ServeServerTest, FullAnswersNeverExpire) {
-  double fake_now = 0.0;
-  ServerOptions opts;
-  opts.workers = 1;
-  opts.cache_clock = [&fake_now] { return fake_now; };
-  Server server(*workflow_, opts);
-  const std::string q = questions(1)[0];
-  const rag::WorkflowOutcome first = server.ask(q);
-  ASSERT_FALSE(first.degraded());
-  fake_now = 1e6;
-  const rag::WorkflowOutcome second = server.ask(q);
-  expect_same_content(first, second, "long-lived cache hit");
-  EXPECT_EQ(server.stats().computed, 1u);
+  EXPECT_EQ(stats.computed, stats.submitted);  // every request computes
 }
 
 TEST_F(ServeServerTest, StopDrainsThenRejectsLateSubmissions) {
@@ -410,8 +203,7 @@ TEST_F(ServeServerTest, StopDrainsThenRejectsLateSubmissions) {
   }
   auto late = server.submit("too late?");
   EXPECT_THROW((void)late.get(), std::runtime_error);
-  // A blocking ask of an *uncached* question is rejected too (a cached one
-  // would legitimately be served from the cache without the queue).
+  // A blocking ask is rejected too.
   EXPECT_THROW((void)server.ask("never seen A?"), std::runtime_error);
   EXPECT_EQ(server.stats().rejected, 2u);
   server.stop();  // idempotent
@@ -451,7 +243,6 @@ TEST_F(ServeServerTest, StopRacingBatchNeverBreaksPromises) {
   for (int round = 0; round < 4; ++round) {
     ServerOptions opts;
     opts.workers = 2;
-    opts.answer_cache_capacity = 0;  // force every request through the queue
     Server server(*workflow_, opts);
     std::thread stopper([&server, round] {
       std::this_thread::sleep_for(std::chrono::milliseconds(round * 2));
@@ -513,25 +304,29 @@ TEST_F(ServeServerTest, QuestionServiceInterfaceServesAnswers) {
                       "QuestionService::answer");
 }
 
+// Every computed answer stalls, a repeat of the same question included:
+// the server keeps no answers, so there is nothing to skip the stall.
 TEST_F(ServeServerTest, LlmLatencyScaleRealizesStallOnlyOnMisses) {
   ServerOptions opts;
   opts.workers = 1;
-  opts.llm_latency_scale = 0.002;  // ~10-30 ms per uncached answer
+  opts.llm_latency_scale = 0.002;  // ~10-30 ms per answer
   Server server(*workflow_, opts);
   const std::string q = questions(1)[0];
 
   const auto t0 = std::chrono::steady_clock::now();
   const rag::WorkflowOutcome first = server.ask(q);
-  const auto miss_elapsed = std::chrono::steady_clock::now() - t0;
+  const auto first_elapsed = std::chrono::steady_clock::now() - t0;
 
   const auto t1 = std::chrono::steady_clock::now();
-  (void)server.ask(q);
-  const auto hit_elapsed = std::chrono::steady_clock::now() - t1;
+  const rag::WorkflowOutcome repeat = server.ask(q);
+  const auto repeat_elapsed = std::chrono::steady_clock::now() - t1;
 
   const auto scaled = std::chrono::duration<double>(
       first.response.latency_seconds * opts.llm_latency_scale);
-  EXPECT_GE(miss_elapsed, scaled);  // the stall really happened
-  EXPECT_LT(hit_elapsed, scaled);   // the cache hit skipped it
+  EXPECT_GE(first_elapsed, scaled);  // the stall really happened
+  EXPECT_GE(repeat_elapsed, scaled);  // and again for the repeat
+  expect_same_content(first, repeat, "repeat");
+  EXPECT_EQ(server.stats().computed, 2u);
 }
 
 }  // namespace

@@ -235,12 +235,12 @@ TEST_F(SessionManagerTest, AnswerCacheIsBypassedBothDirections) {
   SessionManager manager(server, {});
   (void)manager.ask("chat", kQuestion);
   (void)manager.ask("chat", kQuestion);
-  // Both turns computed: a session turn never hits the answer cache (its
-  // prompt depends on session state) and never populates it either.
+  // Repeated turns and repeated plain asks all compute: the server keeps
+  // no answers.
   EXPECT_EQ(server.stats().computed, 2u);
-  EXPECT_EQ(server.stats().answer_cache.hits, 0u);
   const rag::WorkflowOutcome plain = server.ask(kQuestion);
-  EXPECT_EQ(server.stats().computed, 3u);  // still a miss for plain traffic
+  (void)server.ask(kQuestion);
+  EXPECT_EQ(server.stats().computed, 4u);
   EXPECT_FALSE(plain.response.text.empty());
 }
 
@@ -267,7 +267,6 @@ std::string tagged(const std::string& id, std::size_t turn) {
 TEST_F(SessionStrandTest, TurnsOfOneSessionRunInOrderWithHistory) {
   ServerOptions sopts;
   sopts.workers = 4;
-  sopts.answer_cache_capacity = 0;
   sopts.llm_latency_scale = 0.002;  // turns overlap across workers
   Server server(*workflow_, sopts);
   SessionOptions opts;
@@ -310,7 +309,6 @@ TEST_F(SessionStrandTest, TurnsOfOneSessionRunInOrderWithHistory) {
 TEST_F(SessionStrandTest, NoHeadOfLineBlockingAcrossSessions) {
   ServerOptions sopts;
   sopts.workers = 2;
-  sopts.answer_cache_capacity = 0;
   sopts.llm_latency_scale = 0.02;  // each turn stalls for real milliseconds
   Server server(*workflow_, sopts);
   SessionManager manager(server, {});
@@ -343,7 +341,6 @@ TEST_F(SessionStrandTest, NoHeadOfLineBlockingAcrossSessions) {
 TEST_F(SessionStrandTest, StopDrainsQueuedTurns) {
   ServerOptions sopts;
   sopts.workers = 1;
-  sopts.answer_cache_capacity = 0;
   sopts.llm_latency_scale = 0.005;
   Server server(*workflow_, sopts);
   SessionOptions opts;
@@ -373,7 +370,6 @@ class SessionAdmissionTest : public SessionManagerTest {};
 TEST_F(SessionAdmissionTest, ShedsSessionOverInflightCap) {
   ServerOptions sopts;
   sopts.workers = 1;
-  sopts.answer_cache_capacity = 0;
   sopts.llm_latency_scale = 0.02;  // turns take real tens of milliseconds
   sopts.queue_capacity = 8;
   Server server(*workflow_, sopts);
@@ -400,7 +396,6 @@ TEST_F(SessionAdmissionTest, ShedsSessionOverInflightCap) {
 TEST_F(SessionAdmissionTest, ShedsWhenLaneQueueExactlyFull) {
   ServerOptions sopts;
   sopts.workers = 1;
-  sopts.answer_cache_capacity = 0;
   sopts.llm_latency_scale = 0.02;
   sopts.queue_capacity = 1;
   Server server(*workflow_, sopts);
@@ -428,7 +423,6 @@ TEST_F(SessionAdmissionTest, ShedsWhenLaneQueueExactlyFull) {
 TEST_F(SessionAdmissionTest, ShedsNewSessionsBeforeExistingOnes) {
   ServerOptions sopts;
   sopts.workers = 1;
-  sopts.answer_cache_capacity = 0;
   sopts.llm_latency_scale = 0.02;
   sopts.queue_capacity = 4;
   Server server(*workflow_, sopts);
@@ -543,7 +537,6 @@ TEST_F(SessionEvictionTest, CapacityEvictsLeastRecentlyActive) {
 TEST_F(SessionEvictionTest, EvictionWhileTurnInFlightIsSafe) {
   ServerOptions sopts;
   sopts.workers = 1;
-  sopts.answer_cache_capacity = 0;
   sopts.llm_latency_scale = 0.02;
   Server server(*workflow_, sopts);
   SessionOptions opts;

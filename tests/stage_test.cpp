@@ -72,7 +72,7 @@ class StageParityTest : public ::testing::Test {
 rag::KnowledgeBase* StageParityTest::kb_ = nullptr;
 
 // A Server answer is a serial ask() on every retrieval arm: the worker's
-// cache miss runs the same stage graph through the same entry point.
+// request runs the same stage graph through the same entry point.
 TEST_F(StageParityTest, ServerAskEqualsSerialAsk) {
   for (const rag::PipelineArm arm :
        {rag::PipelineArm::Rag, rag::PipelineArm::RagRerank}) {
