@@ -1,31 +1,19 @@
-// ANN frontier bench: sweeps {flat, IVF, HNSW} over their tuning knobs
-// (nprobe for IVF, ef_search for HNSW) against one seeded corpus and reports
-// recall@k vs latency vs throughput per operating point. Every index scans
-// fp32 rows. Reports land in BENCH_ann.json.
+// ANN frontier bench: sweeps the flat scan and HNSW over ef_search against
+// one seeded corpus and reports recall@k vs latency vs throughput per
+// operating point. Both scan fp32 rows. Reports land in BENCH_ann.json.
 //
 // Gates make this a regression test, not just a chart:
-//   flat_exact     — the AnnIndex contract: every IVF and HNSW hit's score
-//                    must be bit-equal to the flat scan's score for the same
-//                    row (VectorStore::similarity_search over every row);
+//   flat_exact     — the build_index contract: every HNSW hit's score must
+//                    be bit-equal to the flat scan's score for the same row
+//                    (VectorStore::similarity_search over every row);
 //   default_recall — recall@k at the default operating point (HNSW with
-//                    ef_search = 64) must be >= 0.95;
-//   build_speedup  — the IVF coarse k-means on the packed SIMD kernels and
-//                    the thread pool (kmeans_cluster) must be >= 2x faster
-//                    than the single-thread scalar reference
-//                    (kmeans_cluster_reference). Skipped (reported, not
-//                    enforced) on the scalar backend or corpora under 5000
-//                    docs, where the comparison is noise.
+//                    ef_search = 64) must be >= 0.95.
 // Any gate failure exits nonzero so bench_smoke.sh / CI catch kernel or
 // index regressions.
 //
 // Usage: ann_frontier [--docs N] [--dim D] [--queries Q] [--k K]
-//                     [--ef LIST] [--nprobe LIST] [--seed S]
-//                     [--build-only] [--output PATH]
+//                     [--ef LIST] [--seed S] [--output PATH]
 //   --ef         comma-separated HNSW beam widths   (default 16,32,64,128)
-//   --nprobe     comma-separated IVF probe counts   (default 1,2,4,8,16)
-//   --build-only skip the query sweep; measure and gate only the k-means
-//                build speedup (bench_smoke runs this at the tier where the
-//                gate applies without paying for graph builds)
 
 #include <algorithm>
 #include <cstdio>
@@ -36,8 +24,6 @@
 #include <string>
 #include <vector>
 
-#include <cmath>
-
 #include "util/clock.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -45,7 +31,6 @@
 #include "vectordb/hnsw.h"
 #include "vectordb/index.h"
 #include "vectordb/kernels.h"
-#include "vectordb/kmeans.h"
 #include "vectordb/vector_store.h"
 
 namespace {
@@ -99,8 +84,8 @@ double recall_against(const std::vector<std::vector<SearchResult>>& truth,
 
 /// One measured operating point of the frontier.
 struct FrontierPoint {
-  std::string index;   ///< "flat" | "ivf" | "hnsw"
-  std::size_t param;   ///< nprobe / ef_search; 0 for flat
+  std::string index;   ///< "flat" | "hnsw"
+  std::size_t param;   ///< ef_search; 0 for flat
   double recall = 0.0;
   double p50 = 0.0, p99 = 0.0;
   double qps = 0.0;
@@ -168,9 +153,7 @@ int main(int argc, char** argv) {
   std::size_t k = 10;
   std::uint64_t seed = 42;
   std::string ef_list = "16,32,64,128";
-  std::string nprobe_list = "1,2,4,8,16";
   std::string output = "BENCH_ann.json";
-  bool build_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--docs") == 0 && i + 1 < argc) {
       docs = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
@@ -182,19 +165,14 @@ int main(int argc, char** argv) {
       k = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--ef") == 0 && i + 1 < argc) {
       ef_list = argv[++i];
-    } else if (std::strcmp(argv[i], "--nprobe") == 0 && i + 1 < argc) {
-      nprobe_list = argv[++i];
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--output") == 0 && i + 1 < argc) {
       output = argv[++i];
-    } else if (std::strcmp(argv[i], "--build-only") == 0) {
-      build_only = true;
     } else {
       std::fprintf(stderr,
                    "usage: ann_frontier [--docs N] [--dim D] [--queries Q] "
-                   "[--k K] [--ef LIST] [--nprobe LIST] "
-                   "[--seed S] [--build-only] [--output PATH]\n");
+                   "[--k K] [--ef LIST] [--seed S] [--output PATH]\n");
       return 2;
     }
   }
@@ -204,9 +182,8 @@ int main(int argc, char** argv) {
   if (k == 0) k = 1;
 
   const std::vector<std::size_t> efs = parse_list(ef_list);
-  const std::vector<std::size_t> nprobes = parse_list(nprobe_list);
-  if (efs.empty() || nprobes.empty()) {
-    std::fprintf(stderr, "ann_frontier: empty --ef or --nprobe sweep\n");
+  if (efs.empty()) {
+    std::fprintf(stderr, "ann_frontier: empty --ef sweep\n");
     return 2;
   }
 
@@ -219,77 +196,9 @@ int main(int argc, char** argv) {
   const VectorStore store = random_store(docs, dim, seed);
   const std::vector<Vector> pool = random_queries(queries, dim, seed + 1);
 
-  using pkb::vectordb::AnnIndex;
+  using pkb::util::Json;
   using pkb::vectordb::IndexKind;
   using pkb::vectordb::IndexSpec;
-
-  // Build-speedup measurement: the IVF coarse k-means on the packed SIMD
-  // kernels and the thread pool vs the single-thread scalar reference
-  // trainer on the same data and options. Enforced only where the
-  // comparison means something: a SIMD backend and a non-tiny corpus.
-  pkb::vectordb::KmeansOptions ko;
-  ko.k = static_cast<std::size_t>(
-      std::ceil(std::sqrt(static_cast<double>(docs))));
-  ko.iters = 10;
-  ko.seed = seed;
-  pkb::util::Stopwatch simd_build;
-  const pkb::vectordb::KmeansResult km_simd =
-      pkb::vectordb::kmeans_cluster(store.packed(), ko);
-  const double simd_build_seconds = simd_build.seconds();
-
-  pkb::util::Stopwatch ref_build;
-  const pkb::vectordb::KmeansResult km_ref =
-      pkb::vectordb::kmeans_cluster_reference(store.packed(), ko);
-  const double ref_build_seconds = ref_build.seconds();
-  if (km_ref.counts.size() != km_simd.counts.size()) {
-    std::fprintf(stderr, "ann_frontier: reference build disagrees on shape\n");
-    return 1;
-  }
-  const double build_speedup =
-      simd_build_seconds > 0.0 ? ref_build_seconds / simd_build_seconds : 0.0;
-  const bool build_gate_applies = backend != "scalar" && docs >= 5000;
-  const bool build_speedup_ok = !build_gate_applies || build_speedup >= 2.0;
-  std::printf(
-      "  build: kmeans simd %.3f s | scalar reference %.3f s | %.2fx "
-      "(clusters=%zu/%zu)%s\n",
-      simd_build_seconds, ref_build_seconds, build_speedup,
-      km_simd.counts.size(), km_ref.counts.size(),
-      build_gate_applies ? "" : " [gate skipped: tiny corpus or scalar]");
-
-  using pkb::util::Json;
-  Json build = Json::object();
-  build.set("kmeans_simd_seconds", Json(simd_build_seconds));
-  build.set("scalar_reference_seconds", Json(ref_build_seconds));
-  build.set("speedup", Json(build_speedup));
-  build.set("gate_applies", Json(build_gate_applies));
-
-  if (build_only) {
-    Json config = Json::object();
-    config.set("docs", Json(docs));
-    config.set("dim", Json(dim));
-    config.set("seed", Json(static_cast<double>(seed)));
-    config.set("backend", Json(backend));
-    config.set("build_only", Json(true));
-    Json gates = Json::object();
-    gates.set("build_speedup", Json(build_speedup_ok));
-    gates.set("ok", Json(build_speedup_ok));
-    Json report = Json::object();
-    report.set("config", std::move(config));
-    report.set("gates", std::move(gates));
-    report.set("build", std::move(build));
-    std::ofstream out(output);
-    out << report.dump(2) << "\n";
-    std::printf("wrote %s\n", output.c_str());
-    if (!out.good()) return 1;
-    if (!build_speedup_ok) {
-      std::fprintf(stderr,
-                   "ann_frontier: build_speedup gate FAILED — parallel SIMD "
-                   "k-means only %.2fx the scalar reference (need >= 2x)\n",
-                   build_speedup);
-      return 1;
-    }
-    return 0;
-  }
 
   std::vector<FrontierPoint> points;
 
@@ -304,42 +213,25 @@ int main(int argc, char** argv) {
   points.push_back(std::move(flat_pt));
 
   // The sweep: every spec goes through build_index so the bench exercises
-  // the exact objects the KB serves from.
-  struct SpecPoint {
-    IndexSpec spec;
-    std::size_t param;
-  };
-  std::vector<SpecPoint> sweep;
-  for (const std::size_t nprobe : nprobes) {
-    IndexSpec s;
-    s.kind = IndexKind::Ivf;
-    s.ivf.nprobe = nprobe;
-    s.ivf.seed = seed;
-    sweep.push_back({s, nprobe});
-  }
+  // the exact objects the KB serves from. ef_search is baked into the built
+  // object by IndexSpec, so every point builds its own index — seeded
+  // builds keep the sweep deterministic, and build_seconds lands in the
+  // report.
   for (const std::size_t ef : efs) {
-    IndexSpec s;
-    s.kind = IndexKind::Hnsw;
-    s.hnsw.ef_search = ef;
-    s.hnsw.seed = seed;
-    sweep.push_back({s, ef});
-  }
-
-  // The swept knobs (ef_search, nprobe) are baked into the built object by
-  // IndexSpec, so every point builds its own index — seeded builds keep the
-  // sweep deterministic, and build_seconds lands in the report.
-  for (const SpecPoint& sp : sweep) {
+    IndexSpec spec;
+    spec.kind = IndexKind::Hnsw;
+    spec.hnsw.ef_search = ef;
+    spec.hnsw.seed = seed;
     pkb::util::Stopwatch build;
-    const std::shared_ptr<const AnnIndex> index =
-        pkb::vectordb::build_index(store, sp.spec);
+    const std::shared_ptr<const pkb::vectordb::HnswIndex> index =
+        pkb::vectordb::build_index(store, spec);
     const double build_seconds = build.seconds();
     if (index == nullptr) {
-      std::fprintf(stderr, "ann_frontier: build_index returned null for %s\n",
-                   sp.spec.name().c_str());
+      std::fprintf(stderr, "ann_frontier: build_index returned null\n");
       return 1;
     }
     FrontierPoint pt =
-        measure(sp.spec.name(), sp.param, pool,
+        measure(spec.name(), ef, pool,
                 [&](const Vector& q) { return index->search(q, k); });
     pt.build_seconds = build_seconds;
     pt.recall = recall_against(truth, pt.hits);
@@ -394,13 +286,11 @@ int main(int argc, char** argv) {
   Json gates = Json::object();
   gates.set("flat_exact", Json(flat_exact));
   gates.set("default_recall", Json(default_recall_ok));
-  gates.set("build_speedup", Json(build_speedup_ok));
-  const bool all_ok = flat_exact && default_recall_ok && build_speedup_ok;
+  const bool all_ok = flat_exact && default_recall_ok;
   gates.set("ok", Json(all_ok));
   Json report = Json::object();
   report.set("config", std::move(config));
   report.set("gates", std::move(gates));
-  report.set("build", std::move(build));
   report.set("results", std::move(results));
 
   std::ofstream out(output);
@@ -418,13 +308,6 @@ int main(int argc, char** argv) {
                  "ann_frontier: recall gate FAILED — recall@%zu < 0.95 at "
                  "the default operating point (hnsw ef=%zu)\n",
                  k, default_ef);
-    return 1;
-  }
-  if (!build_speedup_ok) {
-    std::fprintf(stderr,
-                 "ann_frontier: build_speedup gate FAILED — parallel SIMD "
-                 "k-means only %.2fx the scalar reference (need >= 2x)\n",
-                 build_speedup);
     return 1;
   }
   return 0;

@@ -1,6 +1,5 @@
 // Micro-benchmarks of the vector hot path: packed-kernel scan scaling,
-// exact / IVF / HNSW search costs, the transposed k-means assignment kernel
-// in isolation, k-means build throughput, and store persistence.
+// exact and HNSW search costs, and store persistence.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -8,9 +7,7 @@
 #include "embed/embedder.h"
 #include "util/rng.h"
 #include "vectordb/hnsw.h"
-#include "vectordb/ivf.h"
 #include "vectordb/kernels.h"
-#include "vectordb/kmeans.h"
 #include "vectordb/vector_store.h"
 
 namespace {
@@ -18,8 +15,6 @@ namespace {
 using pkb::embed::Vector;
 using pkb::vectordb::HnswIndex;
 using pkb::vectordb::HnswOptions;
-using pkb::vectordb::IvfIndex;
-using pkb::vectordb::IvfOptions;
 using pkb::vectordb::VectorStore;
 namespace kernels = pkb::vectordb::kernels;
 
@@ -62,25 +57,6 @@ void BM_KernelPackedScan(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 
-// Transposed assignment kernel at the IVF coarse-quantizer shape — the
-// k-means training hot loop (one 128-dim row against 64 centroids, the
-// cluster count IVF picks at 4000 rows).
-void BM_KernelNearestTrans(benchmark::State& state) {
-  const std::size_t dim = 128;
-  const std::size_t k = 64;
-  pkb::util::Rng rng(3);
-  std::vector<float> trans(dim * k);
-  std::vector<float> q(dim);
-  for (float& x : trans) x = static_cast<float>(rng.normal());
-  for (float& x : q) x = static_cast<float>(rng.normal());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kernels::nearest_trans_f32(q.data(), trans.data(), dim, k, k));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k));
-}
-
 // --- searches --------------------------------------------------------------
 
 void BM_ExactTopK(benchmark::State& state) {
@@ -93,28 +69,6 @@ void BM_ExactTopK(benchmark::State& state) {
     benchmark::DoNotOptimize(hits.data());
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-
-void BM_IvfTopK(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto nprobe = static_cast<std::size_t>(state.range(1));
-  const std::size_t dim = 128;
-  const VectorStore store = make_store(n, dim, 1);
-  IvfOptions opts;
-  opts.nprobe = nprobe;
-  const IvfIndex index(store, opts);
-  const Vector q = make_query(dim, 2);
-  for (auto _ : state) {
-    auto hits = index.search(q, 8);
-    benchmark::DoNotOptimize(hits.data());
-  }
-  // Report the recall of this configuration alongside the speed.
-  std::vector<Vector> queries;
-  for (std::uint64_t seed = 10; seed < 26; ++seed) {
-    queries.push_back(make_query(dim, seed));
-  }
-  state.counters["recall@8"] = index.recall_at_k(queries, 8);
-  state.counters["clusters"] = static_cast<double>(index.cluster_count());
 }
 
 void BM_HnswTopK(benchmark::State& state) {
@@ -137,21 +91,6 @@ void BM_HnswTopK(benchmark::State& state) {
   state.counters["recall@8"] = index.recall_at_k(queries, 8);
 }
 
-// --- builds ----------------------------------------------------------------
-
-// The SIMD + pool k-means trainer (IVF coarse geometry).
-void BM_KmeansBuild(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const VectorStore store = make_store(n, 64, 1);
-  pkb::vectordb::KmeansOptions opts;
-  opts.k = 64;
-  opts.iters = 5;
-  for (auto _ : state) {
-    auto res = pkb::vectordb::kmeans_cluster(store.packed(), opts);
-    benchmark::DoNotOptimize(res.centroids.rows());
-  }
-}
-
 void BM_StoreSaveLoad(benchmark::State& state) {
   const VectorStore store = make_store(2000, 128, 3);
   const std::string path = "/tmp/pkb_bench_store.bin";
@@ -165,15 +104,8 @@ void BM_StoreSaveLoad(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_KernelPackedScan)->Arg(4000)->Arg(16000);
-BENCHMARK(BM_KernelNearestTrans);
 BENCHMARK(BM_ExactTopK)->Arg(1000)->Arg(4000)->Arg(16000)->Complexity();
-BENCHMARK(BM_IvfTopK)
-    ->Args({4000, 1})
-    ->Args({4000, 4})
-    ->Args({4000, 16})
-    ->Args({16000, 4});
 BENCHMARK(BM_HnswTopK)->Args({4000, 32})->Args({16000, 32});
-BENCHMARK(BM_KmeansBuild)->Arg(4000);
 BENCHMARK(BM_StoreSaveLoad);
 
 BENCHMARK_MAIN();

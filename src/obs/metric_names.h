@@ -25,8 +25,6 @@ inline constexpr std::string_view kEmbedBatchDocsTotal =
     "pkb_embed_batch_docs_total";
 inline constexpr std::string_view kVectordbSearchesTotal =
     "pkb_vectordb_searches_total";
-inline constexpr std::string_view kIvfSearchesTotal = "pkb_ivf_searches_total";
-inline constexpr std::string_view kIvfProbesTotal = "pkb_ivf_probes_total";
 inline constexpr std::string_view kAnnSearchesTotal = "pkb_ann_searches_total";
 inline constexpr std::string_view kLlmRequestsTotal = "pkb_llm_requests_total";
 inline constexpr std::string_view kLlmModeTotal = "pkb_llm_mode_total";
@@ -99,7 +97,6 @@ inline constexpr std::string_view kReplayDiffsTotal =
 
 // --- gauges ---------------------------------------------------------------
 inline constexpr std::string_view kVectordbEntries = "pkb_vectordb_entries";
-inline constexpr std::string_view kIvfClusters = "pkb_ivf_clusters";
 inline constexpr std::string_view kAnnIndexEntries = "pkb_ann_index_entries";
 inline constexpr std::string_view kAnnGraphEdges = "pkb_ann_graph_edges";
 inline constexpr std::string_view kServeQueueDepth = "pkb_serve_queue_depth";
@@ -126,11 +123,8 @@ inline constexpr std::string_view kRetrieveSearchSeconds =
 inline constexpr std::string_view kRerankSeconds = "pkb_rerank_seconds";
 inline constexpr std::string_view kVectordbSearchSeconds =
     "pkb_vectordb_search_seconds";
-inline constexpr std::string_view kIvfSearchSeconds = "pkb_ivf_search_seconds";
 inline constexpr std::string_view kAnnSearchSeconds = "pkb_ann_search_seconds";
 inline constexpr std::string_view kAnnBuildSeconds = "pkb_ann_build_seconds";
-inline constexpr std::string_view kAnnBuildKmeansSeconds =
-    "pkb_ann_build_kmeans_seconds";
 inline constexpr std::string_view kEmbedBatchSeconds =
     "pkb_embed_batch_seconds";
 inline constexpr std::string_view kLlmSimLatencySeconds =

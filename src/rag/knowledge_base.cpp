@@ -136,9 +136,8 @@ constexpr char kSnapshotMagic[4] = {'P', 'K', 'B', 'S'};
 constexpr char kChunkSectionMagic[4] = {'C', 'H', 'N', 'K'};
 // Only the current version loads; no older snapshots are deployed, so an
 // older file fails with "unsupported version" instead of being migrated.
-// The options block ends with the IndexSpec: kind, then the IVF and HNSW
-// options.
-constexpr std::uint32_t kSnapshotVersion = 6;
+// The options block ends with the IndexSpec: kind, then the HNSW options.
+constexpr std::uint32_t kSnapshotVersion = 7;
 
 void read_magic(std::istream& in, const char (&expect)[4], const char* what) {
   char magic[4] = {};
@@ -173,10 +172,6 @@ void Snapshot::save(const std::string& path) const {
     bin::write_str(out, sep);
   }
   bin::write_u32(out, static_cast<std::uint32_t>(opts.index.kind));
-  bin::write_u64(out, opts.index.ivf.clusters);
-  bin::write_u64(out, opts.index.ivf.kmeans_iters);
-  bin::write_u64(out, opts.index.ivf.nprobe);
-  bin::write_u64(out, opts.index.ivf.seed);
   bin::write_u64(out, opts.index.hnsw.m);
   bin::write_u64(out, opts.index.hnsw.ef_construction);
   bin::write_u64(out, opts.index.hnsw.ef_search);
@@ -224,16 +219,14 @@ SnapshotPtr Snapshot::load(const std::string& path) {
     snap->opts.splitter.separators.push_back(bin::read_str(in, "separator"));
   }
   const std::uint32_t kind = bin::read_u32(in, "index kind");
-  if (kind > static_cast<std::uint32_t>(vectordb::IndexKind::Hnsw)) {
+  if (kind != static_cast<std::uint32_t>(vectordb::IndexKind::Flat) &&
+      kind != static_cast<std::uint32_t>(vectordb::IndexKind::Hnsw)) {
     throw std::runtime_error("Snapshot::load: unknown index kind " +
                              std::to_string(kind));
   }
   snap->opts.index.kind = static_cast<vectordb::IndexKind>(kind);
-  snap->opts.index.ivf.clusters = bin::read_count(in, "ivf clusters");
-  snap->opts.index.ivf.kmeans_iters = bin::read_count(in, "ivf iters");
-  snap->opts.index.ivf.nprobe = bin::read_count(in, "ivf nprobe");
-  snap->opts.index.ivf.seed = bin::read_u64(in, "ivf seed");
-  snap->opts.index.hnsw.m = bin::read_count(in, "hnsw m");
+  snap->opts.index.hnsw.m =
+      bin::read_count(in, "hnsw m", vectordb::kHnswMaxM);
   snap->opts.index.hnsw.ef_construction =
       bin::read_count(in, "hnsw ef_construction");
   snap->opts.index.hnsw.ef_search = bin::read_count(in, "hnsw ef_search");

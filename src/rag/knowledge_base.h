@@ -46,9 +46,9 @@ struct KnowledgeBaseOptions {
                                     .chunk_overlap = 100,
                                     .separators = {"\n\n", "\n", " ", ""},
                                     .keep_separator = false};
-  /// ANN strategy for the snapshot's searches (vectordb/index.h): flat, IVF
-  /// or HNSW over fp32 rows. The default (flat) builds no index and keeps
-  /// the exact scan. Rebuilt per generation on every ingest publish.
+  /// Search path for the snapshot's searches (vectordb/index.h): the flat
+  /// scan or HNSW over fp32 rows. The default (flat) builds no index and
+  /// keeps the exact scan. Rebuilt per generation on every ingest publish.
   vectordb::IndexSpec index;
 };
 
@@ -65,9 +65,9 @@ struct Snapshot {
   /// full refit (see embedder_fit_generation).
   std::shared_ptr<const embed::Embedder> embedder;
   vectordb::VectorStore store;
-  /// ANN index over `store` per opts.index (null for the flat spec). The
+  /// HNSW index over `store` per opts.index (null for the flat spec). The
   /// retriever routes first-pass searches through it when present.
-  std::shared_ptr<const vectordb::AnnIndex> ann;
+  std::shared_ptr<const vectordb::HnswIndex> ann;
   std::shared_ptr<const lexical::SymbolIndex> symbols;
   /// Each chunk analysed once plus the term statistics over them, which the
   /// rerankers score against. Built with the generation, never per request.

@@ -2,7 +2,7 @@
 // Deterministic pseudo-random number generation.
 //
 // Every stochastic component in the system (corpus generation, the simulated
-// LLM's sampling noise, latency jitter, k-means init) draws from an explicitly
+// LLM's sampling noise, latency jitter, HNSW levels) draws from an explicitly
 // seeded `Rng` so that tests, examples, and benchmarks are reproducible
 // bit-for-bit across runs. Never use std::random_device or wall-clock seeding.
 

@@ -2,13 +2,12 @@
 // Minimal work-stealing-free thread pool plus a blocking parallel_for.
 //
 // The pool is for build-time work: batch embedding and the LSA fit run
-// `parallel_for` over contiguous index ranges, and k-means training submits
-// its fixed chunks directly. The request path never calls `parallel_for`:
-// each request's search and rerank run on the request's own thread, so
-// concurrent requests never queue behind each other on this pool. The pool
-// is created once and reused (threads are expensive); `global_pool()`
-// provides a lazily constructed process-wide instance sized to the
-// hardware.
+// `parallel_for` over contiguous index ranges. The request path never
+// calls `parallel_for`: each request's search and rerank run on the
+// request's own thread, so concurrent requests never queue behind each
+// other on this pool. The pool is created once and reused (threads are
+// expensive); `global_pool()` provides a lazily constructed process-wide
+// instance sized to the hardware.
 //
 // Thread-safety: `submit` and `parallel_for` may be called from any thread,
 // including concurrently. Do NOT call `parallel_for` from inside a pool

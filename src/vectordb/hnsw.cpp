@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "util/clock.h"
 #include "util/rng.h"
 
 namespace pkb::vectordb {
@@ -15,6 +21,9 @@ namespace {
 /// Hard cap on graph height; levels are geometric so this is never reached
 /// in practice, it just bounds the arena math.
 constexpr std::size_t kMaxLevel = 24;
+
+static_assert(2 * kHnswMaxM <= std::numeric_limits<std::uint16_t>::max(),
+              "layer 0's 2m links must fit Links::cap");
 
 using Scored = std::pair<float, std::uint32_t>;
 
@@ -49,6 +58,10 @@ HnswIndex::HnswIndex(const VectorStore& store, HnswOptions opts)
     : store_(store), opts_(opts) {
   if (store_.empty()) {
     throw std::invalid_argument("HnswIndex: empty store");
+  }
+  if (opts_.m > kHnswMaxM) {
+    throw std::invalid_argument("HnswIndex: m " + std::to_string(opts_.m) +
+                                " exceeds " + std::to_string(kHnswMaxM));
   }
   opts_.m = std::max<std::size_t>(2, opts_.m);
   opts_.ef_construction = std::max(opts_.ef_construction, opts_.m + 1);
@@ -236,17 +249,25 @@ void HnswIndex::build() {
 
 std::vector<SearchResult> HnswIndex::search(const embed::Vector& query,
                                             std::size_t k) const {
-  return search_ef(query, k, opts_.ef_search);
+  obs::MetricsRegistry& metrics = obs::global_metrics();
+  metrics.counter(obs::kAnnSearchesTotal).inc();
+  pkb::util::Stopwatch watch;
+  obs::Span span(obs::global_tracer(), obs::kSpanAnnSearch);
+  span.set_attr("index", "hnsw");
+  span.set_attr("k", static_cast<std::uint64_t>(k));
+  std::vector<SearchResult> hits = search_beam(query, k);
+  span.set_attr("hits", static_cast<std::uint64_t>(hits.size()));
+  metrics.histogram(obs::kAnnSearchSeconds).observe(watch.seconds());
+  return hits;
 }
 
-std::vector<SearchResult> HnswIndex::search_ef(const embed::Vector& query,
-                                               std::size_t k,
-                                               std::size_t ef) const {
+std::vector<SearchResult> HnswIndex::search_beam(const embed::Vector& query,
+                                                 std::size_t k) const {
   if (k == 0) return {};
   if (query.size() != store_.dimension()) {
     throw std::invalid_argument("HnswIndex::search: dimension mismatch");
   }
-  ef = std::max(ef, k);
+  const std::size_t ef = std::max(opts_.ef_search, k);
   embed::Vector q = query;
   embed::l2_normalize(q);
 

@@ -1,5 +1,6 @@
 #pragma once
-// HNSW (hierarchical navigable small world) graph index over a VectorStore.
+// HNSW (hierarchical navigable small world) graph index over a VectorStore —
+// the one approximate search path (the flat scan is the exact one).
 //
 // Build: every vector becomes a graph node with a geometrically distributed
 // top level (seeded RNG — builds are deterministic for a given store +
@@ -14,11 +15,12 @@
 // util::Arena — fixed-capacity arrays, no per-node malloc.
 //
 // Search: greedy descent through the upper layers to a good entry, then a
-// beam search of width ef (`ef_search`, overridable per call) on layer 0;
-// the best k of the beam are returned. Scores on returned hits are computed
-// with the store's fp32 kernels — the flat scan's exact expression — so
-// hits carry flat-scan-identical scores; only membership is approximate.
-// Cost is O(ef · log n) distance evaluations versus the flat scan's O(n).
+// beam search of width max(ef_search, k) on layer 0; the best k of the beam
+// are returned. Scores on returned hits are computed with the store's fp32
+// kernels — the flat scan's exact expression — so hits carry
+// flat-scan-identical scores; only membership is approximate. Cost is
+// O(ef · log n) distance evaluations versus the flat scan's O(n). Every
+// search is instrumented (pkb_ann_* metrics, the `ann_search` span).
 //
 // The index is immutable after construction; the store must outlive it.
 // Concurrent search() calls are safe — all scratch is per-call.
@@ -30,9 +32,14 @@
 
 namespace pkb::vectordb {
 
+/// Largest accepted HnswOptions::m: layer 0 holds 2m links and its
+/// capacity must fit Links::cap (uint16_t).
+inline constexpr std::size_t kHnswMaxM = 32767;
+
 /// HNSW build/search parameters.
 struct HnswOptions {
-  /// Max links per node on layers ≥ 1 (layer 0 allows 2m).
+  /// Max links per node on layers ≥ 1 (layer 0 allows 2m); at most
+  /// kHnswMaxM.
   std::size_t m = 32;
   /// Beam width during construction.
   std::size_t ef_construction = 128;
@@ -48,17 +55,14 @@ struct HnswOptions {
 /// grow after construction).
 class HnswIndex {
  public:
-  /// Build the graph over every row of `store`.
+  /// Build the graph over every row of `store`. Throws
+  /// std::invalid_argument for an empty store or m > kHnswMaxM.
   explicit HnswIndex(const VectorStore& store, HnswOptions opts = {});
 
-  /// Approximate top-k using the default beam width (options().ef_search).
+  /// Approximate top-k (query need not be normalized) with a beam of width
+  /// max(options().ef_search, k).
   [[nodiscard]] std::vector<SearchResult> search(const embed::Vector& query,
                                                  std::size_t k) const;
-
-  /// Approximate top-k with an explicit beam width (clamped to ≥ k).
-  [[nodiscard]] std::vector<SearchResult> search_ef(const embed::Vector& query,
-                                                    std::size_t k,
-                                                    std::size_t ef) const;
 
   /// Recall@k of this index vs exact search for the given queries.
   [[nodiscard]] double recall_at_k(const std::vector<embed::Vector>& queries,
@@ -79,6 +83,9 @@ class HnswIndex {
   };
 
   void build();
+  /// search() without the instrumentation around it.
+  [[nodiscard]] std::vector<SearchResult> search_beam(
+      const embed::Vector& query, std::size_t k) const;
   void insert(std::size_t node, std::size_t level,
               const float* packed_query);
   /// Fill `out` with up to `cap` diverse neighbors from a best-first

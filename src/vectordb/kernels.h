@@ -2,13 +2,11 @@
 // SIMD scoring kernels and the packed row layout — the raw-speed substrate
 // of the vector hot path.
 //
-// Every similarity score the vector database produces (flat scan, IVF
-// buckets, HNSW traversal) is an fp32 dot product with double
-// accumulation — the exact scoring contract `embed::dot` established
-// (accumulate in double, round once to float), which is what keeps top-k
-// selection deterministic and the index-vs-flat exactness gates meaningful.
-// The transposed kernels below serve the k-means trainer under the IVF
-// build.
+// Every similarity score the vector database produces (flat scan, HNSW
+// traversal) is an fp32 dot product with double accumulation — the exact
+// scoring contract `embed::dot` established (accumulate in double, round
+// once to float), which is what keeps top-k selection deterministic and the
+// index-vs-flat exactness gates meaningful.
 //
 // Backends are selected ONCE at first use (CPUID on x86: AVX2+FMA; NEON on
 // aarch64; portable scalar otherwise) and never change for the process, so
@@ -48,29 +46,6 @@ inline constexpr std::size_t kF32Pad = 16;
 void dots_f32(const float* query, const float* rows_base, std::size_t rows,
               std::size_t stride, float* out);
 
-/// Transposed scoring for k-means seeding: `trans` holds k columns in
-/// dimension-major (struct-of-arrays) order with leading dimension `ld` —
-/// trans[d * ld + c] is dimension d of column c (ld = k for a dense matrix;
-/// ld > k addresses a column sub-range). Computes
-/// out[c] = Σ_d q[d] · trans[d*ld+c] with every product exact in double,
-/// accumulated in ascending d, rounded once to float. SIMD backends
-/// vectorize across c — the summation dimension stays sequential — so each
-/// out[c] is bit-identical to the scalar backend (unlike the row-major dot,
-/// whose lanes re-associate), and no padding lanes are wasted at small
-/// dimensions.
-void dots_trans_f32(const float* q, const float* trans, std::size_t dim,
-                    std::size_t k, std::size_t ld, float* out);
-
-/// Nearest column under the dot score: returns argmax_c of
-/// Σ_d q[d] · trans[d*ld+c], ties to the lowest c. Accumulation is single
-/// precision — this is the k-means assignment primitive, NOT part of the
-/// double-exact scoring contract: each backend is internally deterministic
-/// (same inputs ⇒ same argmax in a process), but backends may disagree on
-/// knife-edge assignments. Requires k ≥ 1.
-[[nodiscard]] std::size_t nearest_trans_f32(const float* q, const float* trans,
-                                            std::size_t dim, std::size_t k,
-                                            std::size_t ld);
-
 /// Row-major fp32 matrix, 64-byte-aligned, dimension padded to kF32Pad with
 /// zeros. This is the cache-blocked SoA layout the flat scan iterates: each
 /// row is one contiguous aligned span, rows are adjacent, and a block of
@@ -85,10 +60,6 @@ class PackedF32 {
 
   /// Append one row (length dim); tail lanes stay zero.
   void append(const float* row);
-
-  /// Overwrite row r with `row` (length dim); tail lanes stay zero. Used by
-  /// the k-means trainers to update centroids in place.
-  void set_row(std::size_t r, const float* row);
 
   /// Pack a query into a padded aligned scratch buffer (tail zeroed).
   /// `scratch` must hold stride() floats.

@@ -3,9 +3,9 @@
 //
 // Stores (document, embedding) pairs and answers top-k similarity queries.
 // Exact search scans a packed SoA mirror of the vectors with the SIMD
-// kernels in kernels.h on the calling thread (partial-sort top-k); the IVF
-// index in ivf.h and the HNSW graph in hnsw.h provide approximate fast
-// paths. Collections persist to a simple binary format.
+// kernels in kernels.h on the calling thread (partial-sort top-k); the HNSW
+// graph in hnsw.h is the approximate fast path. Collections persist to a
+// simple binary format.
 
 #include <functional>
 #include <iosfwd>
@@ -67,9 +67,9 @@ class VectorStore {
   [[nodiscard]] const embed::Vector& vec(std::size_t i) const;
 
   /// The packed SoA mirror of the stored vectors (64-byte-aligned rows,
-  /// dimension padded to a lane multiple). Every scoring path — the flat
-  /// scan here, IVF bucket scoring, HNSW traversal — reads rows from this block through the same kernel, which is what
-  /// keeps their scores mutually bit-identical.
+  /// dimension padded to a lane multiple). Both scoring paths — the flat
+  /// scan here and HNSW traversal — read rows from this block through the
+  /// same kernel, which is what keeps their scores mutually bit-identical.
   [[nodiscard]] const kernels::PackedF32& packed() const { return packed_; }
 
   /// Score one stored row against a packed query (kernels::PackedF32

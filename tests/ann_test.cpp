@@ -1,13 +1,12 @@
-// ANN hot-path tests: kernel backend consistency, HNSW recall and
-// determinism, the deterministic parallel k-means trainer, the AnnIndex
-// exact-score contract, IndexSpec routing through Snapshot/Retriever, and
-// snapshot persistence of the spec. Suite names (Kernels*, Hnsw*, Kmeans*,
-// AnnIndex*, AnnKnowledgeBase*) are part of the scripts/run_tsan.sh filter.
+// ANN hot-path tests: kernel backend consistency, HNSW recall, determinism
+// and option bounds, the exact-score contract of build_index, IndexSpec
+// routing through Snapshot/Retriever, and snapshot persistence of the
+// spec. Suite names (Kernels*, Hnsw*, AnnIndex*, AnnKnowledgeBase*) are
+// part of the scripts/run_tsan.sh filter.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -17,11 +16,8 @@
 #include "rag/retriever.h"
 #include "util/arena.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "vectordb/hnsw.h"
 #include "vectordb/index.h"
-#include "vectordb/ivf.h"
-#include "vectordb/kmeans.h"
 #include "vectordb/vector_store.h"
 
 namespace {
@@ -32,8 +28,6 @@ using vectordb::HnswIndex;
 using vectordb::HnswOptions;
 using vectordb::IndexKind;
 using vectordb::IndexSpec;
-using vectordb::KmeansOptions;
-using vectordb::KmeansResult;
 using vectordb::SearchResult;
 using vectordb::VectorStore;
 
@@ -180,96 +174,18 @@ TEST(Hnsw, EmptyStoreThrows) {
   EXPECT_THROW(HnswIndex{store}, std::invalid_argument);
 }
 
-// --- deterministic parallel k-means ----------------------------------------
-
-vectordb::kernels::PackedF32 random_packed(std::size_t n, std::size_t dim,
-                                           std::uint64_t seed) {
-  pkb::util::Rng rng(seed);
-  vectordb::kernels::PackedF32 data(dim);
-  std::vector<float> row(dim);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (float& x : row) x = static_cast<float>(rng.normal());
-    data.append(row.data());
+TEST(Hnsw, MIsBoundedByLinkCapacity) {
+  // Layer 0 holds 2m links in a uint16_t capacity: m = kHnswMaxM is the
+  // largest that fits and still links the graph; one more is rejected
+  // rather than wrapping to a zero-capacity graph.
+  const VectorStore store = random_store(40, 8, 51);
+  const HnswIndex widest(store, HnswOptions{.m = vectordb::kHnswMaxM});
+  EXPECT_GT(widest.edge_count(), 0u);
+  for (const Vector& q : random_queries(3, 8, 52)) {
+    EXPECT_EQ(widest.search(q, 8).size(), 8u);
   }
-  return data;
-}
-
-void expect_kmeans_equal(const KmeansResult& a, const KmeansResult& b) {
-  ASSERT_EQ(a.centroids.rows(), b.centroids.rows());
-  const std::size_t bytes = a.centroids.dim() * sizeof(float);
-  for (std::size_t c = 0; c < a.centroids.rows(); ++c) {
-    EXPECT_EQ(std::memcmp(a.centroids.row(c), b.centroids.row(c), bytes), 0)
-        << "centroid " << c;
-  }
-  EXPECT_EQ(a.assign, b.assign);
-  EXPECT_EQ(a.counts, b.counts);
-}
-
-TEST(Kmeans, BuildIsByteIdenticalAcrossWorkerCounts) {
-  // n is large enough for several chunks (kMinChunk = 1024), so 2- and
-  // 8-worker pools genuinely interleave chunk execution; the merged result
-  // must not care.
-  const auto data = random_packed(2600, 8, 7);
-  KmeansOptions opts;
-  opts.k = 24;
-  opts.iters = 4;
-  opts.seed = 99;
-  util::ThreadPool one(1);
-  opts.pool = &one;
-  const KmeansResult a = vectordb::kmeans_cluster(data, opts);
-  util::ThreadPool two(2);
-  opts.pool = &two;
-  const KmeansResult b = vectordb::kmeans_cluster(data, opts);
-  util::ThreadPool eight(8);
-  opts.pool = &eight;
-  const KmeansResult c = vectordb::kmeans_cluster(data, opts);
-  expect_kmeans_equal(a, b);
-  expect_kmeans_equal(a, c);
-}
-
-TEST(Kmeans, DegenerateReseedPicksFreshRows) {
-  // 8 distinct unit vectors, each duplicated 40×, k = 8: k-means++ rounds
-  // hit the zero-weight walk and re-seeds must land on rows distinct from
-  // every chosen centroid, so all 8 clusters end up populated with 8
-  // distinct centroids — the cluster-wasting regression the old in-line IVF
-  // k-means had.
-  pkb::util::Rng rng(13);
-  std::vector<std::vector<float>> base(8, std::vector<float>(6));
-  for (auto& row : base) {
-    for (float& x : row) x = static_cast<float>(rng.normal());
-    embed::l2_normalize(row);
-  }
-  vectordb::kernels::PackedF32 data(6);
-  for (std::size_t i = 0; i < 8 * 40; ++i) data.append(base[i % 8].data());
-
-  KmeansOptions opts;
-  opts.k = 8;
-  opts.iters = 3;
-  const KmeansResult res = vectordb::kmeans_cluster(data, opts);
-  ASSERT_EQ(res.counts.size(), 8u);
-  for (std::size_t c = 0; c < 8; ++c) {
-    EXPECT_GT(res.counts[c], 0u) << "cluster " << c << " wasted";
-    for (std::size_t o = c + 1; o < 8; ++o) {
-      EXPECT_NE(std::memcmp(res.centroids.row(c), res.centroids.row(o),
-                            6 * sizeof(float)),
-                0)
-          << "duplicate centroids " << c << "/" << o;
-    }
-  }
-}
-
-TEST(Kmeans, FindFreshRowSkipsCentroidDuplicates) {
-  vectordb::kernels::PackedF32 data(2);
-  const float rows[4][2] = {{1, 0}, {1, 0}, {0, 1}, {1, 0}};
-  for (const auto& r : rows) data.append(r);
-  vectordb::kernels::PackedF32 centroids(2);
-  centroids.append(rows[0]);  // {1, 0} is taken
-  // Every start lands on the only fresh row, index 2.
-  for (std::uint64_t start = 0; start < 8; ++start) {
-    EXPECT_EQ(vectordb::find_fresh_row(data, centroids, start), 2u);
-  }
-  centroids.append(rows[2]);  // now everything duplicates a centroid
-  EXPECT_EQ(vectordb::find_fresh_row(data, centroids, 3), 3u);  // start row
+  EXPECT_THROW(HnswIndex(store, HnswOptions{.m = vectordb::kHnswMaxM + 1}),
+               std::invalid_argument);
 }
 
 // --- IndexSpec / build_index ----------------------------------------------
@@ -277,39 +193,31 @@ TEST(Kmeans, FindFreshRowSkipsCentroidDuplicates) {
 TEST(AnnIndex, IdentitySpecBuildsNothing) {
   const VectorStore store = random_store(50, 8, 61);
   EXPECT_EQ(vectordb::build_index(store, IndexSpec{}), nullptr);
-  IndexSpec ivf;
-  ivf.kind = IndexKind::Ivf;
-  EXPECT_NE(vectordb::build_index(store, ivf), nullptr);
-  EXPECT_EQ(vectordb::build_index(VectorStore{}, ivf), nullptr);
+  IndexSpec hnsw;
+  hnsw.kind = IndexKind::Hnsw;
+  EXPECT_NE(vectordb::build_index(store, hnsw), nullptr);
+  EXPECT_EQ(vectordb::build_index(VectorStore{}, hnsw), nullptr);
 }
 
 TEST(AnnIndex, SpecNamesAreStable) {
   IndexSpec spec;
   EXPECT_EQ(spec.name(), "flat");
-  spec.kind = IndexKind::Ivf;
-  EXPECT_EQ(spec.name(), "ivf");
   spec.kind = IndexKind::Hnsw;
   EXPECT_EQ(spec.name(), "hnsw");
 }
 
 TEST(AnnIndex, HitScoresAreFlatScanExact) {
-  // The AnnIndex contract: every IVF and HNSW hit's score is bit-equal to
-  // the flat scan's score for the same row. With every row in reach (all
-  // clusters probed, ef ≥ n) the hits are the flat top-k exactly.
+  // The build_index contract: every HNSW hit's score is bit-equal to the
+  // flat scan's score for the same row. With every row in reach (ef ≥ n)
+  // the hits are the flat top-k exactly.
   const VectorStore store = random_store(400, 16, 81);
-  IndexSpec ivf;
-  ivf.kind = IndexKind::Ivf;
-  ivf.ivf.nprobe = 64;
   IndexSpec hnsw;
   hnsw.kind = IndexKind::Hnsw;
   hnsw.hnsw.ef_search = 400;
-  for (const IndexSpec& spec : {ivf, hnsw}) {
-    const auto index = vectordb::build_index(store, spec);
-    ASSERT_NE(index, nullptr);
-    EXPECT_EQ(index->name(), spec.name());
-    for (const Vector& q : random_queries(5, 16, 82)) {
-      expect_hits_equal(store.similarity_search(q, 10), index->search(q, 10));
-    }
+  const auto index = vectordb::build_index(store, hnsw);
+  ASSERT_NE(index, nullptr);
+  for (const Vector& q : random_queries(5, 16, 82)) {
+    expect_hits_equal(store.similarity_search(q, 10), index->search(q, 10));
   }
 }
 
@@ -335,8 +243,7 @@ TEST(AnnKnowledgeBase, SnapshotBuildsConfiguredIndex) {
   opts.index.kind = IndexKind::Hnsw;
   const rag::KnowledgeBase kb = rag::KnowledgeBase::build(tiny_corpus(), opts);
   const rag::SnapshotPtr snap = kb.snapshot();
-  ASSERT_NE(snap->ann, nullptr);
-  EXPECT_EQ(snap->ann->name(), "hnsw");
+  EXPECT_NE(snap->ann, nullptr);
 
   // Retrieval routes through the index and still returns results.
   const rag::Retriever retriever(kb);
@@ -346,11 +253,10 @@ TEST(AnnKnowledgeBase, SnapshotBuildsConfiguredIndex) {
 
 TEST(AnnKnowledgeBase, PersistenceV3RoundTripsIndexSpec) {
   // The index spec has been part of the snapshot since v3; non-default
-  // options for both kinds must survive a save/load of an HNSW-indexed KB.
+  // options must survive a save/load of an HNSW-indexed KB.
   rag::KnowledgeBaseOptions opts;
   opts.index.kind = IndexKind::Hnsw;
   opts.index.hnsw.ef_search = 48;
-  opts.index.ivf.nprobe = 7;
   const rag::KnowledgeBase kb = rag::KnowledgeBase::build(tiny_corpus(), opts);
 
   const std::string path =
@@ -362,21 +268,13 @@ TEST(AnnKnowledgeBase, PersistenceV3RoundTripsIndexSpec) {
 
   EXPECT_EQ(loaded->opts.index, kb.snapshot()->opts.index);
   EXPECT_EQ(loaded->opts.index.hnsw.ef_search, 48u);
-  EXPECT_EQ(loaded->opts.index.ivf.nprobe, 7u);
-  ASSERT_NE(loaded->ann, nullptr);
-  EXPECT_EQ(loaded->ann->name(), "hnsw");
+  EXPECT_NE(loaded->ann, nullptr);
 }
 
 TEST(AnnKnowledgeBase, PersistenceV6RoundTripsIndexSpec) {
-  // The v6 snapshot carries the IndexSpec (kind + IVF and HNSW options); a
-  // reloaded KB must come back with the same spec, rebuild the same index,
-  // and answer with bit-identical hits.
-  IndexSpec ivf;
-  ivf.kind = IndexKind::Ivf;
-  ivf.ivf.clusters = 3;
-  ivf.ivf.kmeans_iters = 5;
-  ivf.ivf.nprobe = 2;
-  ivf.ivf.seed = 77;
+  // The snapshot carries the IndexSpec (kind + HNSW options); a reloaded KB
+  // must come back with the same spec, rebuild the same graph, and answer
+  // with bit-identical hits.
   IndexSpec hnsw;
   hnsw.kind = IndexKind::Hnsw;
   hnsw.hnsw.m = 8;
@@ -386,26 +284,23 @@ TEST(AnnKnowledgeBase, PersistenceV6RoundTripsIndexSpec) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "pkb_ann_snapshot_v6.bin")
           .string();
-  for (const IndexSpec& spec : {ivf, hnsw}) {
-    rag::KnowledgeBaseOptions opts;
-    opts.index = spec;
-    const rag::KnowledgeBase kb =
-        rag::KnowledgeBase::build(tiny_corpus(), opts);
-    const rag::SnapshotPtr snap = kb.snapshot();
-    snap->save(path);
-    const rag::SnapshotPtr loaded = rag::Snapshot::load(path);
-    std::remove(path.c_str());
+  rag::KnowledgeBaseOptions opts;
+  opts.index = hnsw;
+  const rag::KnowledgeBase kb = rag::KnowledgeBase::build(tiny_corpus(), opts);
+  const rag::SnapshotPtr snap = kb.snapshot();
+  snap->save(path);
+  const rag::SnapshotPtr loaded = rag::Snapshot::load(path);
+  std::remove(path.c_str());
 
-    EXPECT_EQ(loaded->opts.index, spec);
-    ASSERT_NE(snap->ann, nullptr);
-    ASSERT_NE(loaded->ann, nullptr);
-    EXPECT_EQ(loaded->ann->name(), spec.name());
-    for (const char* question :
-         {"How do I use VecSetValues?", "MatAssemblyBegin section 3",
-          "KSPSolve with a preconditioner"}) {
-      const Vector q = snap->embedder->embed(question);
-      expect_hits_equal(snap->ann->search(q, 5), loaded->ann->search(q, 5));
-    }
+  EXPECT_EQ(loaded->opts.index, hnsw);
+  ASSERT_NE(snap->ann, nullptr);
+  ASSERT_NE(loaded->ann, nullptr);
+  EXPECT_EQ(loaded->ann->edge_count(), snap->ann->edge_count());
+  for (const char* question :
+       {"How do I use VecSetValues?", "MatAssemblyBegin section 3",
+        "KSPSolve with a preconditioner"}) {
+    const Vector q = snap->embedder->embed(question);
+    expect_hits_equal(snap->ann->search(q, 5), loaded->ann->search(q, 5));
   }
 }
 

@@ -9,13 +9,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -430,6 +434,34 @@ std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_file_bytes(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Offset just past a saved snapshot's options block, where the
+/// VectorStore blob (magic "PKBV") starts. The block ends with the
+/// IndexSpec: u32 kind, then u64 hnsw m, ef_construction, ef_search, seed.
+std::size_t options_block_end(const std::string& bytes) {
+  const std::size_t end = bytes.find("PKBV", 8);
+  EXPECT_NE(end, std::string::npos);
+  return end;
+}
+
+/// Build an HNSW-indexed KB over small_corpus() and return its saved bytes.
+std::string saved_hnsw_snapshot(const std::string& path) {
+  rag::KnowledgeBaseOptions opts;
+  opts.index.kind = vectordb::IndexKind::Hnsw;
+  const auto kb = rag::KnowledgeBase::build(small_corpus(), opts);
+  kb.snapshot()->save(path);
+  return file_bytes(path);
+}
+
 TEST(SnapshotPersist, RoundTripIsRetrievalIdentical) {
   // A few manual pages give the symbol index something to resolve.
   text::VirtualDir tree = small_corpus();
@@ -532,22 +564,24 @@ TEST(SnapshotPersist, RejectsMissingGarbageAndTruncatedFiles) {
   EXPECT_THROW((void)rag::Snapshot::load(garbage), std::runtime_error);
   std::filesystem::remove(garbage);
 
-  // Truncate a real snapshot at several prefixes: every cut must throw.
+  // Truncate a real snapshot at every prefix through the end of the
+  // options block, then at a few cuts inside the store and chunk sections:
+  // every cut must throw.
   auto kb = rag::KnowledgeBase::build(small_corpus());
   const std::string path = temp_path("pkb_snapshot_trunc.bin");
   kb.snapshot()->save(path);
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  const std::string bytes = file_bytes(path);
+  std::vector<std::size_t> cuts;
+  for (std::size_t len = 0; len <= options_block_end(bytes); ++len) {
+    cuts.push_back(len);
   }
   for (std::size_t len :
-       {std::size_t{3}, std::size_t{16}, bytes.size() / 4, bytes.size() / 2,
-        bytes.size() - 1}) {
+       {bytes.size() / 4, bytes.size() / 2, bytes.size() - 1}) {
+    cuts.push_back(len);
+  }
+  for (const std::size_t len : cuts) {
     ASSERT_LT(len, bytes.size());
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(len));
-    out.close();
+    write_file_bytes(path, std::string_view(bytes).substr(0, len));
     EXPECT_THROW((void)rag::Snapshot::load(path), std::runtime_error)
         << "prefix length " << len;
   }
@@ -558,19 +592,13 @@ TEST(SnapshotPersist, RejectsVersionsOtherThanCurrent) {
   auto kb = rag::KnowledgeBase::build(small_corpus());
   const std::string path = temp_path("pkb_snapshot_version.bin");
   kb.snapshot()->save(path);
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
+  std::string bytes = file_bytes(path);
   ASSERT_GT(bytes.size(), 8u);
-  ASSERT_EQ(bytes[4], 6);  // u32 version, little-endian, after the magic
-  for (char version : {char{1}, char{2}, char{3}, char{4}, char{5}, char{7}}) {
+  ASSERT_EQ(bytes[4], 7);  // u32 version, little-endian, after the magic
+  for (char version :
+       {char{1}, char{2}, char{3}, char{4}, char{5}, char{6}, char{8}}) {
     bytes[4] = version;
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
+    write_file_bytes(path, bytes);
     try {
       (void)rag::Snapshot::load(path);
       ADD_FAILURE() << "version " << int{version} << " loaded";
@@ -579,6 +607,52 @@ TEST(SnapshotPersist, RejectsVersionsOtherThanCurrent) {
                 std::string::npos)
           << err.what();
     }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotPersist, RejectsUnknownIndexKind) {
+  // Kind word 1 named an index kind that no longer exists; it must fail as
+  // unknown, never load as some other kind.
+  const std::string path = temp_path("pkb_snapshot_kind.bin");
+  std::string bytes = saved_hnsw_snapshot(path);
+  const std::size_t at = options_block_end(bytes) -
+                         4 * sizeof(std::uint64_t) - sizeof(std::uint32_t);
+  std::uint32_t kind = 0;
+  std::memcpy(&kind, bytes.data() + at, sizeof kind);
+  ASSERT_EQ(kind, static_cast<std::uint32_t>(vectordb::IndexKind::Hnsw));
+  kind = 1;
+  std::memcpy(bytes.data() + at, &kind, sizeof kind);
+  write_file_bytes(path, bytes);
+  try {
+    (void)rag::Snapshot::load(path);
+    ADD_FAILURE() << "index kind 1 loaded";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find("unknown index kind"),
+              std::string::npos)
+        << err.what();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotPersist, RejectsHnswMAboveLinkCapacity) {
+  // A corrupt hnsw m must fail at the read, before the graph build asks
+  // the arena for 2m links per node.
+  const std::string path = temp_path("pkb_snapshot_hnsw_m.bin");
+  std::string bytes = saved_hnsw_snapshot(path);
+  const std::size_t at = options_block_end(bytes) - 4 * sizeof(std::uint64_t);
+  std::uint64_t m = 0;
+  std::memcpy(&m, bytes.data() + at, sizeof m);
+  ASSERT_EQ(m, vectordb::HnswOptions{}.m);
+  m = std::uint64_t{1} << 30;
+  std::memcpy(bytes.data() + at, &m, sizeof m);
+  write_file_bytes(path, bytes);
+  try {
+    (void)rag::Snapshot::load(path);
+    ADD_FAILURE() << "hnsw m 2^30 loaded";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find("hnsw m"), std::string::npos)
+        << err.what();
   }
   std::filesystem::remove(path);
 }

@@ -6,7 +6,6 @@
 
 #include "embed/tfidf.h"
 #include "util/rng.h"
-#include "vectordb/ivf.h"
 #include "vectordb/vector_store.h"
 
 namespace pkb::vectordb {
@@ -239,73 +238,6 @@ TEST(VectorStoreHardening, PresetDimensionConstructorEnforcesDim) {
   EXPECT_THROW(store.add({"a", "", {}}, {1.0f, 2.0f}), std::invalid_argument);
   store.add({"a", "", {}}, {1.0f, 2.0f, 3.0f});
   EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(Ivf, EmptyStoreThrows) {
-  VectorStore store;
-  EXPECT_THROW(IvfIndex(store, {}), std::invalid_argument);
-}
-
-TEST(Ivf, SearchFindsExactMatchWithFullProbing) {
-  const VectorStore store = random_store(200, 16, 7);
-  IvfOptions opts;
-  opts.clusters = 10;
-  opts.nprobe = 10;  // probe everything -> exact
-  const IvfIndex index(store, opts);
-  EXPECT_EQ(index.cluster_count(), 10u);
-  for (std::size_t i = 0; i < 20; ++i) {
-    const auto hits = index.search(store.vec(i), 1);
-    ASSERT_EQ(hits.size(), 1u);
-    EXPECT_EQ(hits[0].index, i);
-  }
-}
-
-TEST(Ivf, FullProbeMatchesExactSearch) {
-  const VectorStore store = random_store(300, 16, 8);
-  IvfOptions opts;
-  opts.clusters = 12;
-  opts.nprobe = 12;
-  const IvfIndex index(store, opts);
-  const auto exact = store.similarity_search(store.vec(5), 10);
-  const auto approx = index.search(store.vec(5), 10);
-  ASSERT_EQ(exact.size(), approx.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(exact[i].index, approx[i].index);
-  }
-}
-
-TEST(Ivf, RecallImprovesWithProbes) {
-  const VectorStore store = random_store(500, 24, 9);
-  std::vector<Vector> queries;
-  pkb::util::Rng rng(99);
-  for (int i = 0; i < 12; ++i) {
-    Vector q(24);
-    for (float& x : q) x = static_cast<float>(rng.normal());
-    queries.push_back(std::move(q));
-  }
-  IvfOptions low;
-  low.clusters = 22;
-  low.nprobe = 1;
-  IvfOptions high = low;
-  high.nprobe = 16;
-  const double r_low = IvfIndex(store, low).recall_at_k(queries, 8);
-  const double r_high = IvfIndex(store, high).recall_at_k(queries, 8);
-  EXPECT_GE(r_high, r_low);
-  EXPECT_GT(r_high, 0.8);
-}
-
-TEST(Ivf, DeterministicForSameSeed) {
-  const VectorStore store = random_store(100, 8, 10);
-  IvfOptions opts;
-  opts.seed = 777;
-  const IvfIndex a(store, opts);
-  const IvfIndex b(store, opts);
-  const auto ha = a.search(store.vec(3), 5);
-  const auto hb = b.search(store.vec(3), 5);
-  ASSERT_EQ(ha.size(), hb.size());
-  for (std::size_t i = 0; i < ha.size(); ++i) {
-    EXPECT_EQ(ha[i].index, hb[i].index);
-  }
 }
 
 }  // namespace
