@@ -45,9 +45,7 @@ VectorStore random_store(std::size_t n, std::size_t dim, std::uint64_t seed) {
   for (std::size_t i = 0; i < n; ++i) {
     Vector v(dim);
     for (float& x : v) x = static_cast<float>(rng.normal());
-    pkb::text::Document doc;
-    doc.id = "doc-" + std::to_string(i);
-    store.add(std::move(doc), std::move(v));
+    store.add(std::move(v));
   }
   return store;
 }

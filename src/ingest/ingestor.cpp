@@ -148,17 +148,16 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
     next->chunks_at_fit = next->chunks.size();
     metrics.counter(obs::kIngestRefitsTotal).inc();
   } else {
-    // Retained vectors are copied bit-identically — old chunks score
-    // exactly as they did in the base generation.
+    // Retained rows are copied once, bit-identically, from the base's
+    // packed block — old chunks score exactly as they did in the base
+    // generation. The new chunks are embedded in place.
     for (std::size_t i : retained) {
-      next->store.add_prenormalized(base->store.doc(i), base->store.vec(i));
+      next->store.add_prenormalized(base->store.vec(i));
     }
     if (n_new > 0) {
-      const std::vector<text::Document> fresh(next->chunks.end() - n_new,
-                                              next->chunks.end());
-      std::vector<embed::Vector> vecs = base->embedder->embed_batch(fresh);
-      for (std::size_t i = 0; i < fresh.size(); ++i) {
-        next->store.add(fresh[i], std::move(vecs[i]));
+      for (embed::Vector& vec : base->embedder->embed_batch(
+               std::span<const text::Document>(next->chunks).last(n_new))) {
+        next->store.add(std::move(vec));
       }
     }
     next->embedder = base->embedder;

@@ -11,9 +11,11 @@
 // chunks), embeds only what is new, rebuilds the symbol index, and publishes
 // the result through KnowledgeBase::publish() — one atomic pointer swap.
 //
-// Embedder lifecycle: a delta build reuses the base's fitted embedder and
-// copies retained vectors bit-identically (VectorStore::add_prenormalized),
-// so existing chunks score exactly as before. When the chunk list has
+// Embedder lifecycle: a delta build reuses the base's fitted embedder. Each
+// retained row is copied once: its chunk into the next chunk list, its
+// vector bit-identically from the base store's packed block
+// (VectorStore::add_prenormalized), so existing chunks score exactly as
+// before; only the new chunks are embedded. When the chunk list has
 // drifted more than `refit_drift_threshold` since the embedder was last
 // fitted, the build refits on the full merged corpus and re-embeds
 // everything — retrieval quality tracks the corpus at a bounded cost.

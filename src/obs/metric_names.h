@@ -96,7 +96,6 @@ inline constexpr std::string_view kReplayDiffsTotal =
     "pkb_replay_diffs_total";
 
 // --- gauges ---------------------------------------------------------------
-inline constexpr std::string_view kVectordbEntries = "pkb_vectordb_entries";
 inline constexpr std::string_view kAnnIndexEntries = "pkb_ann_index_entries";
 inline constexpr std::string_view kAnnGraphEdges = "pkb_ann_graph_edges";
 inline constexpr std::string_view kServeQueueDepth = "pkb_serve_queue_depth";

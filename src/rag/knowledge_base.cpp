@@ -120,13 +120,14 @@ double KnowledgeBase::publish(SnapshotPtr next) {
 // Layout: magic "PKBS" | u32 version | u64 generation |
 //         u64 embedder_fit_generation | u64 chunks_at_fit | u64 source_count
 //         | options (embedder, file_pattern, splitter fields, IndexSpec)
-//         | VectorStore blob (its own magic/version, docs + vectors)
-//         | chunk section "CHNK": per-entry ids revalidating store order.
+//         | VectorStore blob (its own magic/version; count, dim, raw rows)
+//         | chunk section "CHNK": u64 count, then per chunk its id, text and
+//           metadata (u64 count, key/value strings).
 //
-// The chunks are reconstructed from the store's documents (entry i ==
-// chunks[i] by invariant); the symbol index and the chunk analyses are
-// rebuilt and the embedder refitted from them — all deterministic, so the
-// reloaded generation resolves keywords, reranks and embeds queries
+// Store row i embeds chunk record i; the chunk section is the file's only
+// copy of the documents. The symbol index and the chunk analyses are
+// rebuilt and the embedder refitted from the chunks — all deterministic, so
+// the reloaded generation resolves keywords, reranks and embeds queries
 // identically.
 // ---------------------------------------------------------------------------
 
@@ -137,7 +138,7 @@ constexpr char kChunkSectionMagic[4] = {'C', 'H', 'N', 'K'};
 // Only the current version loads; no older snapshots are deployed, so an
 // older file fails with "unsupported version" instead of being migrated.
 // The options block ends with the IndexSpec: kind, then the HNSW options.
-constexpr std::uint32_t kSnapshotVersion = 7;
+constexpr std::uint32_t kSnapshotVersion = 8;
 
 void read_magic(std::istream& in, const char (&expect)[4], const char* what) {
   char magic[4] = {};
@@ -146,6 +147,31 @@ void read_magic(std::istream& in, const char (&expect)[4], const char* what) {
     throw std::runtime_error(std::string("Snapshot::load: bad magic for ") +
                              what);
   }
+}
+
+void write_chunk(std::ostream& out, const text::Document& chunk) {
+  namespace bin = pkb::util;
+  bin::write_str(out, chunk.id);
+  bin::write_str(out, chunk.text);
+  bin::write_u64(out, chunk.metadata.size());
+  for (const auto& [key, value] : chunk.metadata) {
+    bin::write_str(out, key);
+    bin::write_str(out, value);
+  }
+}
+
+text::Document read_chunk(std::istream& in) {
+  namespace bin = pkb::util;
+  text::Document chunk;
+  chunk.id = bin::read_str(in, "chunk id");
+  chunk.text = bin::read_str(in, "chunk text");
+  const std::uint64_t meta_count = bin::read_count(in, "metadata count");
+  for (std::uint64_t m = 0; m < meta_count; ++m) {
+    std::string key = bin::read_str(in, "metadata key");
+    std::string value = bin::read_str(in, "metadata value");
+    chunk.metadata.emplace(std::move(key), std::move(value));
+  }
+  return chunk;
 }
 
 }  // namespace
@@ -181,9 +207,7 @@ void Snapshot::save(const std::string& path) const {
 
   out.write(kChunkSectionMagic, sizeof kChunkSectionMagic);
   bin::write_u64(out, chunks.size());
-  for (const text::Document& chunk : chunks) {
-    bin::write_str(out, chunk.id);
-  }
+  for (const text::Document& chunk : chunks) write_chunk(out, chunk);
   if (!out) {
     throw std::runtime_error("Snapshot::save: write failed for " + path);
   }
@@ -242,12 +266,7 @@ SnapshotPtr Snapshot::load(const std::string& path) {
   }
   snap->chunks.reserve(chunk_count);
   for (std::uint64_t i = 0; i < chunk_count; ++i) {
-    const std::string id = bin::read_str(in, "chunk id");
-    if (id != snap->store.doc(i).id) {
-      throw std::runtime_error(
-          "Snapshot::load: chunk id mismatch at index " + std::to_string(i));
-    }
-    snap->chunks.push_back(snap->store.doc(i));
+    snap->chunks.push_back(read_chunk(in));
   }
 
   snap->symbols = std::make_shared<lexical::SymbolIndex>(snap->chunks);

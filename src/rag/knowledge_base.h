@@ -53,13 +53,15 @@ struct KnowledgeBaseOptions {
 };
 
 /// One immutable generation: everything retrieval needs, bundled. Invariant:
-/// `store` entry i is the embedding of `chunks[i]` (same document, same
-/// order); `symbols` and `analysis->chunks` index into `chunks`. Never
-/// mutated after publish — share freely across threads via SnapshotPtr.
+/// store row i embeds `chunks[i]`; the store holds no documents, so
+/// `chunks` is the generation's only document list. `symbols` and
+/// `analysis->chunks` index into `chunks` too. Never mutated after
+/// publish — share freely across threads via SnapshotPtr.
 struct Snapshot {
   /// Monotonic generation id; the initial build is generation 1.
   std::uint64_t generation = 0;
   KnowledgeBaseOptions opts;
+  /// The chunked corpus; search hits resolve to `&chunks[hit.index]`.
   std::vector<text::Document> chunks;
   /// Fitted embedder. Shared between delta generations; replaced only by a
   /// full refit (see embedder_fit_generation).
@@ -83,9 +85,11 @@ struct Snapshot {
 
   /// Persist this generation so a cold start can skip the corpus rebuild
   /// (loaders, splitter, embed_batch). Format: versioned header + the
-  /// VectorStore binary blob + chunk-id and symbol-index sections. The
-  /// embedder is refitted from the chunks on load (fit is deterministic),
-  /// not serialized. Throws std::runtime_error on I/O failure.
+  /// VectorStore binary blob (rows only) + a chunk section carrying each
+  /// chunk's id, text and metadata. The symbol index and analyses are
+  /// rebuilt and the embedder refitted from the chunks on load (all
+  /// deterministic), not serialized. Throws std::runtime_error on I/O
+  /// failure or a malformed file.
   void save(const std::string& path) const;
   static std::shared_ptr<const Snapshot> load(const std::string& path);
 

@@ -102,18 +102,18 @@ void Retriever::augment_stage(
   pkb::util::Stopwatch watch;
 
   // --- First pass 2/2: PETSc keyword augmentation (§III-C). ---
-  // Candidates dedup by chunk id: vector hits point into the store's copy
-  // of the documents, keyword hits into the snapshot's chunk list.
+  // Vector hits and keyword hits both resolve to rows of the snapshot's
+  // chunk list; candidates dedup by chunk id.
   std::vector<RetrievedContext> candidates;
   std::unordered_map<std::string_view, std::size_t> pos;
   for (const vectordb::SearchResult& hit : vector_hits) {
     RetrievedContext ctx;
-    ctx.doc = hit.doc;
+    ctx.doc = &snap.chunks[hit.index];
     ctx.row = hit.index;
     ctx.score = hit.score;
     ctx.via = "vector";
     ctx.first_pass_rank = candidates.size();
-    pos.emplace(hit.doc->id, candidates.size());
+    pos.emplace(ctx.doc->id, candidates.size());
     candidates.push_back(std::move(ctx));
   }
   if (opts_.use_keyword_search) {

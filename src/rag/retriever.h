@@ -27,13 +27,12 @@ struct RetrieverOptions {
   std::string reranker = "sim-flashrank";
 };
 
-/// One retrieved context with provenance. `doc` points into the snapshot
-/// pinned by the owning RetrievalResult.
+/// One retrieved context with provenance. `doc` is `&chunks[row]` of the
+/// snapshot pinned by the owning RetrievalResult.
 struct RetrievedContext {
   const text::Document* doc = nullptr;
-  /// Row of `doc` in the snapshot's chunk list (and vector store), which
-  /// indexes its analysis. Vector hits point `doc` into the store's copy of
-  /// the chunk, so the row, not the pointer, finds the analysis.
+  /// Row of `doc` in the snapshot's chunk list, vector store and chunk
+  /// analyses.
   std::size_t row = 0;
   double score = 0.0;
   /// "vector", "keyword", or "vector+keyword" — how the candidate was found.

@@ -289,8 +289,7 @@ std::vector<SearchResult> HnswIndex::search_beam(const embed::Vector& query,
   std::vector<SearchResult> hits;
   hits.reserve(keep);
   for (std::size_t i = 0; i < keep; ++i) {
-    hits.push_back(SearchResult{beam[i].second, beam[i].first,
-                                &store_.doc(beam[i].second)});
+    hits.push_back(SearchResult{beam[i].second, beam[i].first});
   }
   return hits;
 }

@@ -60,7 +60,8 @@ class HnswIndex {
   explicit HnswIndex(const VectorStore& store, HnswOptions opts = {});
 
   /// Approximate top-k (query need not be normalized) with a beam of width
-  /// max(options().ef_search, k).
+  /// max(options().ef_search, k). Hits are (row index, score) pairs, like
+  /// VectorStore::similarity_search's.
   [[nodiscard]] std::vector<SearchResult> search(const embed::Vector& query,
                                                  std::size_t k) const;
 

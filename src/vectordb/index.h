@@ -2,9 +2,11 @@
 // Index selection — which of the two search paths serves a snapshot.
 //
 // `IndexSpec` names a point on the recall-vs-latency frontier: the exact
-// flat scan, or an HNSW graph with its tuning options. Both scan the
-// store's fp32 rows. `build_index` turns a spec into an immutable
-// `HnswIndex` bound to a VectorStore; the generational KB stores a spec in
+// flat scan, or an HNSW graph with its tuning options. Both score the
+// store's packed fp32 rows and return (row index, score) hits; the caller
+// resolves a row to its document (rag::Snapshot::chunks[row]).
+// `build_index` turns a spec into an immutable `HnswIndex` bound to a
+// VectorStore; the generational KB stores a spec in
 // `rag::KnowledgeBaseOptions::index`, builds the index per Snapshot
 // (rebuilt on every ingest publish), and the retriever routes searches
 // through it.
@@ -28,7 +30,7 @@ enum class IndexKind : std::uint8_t {
 };
 
 /// A point on the recall-vs-latency frontier. Persisted with snapshots (rag
-/// snapshot format v7).
+/// snapshot format v8).
 struct IndexSpec {
   IndexKind kind = IndexKind::Flat;
   HnswOptions hnsw;

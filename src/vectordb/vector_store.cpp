@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <mutex>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/metric_names.h"
@@ -13,23 +13,22 @@
 
 namespace pkb::vectordb {
 
-VectorStore VectorStore::from_documents(std::vector<text::Document> docs,
+VectorStore VectorStore::from_documents(std::span<const text::Document> docs,
                                         const embed::Embedder& embedder) {
   VectorStore store;
-  std::vector<embed::Vector> vecs = embedder.embed_batch(docs);
-  for (std::size_t i = 0; i < docs.size(); ++i) {
-    store.add(std::move(docs[i]), std::move(vecs[i]));
+  for (embed::Vector& vec : embedder.embed_batch(docs)) {
+    store.add(std::move(vec));
   }
   return store;
 }
 
-void VectorStore::add(text::Document doc, embed::Vector vec) {
+void VectorStore::add(embed::Vector vec) {
   embed::l2_normalize(vec);
-  add_prenormalized(std::move(doc), std::move(vec));
+  add_prenormalized(vec);
 }
 
-void VectorStore::add_prenormalized(text::Document doc, embed::Vector vec) {
-  if (dim_ == 0 && docs_.empty()) {
+void VectorStore::add_prenormalized(std::span<const float> vec) {
+  if (dim_ == 0 && empty()) {
     dim_ = vec.size();
   } else if (vec.size() != dim_) {
     // Either a preset dimension (VectorStore(dim), an empty load()) or the
@@ -40,57 +39,19 @@ void VectorStore::add_prenormalized(text::Document doc, embed::Vector vec) {
     packed_ = kernels::PackedF32(dim_);
   }
   packed_.append(vec.data());
-  docs_.push_back(std::move(doc));
-  vecs_.push_back(std::move(vec));
-  obs::global_metrics()
-      .gauge(obs::kVectordbEntries)
-      .set(static_cast<double>(docs_.size()));
 }
 
-const text::Document& VectorStore::doc(std::size_t i) const {
-  return docs_.at(i);
-}
-
-const embed::Vector& VectorStore::vec(std::size_t i) const {
-  return vecs_.at(i);
-}
-
-std::vector<SearchResult> VectorStore::select_top_k(
-    const std::vector<float>& scores, std::size_t k,
-    const MetadataFilter* filter) const {
-  std::vector<std::size_t> order;
-  order.reserve(docs_.size());
-  for (std::size_t i = 0; i < docs_.size(); ++i) {
-    if (filter != nullptr && *filter && !(*filter)(docs_[i].metadata)) {
-      continue;
-    }
-    order.push_back(i);
-  }
-  const std::size_t keep = std::min(k, order.size());
-  std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(keep),
-                    order.end(), [&](std::size_t a, std::size_t b) {
-                      if (scores[a] != scores[b]) return scores[a] > scores[b];
-                      return a < b;
-                    });
-  order.resize(keep);
-
-  std::vector<SearchResult> out;
-  out.reserve(keep);
-  for (std::size_t i : order) {
-    out.push_back(SearchResult{i, scores[i], &docs_[i]});
-  }
-  return out;
+std::span<const float> VectorStore::vec(std::size_t i) const {
+  if (i >= size()) throw std::out_of_range("VectorStore::vec: row index");
+  return {packed_.row(i), dim_};
 }
 
 std::vector<SearchResult> VectorStore::similarity_search(
-    const embed::Vector& query, std::size_t k,
-    const MetadataFilter* filter) const {
-  if (k == 0 || docs_.empty()) return {};
+    const embed::Vector& query, std::size_t k) const {
+  if (k == 0 || empty()) return {};
   if (query.size() != dim_) {
     throw std::invalid_argument("similarity_search: dimension mismatch");
   }
-  pkb::resilience::consult(fault_plan_,
-                           pkb::resilience::Stage::VectorSearch);
   obs::MetricsRegistry& metrics = obs::global_metrics();
   metrics.counter(obs::kVectordbSearchesTotal).inc();
   pkb::util::Stopwatch watch;
@@ -102,43 +63,46 @@ std::vector<SearchResult> VectorStore::similarity_search(
   // packed once (padded, aligned) so every row dot runs over the same lane
   // layout; score_range applies kernel_score's dot per row, so the scores
   // are the ones every index reports.
+  const std::size_t n = size();
   pkb::util::AlignedBuffer qbuf(packed_.stride() * sizeof(float));
   packed_.pack_query(q.data(), qbuf.as<float>());
-  std::vector<float> scores(docs_.size());
-  packed_.score_range(qbuf.as<float>(), 0, docs_.size(), scores.data());
+  std::vector<float> scores(n);
+  packed_.score_range(qbuf.as<float>(), 0, n, scores.data());
 
-  std::vector<SearchResult> out = select_top_k(scores, k, filter);
+  // Score descending, lower index first on ties — the order every index
+  // reproduces.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const std::size_t keep = std::min(k, n);
+  std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(keep),
+                    order.end(), [&](std::size_t a, std::size_t b) {
+                      if (scores[a] != scores[b]) return scores[a] > scores[b];
+                      return a < b;
+                    });
+  std::vector<SearchResult> out;
+  out.reserve(keep);
+  for (std::size_t r = 0; r < keep; ++r) {
+    out.push_back(SearchResult{order[r], scores[order[r]]});
+  }
   metrics.histogram(obs::kVectordbSearchSeconds).observe(watch.seconds());
   return out;
-}
-
-std::vector<SearchResult> VectorStore::similarity_search_text(
-    std::string_view query, std::size_t k,
-    const embed::Embedder& embedder) const {
-  return similarity_search(embedder.embed(query), k);
-}
-
-std::optional<std::size_t> VectorStore::find_id(std::string_view id) const {
-  for (std::size_t i = 0; i < docs_.size(); ++i) {
-    if (docs_[i].id == id) return i;
-  }
-  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
 // Binary persistence.
 //
-// Format: magic "PKBV" | u32 version | u64 count | u64 dim | entries.
-// Entry: id | text | metadata (u64 count, key/value strings) | dim floats.
-// Strings: u64 length + bytes. Every read is checked: a short or garbage
-// file throws std::runtime_error naming the field that failed instead of
-// yielding a silently corrupt store.
+// Format: magic "PKBV" | u32 version | u64 count | u64 dim |
+//         count rows of dim raw IEEE-754 floats.
+// Rows carry no documents — rag::Snapshot persistence writes those in its
+// own chunk section. Every read is checked: a short or garbage file throws
+// std::runtime_error naming the field that failed instead of yielding a
+// silently corrupt store.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 constexpr char kMagic[4] = {'P', 'K', 'B', 'V'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 }  // namespace
 
@@ -146,17 +110,10 @@ void VectorStore::save(std::ostream& out) const {
   namespace bin = pkb::util;
   out.write(kMagic, sizeof kMagic);
   bin::write_u32(out, kVersion);
-  bin::write_u64(out, docs_.size());
+  bin::write_u64(out, size());
   bin::write_u64(out, dim_);
-  for (std::size_t i = 0; i < docs_.size(); ++i) {
-    bin::write_str(out, docs_[i].id);
-    bin::write_str(out, docs_[i].text);
-    bin::write_u64(out, docs_[i].metadata.size());
-    for (const auto& [k, v] : docs_[i].metadata) {
-      bin::write_str(out, k);
-      bin::write_str(out, v);
-    }
-    out.write(reinterpret_cast<const char*>(vecs_[i].data()),
+  for (std::size_t i = 0; i < size(); ++i) {
+    out.write(reinterpret_cast<const char*>(packed_.row(i)),
               static_cast<std::streamsize>(dim_ * sizeof(float)));
   }
   if (!out) throw std::runtime_error("VectorStore::save: write failed");
@@ -181,25 +138,17 @@ VectorStore VectorStore::load(std::istream& in) {
     throw std::runtime_error(
         "VectorStore::load: zero dimension with nonzero entry count");
   }
-  VectorStore store;
   // Restore the header dimension even when the store is empty: a saved
   // dim-D empty store must reload as dim-D, not as a dim-0 store that would
   // accept vectors of any size.
-  store.dim_ = static_cast<std::size_t>(dim);
+  VectorStore store(static_cast<std::size_t>(dim));
+  // One row at a time: the store grows only as rows actually arrive, so a
+  // corrupt count fails at the first missing row, not at an allocation
+  // sized from the header.
+  std::vector<float> row(count > 0 ? dim : 0);
   for (std::uint64_t i = 0; i < count; ++i) {
-    text::Document doc;
-    doc.id = bin::read_str(in, "entry id");
-    doc.text = bin::read_str(in, "entry text");
-    const std::uint64_t meta_count = bin::read_count(in, "metadata count");
-    for (std::uint64_t m = 0; m < meta_count; ++m) {
-      std::string key = bin::read_str(in, "metadata key");
-      std::string value = bin::read_str(in, "metadata value");
-      doc.metadata.emplace(std::move(key), std::move(value));
-    }
-    embed::Vector vec(dim);
-    bin::read_bytes(in, reinterpret_cast<char*>(vec.data()),
-                    dim * sizeof(float), "entry vector");
-    store.add_prenormalized(std::move(doc), std::move(vec));
+    bin::read_bytes(in, row.data(), dim * sizeof(float), "entry vector");
+    store.add_prenormalized(row);
   }
   return store;
 }

@@ -1,37 +1,34 @@
 #pragma once
 // Vector database — the Chroma equivalent of §III-A.
 //
-// Stores (document, embedding) pairs and answers top-k similarity queries.
-// Exact search scans a packed SoA mirror of the vectors with the SIMD
-// kernels in kernels.h on the calling thread (partial-sort top-k); the HNSW
-// graph in hnsw.h is the approximate fast path. Collections persist to a
-// simple binary format.
+// Stores unit-norm embeddings, one row per entry, and answers top-k
+// similarity queries by row index. The store holds no documents: the
+// caller keeps the entries' documents in its own list, in row order
+// (rag::Snapshot::chunks), and resolves hits through SearchResult::index.
+// The rows live in one packed SoA block (kernels::PackedF32), the only
+// copy of each vector. Exact search scans that block with the SIMD kernels
+// in kernels.h on the calling thread (partial-sort top-k); the HNSW graph
+// in hnsw.h is the approximate fast path over the same rows. Stores
+// persist to a simple binary format.
 
-#include <functional>
 #include <iosfwd>
-#include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "embed/embedder.h"
-#include "resilience/fault_plan.h"
 #include "text/document.h"
 #include "vectordb/kernels.h"
 
 namespace pkb::vectordb {
 
-/// One search hit. `index` is the entry's position in the store.
+/// One search hit: the entry's row in the store and its score.
 struct SearchResult {
   std::size_t index = 0;
   float score = 0.0f;  ///< cosine similarity (vectors are unit norm)
-  const text::Document* doc = nullptr;
 
   bool operator==(const SearchResult&) const = default;
 };
-
-/// Optional metadata predicate applied before scoring.
-using MetadataFilter = std::function<bool(const text::Metadata&)>;
 
 /// Flat (exact) vector store.
 class VectorStore {
@@ -44,29 +41,31 @@ class VectorStore {
   explicit VectorStore(std::size_t dim) : dim_(dim) {}
 
   /// Build a store by embedding every document with `embedder` (which must
-  /// already be fitted). Mirrors Chroma.from_documents.
-  static VectorStore from_documents(std::vector<text::Document> docs,
+  /// already be fitted); row i embeds docs[i]. Mirrors
+  /// Chroma.from_documents, except that the documents stay with the caller.
+  static VectorStore from_documents(std::span<const text::Document> docs,
                                     const embed::Embedder& embedder);
 
-  /// Add one entry. The vector is L2-normalized on insertion; its dimension
-  /// must match existing entries.
-  void add(text::Document doc, embed::Vector vec);
+  /// Append one row. The vector is L2-normalized on insertion; its dimension
+  /// must match existing rows.
+  void add(embed::Vector vec);
 
-  /// Add one entry whose vector is already unit norm (copied from another
-  /// store or read back by load()). Skipping the re-normalization keeps the
-  /// vector bit-identical — the ingest delta-merge relies on this so old
-  /// chunks score exactly as they did in the previous generation.
-  void add_prenormalized(text::Document doc, embed::Vector vec);
+  /// Append one row that is already unit norm (copied from another store's
+  /// vec(i); never a view of this store's own rows, which the append may
+  /// move). Skipping the re-normalization keeps the row bit-identical — the
+  /// ingest delta-merge relies on this so old chunks score exactly as they
+  /// did in the previous generation.
+  void add_prenormalized(std::span<const float> vec);
 
-  [[nodiscard]] std::size_t size() const { return docs_.size(); }
-  [[nodiscard]] bool empty() const { return docs_.empty(); }
+  [[nodiscard]] std::size_t size() const { return packed_.rows(); }
+  [[nodiscard]] bool empty() const { return packed_.rows() == 0; }
   [[nodiscard]] std::size_t dimension() const { return dim_; }
 
-  /// Entry access.
-  [[nodiscard]] const text::Document& doc(std::size_t i) const;
-  [[nodiscard]] const embed::Vector& vec(std::size_t i) const;
+  /// Row i of the packed block, dimension() floats long; valid until the
+  /// next add. Throws std::out_of_range for i >= size().
+  [[nodiscard]] std::span<const float> vec(std::size_t i) const;
 
-  /// The packed SoA mirror of the stored vectors (64-byte-aligned rows,
+  /// The packed SoA block holding every row (64-byte-aligned rows,
   /// dimension padded to a lane multiple). Both scoring paths — the flat
   /// scan here and HNSW traversal — read rows from this block through the
   /// same kernel, which is what keeps their scores mutually bit-identical.
@@ -82,30 +81,9 @@ class VectorStore {
   }
 
   /// Exact top-k by cosine similarity (descending). Ties break by lower
-  /// index for determinism. `filter`, when given, drops entries before
-  /// scoring.
+  /// index for determinism.
   [[nodiscard]] std::vector<SearchResult> similarity_search(
-      const embed::Vector& query, std::size_t k,
-      const MetadataFilter* filter = nullptr) const;
-
-  /// Convenience: embed the query text with `embedder` then search.
-  [[nodiscard]] std::vector<SearchResult> similarity_search_text(
-      std::string_view query, std::size_t k,
-      const embed::Embedder& embedder) const;
-
-  /// Find the entry whose document id equals `id`; nullopt when absent.
-  [[nodiscard]] std::optional<std::size_t> find_id(std::string_view id) const;
-
-  /// Attach a chaos plan consulted (Stage::VectorSearch) at each
-  /// similarity_search entry: error decisions
-  /// throw the matching resilience::FaultError (latency spikes are ignored —
-  /// search time here is real, not simulated). Not persisted by save/load.
-  /// Setup-time only — must not race in-flight searches. Stores pinned in
-  /// rag snapshots are reached through const pointers, so the serving path
-  /// injects at the retriever instead; this hook serves direct store users.
-  void set_fault_plan(const pkb::resilience::FaultPlan* plan) {
-    fault_plan_ = plan;
-  }
+      const embed::Vector& query, std::size_t k) const;
 
   /// Persist to / restore from a binary file. Throws std::runtime_error on
   /// I/O errors or format mismatch: load() validates magic, version, counts
@@ -121,17 +99,8 @@ class VectorStore {
   static VectorStore load(std::istream& in);
 
  private:
-  /// Top-k selection over a precomputed score array (score descending,
-  /// lower index first on ties — the order every index reproduces).
-  [[nodiscard]] std::vector<SearchResult> select_top_k(
-      const std::vector<float>& scores, std::size_t k,
-      const MetadataFilter* filter) const;
-
-  std::vector<text::Document> docs_;
-  std::vector<embed::Vector> vecs_;
-  kernels::PackedF32 packed_;  ///< SoA mirror of vecs_, scanned by kernels
+  kernels::PackedF32 packed_;  ///< every row, scanned by the kernels
   std::size_t dim_ = 0;
-  const pkb::resilience::FaultPlan* fault_plan_ = nullptr;
 };
 
 }  // namespace pkb::vectordb

@@ -17,6 +17,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -64,6 +66,26 @@ text::VirtualDir small_corpus() {
     tree.push_back({"guide/g" + std::to_string(i) + ".md", body});
   }
   return tree;
+}
+
+// small_corpus() plus a few manual pages, which give the symbol index
+// something to resolve.
+text::VirtualDir corpus_with_pages() {
+  text::VirtualDir tree = small_corpus();
+  for (const char* name : {"KSPSolve", "KSPGMRES", "KSPLSQR", "PCJACOBI"}) {
+    const corpus::ApiSpec* spec = corpus::find_spec(name);
+    EXPECT_NE(spec, nullptr) << name;
+    if (spec == nullptr) continue;
+    tree.push_back({corpus::manual_page_path(*spec),
+                    corpus::render_manual_page(*spec)});
+  }
+  return tree;
+}
+
+/// Byte-for-byte equality of two stored rows (same length, same bits).
+bool same_bytes(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 // The full generated PETSc corpus, rendered once per process.
@@ -169,17 +191,72 @@ TEST(Ingest, DeltaBuildReusesEmbedderAndKeepsVectorsBitExact) {
   EXPECT_EQ(next->chunks_at_fit, base->chunks_at_fit);
   EXPECT_EQ(next->source_count, base->source_count + 1);
 
-  // Retained chunks keep bit-identical vectors (copied, not re-embedded).
+  // Retained chunks keep their rows and bit-identical vectors (copied,
+  // not re-embedded).
   ASSERT_GE(next->store.size(), base->store.size());
   for (std::size_t i = 0; i < base->store.size(); ++i) {
-    EXPECT_EQ(next->store.doc(i).id, base->store.doc(i).id);
-    EXPECT_EQ(next->store.vec(i), base->store.vec(i));
+    EXPECT_EQ(next->chunks[i].id, base->chunks[i].id);
+    EXPECT_TRUE(same_bytes(next->store.vec(i), base->store.vec(i)))
+        << "row " << i;
   }
-  // Invariant: store row i embeds chunks[i].
+  // Invariant: store row i embeds chunks[i] — every row, retained or new,
+  // is exactly the shared embedder's normalized vector for its chunk.
   ASSERT_EQ(next->store.size(), next->chunks.size());
   for (std::size_t i = 0; i < next->chunks.size(); ++i) {
-    EXPECT_EQ(next->store.doc(i).id, next->chunks[i].id);
+    embed::Vector want = next->embedder->embed(next->chunks[i].text);
+    embed::l2_normalize(want);
+    EXPECT_TRUE(same_bytes(next->store.vec(i), want)) << "row " << i;
   }
+}
+
+// Every first-pass candidate — found by vector search, by keyword, or by
+// both — is its own row of the pinned snapshot's chunk list: the store
+// holds no second copy of a document for a vector hit to point into.
+void expect_candidates_are_chunk_rows(const rag::KnowledgeBase& kb,
+                                      const char* what) {
+  const rag::Retriever retriever(kb);
+  std::set<std::string> via_seen;
+  for (const char* query :
+       {"Is KSPLSQR for least squares?", "KSPSolve with KSPGMRES",
+        "How do I monitor Krylov convergence?", "PCJACOBI preconditioner"}) {
+    const rag::RetrievalResult result = retriever.retrieve(query);
+    const rag::Snapshot& snap = *result.snapshot;
+    ASSERT_FALSE(result.first_pass.empty()) << what << ": " << query;
+    for (const auto* list : {&result.first_pass, &result.contexts}) {
+      for (const rag::RetrievedContext& ctx : *list) {
+        ASSERT_LT(ctx.row, snap.chunks.size()) << what << ": " << query;
+        EXPECT_EQ(ctx.doc, &snap.chunks[ctx.row])
+            << what << ": " << query << " via " << ctx.via;
+        via_seen.insert(ctx.via);
+      }
+    }
+  }
+  for (const char* via : {"vector", "keyword", "vector+keyword"}) {
+    EXPECT_TRUE(via_seen.contains(via)) << what << ": no " << via << " hit";
+  }
+}
+
+TEST(KnowledgeBase, FirstPassCandidatesAreChunkListRows) {
+  const auto flat = rag::KnowledgeBase::build(corpus_with_pages());
+  ASSERT_EQ(flat.snapshot()->ann, nullptr);
+  expect_candidates_are_chunk_rows(flat, "flat");
+
+  rag::KnowledgeBaseOptions opts;
+  opts.index.kind = vectordb::IndexKind::Hnsw;
+  const auto hnsw = rag::KnowledgeBase::build(corpus_with_pages(), opts);
+  ASSERT_NE(hnsw.snapshot()->ann, nullptr);
+  expect_candidates_are_chunk_rows(hnsw, "hnsw");
+
+  // An append-only delta publish: retained rows copied, new rows embedded.
+  auto kb = rag::KnowledgeBase::build(corpus_with_pages());
+  ingest::Ingestor ingestor(kb);
+  const rag::SnapshotPtr next = ingestor.ingest_files(
+      {{"guide/appended.md",
+        "# Appended\n\nKSPLSQR solves least squares problems; this "
+        "appended note says so again."}});
+  ASSERT_NE(next, nullptr);
+  ASSERT_LT(next->embedder_fit_generation, next->generation);
+  expect_candidates_are_chunk_rows(kb, "after ingest");
 }
 
 TEST(Ingest, ReingestingASourceReplacesItsChunks) {
@@ -453,6 +530,28 @@ std::size_t options_block_end(const std::string& bytes) {
   return end;
 }
 
+/// Offset of the chunk section magic "CHNK" in `snap`'s saved bytes: just
+/// past the VectorStore blob (magic, version, count, dim, raw rows).
+std::size_t chunk_section_offset(const std::string& bytes,
+                                 const rag::Snapshot& snap) {
+  const std::size_t at =
+      options_block_end(bytes) + 8 + 2 * sizeof(std::uint64_t) +
+      snap.store.size() * snap.store.dimension() * sizeof(float);
+  EXPECT_EQ(bytes.substr(at, 4), "CHNK");
+  return at;
+}
+
+/// Serialized size of one chunk record: id, text, then the metadata count
+/// and key/value strings, every string a u64 length plus its bytes.
+std::size_t chunk_record_bytes(const text::Document& chunk) {
+  std::size_t n = 3 * sizeof(std::uint64_t) + chunk.id.size() +
+                  chunk.text.size();
+  for (const auto& [key, value] : chunk.metadata) {
+    n += 2 * sizeof(std::uint64_t) + key.size() + value.size();
+  }
+  return n;
+}
+
 /// Build an HNSW-indexed KB over small_corpus() and return its saved bytes.
 std::string saved_hnsw_snapshot(const std::string& path) {
   rag::KnowledgeBaseOptions opts;
@@ -463,15 +562,7 @@ std::string saved_hnsw_snapshot(const std::string& path) {
 }
 
 TEST(SnapshotPersist, RoundTripIsRetrievalIdentical) {
-  // A few manual pages give the symbol index something to resolve.
-  text::VirtualDir tree = small_corpus();
-  for (const char* name : {"KSPSolve", "KSPGMRES", "KSPLSQR", "PCJACOBI"}) {
-    const corpus::ApiSpec* spec = corpus::find_spec(name);
-    ASSERT_NE(spec, nullptr) << name;
-    tree.push_back({corpus::manual_page_path(*spec),
-                    corpus::render_manual_page(*spec)});
-  }
-  auto kb = rag::KnowledgeBase::build(tree);
+  auto kb = rag::KnowledgeBase::build(corpus_with_pages());
   const rag::SnapshotPtr orig = kb.snapshot();
   const std::string path = temp_path("pkb_snapshot_rt.bin");
   orig->save(path);
@@ -488,8 +579,10 @@ TEST(SnapshotPersist, RoundTripIsRetrievalIdentical) {
   }
   // Fit-consistent snapshot: stored vectors survive bit-exactly.
   ASSERT_EQ(loaded->store.size(), orig->store.size());
+  ASSERT_EQ(loaded->store.dimension(), orig->store.dimension());
   for (std::size_t i = 0; i < orig->store.size(); ++i) {
-    EXPECT_EQ(loaded->store.vec(i), orig->store.vec(i));
+    EXPECT_TRUE(same_bytes(loaded->store.vec(i), orig->store.vec(i)))
+        << "row " << i;
   }
 
   // A retrieval against the loaded snapshot matches one against the
@@ -564,21 +657,27 @@ TEST(SnapshotPersist, RejectsMissingGarbageAndTruncatedFiles) {
   EXPECT_THROW((void)rag::Snapshot::load(garbage), std::runtime_error);
   std::filesystem::remove(garbage);
 
-  // Truncate a real snapshot at every prefix through the end of the
-  // options block, then at a few cuts inside the store and chunk sections:
-  // every cut must throw.
+  // Truncate a real snapshot at every prefix through the first complete
+  // chunk record — header, options, the whole vector blob, the chunk
+  // section header and one id/text/metadata record — then at a fixed
+  // stride to EOF: every cut must throw.
   auto kb = rag::KnowledgeBase::build(small_corpus());
+  const rag::SnapshotPtr snap = kb.snapshot();
   const std::string path = temp_path("pkb_snapshot_trunc.bin");
-  kb.snapshot()->save(path);
+  snap->save(path);
   const std::string bytes = file_bytes(path);
+  const std::size_t first_record_end =
+      chunk_section_offset(bytes, *snap) + 4 + sizeof(std::uint64_t) +
+      chunk_record_bytes(snap->chunks.front());
+  ASSERT_LT(first_record_end, bytes.size());
   std::vector<std::size_t> cuts;
-  for (std::size_t len = 0; len <= options_block_end(bytes); ++len) {
+  for (std::size_t len = 0; len <= first_record_end; ++len) {
     cuts.push_back(len);
   }
-  for (std::size_t len :
-       {bytes.size() / 4, bytes.size() / 2, bytes.size() - 1}) {
+  for (std::size_t len = first_record_end; len < bytes.size(); len += 61) {
     cuts.push_back(len);
   }
+  cuts.push_back(bytes.size() - 1);
   for (const std::size_t len : cuts) {
     ASSERT_LT(len, bytes.size());
     write_file_bytes(path, std::string_view(bytes).substr(0, len));
@@ -588,15 +687,61 @@ TEST(SnapshotPersist, RejectsMissingGarbageAndTruncatedFiles) {
   std::filesystem::remove(path);
 }
 
+TEST(SnapshotPersist, HugeChunkFieldsFailAtTheirBoundedReads) {
+  // A corrupt count or length in the chunk section must fail at its
+  // bounded read, before anything is sized from it.
+  auto kb = rag::KnowledgeBase::build(small_corpus());
+  const rag::SnapshotPtr snap = kb.snapshot();
+  const std::string path = temp_path("pkb_snapshot_huge.bin");
+  snap->save(path);
+  const std::string bytes = file_bytes(path);
+  const text::Document& first = snap->chunks.front();
+  const std::size_t count_at = chunk_section_offset(bytes, *snap) + 4;
+  const std::size_t text_len_at =
+      count_at + sizeof(std::uint64_t) + sizeof(std::uint64_t) +
+      first.id.size();
+  const std::size_t meta_count_at =
+      text_len_at + sizeof(std::uint64_t) + first.text.size();
+  std::uint64_t field = 0;
+  std::memcpy(&field, bytes.data() + count_at, sizeof field);
+  ASSERT_EQ(field, snap->chunks.size());
+  std::memcpy(&field, bytes.data() + text_len_at, sizeof field);
+  ASSERT_EQ(field, first.text.size());
+  std::memcpy(&field, bytes.data() + meta_count_at, sizeof field);
+  ASSERT_EQ(field, first.metadata.size());
+
+  const auto expect_fails_at = [&](std::size_t at, std::uint64_t value,
+                                   const std::string& message) {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + at, &value, sizeof value);
+    write_file_bytes(path, patched);
+    try {
+      (void)rag::Snapshot::load(path);
+      ADD_FAILURE() << message << ": loaded";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find(message), std::string::npos)
+          << err.what();
+    }
+  };
+  const std::uint64_t huge = ~std::uint64_t{0};
+  expect_fails_at(count_at, huge, "implausible count for chunk count");
+  expect_fails_at(text_len_at, huge, "implausible count for chunk text");
+  expect_fails_at(meta_count_at, huge, "implausible count for metadata count");
+  // A plausible count that disagrees with the rows actually stored.
+  expect_fails_at(count_at, std::uint64_t{1} << 29,
+                  "chunk section disagrees with vector store size");
+  std::filesystem::remove(path);
+}
+
 TEST(SnapshotPersist, RejectsVersionsOtherThanCurrent) {
   auto kb = rag::KnowledgeBase::build(small_corpus());
   const std::string path = temp_path("pkb_snapshot_version.bin");
   kb.snapshot()->save(path);
   std::string bytes = file_bytes(path);
   ASSERT_GT(bytes.size(), 8u);
-  ASSERT_EQ(bytes[4], 7);  // u32 version, little-endian, after the magic
-  for (char version :
-       {char{1}, char{2}, char{3}, char{4}, char{5}, char{6}, char{8}}) {
+  ASSERT_EQ(bytes[4], 8);  // u32 version, little-endian, after the magic
+  for (char version : {char{1}, char{2}, char{3}, char{4}, char{5}, char{6},
+                       char{7}, char{9}}) {
     bytes[4] = version;
     write_file_bytes(path, bytes);
     try {

@@ -82,16 +82,15 @@ VectorStore random_store(std::size_t n, std::size_t dim, std::uint64_t seed) {
   for (std::size_t i = 0; i < n; ++i) {
     Vector v(dim);
     for (float& x : v) x = static_cast<float>(rng.normal());
-    text::Document doc;
-    doc.id = "doc-" + std::to_string(i);
-    store.add(std::move(doc), std::move(v));
+    store.add(std::move(v));
   }
   return store;
 }
 
 TEST(RequestPathOffPool, FlatScanRunsOnTheCallingThread) {
   const VectorStore store = random_store(1024, 16, 1);
-  const Vector q = random_store(1, 16, 2).vec(0);
+  const VectorStore query_store = random_store(1, 16, 2);
+  const Vector q(query_store.vec(0).begin(), query_store.vec(0).end());
   std::size_t hits = 0;
   expect_returns_while_pool_parked(
       [&] { hits = store.similarity_search(q, 8).size(); },

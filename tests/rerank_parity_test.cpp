@@ -203,12 +203,12 @@ class RerankParity : public ::testing::Test {
     kb_ = nullptr;
   }
 
-  /// Every chunk as a candidate. The document is the vector store's copy,
-  /// as for a vector hit; the reference scores the chunk-list copy.
+  /// Every chunk as a candidate, as the retriever passes them: the
+  /// document is the chunk-list row.
   static std::vector<RerankCandidate> every_chunk(const rag::Snapshot& snap) {
     std::vector<RerankCandidate> out;
     for (std::size_t i = 0; i < snap.chunks.size(); ++i) {
-      out.push_back({&snap.store.doc(i), i, 0.0f});
+      out.push_back({&snap.chunks[i], i, 0.0f});
     }
     return out;
   }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "embed/tfidf.h"
 #include "util/rng.h"
@@ -19,34 +21,42 @@ VectorStore random_store(std::size_t n, std::size_t dim, std::uint64_t seed) {
   for (std::size_t i = 0; i < n; ++i) {
     Vector v(dim);
     for (float& x : v) x = static_cast<float>(rng.normal());
-    text::Document doc;
-    doc.id = "doc-" + std::to_string(i);
-    doc.metadata["parity"] = (i % 2 == 0) ? "even" : "odd";
-    store.add(std::move(doc), std::move(v));
+    store.add(std::move(v));
   }
   return store;
 }
 
+Vector to_vector(std::span<const float> row) {
+  return Vector(row.begin(), row.end());
+}
+
+/// Byte-for-byte equality of two stored rows (same length, same bits).
+bool same_bytes(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 TEST(VectorStore, AddNormalizesAndChecksDimensions) {
   VectorStore store;
-  store.add({"a", "", {}}, {3.0f, 4.0f});
+  store.add({3.0f, 4.0f});
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.dimension(), 2u);
-  EXPECT_NEAR(embed::norm(store.vec(0)), 1.0f, 1e-6);
-  EXPECT_THROW(store.add({"b", "", {}}, {1.0f, 2.0f, 3.0f}),
-               std::invalid_argument);
+  ASSERT_EQ(store.vec(0).size(), 2u);
+  EXPECT_NEAR(embed::norm(to_vector(store.vec(0))), 1.0f, 1e-6);
+  EXPECT_THROW(store.add({1.0f, 2.0f, 3.0f}), std::invalid_argument);
+  EXPECT_THROW((void)store.vec(1), std::out_of_range);
 }
 
 TEST(VectorStore, TopKOrderingAndScores) {
   VectorStore store;
-  store.add({"x", "", {}}, {1.0f, 0.0f});
-  store.add({"y", "", {}}, {0.0f, 1.0f});
-  store.add({"xy", "", {}}, {1.0f, 1.0f});
+  store.add({1.0f, 0.0f});  // row 0: x
+  store.add({0.0f, 1.0f});  // row 1: y
+  store.add({1.0f, 1.0f});  // row 2: xy
   const auto hits = store.similarity_search({1.0f, 0.0f}, 3);
   ASSERT_EQ(hits.size(), 3u);
-  EXPECT_EQ(hits[0].doc->id, "x");
-  EXPECT_EQ(hits[1].doc->id, "xy");
-  EXPECT_EQ(hits[2].doc->id, "y");
+  EXPECT_EQ(hits[0].index, 0u);
+  EXPECT_EQ(hits[1].index, 2u);
+  EXPECT_EQ(hits[2].index, 1u);
   EXPECT_NEAR(hits[0].score, 1.0f, 1e-6);
   EXPECT_NEAR(hits[1].score, std::sqrt(0.5f), 1e-5);
   EXPECT_NEAR(hits[2].score, 0.0f, 1e-6);
@@ -54,8 +64,9 @@ TEST(VectorStore, TopKOrderingAndScores) {
 
 TEST(VectorStore, KLargerThanSizeReturnsAll) {
   const VectorStore store = random_store(5, 8, 1);
-  EXPECT_EQ(store.similarity_search(store.vec(0), 100).size(), 5u);
-  EXPECT_TRUE(store.similarity_search(store.vec(0), 0).empty());
+  const Vector q = to_vector(store.vec(0));
+  EXPECT_EQ(store.similarity_search(q, 100).size(), 5u);
+  EXPECT_TRUE(store.similarity_search(q, 0).empty());
 }
 
 TEST(VectorStore, QueryDimensionMismatchThrows) {
@@ -64,32 +75,13 @@ TEST(VectorStore, QueryDimensionMismatchThrows) {
                std::invalid_argument);
 }
 
-TEST(VectorStore, MetadataFilterRestrictsResults) {
-  const VectorStore store = random_store(20, 8, 3);
-  const MetadataFilter filter = [](const text::Metadata& meta) {
-    auto it = meta.find("parity");
-    return it != meta.end() && it->second == "even";
-  };
-  const auto hits = store.similarity_search(store.vec(1), 10, &filter);
-  ASSERT_FALSE(hits.empty());
-  for (const auto& hit : hits) {
-    EXPECT_EQ(hit.doc->meta("parity"), "even");
-  }
-}
-
 TEST(VectorStore, TopOneIsSelfForExactQuery) {
   const VectorStore store = random_store(50, 16, 4);
   for (std::size_t i = 0; i < 10; ++i) {
-    const auto hits = store.similarity_search(store.vec(i), 1);
+    const auto hits = store.similarity_search(to_vector(store.vec(i)), 1);
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0].index, i);
   }
-}
-
-TEST(VectorStore, FindId) {
-  const VectorStore store = random_store(5, 4, 5);
-  EXPECT_EQ(store.find_id("doc-3").value(), 3u);
-  EXPECT_FALSE(store.find_id("nope").has_value());
 }
 
 TEST(VectorStore, FromDocumentsEmbedsEverything) {
@@ -105,7 +97,7 @@ TEST(VectorStore, FromDocumentsEmbedsEverything) {
   const auto hits =
       store.similarity_search(embedder.embed("rectangular least squares"), 1);
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].doc->id, "3");
+  EXPECT_EQ(hits[0].index, 2u);  // docs[2], "least squares rectangular"
 }
 
 TEST(VectorStore, SaveLoadRoundTrip) {
@@ -118,9 +110,7 @@ TEST(VectorStore, SaveLoadRoundTrip) {
   ASSERT_EQ(loaded.size(), store.size());
   ASSERT_EQ(loaded.dimension(), store.dimension());
   for (std::size_t i = 0; i < store.size(); ++i) {
-    EXPECT_EQ(loaded.doc(i).id, store.doc(i).id);
-    EXPECT_EQ(loaded.doc(i).metadata, store.doc(i).metadata);
-    EXPECT_EQ(loaded.vec(i), store.vec(i));
+    EXPECT_TRUE(same_bytes(loaded.vec(i), store.vec(i))) << "row " << i;
   }
   fs::remove(path);
 }
@@ -159,8 +149,7 @@ TEST(VectorStoreHardening, StreamRoundTripIsBitExact) {
   const VectorStore loaded = load_bytes(store_bytes(store));
   ASSERT_EQ(loaded.size(), store.size());
   for (std::size_t i = 0; i < store.size(); ++i) {
-    EXPECT_EQ(loaded.doc(i).id, store.doc(i).id);
-    EXPECT_EQ(loaded.vec(i), store.vec(i));  // bit-exact floats
+    EXPECT_TRUE(same_bytes(loaded.vec(i), store.vec(i))) << "row " << i;
   }
 }
 
@@ -172,8 +161,48 @@ TEST(VectorStoreHardening, RejectsBadMagic) {
 
 TEST(VectorStoreHardening, RejectsUnsupportedVersion) {
   std::string bytes = store_bytes(random_store(3, 4, 12));
-  bytes[4] = 0x7F;  // u32 version little-endian low byte
-  EXPECT_THROW((void)load_bytes(bytes), std::runtime_error);
+  ASSERT_EQ(bytes[4], 2);  // u32 version little-endian low byte
+  // Version 1 interleaved documents with the rows; it no longer loads.
+  for (char version : {char{1}, char{3}, char{0x7F}}) {
+    bytes[4] = version;
+    try {
+      (void)load_bytes(bytes);
+      ADD_FAILURE() << "version " << int{version} << " loaded";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find("unsupported version"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+}
+
+TEST(VectorStoreHardening, BlobIsHeaderThenRawRows) {
+  const VectorStore store = random_store(3, 4, 12);
+  const std::string bytes = store_bytes(store);
+  // magic + version + count + dim, then count * dim floats — no documents.
+  ASSERT_EQ(bytes.size(), 4 + 4 + 8 + 8 + 3 * 4 * sizeof(float));
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    EXPECT_EQ(std::memcmp(bytes.data() + 24 + i * 4 * sizeof(float),
+                          store.vec(i).data(), 4 * sizeof(float)),
+              0)
+        << "row " << i;
+  }
+}
+
+TEST(VectorStoreHardening, LargeCountFailsAtTheFirstMissingRow) {
+  // A plausible-looking but false count (within read_count's bound) must
+  // fail reading the rows that are not there, never size a buffer from
+  // count * dim up front.
+  std::string bytes = store_bytes(random_store(3, 4, 12));
+  const std::uint64_t count = std::uint64_t{1} << 29;
+  std::memcpy(bytes.data() + 8, &count, sizeof count);
+  try {
+    (void)load_bytes(bytes);
+    ADD_FAILURE() << "count 2^29 loaded";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find("entry vector"), std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(VectorStoreHardening, RejectsImplausibleCount) {
@@ -192,12 +221,9 @@ TEST(VectorStoreHardening, RejectsZeroDimensionWithEntries) {
 
 TEST(VectorStoreHardening, RejectsTruncationAtEveryPrefix) {
   const std::string bytes = store_bytes(random_store(4, 3, 13));
-  // Any strict prefix must throw, whether it cuts a header field, a
-  // string, or the float payload.
-  for (std::size_t len : {std::size_t{2}, std::size_t{6}, std::size_t{12},
-                          std::size_t{20}, std::size_t{30},
-                          bytes.size() / 2, bytes.size() - 1}) {
-    ASSERT_LT(len, bytes.size());
+  // Every strict prefix must throw, whether it cuts a header field or the
+  // float payload.
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_THROW((void)load_bytes(bytes.substr(0, len)), std::runtime_error)
         << "prefix length " << len;
   }
@@ -205,13 +231,13 @@ TEST(VectorStoreHardening, RejectsTruncationAtEveryPrefix) {
 
 TEST(VectorStoreHardening, AddPrenormalizedKeepsVectorBitIdentical) {
   VectorStore store;
-  store.add({"a", "", {}}, {3.0f, 4.0f});
+  store.add({3.0f, 4.0f});
   VectorStore copy;
-  copy.add_prenormalized(store.doc(0), store.vec(0));
-  EXPECT_EQ(copy.vec(0), store.vec(0));
+  copy.add_prenormalized(store.vec(0));
+  EXPECT_TRUE(same_bytes(copy.vec(0), store.vec(0)));
   // Dimension checks still apply on the prenormalized path.
-  EXPECT_THROW(copy.add_prenormalized({"b", "", {}}, {1.0f, 0.0f, 0.0f}),
-               std::invalid_argument);
+  const Vector wrong = {1.0f, 0.0f, 0.0f};
+  EXPECT_THROW(copy.add_prenormalized(wrong), std::invalid_argument);
 }
 
 // Regression: load() never restored the header dimension when the store
@@ -225,9 +251,8 @@ TEST(VectorStoreHardening, EmptyStoreRoundTripKeepsDimension) {
   EXPECT_EQ(loaded.size(), 0u);
   EXPECT_EQ(loaded.dimension(), 5u);
   // The restored dimension is enforced, exactly as on the saved store.
-  EXPECT_THROW(loaded.add({"a", "", {}}, {1.0f, 2.0f}),
-               std::invalid_argument);
-  loaded.add({"a", "", {}}, Vector(5, 1.0f));
+  EXPECT_THROW(loaded.add({1.0f, 2.0f}), std::invalid_argument);
+  loaded.add(Vector(5, 1.0f));
   EXPECT_EQ(loaded.dimension(), 5u);
 }
 
@@ -235,8 +260,8 @@ TEST(VectorStoreHardening, PresetDimensionConstructorEnforcesDim) {
   VectorStore store(3);
   EXPECT_EQ(store.dimension(), 3u);
   EXPECT_TRUE(store.similarity_search(Vector(3, 1.0f), 4).empty());
-  EXPECT_THROW(store.add({"a", "", {}}, {1.0f, 2.0f}), std::invalid_argument);
-  store.add({"a", "", {}}, {1.0f, 2.0f, 3.0f});
+  EXPECT_THROW(store.add({1.0f, 2.0f}), std::invalid_argument);
+  store.add({1.0f, 2.0f, 3.0f});
   EXPECT_EQ(store.size(), 1u);
 }
 
