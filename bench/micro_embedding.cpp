@@ -1,5 +1,7 @@
 // Micro-benchmarks of the embedding substrate: fit and per-query embedding
-// throughput for every embedder family.
+// throughput for every embedder family. The chunks are analysed once, as a
+// snapshot build does, so fit and batch embedding read those analyses; a
+// query embedding analyses the query first, as the Embed stage does.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -7,6 +9,7 @@
 
 #include "corpus/generator.h"
 #include "embed/embedder.h"
+#include "lexical/term_stats.h"
 #include "text/loader.h"
 #include "text/splitter.h"
 
@@ -26,12 +29,18 @@ const std::vector<pkb::text::Document>& corpus_chunks() {
   return *chunks;
 }
 
+const pkb::text::Analyses& chunk_analyses() {
+  static const auto analysis =
+      pkb::lexical::CorpusAnalysis::build(corpus_chunks());
+  return analysis->chunks;
+}
+
 const Embedder& fitted(const std::string& name) {
   static std::map<std::string, std::unique_ptr<Embedder>> cache;
   auto it = cache.find(name);
   if (it == cache.end()) {
     auto embedder = pkb::embed::make_embedder(name);
-    embedder->fit(corpus_chunks());
+    embedder->fit(chunk_analyses());
     it = cache.emplace(name, std::move(embedder)).first;
   }
   return *it->second;
@@ -42,7 +51,7 @@ constexpr const char* kQuery =
     "rectangular?";
 
 void BM_EmbedderFit(benchmark::State& state, const std::string& name) {
-  const auto& chunks = corpus_chunks();
+  const auto& chunks = chunk_analyses();
   for (auto _ : state) {
     auto embedder = pkb::embed::make_embedder(name);
     embedder->fit(chunks);
@@ -54,7 +63,7 @@ void BM_EmbedderFit(benchmark::State& state, const std::string& name) {
 void BM_EmbedQuery(benchmark::State& state, const std::string& name) {
   const Embedder& embedder = fitted(name);
   for (auto _ : state) {
-    auto vec = embedder.embed(kQuery);
+    auto vec = embedder.embed(pkb::text::analyze(kQuery));
     benchmark::DoNotOptimize(vec.data());
   }
   state.counters["dim"] = static_cast<double>(embedder.dimension());
@@ -62,7 +71,7 @@ void BM_EmbedQuery(benchmark::State& state, const std::string& name) {
 
 void BM_EmbedBatch(benchmark::State& state, const std::string& name) {
   const Embedder& embedder = fitted(name);
-  const auto& chunks = corpus_chunks();
+  const auto& chunks = chunk_analyses();
   for (auto _ : state) {
     auto vecs = embedder.embed_batch(chunks);
     benchmark::DoNotOptimize(vecs.data());

@@ -24,12 +24,12 @@ std::string BlendEmbedder::name() const {
   return buf;
 }
 
-void BlendEmbedder::fit(const std::vector<text::Document>& docs) {
+void BlendEmbedder::fit(std::span<const text::AnalysisPtr> docs) {
   lsa_.fit(docs);
   hash_.fit(docs);
 }
 
-Vector BlendEmbedder::embed(std::string_view text) const {
+Vector BlendEmbedder::embed(const text::TextAnalysis& text) const {
   Vector sem = lsa_.embed(text);    // unit norm (or zero)
   Vector lex = hash_.embed(text);   // unit norm (or zero)
   const float ws = static_cast<float>(std::sqrt(1.0 - lexical_weight_));

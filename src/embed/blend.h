@@ -22,8 +22,8 @@ class BlendEmbedder final : public Embedder {
   [[nodiscard]] std::size_t dimension() const override {
     return lsa_.dimension() + hash_.dimension();
   }
-  void fit(const std::vector<text::Document>& docs) override;
-  [[nodiscard]] Vector embed(std::string_view text) const override;
+  void fit(std::span<const text::AnalysisPtr> docs) override;
+  [[nodiscard]] Vector embed(const text::TextAnalysis& text) const override;
 
  private:
   LsaEmbedder lsa_;

@@ -47,11 +47,11 @@ float cosine(const Vector& a, const Vector& b) {
 }
 
 std::vector<Vector> Embedder::embed_batch(
-    std::span<const text::Document> docs) const {
+    std::span<const text::AnalysisPtr> docs) const {
   pkb::util::Stopwatch watch;
   std::vector<Vector> out(docs.size());
   pkb::util::parallel_for(
-      0, docs.size(), [&](std::size_t i) { out[i] = embed(docs[i].text); },
+      0, docs.size(), [&](std::size_t i) { out[i] = embed(*docs[i]); },
       /*min_block=*/4);
   obs::MetricsRegistry& metrics = obs::global_metrics();
   const obs::LabelSet model_label{{"model", name()}};

@@ -14,6 +14,8 @@
 //                         API-symbol morphology)
 //
 // All embedders L2-normalize their output so inner product == cosine.
+// They read text only as text::TextAnalysis: the snapshot's chunk analyses
+// and the request's QueryAnalysis.
 
 #include <memory>
 #include <span>
@@ -21,7 +23,7 @@
 #include <string_view>
 #include <vector>
 
-#include "text/document.h"
+#include "text/analysis.h"
 
 namespace pkb::embed {
 
@@ -40,7 +42,7 @@ void l2_normalize(Vector& v);
 /// Cosine similarity in [-1, 1]; 0 if either vector is zero.
 [[nodiscard]] float cosine(const Vector& a, const Vector& b);
 
-/// Common interface. Lifecycle: construct -> fit(corpus) -> embed(text).
+/// Common interface. Lifecycle: construct -> fit(analyses) -> embed(analysis).
 /// fit() may be a no-op for models without corpus statistics.
 class Embedder {
  public:
@@ -53,14 +55,15 @@ class Embedder {
   [[nodiscard]] virtual std::size_t dimension() const = 0;
 
   /// Learn corpus statistics (vocabulary, IDF, SVD basis, ...).
-  virtual void fit(const std::vector<text::Document>& docs) = 0;
+  virtual void fit(std::span<const text::AnalysisPtr> docs) = 0;
 
-  /// Embed one text. Must be called after fit(). Thread-safe.
-  [[nodiscard]] virtual Vector embed(std::string_view text) const = 0;
+  /// Embed one analysed text: a chunk's, or text::analyze(question). Must be
+  /// called after fit(). Thread-safe.
+  [[nodiscard]] virtual Vector embed(const text::TextAnalysis& text) const = 0;
 
-  /// Embed many texts in parallel (uses the global thread pool).
+  /// Embed many analysed texts in parallel (uses the global thread pool).
   [[nodiscard]] std::vector<Vector> embed_batch(
-      std::span<const text::Document> docs) const;
+      std::span<const text::AnalysisPtr> docs) const;
 };
 
 /// Create an embedder by registry name:

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "text/tokenizer.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -18,13 +17,13 @@ std::string HashEmbedder::name() const {
   return "sim-hash-" + std::to_string(dim_);
 }
 
-void HashEmbedder::fit(const std::vector<text::Document>& docs) {
-  (void)docs;  // stateless model
-}
-
-Vector HashEmbedder::embed(std::string_view text) const {
-  std::unordered_map<std::string, float> tf;
-  for (std::string& tok : text::tokens_of(text)) tf[std::move(tok)] += 1.0f;
+Vector HashEmbedder::embed(const text::TextAnalysis& text) const {
+  // Colliding buckets sum in iteration order: the same as a map keyed by
+  // token strings, because the key hash and insertion sequence are.
+  std::unordered_map<std::string_view, float> tf;
+  for (const text::TextAnalysis::Span tok : text.tokens) {
+    tf[text.view(tok)] += 1.0f;
+  }
   Vector v(dim_, 0.0f);
   for (const auto& [term, count] : tf) {
     const std::uint64_t h = pkb::util::fnv1a64(term);
@@ -36,11 +35,9 @@ Vector HashEmbedder::embed(std::string_view text) const {
   return v;
 }
 
-CharNgramEmbedder::CharNgramEmbedder(std::size_t dim, std::size_t lo,
-                                     std::size_t hi)
-    : dim_(dim), lo_(lo), hi_(hi) {
-  if (dim_ == 0 || lo_ == 0 || hi_ < lo_) {
-    throw std::invalid_argument("CharNgramEmbedder: bad parameters");
+CharNgramEmbedder::CharNgramEmbedder(std::size_t dim) : dim_(dim) {
+  if (dim_ == 0) {
+    throw std::invalid_argument("CharNgramEmbedder: dim must be > 0");
   }
 }
 
@@ -48,16 +45,12 @@ std::string CharNgramEmbedder::name() const {
   return "sim-charngram-" + std::to_string(dim_);
 }
 
-void CharNgramEmbedder::fit(const std::vector<text::Document>& docs) {
-  (void)docs;  // stateless model
-}
-
-Vector CharNgramEmbedder::embed(std::string_view text) const {
+Vector CharNgramEmbedder::embed(const text::TextAnalysis& text) const {
   Vector v(dim_, 0.0f);
-  for (const std::string& tok : text::tokens_of(text)) {
+  for (const text::TextAnalysis::Span tok : text.tokens) {
     // Boundary markers make prefixes/suffixes distinctive.
-    const std::string padded = "^" + tok + "$";
-    for (std::size_t n = lo_; n <= hi_ && n <= padded.size(); ++n) {
+    const std::string padded = "^" + std::string(text.view(tok)) + "$";
+    for (std::size_t n = 3; n <= 5 && n <= padded.size(); ++n) {
       for (std::size_t i = 0; i + n <= padded.size(); ++i) {
         const std::uint64_t h =
             pkb::util::fnv1a64(std::string_view(padded).substr(i, n)) ^

@@ -15,30 +15,27 @@ class HashEmbedder final : public Embedder {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t dimension() const override { return dim_; }
-  void fit(const std::vector<text::Document>& docs) override;
-  [[nodiscard]] Vector embed(std::string_view text) const override;
+  void fit(std::span<const text::AnalysisPtr> /*docs*/) override {}
+  [[nodiscard]] Vector embed(const text::TextAnalysis& text) const override;
 
  private:
   std::size_t dim_;
 };
 
-/// Hashed character n-grams (n in [lo, hi]) over the lowercased text with
+/// Hashed character 3- to 5-grams over the lowercased tokens with
 /// word-boundary markers. Tolerant of typos and of API-symbol morphology
 /// ("KSPGmres" ~ "KSPGMRES").
 class CharNgramEmbedder final : public Embedder {
  public:
-  CharNgramEmbedder(std::size_t dim = 512, std::size_t lo = 3,
-                    std::size_t hi = 5);
+  explicit CharNgramEmbedder(std::size_t dim = 512);
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t dimension() const override { return dim_; }
-  void fit(const std::vector<text::Document>& docs) override;
-  [[nodiscard]] Vector embed(std::string_view text) const override;
+  void fit(std::span<const text::AnalysisPtr> /*docs*/) override {}
+  [[nodiscard]] Vector embed(const text::TextAnalysis& text) const override;
 
  private:
   std::size_t dim_;
-  std::size_t lo_;
-  std::size_t hi_;
 };
 
 }  // namespace pkb::embed

@@ -75,14 +75,14 @@ std::string LsaEmbedder::name() const {
   return "sim-lsa-" + std::to_string(rank_);
 }
 
-void LsaEmbedder::fit(const std::vector<text::Document>& docs) {
-  vocab_.fit(docs, /*min_df=*/1);
+void LsaEmbedder::fit(std::span<const text::AnalysisPtr> docs) {
+  vocab_.fit(docs);
   vocab_size_ = vocab_.size();
   const std::size_t k = std::min(rank_, vocab_size_);
 
   std::vector<SparseVec> rows;
   rows.reserve(docs.size());
-  for (const text::Document& doc : docs) rows.push_back(vocab_.tfidf(doc.text));
+  for (const text::AnalysisPtr& doc : docs) rows.push_back(vocab_.tfidf(*doc));
 
   // Subspace iteration on A^T A: Q <- orth((A^T A) Q).
   pkb::util::Rng rng(seed_);
@@ -107,7 +107,7 @@ void LsaEmbedder::fit(const std::vector<text::Document>& docs) {
   }
 }
 
-Vector LsaEmbedder::embed(std::string_view text) const {
+Vector LsaEmbedder::embed(const text::TextAnalysis& text) const {
   if (vocab_size_ == 0) {
     throw std::logic_error("LsaEmbedder::embed called before fit()");
   }

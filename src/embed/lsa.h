@@ -22,11 +22,8 @@ class LsaEmbedder final : public Embedder {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t dimension() const override { return rank_; }
-  void fit(const std::vector<text::Document>& docs) override;
-  [[nodiscard]] Vector embed(std::string_view text) const override;
-
-  /// The fitted vocabulary (valid after fit()).
-  [[nodiscard]] const Vocabulary& vocabulary() const { return vocab_; }
+  void fit(std::span<const text::AnalysisPtr> docs) override;
+  [[nodiscard]] Vector embed(const text::TextAnalysis& text) const override;
 
  private:
   std::size_t rank_;

@@ -3,68 +3,44 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
-
-#include "text/tokenizer.h"
+#include <unordered_map>
 
 namespace pkb::embed {
 
-void Vocabulary::fit(const std::vector<text::Document>& docs,
-                     std::size_t min_df) {
-  terms_.clear();
-  doc_freq_.clear();
-  index_.clear();
-  doc_count_ = docs.size();
-
-  std::unordered_map<std::string, std::size_t> df;
-  for (const text::Document& doc : docs) {
-    std::unordered_set<std::string> seen;
-    for (std::string& tok : text::tokens_of(doc.text)) {
-      seen.insert(std::move(tok));
+void Vocabulary::fit(std::span<const text::AnalysisPtr> docs) {
+  // Views into the analyses, which outlive this call.
+  std::unordered_map<std::string_view, std::size_t> df;
+  for (const text::AnalysisPtr& doc : docs) {
+    for (const text::TextAnalysis::Span term : doc->terms) {
+      ++df[doc->view(term)];
     }
-    for (const std::string& term : seen) ++df[term];
   }
-  // Sort terms for bit-for-bit determinism of term ids across runs.
-  std::vector<std::pair<std::string, std::size_t>> kept;
-  kept.reserve(df.size());
-  for (auto& [term, count] : df) {
-    if (count >= min_df) kept.emplace_back(term, count);
-  }
-  std::sort(kept.begin(), kept.end());
-  terms_.reserve(kept.size());
-  doc_freq_.reserve(kept.size());
-  for (auto& [term, count] : kept) {
-    index_.emplace(term, terms_.size());
-    terms_.push_back(term);
-    doc_freq_.push_back(count);
+  // Sorted terms make the ids deterministic across runs.
+  std::vector<std::pair<std::string_view, std::size_t>> sorted(df.begin(),
+                                                               df.end());
+  std::sort(sorted.begin(), sorted.end());
+  terms_.clear();
+  idf_.clear();
+  const double n = static_cast<double>(docs.size());
+  for (const auto& [term, count] : sorted) {
+    terms_.emplace_back(term);
+    idf_.push_back(static_cast<float>(
+        std::log((1.0 + n) / (1.0 + static_cast<double>(count))) + 1.0));
   }
 }
 
-std::size_t Vocabulary::id_of(const std::string& term) const {
-  auto it = index_.find(term);
-  return it == index_.end() ? npos : it->second;
-}
-
-float Vocabulary::idf(std::size_t term_id) const {
-  const double n = static_cast<double>(doc_count_);
-  const double df = static_cast<double>(doc_freq_.at(term_id));
-  return static_cast<float>(std::log((1.0 + n) / (1.0 + df)) + 1.0);
-}
-
-float Vocabulary::idf_of(const std::string& term) const {
-  const std::size_t id = id_of(term);
-  return id == npos ? 0.0f : idf(id);
-}
-
-const std::string& Vocabulary::term(std::size_t id) const {
-  return terms_.at(id);
+std::size_t Vocabulary::id_of(std::string_view term) const {
+  const auto it = std::lower_bound(terms_.begin(), terms_.end(), term);
+  return it == terms_.end() || *it != term
+             ? npos
+             : static_cast<std::size_t>(it - terms_.begin());
 }
 
 std::vector<std::pair<std::size_t, float>> Vocabulary::tfidf(
-    std::string_view text) const {
+    const text::TextAnalysis& text) const {
   std::unordered_map<std::size_t, float> tf;
-  for (const std::string& tok : text::tokens_of(text)) {
-    const std::size_t id = id_of(tok);
+  for (const text::TextAnalysis::Span tok : text.tokens) {
+    const std::size_t id = id_of(text.view(tok));
     if (id != npos) tf[id] += 1.0f;
   }
   std::vector<std::pair<std::size_t, float>> out;
@@ -83,11 +59,11 @@ std::vector<std::pair<std::size_t, float>> Vocabulary::tfidf(
   return out;
 }
 
-void TfidfEmbedder::fit(const std::vector<text::Document>& docs) {
-  vocab_.fit(docs, min_df_);
+void TfidfEmbedder::fit(std::span<const text::AnalysisPtr> docs) {
+  vocab_.fit(docs);
 }
 
-Vector TfidfEmbedder::embed(std::string_view text) const {
+Vector TfidfEmbedder::embed(const text::TextAnalysis& text) const {
   if (vocab_.size() == 0) {
     throw std::logic_error("TfidfEmbedder::embed called before fit()");
   }

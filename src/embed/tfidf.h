@@ -1,8 +1,9 @@
 #pragma once
-// TF-IDF embedding and the shared vocabulary/IDF statistics.
+// TF-IDF embedding and the shared vocabulary/IDF statistics, counted from
+// each chunk analysis's distinct terms and weighed over an analysis's tokens.
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "embed/embedder.h"
@@ -10,61 +11,44 @@
 namespace pkb::embed {
 
 /// Corpus vocabulary with document frequencies; shared by TfidfEmbedder and
-/// LsaEmbedder and reused by the rerankers for IDF weighting.
+/// LsaEmbedder.
 class Vocabulary {
  public:
-  /// Build from tokenized corpus documents. Tokens below `min_df` documents
-  /// are dropped (noise control).
-  void fit(const std::vector<text::Document>& docs, std::size_t min_df = 1);
+  /// Every distinct term of the analysed documents, with its idf.
+  void fit(std::span<const text::AnalysisPtr> docs);
 
   /// Number of terms.
   [[nodiscard]] std::size_t size() const { return terms_.size(); }
 
-  /// Number of documents seen by fit().
-  [[nodiscard]] std::size_t doc_count() const { return doc_count_; }
-
-  /// Term id, or npos when unknown.
+  /// Term id (its rank in sorted term order), or npos when unknown.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  [[nodiscard]] std::size_t id_of(const std::string& term) const;
+  [[nodiscard]] std::size_t id_of(std::string_view term) const;
 
   /// Smoothed inverse document frequency: log((1+N)/(1+df)) + 1.
-  [[nodiscard]] float idf(std::size_t term_id) const;
+  [[nodiscard]] float idf(std::size_t term_id) const {
+    return idf_.at(term_id);
+  }
 
-  /// IDF by term (0 for unknown terms).
-  [[nodiscard]] float idf_of(const std::string& term) const;
-
-  /// The term string for an id.
-  [[nodiscard]] const std::string& term(std::size_t id) const;
-
-  /// Sparse TF-IDF of a text: (term_id, weight) pairs, L2-normalized.
+  /// Sparse TF-IDF: (term_id, weight) pairs, L2-normalized.
   [[nodiscard]] std::vector<std::pair<std::size_t, float>> tfidf(
-      std::string_view text) const;
+      const text::TextAnalysis& text) const;
 
  private:
-  std::vector<std::string> terms_;
-  std::vector<std::size_t> doc_freq_;
-  std::unordered_map<std::string, std::size_t> index_;
-  std::size_t doc_count_ = 0;
+  std::vector<std::string> terms_;  ///< sorted; a term's id is its index
+  std::vector<float> idf_;
 };
 
 /// Dense TF-IDF embedding: dimension == vocabulary size.
 class TfidfEmbedder final : public Embedder {
  public:
-  /// `min_df`: minimum document frequency for vocabulary inclusion.
-  explicit TfidfEmbedder(std::size_t min_df = 1) : min_df_(min_df) {}
-
   [[nodiscard]] std::string name() const override { return "sim-tfidf"; }
   [[nodiscard]] std::size_t dimension() const override {
     return vocab_.size();
   }
-  void fit(const std::vector<text::Document>& docs) override;
-  [[nodiscard]] Vector embed(std::string_view text) const override;
-
-  /// The fitted vocabulary (valid after fit()).
-  [[nodiscard]] const Vocabulary& vocabulary() const { return vocab_; }
+  void fit(std::span<const text::AnalysisPtr> docs) override;
+  [[nodiscard]] Vector embed(const text::TextAnalysis& text) const override;
 
  private:
-  std::size_t min_df_;
   Vocabulary vocab_;
 };
 

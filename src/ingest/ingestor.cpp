@@ -127,6 +127,12 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
   }
   const std::size_t n_new = next->chunks.size() - retained.size();
 
+  // Retained chunks keep the base generation's analyses; only the new
+  // chunks are analysed, and the term statistics follow the delta.
+  next->analysis = lexical::CorpusAnalysis::next(
+      *base->analysis, retained,
+      std::span<const text::Document>(next->chunks).last(n_new));
+
   // Refit when the chunk list has drifted too far from the corpus the
   // embedder was fitted on; otherwise delta-merge with the base embedder.
   const double drift =
@@ -140,9 +146,9 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
   if (refit) {
     std::unique_ptr<embed::Embedder> embedder =
         embed::make_embedder(next->opts.embedder);
-    embedder->fit(next->chunks);
-    next->store =
-        vectordb::VectorStore::from_documents(next->chunks, *embedder);
+    embedder->fit(next->analysis->chunks);
+    next->store = vectordb::VectorStore::from_analyses(next->analysis->chunks,
+                                                       *embedder);
     next->embedder = std::move(embedder);
     next->embedder_fit_generation = next->generation;
     next->chunks_at_fit = next->chunks.size();
@@ -156,7 +162,8 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
     }
     if (n_new > 0) {
       for (embed::Vector& vec : base->embedder->embed_batch(
-               std::span<const text::Document>(next->chunks).last(n_new))) {
+               std::span<const text::AnalysisPtr>(next->analysis->chunks)
+                   .last(n_new))) {
         next->store.add(std::move(vec));
       }
     }
@@ -165,11 +172,6 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
     next->chunks_at_fit = base->chunks_at_fit;
   }
   next->symbols = std::make_shared<lexical::SymbolIndex>(next->chunks);
-  // Retained chunks keep the base generation's analyses; only the new
-  // chunks are analysed, and the term statistics follow the delta.
-  next->analysis = lexical::CorpusAnalysis::next(
-      *base->analysis, retained,
-      std::span<const text::Document>(next->chunks).last(n_new));
   // The new generation carries its own ANN index (built before publish, so
   // no reader ever sees a snapshot without one).
   next->attach_indexes();

@@ -8,8 +8,9 @@
 // traffic: it pins the current Snapshot as its base, chunks the incoming
 // documents with the base's splitter options, merges them with the retained
 // base chunks (upsert by "source": re-ingesting a source replaces its old
-// chunks), embeds only what is new, rebuilds the symbol index, and publishes
-// the result through KnowledgeBase::publish() — one atomic pointer swap.
+// chunks), analyses only what is new (lexical::CorpusAnalysis::next), embeds
+// it from those analyses, rebuilds the symbol index, and publishes the
+// result through KnowledgeBase::publish() — one atomic pointer swap.
 //
 // Embedder lifecycle: a delta build reuses the base's fitted embedder. Each
 // retained row is copied once: its chunk into the next chunk list, its
@@ -17,8 +18,9 @@
 // (VectorStore::add_prenormalized), so existing chunks score exactly as
 // before; only the new chunks are embedded. When the chunk list has
 // drifted more than `refit_drift_threshold` since the embedder was last
-// fitted, the build refits on the full merged corpus and re-embeds
-// everything — retrieval quality tracks the corpus at a bounded cost.
+// fitted, the build refits on the analyses of the full merged corpus and
+// re-embeds everything — retrieval quality tracks the corpus at a bounded
+// cost.
 //
 // Observable as the ingest_build span, the pkb_ingest_* counters and
 // histogram, and the knowledge base's own generation gauge and kb_swap span

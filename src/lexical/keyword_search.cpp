@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "corpus/api_spec.h"
-#include "text/tokenizer.h"
 
 namespace pkb::lexical {
 
@@ -20,17 +19,14 @@ SymbolIndex::SymbolIndex(const std::vector<text::Document>& chunks) {
   }
 }
 
-std::vector<KeywordHit> SymbolIndex::lookup(std::string_view query,
-                                            bool fuzzy) const {
+std::vector<KeywordHit> SymbolIndex::lookup(
+    std::span<const std::string> symbols) const {
   std::vector<KeywordHit> hits;
-  const text::TokenizedText tt = text::tokenize(query);
-  for (const std::string& symbol : tt.symbols) {
+  for (const std::string& symbol : symbols) {
     KeywordHit hit;
     hit.symbol = symbol;
     const corpus::ApiSpec* spec = corpus::find_spec(symbol);
-    if (spec == nullptr && fuzzy) {
-      spec = corpus::find_spec_fuzzy(symbol);
-    }
+    if (spec == nullptr) spec = corpus::find_spec_fuzzy(symbol);
     if (spec != nullptr) {
       hit.resolved = spec->name;
       hit.page = corpus::manual_page_path(*spec);

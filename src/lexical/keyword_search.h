@@ -5,8 +5,10 @@
 //  has found."
 //
 // SymbolIndex maps API symbols (exact or fuzzy) found in a query to the
-// manual-page documents of the chunked corpus.
+// manual-page documents of the chunked corpus. The query's symbols come from
+// its analysis (text::QueryAnalysis::symbols), computed once per request.
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -32,12 +34,12 @@ class SymbolIndex {
   /// Symbol->page mapping comes from the corpus ApiSpec table.
   explicit SymbolIndex(const std::vector<text::Document>& chunks);
 
-  /// Extract API-shaped symbols from `query` and resolve each to manual-page
-  /// chunks. Unknown symbols resolve to no page but are still reported (the
-  /// LLM needs to know the user asked about something nonexistent).
-  /// `fuzzy` enables edit-distance-2 resolution of typos.
-  [[nodiscard]] std::vector<KeywordHit> lookup(std::string_view query,
-                                               bool fuzzy = true) const;
+  /// Resolve each of a query's API symbols to manual-page chunks, exactly
+  /// or, for a typo, within edit distance 2. Unknown symbols resolve to no
+  /// page but are still reported (the LLM needs to know the user asked
+  /// about something nonexistent).
+  [[nodiscard]] std::vector<KeywordHit> lookup(
+      std::span<const std::string> symbols) const;
 
   /// All chunk indices for one canonical symbol (empty when unknown).
   [[nodiscard]] std::vector<std::size_t> chunks_of(

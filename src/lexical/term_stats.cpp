@@ -8,8 +8,7 @@ namespace {
 // bounds the lookups per idf() call.
 constexpr std::size_t kMaxDeltaDepth = 8;
 
-std::shared_ptr<const text::TextAnalysis> analyze_shared(
-    const text::Document& doc) {
+text::AnalysisPtr analyze_shared(const text::Document& doc) {
   return std::make_shared<const text::TextAnalysis>(text::analyze(doc));
 }
 

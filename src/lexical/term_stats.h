@@ -1,8 +1,9 @@
 #pragma once
-// Per-generation text statistics for the rerankers: every chunk analysed
-// once (text::TextAnalysis) and the document frequencies over those
-// analyses. Built with the snapshot (build, load, ingest publish), never on
-// the request path; an ingest publish analyses only its new chunks and
+// Per-generation text statistics: every chunk analysed once
+// (text::TextAnalysis), which the embedder fits on and embeds from, and the
+// document frequencies over those analyses, which the rerankers score
+// with. Built first with the snapshot (build, load, ingest publish), never
+// on the request path; an ingest publish analyses only its new chunks and
 // updates the frequencies from the delta.
 
 #include <cmath>
@@ -15,8 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "text/analysis.h"
 #include "text/document.h"
-#include "text/tokenizer.h"
 
 namespace pkb::lexical {
 
@@ -26,7 +27,7 @@ namespace pkb::lexical {
   return std::log(1.0 + (n - df + 0.5) / (df + 0.5));
 }
 
-using Analyses = std::vector<std::shared_ptr<const text::TextAnalysis>>;
+using text::Analyses;
 
 /// Document frequencies over a set of analysed documents. A delta-built
 /// table stores only the changed counts and reads the rest through its

@@ -39,13 +39,16 @@ KnowledgeBase KnowledgeBase::build(const text::VirtualDir& corpus,
   const text::RecursiveCharacterTextSplitter splitter(snap->opts.splitter);
   snap->chunks = splitter.split_documents(docs);
 
+  // Analyse each chunk once; the embedder fits on and embeds from the
+  // analyses, and the rerankers score against them.
+  snap->analysis = lexical::CorpusAnalysis::build(snap->chunks);
   std::unique_ptr<embed::Embedder> embedder =
       embed::make_embedder(snap->opts.embedder);
-  embedder->fit(snap->chunks);
-  snap->store = vectordb::VectorStore::from_documents(snap->chunks, *embedder);
+  embedder->fit(snap->analysis->chunks);
+  snap->store =
+      vectordb::VectorStore::from_analyses(snap->analysis->chunks, *embedder);
   snap->embedder = std::move(embedder);
   snap->symbols = std::make_shared<lexical::SymbolIndex>(snap->chunks);
-  snap->analysis = lexical::CorpusAnalysis::build(snap->chunks);
   snap->embedder_fit_generation = 1;
   snap->chunks_at_fit = snap->chunks.size();
   snap->attach_indexes();
@@ -274,7 +277,7 @@ SnapshotPtr Snapshot::load(const std::string& path) {
 
   std::unique_ptr<embed::Embedder> embedder =
       embed::make_embedder(snap->opts.embedder);
-  embedder->fit(snap->chunks);
+  embedder->fit(snap->analysis->chunks);
   if (snap->embedder_fit_generation == snap->generation) {
     // The saved embedder was fitted on exactly this chunk list; refitting
     // reproduces it, so the stored vectors are kept bit-exact.
@@ -289,7 +292,7 @@ SnapshotPtr Snapshot::load(const std::string& path) {
     // the file does not carry. Reload as a refit generation — re-embed the
     // chunks with the freshly fitted embedder so store and queries agree.
     snap->store =
-        vectordb::VectorStore::from_documents(snap->chunks, *embedder);
+        vectordb::VectorStore::from_analyses(snap->analysis->chunks, *embedder);
     snap->embedder_fit_generation = snap->generation;
     snap->chunks_at_fit = snap->chunks.size();
   }

@@ -3,8 +3,9 @@
 // RCU-style sequence of immutable generations.
 //
 // A `Snapshot` is one immutable generation of the knowledge base: chunked
-// corpus + fitted embedder + vector store + symbol index + per-chunk text
-// analyses and term statistics (for reranking), stamped with a
+// corpus + per-chunk text analyses and term statistics (built first: the
+// embedder fits on and embeds from them, the rerankers score against them)
+// + fitted embedder + vector store + symbol index, stamped with a
 // monotonically increasing generation id. `KnowledgeBase` holds an atomic
 // shared_ptr to the current snapshot: readers pin a generation with
 // snapshot() (cheap, lock-free to them) and keep using it for as long as
@@ -71,8 +72,9 @@ struct Snapshot {
   /// retriever routes first-pass searches through it when present.
   std::shared_ptr<const vectordb::HnswIndex> ann;
   std::shared_ptr<const lexical::SymbolIndex> symbols;
-  /// Each chunk analysed once plus the term statistics over them, which the
-  /// rerankers score against. Built with the generation, never per request.
+  /// Each chunk analysed once plus the term statistics over them: the
+  /// embedder fits on and embeds from the analyses, the rerankers score
+  /// against both. Built first with the generation, never per request.
   std::shared_ptr<const lexical::CorpusAnalysis> analysis;
   /// Number of source documents that contributed to `chunks`.
   std::size_t source_count = 0;
@@ -87,8 +89,8 @@ struct Snapshot {
   /// (loaders, splitter, embed_batch). Format: versioned header + the
   /// VectorStore binary blob (rows only) + a chunk section carrying each
   /// chunk's id, text and metadata. The symbol index and analyses are
-  /// rebuilt and the embedder refitted from the chunks on load (all
-  /// deterministic), not serialized. Throws std::runtime_error on I/O
+  /// rebuilt from the chunks and the embedder refitted on the analyses on
+  /// load (all deterministic), not serialized. Throws std::runtime_error on I/O
   /// failure or a malformed file.
   void save(const std::string& path) const;
   static std::shared_ptr<const Snapshot> load(const std::string& path);

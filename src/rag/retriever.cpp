@@ -70,12 +70,16 @@ void Retriever::embed_stage(const Snapshot& snap, std::string_view query,
                             RetrievalResult& result) const {
   pkb::util::Stopwatch watch;
   auto vec = std::make_shared<embed::Vector>();
+  std::shared_ptr<const text::QueryAnalysis> analysis;
   {
     obs::Span embed_span(obs::global_tracer(), obs::kSpanEmbedQuery);
-    *vec = snap.embedder->embed(query);
+    analysis =
+        std::make_shared<const text::QueryAnalysis>(text::analyze(query));
+    *vec = snap.embedder->embed(*analysis);
     embed_span.set_attr("embedder", snap.embedder->name());
     embed_span.set_attr("dim", vec->size());
   }
+  result.query_analysis = std::move(analysis);
   result.query_embedding = std::move(vec);
   result.embed_seconds = watch.seconds();
 }
@@ -95,7 +99,7 @@ std::vector<vectordb::SearchResult> Retriever::search_stage(
 }
 
 void Retriever::augment_stage(
-    const Snapshot& snap, std::string_view query,
+    const Snapshot& snap, std::string_view /*query*/,
     const std::vector<vectordb::SearchResult>& vector_hits,
     RetrievalResult& result) const {
   obs::MetricsRegistry& metrics = obs::global_metrics();
@@ -120,7 +124,8 @@ void Retriever::augment_stage(
     obs::Span keyword_span(obs::global_tracer(), obs::kSpanKeywordAugment);
     std::size_t added = 0;
     std::size_t merged = 0;
-    for (const lexical::KeywordHit& hit : snap.symbols->lookup(query)) {
+    for (const lexical::KeywordHit& hit :
+         snap.symbols->lookup(result.query_analysis->symbols)) {
       for (std::size_t chunk_index : hit.chunks) {
         const text::Document* doc = &snap.chunks[chunk_index];
         auto it = pos.find(std::string_view(doc->id));
@@ -167,7 +172,8 @@ void Retriever::augment_stage(
   }
 }
 
-void Retriever::rerank_stage(const Snapshot& snap, std::string_view query,
+void Retriever::rerank_stage(const Snapshot& snap,
+                             std::string_view /*query*/,
                              RetrievalResult& result) const {
   // --- Second pass: reranking K (+ keyword extras) down to L (§III-D). ---
   const std::vector<RetrievedContext>& candidates = result.first_pass;
@@ -184,7 +190,8 @@ void Retriever::rerank_stage(const Snapshot& snap, std::string_view query,
     }
     try {
       const auto reranked =
-          reranker_->rerank(query, *snap.analysis, rc, opts_.final_l);
+          reranker_->rerank(*result.query_analysis, *snap.analysis, rc,
+                            opts_.final_l);
       result.contexts.clear();
       for (const rerank::RerankResult& rr : reranked) {
         RetrievedContext ctx = candidates[rr.original_rank];
@@ -205,33 +212,6 @@ void Retriever::rerank_stage(const Snapshot& snap, std::string_view query,
     // the model's attention window (L) decides what is actually read.
     result.contexts = candidates;
   }
-}
-
-RetrievalResult Retriever::retrieve(std::string_view query) const {
-  return retrieve_on(kb_.snapshot(), query);
-}
-
-RetrievalResult Retriever::retrieve_on(const SnapshotPtr& snap,
-                                       std::string_view query) const {
-  obs::global_metrics().counter(obs::kRetrieveRequestsTotal).inc();
-  obs::Span span(obs::global_tracer(), obs::kSpanRetrieve);
-  span.set_attr("k", opts_.first_pass_k);
-  span.set_attr("l", opts_.final_l);
-  span.set_attr("generation", snap->generation);
-
-  RetrievalResult result;
-  result.snapshot = snap;
-
-  // --- First pass 1/2: embedding search (box 1 of Fig 3). ---
-  embed_stage(*snap, query, result);
-  const std::vector<vectordb::SearchResult> vector_hits =
-      search_stage(*snap, *result.query_embedding, result);
-  augment_stage(*snap, query, vector_hits, result);
-  rerank_stage(*snap, query, result);
-  span.set_attr("candidates", result.first_pass.size());
-  span.set_attr("kept", result.contexts.size());
-  observe_retrieval_metrics(result);
-  return result;
 }
 
 }  // namespace pkb::rag

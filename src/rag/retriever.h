@@ -1,12 +1,13 @@
 #pragma once
 // The retrieval phase (§III-B/C/D): embedding search (first pass, K
-// candidates) + PETSc keyword augmentation + optional reranking down to L.
+// candidates) + PETSc keyword augmentation + optional reranking down to L,
+// as the stage functions that the stage graph and the replay engine run.
 //
 // Generational model: every retrieval runs against one pinned Snapshot and
 // the result carries that SnapshotPtr, so the contexts' Document pointers
 // stay valid even after the knowledge base publishes newer generations.
-// retrieve() pins the current generation itself; retrieve_on() takes a
-// snapshot the caller already pinned.
+// The question is analysed once, in embed_stage; the embedder, the symbol
+// index and the reranker all read that RetrievalResult::query_analysis.
 
 #include <cstdint>
 #include <memory>
@@ -63,6 +64,9 @@ struct RetrievalResult {
   /// the result stay cheap). Carried for the record/replay subsystem's
   /// Embed artifact. Null only for an empty (degraded) result.
   std::shared_ptr<const embed::Vector> query_embedding;
+  /// The question's analysis, made by embed_stage or seeded by replay along
+  /// with query_embedding, and null exactly when query_embedding is.
+  std::shared_ptr<const text::QueryAnalysis> query_analysis;
   /// Total RAG processing time (embed + search + rerank).
   [[nodiscard]] double rag_seconds() const {
     return embed_seconds + search_seconds + rerank_seconds;
@@ -73,34 +77,25 @@ struct RetrievalResult {
   }
 };
 
-/// Bound to a KnowledgeBase; owns its reranker. All retrieval entry points
-/// are const and safe to call concurrently from many threads: snapshots are
+/// Bound to a KnowledgeBase; owns its reranker. All stage functions are
+/// const and safe to call concurrently from many threads: snapshots are
 /// immutable and the reranker holds no corpus state — it scores against the
 /// pinned snapshot's chunk analyses and term statistics.
 class Retriever {
  public:
   Retriever(const KnowledgeBase& kb, RetrieverOptions opts = {});
 
-  [[nodiscard]] RetrievalResult retrieve(std::string_view query) const;
-
-  /// As retrieve(), but against an explicitly pinned generation, so the
-  /// embedding and the scan can never straddle a publish.
-  [[nodiscard]] RetrievalResult retrieve_on(const SnapshotPtr& snap,
-                                            std::string_view query) const;
-
   [[nodiscard]] const RetrieverOptions& options() const { return opts_; }
   [[nodiscard]] bool reranking_enabled() const {
     return !opts_.reranker.empty();
   }
 
-  // --- stage-level entry points -------------------------------------------
-  // The retrieval phase decomposed along the stage-graph cut points
-  // (rag/stage_graph.h). retrieve_on() is exactly embed_stage ->
-  // search_stage -> augment_stage -> rerank_stage; the stage graph and the
-  // replay engine run the same pieces individually, so there is one
-  // definition of each stage's behaviour. All are const and thread-safe.
+  // --- stage functions ------------------------------------------------------
+  // embed_stage -> search_stage -> augment_stage -> rerank_stage, cut along
+  // the stage-graph cut points (rag/stage_graph.h).
 
-  /// Embed `query` against `snap` (embed_query span, embed_seconds,
+  /// Analyse `query` once and embed the analysis against `snap`
+  /// (embed_query span, embed_seconds, result.query_analysis,
   /// result.query_embedding).
   void embed_stage(const Snapshot& snap, std::string_view query,
                    RetrievalResult& result) const;
@@ -112,15 +107,17 @@ class Retriever {
       const Snapshot& snap, const embed::Vector& query_vec,
       RetrievalResult& result) const;
 
-  /// Keyword augmentation + candidate assembly (keyword_augment span,
-  /// provenance counters); fills result.first_pass.
+  /// Keyword augmentation of result.query_analysis's symbols + candidate
+  /// assembly (keyword_augment span, provenance counters); fills
+  /// result.first_pass. `query` is unused.
   void augment_stage(const Snapshot& snap, std::string_view query,
                      const std::vector<vectordb::SearchResult>& vector_hits,
                      RetrievalResult& result) const;
 
-  /// Rerank result.first_pass down to L into result.contexts (rerank span;
-  /// a faulted rerank degrades to first-pass order), or pass first-pass
-  /// order through when reranking is disabled.
+  /// Rerank result.first_pass by result.query_analysis down to L into
+  /// result.contexts (rerank span; a faulted rerank degrades to first-pass
+  /// order), or pass first-pass order through when reranking is disabled.
+  /// `query` is unused.
   void rerank_stage(const Snapshot& snap, std::string_view query,
                     RetrievalResult& result) const;
 

@@ -177,6 +177,9 @@ ReplayResult ReplayEngine::replay(const rag::StageTrace& recorded,
     };
     st.outcome.retrieval.query_embedding =
         std::make_shared<embed::Vector>(recorded.embed.query_vec);
+    st.outcome.retrieval.query_analysis =
+        std::make_shared<const text::QueryAnalysis>(
+            text::analyze(recorded.question));
     st.outcome.retrieval.embed_seconds = recorded.embed_seconds;
     if (from > StageKind::Retrieve) {
       resolve(recorded.retrieve.candidates, st.outcome.retrieval.first_pass);

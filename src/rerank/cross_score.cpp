@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "text/tokenizer.h"
-
 namespace pkb::rerank {
 
 namespace {
@@ -28,10 +26,10 @@ std::uint32_t trigram_at(std::string_view s, std::size_t i) {
          static_cast<std::uint32_t>(static_cast<unsigned char>(s[i + 2]));
 }
 
-/// A content term of the query with its idf and its distinct trigrams
-/// (sorted), built once per score() call.
+/// A content term of the query (a view into the query analysis) with its
+/// idf and its distinct trigrams (sorted), built once per score() call.
 struct QueryTerm {
-  std::string term;
+  std::string_view term;
   double idf = 0.0;
   std::vector<std::uint32_t> trigrams;
 };
@@ -42,11 +40,12 @@ struct Query {
   double total_idf = 0.0;
 };
 
-Query analyze_query(std::string_view query, const lexical::TermStats& stats) {
+Query plan_query(const text::QueryAnalysis& q,
+                 const lexical::TermStats& stats) {
   Query out;
-  const std::vector<std::string> q = text::tokens_of(query);
-  out.empty = q.empty();
-  for (const std::string& term : q) {
+  out.empty = q.tokens.empty();
+  for (const text::TextAnalysis::Span tok : q.tokens) {
+    const std::string_view term = q.view(tok);
     if (text::stopwords().contains(term) || term.size() < 2) continue;
     QueryTerm t;
     t.term = term;
@@ -155,11 +154,11 @@ double score_doc(const Query& q, const text::TextAnalysis& d) {
 }  // namespace
 
 std::vector<double> CrossScoreReranker::score(
-    std::string_view query, const lexical::CorpusAnalysis& corpus,
+    const text::QueryAnalysis& query, const lexical::CorpusAnalysis& corpus,
     const std::vector<RerankCandidate>& candidates) const {
   // Each (query, document) pair costs O(|query| * |doc|); the request's
   // own thread scores them in candidate order.
-  const Query q = analyze_query(query, *corpus.stats);
+  const Query q = plan_query(query, *corpus.stats);
   std::vector<double> out;
   out.reserve(candidates.size());
   for (const RerankCandidate& c : candidates) {

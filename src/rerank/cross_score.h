@@ -12,7 +12,7 @@ class CrossScoreReranker final : public Reranker {
  public:
   [[nodiscard]] std::string name() const override { return "sim-nv-cross"; }
   [[nodiscard]] std::vector<double> score(
-      std::string_view query, const lexical::CorpusAnalysis& corpus,
+      const text::QueryAnalysis& query, const lexical::CorpusAnalysis& corpus,
       const std::vector<RerankCandidate>& candidates) const override;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "text/tokenizer.h"
 #include "util/strings.h"
 
 namespace pkb::rerank {
@@ -22,9 +21,10 @@ constexpr double kTitleWeight = 0.22;
 // Extra bonus when a query API symbol IS the document title.
 constexpr double kTitleSymbolBonus = 2.0;
 
-/// A query term with the weight it contributes to one part of the blend.
+/// A query term (a view into the query analysis) with the weight it
+/// contributes to one part of the blend.
 struct WeightedTerm {
-  std::string term;
+  std::string_view term;
   double weight = 0.0;
 };
 
@@ -36,9 +36,10 @@ struct QuerySymbol {
   double bonus = 0.0;
 };
 
-/// The query side of the blend, analysed once per score() call. Each list
-/// is in the order the blend sums it; floating-point sums depend on that
-/// order, and the golden and parity tests pin every score to the bit.
+/// The query side of the blend, planned once per score() call from the
+/// query analysis. Each list is in the order the blend sums it;
+/// floating-point sums depend on that order, and the golden and parity
+/// tests pin every score to the bit.
 struct Query {
   /// Distinct non-stopword terms in first-appearance order, max(0.1, idf).
   std::vector<WeightedTerm> coverage;
@@ -47,19 +48,21 @@ struct Query {
   /// Adjacent token pairs that are not both stopwords ("a b").
   std::vector<std::string> bigrams;
   /// The distinct terms in the iteration order of an unordered_set<string>
-  /// built by inserting the tokens in order: non-stopwords with
-  /// kTitleWeight * max(0.2, idf) for the title sum, every term with its
-  /// idf for the BM25 sum.
+  /// built by inserting the tokens in order (an unordered_set<string_view>
+  /// iterates the same: same hash, same insertion sequence): non-stopwords
+  /// with kTitleWeight * max(0.2, idf) for the title sum, every term with
+  /// its idf for the BM25 sum.
   std::vector<WeightedTerm> title_terms;
   std::vector<WeightedTerm> bm25_terms;
 };
 
-Query analyze_query(std::string_view query, const lexical::TermStats& stats) {
-  const text::TokenizedText q = text::tokenize(query);
+Query plan_query(const text::QueryAnalysis& q,
+                 const lexical::TermStats& stats) {
   const auto& stop = text::stopwords();
   Query out;
-  std::unordered_set<std::string> seen;
-  for (const std::string& term : q.tokens) {
+  std::unordered_set<std::string_view> seen;
+  for (const text::TextAnalysis::Span tok : q.tokens) {
+    const std::string_view term = q.view(tok);
     if (!seen.insert(term).second) continue;
     if (stop.contains(term)) continue;
     const double w = std::max(0.1, stats.idf(term));
@@ -72,12 +75,12 @@ Query analyze_query(std::string_view query, const lexical::TermStats& stats) {
     out.symbols.push_back({symbol, std::move(lower), bonus});
   }
   for (std::size_t i = 0; i + 1 < q.tokens.size(); ++i) {
-    if (stop.contains(q.tokens[i]) && stop.contains(q.tokens[i + 1])) {
-      continue;
-    }
-    out.bigrams.push_back(q.tokens[i] + " " + q.tokens[i + 1]);
+    const std::string_view a = q.view(q.tokens[i]);
+    const std::string_view b = q.view(q.tokens[i + 1]);
+    if (stop.contains(a) && stop.contains(b)) continue;
+    out.bigrams.push_back(std::string(a).append(" ").append(b));
   }
-  for (const std::string& term : seen) {
+  for (const std::string_view term : seen) {
     const double idf = stats.idf(term);
     if (!stop.contains(term)) {
       out.title_terms.push_back({term, kTitleWeight * std::max(0.2, idf)});
@@ -139,9 +142,9 @@ double score_doc(const Query& q, const text::Document& doc,
 }  // namespace
 
 std::vector<double> FlashRanker::score(
-    std::string_view query, const lexical::CorpusAnalysis& corpus,
+    const text::QueryAnalysis& query, const lexical::CorpusAnalysis& corpus,
     const std::vector<RerankCandidate>& candidates) const {
-  const Query q = analyze_query(query, *corpus.stats);
+  const Query q = plan_query(query, *corpus.stats);
   std::vector<double> out;
   out.reserve(candidates.size());
   for (const RerankCandidate& c : candidates) {

@@ -9,7 +9,7 @@ class FlashRanker final : public Reranker {
  public:
   [[nodiscard]] std::string name() const override { return "sim-flashrank"; }
   [[nodiscard]] std::vector<double> score(
-      std::string_view query, const lexical::CorpusAnalysis& corpus,
+      const text::QueryAnalysis& query, const lexical::CorpusAnalysis& corpus,
       const std::vector<RerankCandidate>& candidates) const override;
 };
 

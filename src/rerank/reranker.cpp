@@ -9,7 +9,7 @@
 namespace pkb::rerank {
 
 std::vector<RerankResult> Reranker::rerank(
-    std::string_view query, const lexical::CorpusAnalysis& corpus,
+    const text::QueryAnalysis& query, const lexical::CorpusAnalysis& corpus,
     const std::vector<RerankCandidate>& candidates, std::size_t top_l) const {
   pkb::resilience::consult(fault_plan_, pkb::resilience::Stage::Rerank);
   const std::vector<double> scores = score(query, corpus, candidates);

@@ -22,6 +22,7 @@
 
 #include "lexical/term_stats.h"
 #include "resilience/fault_plan.h"
+#include "text/analysis.h"
 #include "text/document.h"
 
 namespace pkb::rerank {
@@ -44,9 +45,11 @@ struct RerankResult {
   std::size_t original_rank = 0;
 };
 
-/// Common interface. A reranker holds no corpus state: it analyses the
-/// query once per call, then scores each candidate against its chunk
-/// analysis and the term statistics (IDF) of the caller's pinned generation.
+/// Common interface. A reranker holds no corpus state and runs no token
+/// rule: it builds its per-query plan from the request's query analysis
+/// (made once, in the Embed stage), then scores each candidate against its
+/// chunk analysis and the term statistics (IDF) of the caller's pinned
+/// generation.
 class Reranker {
  public:
   virtual ~Reranker() = default;
@@ -57,13 +60,13 @@ class Reranker {
   /// descending score, ties broken by original rank. Deterministic. Consults
   /// the fault plan first.
   [[nodiscard]] std::vector<RerankResult> rerank(
-      std::string_view query, const lexical::CorpusAnalysis& corpus,
+      const text::QueryAnalysis& query, const lexical::CorpusAnalysis& corpus,
       const std::vector<RerankCandidate>& candidates,
       std::size_t top_l) const;
 
   /// The score of each candidate, in candidate order.
   [[nodiscard]] virtual std::vector<double> score(
-      std::string_view query, const lexical::CorpusAnalysis& corpus,
+      const text::QueryAnalysis& query, const lexical::CorpusAnalysis& corpus,
       const std::vector<RerankCandidate>& candidates) const = 0;
 
   /// Attach a chaos plan consulted (Stage::Rerank) at each rerank() entry:

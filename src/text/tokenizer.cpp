@@ -4,6 +4,7 @@
 #include <cctype>
 #include <limits>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "util/strings.h"
 
@@ -53,6 +54,35 @@ void for_each_token(std::string_view s, Emit&& emit) {
   }
 }
 
+/// The lowercased text, token spans and distinct-term spans of `text`.
+TextAnalysis analyze_text(std::string_view text) {
+  if (text.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("analyze: text longer than a span can address");
+  }
+  TextAnalysis out;
+  out.lower = pkb::util::to_lower(text);
+  // to_lower maps byte for byte, so each lowercased token is the substring
+  // of `lower` at the raw token's offset. Spans are collected in a scratch
+  // vector so the analysis keeps exact-size arrays.
+  std::vector<TextAnalysis::Span> spans;
+  for_each_token(text, [&](std::size_t offset, std::string_view raw) {
+    spans.push_back(TextAnalysis::Span{
+        static_cast<std::uint32_t>(offset),
+        static_cast<std::uint32_t>(raw.size())});
+  });
+  out.tokens.assign(spans.begin(), spans.end());
+  const auto less = [&](TextAnalysis::Span a, TextAnalysis::Span b) {
+    return out.view(a) < out.view(b);
+  };
+  const auto equal = [&](TextAnalysis::Span a, TextAnalysis::Span b) {
+    return out.view(a) == out.view(b);
+  };
+  std::sort(spans.begin(), spans.end(), less);
+  spans.erase(std::unique(spans.begin(), spans.end(), equal), spans.end());
+  out.terms.assign(spans.begin(), spans.end());
+  return out;
+}
+
 }  // namespace
 
 bool looks_like_symbol(std::string_view tok) {
@@ -87,46 +117,30 @@ bool looks_like_symbol(std::string_view tok) {
 }
 
 TokenizedText tokenize(std::string_view s) {
-  TokenizedText out;
-  std::unordered_set<std::string> seen_symbols;
-  for_each_token(s, [&](std::size_t, std::string_view raw) {
-    if (looks_like_symbol(raw)) {
-      std::string original(raw);
-      if (seen_symbols.insert(original).second) {
-        out.symbols.push_back(original);
-      }
-    }
-    out.tokens.push_back(pkb::util::to_lower(raw));
-  });
+  QueryAnalysis a = analyze(s);
+  TokenizedText out{{}, std::move(a.symbols)};
+  out.tokens.reserve(a.tokens.size());
+  for (const TextAnalysis::Span t : a.tokens) out.tokens.emplace_back(a.view(t));
   return out;
 }
 
 TextAnalysis analyze(const Document& doc) {
-  if (doc.text.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::length_error("analyze: text longer than a span can address");
-  }
-  TextAnalysis out;
-  out.lower = pkb::util::to_lower(doc.text);
+  TextAnalysis out = analyze_text(doc.text);
   out.title = pkb::util::to_lower(doc.meta("title"));
-  // to_lower maps byte for byte, so each lowercased token is the substring
-  // of `lower` at the raw token's offset. Spans are collected in a scratch
-  // vector so the analysis keeps exact-size arrays.
-  std::vector<TextAnalysis::Span> spans;
-  for_each_token(doc.text, [&](std::size_t offset, std::string_view raw) {
-    spans.push_back(TextAnalysis::Span{
-        static_cast<std::uint32_t>(offset),
-        static_cast<std::uint32_t>(raw.size())});
-  });
-  out.tokens.assign(spans.begin(), spans.end());
-  const auto less = [&](TextAnalysis::Span a, TextAnalysis::Span b) {
-    return out.view(a) < out.view(b);
-  };
-  const auto equal = [&](TextAnalysis::Span a, TextAnalysis::Span b) {
-    return out.view(a) == out.view(b);
-  };
-  std::sort(spans.begin(), spans.end(), less);
-  spans.erase(std::unique(spans.begin(), spans.end(), equal), spans.end());
-  out.terms.assign(spans.begin(), spans.end());
+  return out;
+}
+
+QueryAnalysis analyze(std::string_view query) {
+  QueryAnalysis out{analyze_text(query), {}};
+  // tokenize()'s symbol rule, on each token's span of the original text.
+  for (const TextAnalysis::Span tok : out.tokens) {
+    const std::string_view raw = query.substr(tok.offset, tok.size);
+    if (looks_like_symbol(raw) &&
+        std::find(out.symbols.begin(), out.symbols.end(), raw) ==
+            out.symbols.end()) {
+      out.symbols.emplace_back(raw);
+    }
+  }
   return out;
 }
 
@@ -138,7 +152,11 @@ bool TextAnalysis::has_term(std::string_view term) const {
 }
 
 std::vector<std::string> tokens_of(std::string_view s) {
-  return tokenize(s).tokens;
+  std::vector<std::string> out;
+  for_each_token(s, [&](std::size_t, std::string_view raw) {
+    out.push_back(pkb::util::to_lower(raw));
+  });
+  return out;
 }
 
 std::vector<std::string_view> split_sentences(std::string_view s) {
@@ -175,8 +193,8 @@ std::vector<std::string_view> split_sentences(std::string_view s) {
   return out;
 }
 
-const std::unordered_set<std::string>& stopwords() {
-  static const std::unordered_set<std::string> kStopwords = {
+const std::unordered_set<std::string_view>& stopwords() {
+  static const std::unordered_set<std::string_view> kStopwords = {
       "a",    "an",   "and",  "are",  "as",   "at",   "be",    "but",
       "by",   "can",  "do",   "does", "for",  "from", "has",   "have",
       "how",  "i",    "if",   "in",   "is",   "it",   "its",   "may",

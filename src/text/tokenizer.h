@@ -5,14 +5,17 @@
 // options (`-ksp_monitor_true_residual`), and file paths. The tokenizer keeps
 // these intact as single tokens, because they carry most of the retrieval
 // signal; ordinary prose is lowercased and split on non-identifier characters.
+//
+// Retrieval does not call tokenize(): it reads text::TextAnalysis
+// (text/analysis.h), the same token rule applied once per chunk and once
+// per request's question (QueryAnalysis). tokenize() serves the simulated
+// LLM, the rubric and the post-processor, whose inputs are plain text.
 
-#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
-#include "text/document.h"
+#include "text/analysis.h"
 
 namespace pkb::text {
 
@@ -31,29 +34,6 @@ struct TokenizedText {
 /// Convenience: just the token stream.
 [[nodiscard]] std::vector<std::string> tokens_of(std::string_view s);
 
-/// A document analysed once, for scoring it against many queries: its
-/// lowercased text, its token stream and its distinct terms (both as spans
-/// of `lower`), and its lowercased title. Token i equals tokens_of(text)[i].
-struct TextAnalysis {
-  struct Span {
-    std::uint32_t offset = 0;
-    std::uint32_t size = 0;
-  };
-  std::string lower;         ///< to_lower(doc.text)
-  std::vector<Span> tokens;  ///< the token stream, in text order
-  std::vector<Span> terms;   ///< the distinct tokens, sorted
-  std::string title;         ///< to_lower(doc.meta("title"))
-
-  [[nodiscard]] std::string_view view(Span s) const {
-    return std::string_view(lower).substr(s.offset, s.size);
-  }
-  /// True if `term` is one of the document's tokens (binary search).
-  [[nodiscard]] bool has_term(std::string_view term) const;
-};
-
-/// Analyse `doc` with the same token rule as tokenize().
-[[nodiscard]] TextAnalysis analyze(const Document& doc);
-
 /// True if `tok` looks like an API symbol: CamelCase with an internal capital
 /// (KSPSolve), an ALLCAPS-prefixed identifier (KSPGMRES), or a runtime option
 /// (-ksp_type).
@@ -62,9 +42,6 @@ struct TextAnalysis {
 /// Split a string into sentences (period/question/exclamation followed by
 /// whitespace + capital, with abbreviation guards like "e.g.").
 [[nodiscard]] std::vector<std::string_view> split_sentences(std::string_view s);
-
-/// The built-in English stopword set.
-[[nodiscard]] const std::unordered_set<std::string>& stopwords();
 
 /// Rough word-piece count used by the LLM latency model: whitespace tokens
 /// times an empirical 1.33 subword expansion factor.

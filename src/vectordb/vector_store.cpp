@@ -13,8 +13,8 @@
 
 namespace pkb::vectordb {
 
-VectorStore VectorStore::from_documents(std::span<const text::Document> docs,
-                                        const embed::Embedder& embedder) {
+VectorStore VectorStore::from_analyses(
+    std::span<const text::AnalysisPtr> docs, const embed::Embedder& embedder) {
   VectorStore store;
   for (embed::Vector& vec : embedder.embed_batch(docs)) {
     store.add(std::move(vec));

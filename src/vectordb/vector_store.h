@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "embed/embedder.h"
-#include "text/document.h"
 #include "vectordb/kernels.h"
 
 namespace pkb::vectordb {
@@ -40,11 +39,11 @@ class VectorStore {
   /// entry on, and an empty store still validates query dimensions.
   explicit VectorStore(std::size_t dim) : dim_(dim) {}
 
-  /// Build a store by embedding every document with `embedder` (which must
-  /// already be fitted); row i embeds docs[i]. Mirrors
+  /// Build a store by embedding every analysed document with `embedder`
+  /// (which must already be fitted); row i embeds docs[i]. Mirrors
   /// Chroma.from_documents, except that the documents stay with the caller.
-  static VectorStore from_documents(std::span<const text::Document> docs,
-                                    const embed::Embedder& embedder);
+  static VectorStore from_analyses(std::span<const text::AnalysisPtr> docs,
+                                   const embed::Embedder& embedder);
 
   /// Append one row. The vector is L2-normalized on insertion; its dimension
   /// must match existing rows.

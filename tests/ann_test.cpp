@@ -12,8 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "llm/model_config.h"
 #include "rag/knowledge_base.h"
-#include "rag/retriever.h"
+#include "rag/workflow.h"
 #include "util/arena.h"
 #include "util/rng.h"
 #include "vectordb/hnsw.h"
@@ -244,9 +245,10 @@ TEST(AnnKnowledgeBase, SnapshotBuildsConfiguredIndex) {
   EXPECT_NE(snap->ann, nullptr);
 
   // Retrieval routes through the index and still returns results.
-  const rag::Retriever retriever(kb);
-  const auto result = retriever.retrieve("How do I use VecSetValues?");
-  EXPECT_FALSE(result.contexts.empty());
+  const rag::AugmentedWorkflow workflow(kb, rag::PipelineArm::RagRerank,
+                                        llm::model_config("sim-gpt-4o"));
+  EXPECT_FALSE(
+      workflow.ask("How do I use VecSetValues?").retrieval.contexts.empty());
 }
 
 TEST(AnnKnowledgeBase, PersistenceV3RoundTripsIndexSpec) {
@@ -297,7 +299,7 @@ TEST(AnnKnowledgeBase, PersistenceV6RoundTripsIndexSpec) {
   for (const char* question :
        {"How do I use VecSetValues?", "MatAssemblyBegin section 3",
         "KSPSolve with a preconditioner"}) {
-    const Vector q = snap->embedder->embed(question);
+    const Vector q = snap->embedder->embed(text::analyze(question));
     expect_hits_equal(snap->ann->search(q, 5), loaded->ann->search(q, 5));
   }
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string_view>
 
 #include "corpus/generator.h"
 #include "embed/blend.h"
@@ -8,7 +10,7 @@
 #include "embed/hashing.h"
 #include "embed/lsa.h"
 #include "embed/tfidf.h"
-#include "text/loader.h"
+#include "text/analysis.h"
 
 namespace pkb::embed {
 namespace {
@@ -26,6 +28,23 @@ std::vector<text::Document> small_corpus() {
       {"e", "multigrid preconditioning with smoothers and coarse grid "
             "solves", {}},
   };
+}
+
+/// Each document analysed once, as a snapshot's CorpusAnalysis holds them.
+text::Analyses analyses(const std::vector<text::Document>& docs) {
+  text::Analyses out;
+  for (const text::Document& doc : docs) {
+    out.push_back(
+        std::make_shared<const text::TextAnalysis>(text::analyze(doc)));
+  }
+  return out;
+}
+
+text::Analyses small_analyses() { return analyses(small_corpus()); }
+
+/// Embed `text` as the Embed stage embeds a question: analyse, then embed.
+Vector embed_text(const Embedder& embedder, std::string_view text) {
+  return embedder.embed(text::analyze(text));
 }
 
 TEST(VectorOps, DotNormCosine) {
@@ -54,9 +73,9 @@ class EmbedderParamTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EmbedderParamTest, OutputsAreUnitNorm) {
   auto embedder = make_embedder(GetParam());
-  embedder->fit(small_corpus());
-  for (const auto& doc : small_corpus()) {
-    const Vector v = embedder->embed(doc.text);
+  embedder->fit(small_analyses());
+  for (const auto& doc : small_analyses()) {
+    const Vector v = embedder->embed(*doc);
     EXPECT_EQ(v.size(), embedder->dimension());
     EXPECT_NEAR(norm(v), 1.0f, 1e-4) << GetParam();
   }
@@ -65,37 +84,40 @@ TEST_P(EmbedderParamTest, OutputsAreUnitNorm) {
 TEST_P(EmbedderParamTest, Deterministic) {
   auto e1 = make_embedder(GetParam());
   auto e2 = make_embedder(GetParam());
-  e1->fit(small_corpus());
-  e2->fit(small_corpus());
-  EXPECT_EQ(e1->embed("conjugate gradient"), e2->embed("conjugate gradient"));
+  e1->fit(small_analyses());
+  e2->fit(small_analyses());
+  EXPECT_EQ(embed_text(*e1, "conjugate gradient"),
+            embed_text(*e2, "conjugate gradient"));
 }
 
 TEST_P(EmbedderParamTest, SelfSimilarityIsMaximal) {
   auto embedder = make_embedder(GetParam());
-  embedder->fit(small_corpus());
+  embedder->fit(small_analyses());
   const std::string text = small_corpus()[0].text;
-  const float self = cosine(embedder->embed(text), embedder->embed(text));
+  const float self =
+      cosine(embed_text(*embedder, text), embed_text(*embedder, text));
   EXPECT_NEAR(self, 1.0f, 1e-4);
 }
 
 TEST_P(EmbedderParamTest, TopicallySimilarBeatsDissimilar) {
   auto embedder = make_embedder(GetParam());
-  embedder->fit(small_corpus());
+  embedder->fit(small_analyses());
   const Vector query =
-      embedder->embed("symmetric positive definite conjugate gradient");
-  const Vector on_topic = embedder->embed(small_corpus()[0].text);
-  const Vector off_topic = embedder->embed(small_corpus()[3].text);
+      embed_text(*embedder, "symmetric positive definite conjugate gradient");
+  const Vector on_topic = embed_text(*embedder, small_corpus()[0].text);
+  const Vector off_topic = embed_text(*embedder, small_corpus()[3].text);
   EXPECT_GT(cosine(query, on_topic), cosine(query, off_topic)) << GetParam();
 }
 
 TEST_P(EmbedderParamTest, BatchMatchesSingle) {
   auto embedder = make_embedder(GetParam());
   const auto docs = small_corpus();
-  embedder->fit(docs);
-  const auto batch = embedder->embed_batch(docs);
+  embedder->fit(analyses(docs));
+  const auto batch = embedder->embed_batch(analyses(docs));
   ASSERT_EQ(batch.size(), docs.size());
+  // A chunk's analysis and a query analysis of the same text embed alike.
   for (std::size_t i = 0; i < docs.size(); ++i) {
-    EXPECT_EQ(batch[i], embedder->embed(docs[i].text));
+    EXPECT_EQ(batch[i], embed_text(*embedder, docs[i].text));
   }
 }
 
@@ -113,26 +135,26 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, EmbedderParamTest,
 
 TEST(Vocabulary, FitCountsDocumentFrequencies) {
   Vocabulary vocab;
-  vocab.fit(small_corpus());
-  EXPECT_EQ(vocab.doc_count(), 5u);
-  EXPECT_NE(vocab.id_of("matrices"), Vocabulary::npos);
+  vocab.fit(small_analyses());
+  const std::size_t matrices = vocab.id_of("matrices");
+  const std::size_t lsqr = vocab.id_of("lsqr");
+  const std::size_t and_ = vocab.id_of("and");
+  ASSERT_NE(matrices, Vocabulary::npos);
+  ASSERT_NE(lsqr, Vocabulary::npos);
+  ASSERT_NE(and_, Vocabulary::npos);
   EXPECT_EQ(vocab.id_of("nonexistentterm"), Vocabulary::npos);
-  // Rare terms have higher IDF than common ones.
-  EXPECT_GT(vocab.idf_of("lsqr"), vocab.idf_of("matrices"));
-  EXPECT_FLOAT_EQ(vocab.idf_of("nonexistentterm"), 0.0f);
-}
-
-TEST(Vocabulary, MinDfFiltersRareTerms) {
-  Vocabulary strict;
-  strict.fit(small_corpus(), /*min_df=*/2);
-  EXPECT_EQ(strict.id_of("lsqr"), Vocabulary::npos);  // appears once
-  EXPECT_NE(strict.id_of("matrices"), Vocabulary::npos);
+  // idf = log((1 + N) / (1 + df)) + 1 over N = 5 documents: "matrices" is
+  // in 3 of them and "lsqr" in 1, so the rare term weighs more; "and" is
+  // in 2, twice in one of them, and counts once per document.
+  EXPECT_FLOAT_EQ(vocab.idf(matrices), std::log(6.0f / 4.0f) + 1.0f);
+  EXPECT_FLOAT_EQ(vocab.idf(lsqr), std::log(6.0f / 2.0f) + 1.0f);
+  EXPECT_FLOAT_EQ(vocab.idf(and_), std::log(6.0f / 3.0f) + 1.0f);
 }
 
 TEST(Vocabulary, TfidfSparseVectorIsNormalized) {
   Vocabulary vocab;
-  vocab.fit(small_corpus());
-  const auto sparse = vocab.tfidf("conjugate gradient method");
+  vocab.fit(small_analyses());
+  const auto sparse = vocab.tfidf(text::analyze("conjugate gradient method"));
   double norm_sq = 0.0;
   for (const auto& [id, w] : sparse) norm_sq += static_cast<double>(w) * w;
   EXPECT_NEAR(norm_sq, 1.0, 1e-5);
@@ -140,25 +162,25 @@ TEST(Vocabulary, TfidfSparseVectorIsNormalized) {
 
 TEST(Tfidf, EmbedBeforeFitThrows) {
   TfidfEmbedder embedder;
-  EXPECT_THROW((void)embedder.embed("text"), std::logic_error);
+  EXPECT_THROW((void)embed_text(embedder, "text"), std::logic_error);
 }
 
 TEST(Tfidf, UnknownTermsEmbedToZero) {
   TfidfEmbedder embedder;
-  embedder.fit(small_corpus());
-  const Vector v = embedder.embed("zzz qqq www");
+  embedder.fit(small_analyses());
+  const Vector v = embed_text(embedder, "zzz qqq www");
   EXPECT_FLOAT_EQ(norm(v), 0.0f);
 }
 
 TEST(Lsa, CapturesTopicalSimilarityWithoutSharedTerms) {
   // "SPD solver" and the CG document share topic terms via co-occurrence.
   LsaEmbedder lsa(4, 8);
-  lsa.fit(small_corpus());
+  lsa.fit(small_analyses());
   EXPECT_EQ(lsa.dimension(), 4u);
-  const float on = cosine(lsa.embed("symmetric positive definite"),
-                          lsa.embed(small_corpus()[0].text));
-  const float off = cosine(lsa.embed("symmetric positive definite"),
-                           lsa.embed(small_corpus()[2].text));
+  const float on = cosine(embed_text(lsa, "symmetric positive definite"),
+                          embed_text(lsa, small_corpus()[0].text));
+  const float off = cosine(embed_text(lsa, "symmetric positive definite"),
+                           embed_text(lsa, small_corpus()[2].text));
   EXPECT_GT(on, off);
 }
 
@@ -171,7 +193,7 @@ TEST(Hashing, DimensionIsRespected) {
   HashEmbedder h(64);
   EXPECT_EQ(h.dimension(), 64u);
   h.fit({});
-  EXPECT_EQ(h.embed("some text").size(), 64u);
+  EXPECT_EQ(embed_text(h, "some text").size(), 64u);
   EXPECT_THROW(HashEmbedder(0), std::invalid_argument);
 }
 
@@ -179,17 +201,19 @@ TEST(CharNgram, TypoRobustness) {
   CharNgramEmbedder e(512);
   e.fit({});
   // A one-character typo stays closer than a different symbol.
-  const float typo = cosine(e.embed("KSPGMRES"), e.embed("KSPGMRS"));
-  const float other = cosine(e.embed("KSPGMRES"), e.embed("PCJACOBI"));
+  const float typo =
+      cosine(embed_text(e, "KSPGMRES"), embed_text(e, "KSPGMRS"));
+  const float other =
+      cosine(embed_text(e, "KSPGMRES"), embed_text(e, "PCJACOBI"));
   EXPECT_GT(typo, other);
   EXPECT_GT(typo, 0.5f);
 }
 
 TEST(Blend, CosineDecomposes) {
   BlendEmbedder blend(4, 64, 0.5);
-  blend.fit(small_corpus());
+  blend.fit(small_analyses());
   EXPECT_EQ(blend.dimension(), 4u + 64u);
-  const Vector v = blend.embed(small_corpus()[1].text);
+  const Vector v = embed_text(blend, small_corpus()[1].text);
   EXPECT_NEAR(norm(v), 1.0f, 1e-4);
 }
 

@@ -203,7 +203,8 @@ TEST(Ingest, DeltaBuildReusesEmbedderAndKeepsVectorsBitExact) {
   // is exactly the shared embedder's normalized vector for its chunk.
   ASSERT_EQ(next->store.size(), next->chunks.size());
   for (std::size_t i = 0; i < next->chunks.size(); ++i) {
-    embed::Vector want = next->embedder->embed(next->chunks[i].text);
+    embed::Vector want =
+        next->embedder->embed(text::analyze(next->chunks[i].text));
     embed::l2_normalize(want);
     EXPECT_TRUE(same_bytes(next->store.vec(i), want)) << "row " << i;
   }
@@ -214,12 +215,13 @@ TEST(Ingest, DeltaBuildReusesEmbedderAndKeepsVectorsBitExact) {
 // holds no second copy of a document for a vector hit to point into.
 void expect_candidates_are_chunk_rows(const rag::KnowledgeBase& kb,
                                       const char* what) {
-  const rag::Retriever retriever(kb);
+  const rag::AugmentedWorkflow workflow(kb, rag::PipelineArm::RagRerank,
+                                        llm::model_config("sim-gpt-4o"));
   std::set<std::string> via_seen;
   for (const char* query :
        {"Is KSPLSQR for least squares?", "KSPSolve with KSPGMRES",
         "How do I monitor Krylov convergence?", "PCJACOBI preconditioner"}) {
-    const rag::RetrievalResult result = retriever.retrieve(query);
+    const rag::RetrievalResult result = workflow.ask(query).retrieval;
     const rag::Snapshot& snap = *result.snapshot;
     ASSERT_FALSE(result.first_pass.empty()) << what << ": " << query;
     for (const auto* list : {&result.first_pass, &result.contexts}) {
@@ -588,9 +590,12 @@ TEST(SnapshotPersist, RoundTripIsRetrievalIdentical) {
   // A retrieval against the loaded snapshot matches one against the
   // original, content for content.
   rag::KnowledgeBase reloaded(loaded);
-  rag::Retriever r_orig(kb), r_loaded(reloaded);
-  const auto a = r_orig.retrieve("How do I monitor Krylov convergence?");
-  const auto b = r_loaded.retrieve("How do I monitor Krylov convergence?");
+  const rag::AugmentedWorkflow w_orig(kb, rag::PipelineArm::RagRerank,
+                                      llm::model_config("sim-gpt-4o"));
+  const rag::AugmentedWorkflow w_loaded(reloaded, rag::PipelineArm::RagRerank,
+                                        llm::model_config("sim-gpt-4o"));
+  const auto a = w_orig.ask("How do I monitor Krylov convergence?").retrieval;
+  const auto b = w_loaded.ask("How do I monitor Krylov convergence?").retrieval;
   ASSERT_EQ(a.contexts.size(), b.contexts.size());
   for (std::size_t i = 0; i < a.contexts.size(); ++i) {
     EXPECT_EQ(a.contexts[i].doc->id, b.contexts[i].doc->id);
@@ -605,8 +610,9 @@ TEST(SnapshotPersist, RoundTripIsRetrievalIdentical) {
   for (const char* query :
        {"KSPSolve with KSPGMRES", "Is KSPLSQR for least squares?",
         "PCJACOBI and KSPGMRSE", "KSPSolv typo", "KSPBurb is unknown"}) {
-    const auto want = orig->symbols->lookup(query);
-    const auto got = loaded->symbols->lookup(query);
+    const text::QueryAnalysis q = text::analyze(query);
+    const auto want = orig->symbols->lookup(q.symbols);
+    const auto got = loaded->symbols->lookup(q.symbols);
     ASSERT_EQ(got.size(), want.size()) << query;
     for (std::size_t i = 0; i < want.size(); ++i) {
       if (!want[i].chunks.empty()) ++resolved;
@@ -641,8 +647,10 @@ TEST(SnapshotPersist, DeltaGenerationReloadsAsItsOwnFit) {
   // Still a coherent store (row invariant), usable for retrieval.
   ASSERT_EQ(loaded->store.size(), loaded->chunks.size());
   rag::KnowledgeBase reloaded(loaded);
-  rag::Retriever r(reloaded);
-  EXPECT_FALSE(r.retrieve("PERSISTMARKER paragraph").contexts.empty());
+  const rag::AugmentedWorkflow workflow(reloaded, rag::PipelineArm::RagRerank,
+                                        llm::model_config("sim-gpt-4o"));
+  EXPECT_FALSE(
+      workflow.ask("PERSISTMARKER paragraph").retrieval.contexts.empty());
 }
 
 TEST(SnapshotPersist, RejectsMissingGarbageAndTruncatedFiles) {

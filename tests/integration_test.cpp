@@ -41,9 +41,10 @@ TEST_F(IntegrationTest, EveryChunkTracesBackToACorpusFile) {
 }
 
 TEST_F(IntegrationTest, RetrievedContextsAlwaysComeFromTheStore) {
-  const rag::Retriever retriever(*db_, {});
+  const rag::AugmentedWorkflow workflow(*db_, rag::PipelineArm::RagRerank,
+                                        llm::model_config("sim-gpt-4o"));
   for (const corpus::BenchmarkQuestion& q : corpus::krylov_benchmark()) {
-    const rag::RetrievalResult result = retriever.retrieve(q.question);
+    const rag::RetrievalResult result = workflow.ask(q.question).retrieval;
     for (const auto& ctx : result.contexts) {
       ASSERT_NE(ctx.doc, nullptr);
       EXPECT_FALSE(ctx.doc->id.empty());
@@ -143,9 +144,11 @@ TEST_F(IntegrationTest, CorpusRoundTripsThroughDisk) {
 TEST_F(IntegrationTest, JsonModeFlowsThroughThePipeline) {
   // The LLM's JSON output mode (§III-E) composes with box-4 postprocessing.
   llm::SimLlm llm(llm::model_config("sim-gpt-4o"));
-  const rag::Retriever retriever(*db_, {});
-  const auto retrieval = retriever.retrieve(
-      "How can I print the residual norm at every iteration?");
+  const rag::AugmentedWorkflow workflow(*db_, rag::PipelineArm::RagRerank,
+                                        llm::model_config("sim-gpt-4o"));
+  const auto retrieval =
+      workflow.ask("How can I print the residual norm at every iteration?")
+          .retrieval;
   llm::LlmRequest request;
   request.question = "How can I print the residual norm at every iteration?";
   for (const auto& ctx : retrieval.contexts) {

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "corpus/generator.h"
 #include "lexical/bm25.h"
 #include "lexical/keyword_search.h"
+#include "text/analysis.h"
 #include "text/loader.h"
 #include "text/splitter.h"
 
@@ -115,6 +117,10 @@ class SymbolIndexTest : public ::testing::Test {
         splitter.split_documents(loader.load(tree)));
     index_ = new SymbolIndex(*chunks_);
   }
+  /// Resolve the API symbols of `query`'s analysis.
+  static std::vector<KeywordHit> lookup(std::string_view query) {
+    return index_->lookup(text::analyze(query).symbols);
+  }
   static std::vector<text::Document>* chunks_;
   static SymbolIndex* index_;
 };
@@ -130,7 +136,7 @@ TEST_F(SymbolIndexTest, CoversTheSpecTable) {
 }
 
 TEST_F(SymbolIndexTest, LookupResolvesExactSymbols) {
-  const auto hits = index_->lookup("How do I call KSPSolve with a guess?");
+  const auto hits = lookup("How do I call KSPSolve with a guess?");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].symbol, "KSPSolve");
   EXPECT_EQ(hits[0].resolved, "KSPSolve");
@@ -142,16 +148,13 @@ TEST_F(SymbolIndexTest, LookupResolvesExactSymbols) {
 }
 
 TEST_F(SymbolIndexTest, LookupResolvesTyposWhenFuzzy) {
-  const auto hits = index_->lookup("what does KSPSovle do", true);
+  const auto hits = lookup("what does KSPSovle do");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].resolved, "KSPSolve");
-  const auto strict = index_->lookup("what does KSPSovle do", false);
-  ASSERT_EQ(strict.size(), 1u);
-  EXPECT_TRUE(strict[0].resolved.empty());
 }
 
 TEST_F(SymbolIndexTest, UnknownSymbolsReportedWithoutPage) {
-  const auto hits = index_->lookup("What does KSPBurb do?");
+  const auto hits = lookup("What does KSPBurb do?");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].symbol, "KSPBurb");
   EXPECT_TRUE(hits[0].resolved.empty());
@@ -160,14 +163,14 @@ TEST_F(SymbolIndexTest, UnknownSymbolsReportedWithoutPage) {
 
 TEST_F(SymbolIndexTest, MultipleSymbolsAllReported) {
   const auto hits =
-      index_->lookup("difference between -ksp_monitor and KSPMonitorSet");
+      lookup("difference between -ksp_monitor and KSPMonitorSet");
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].resolved, "-ksp_monitor");
   EXPECT_EQ(hits[1].resolved, "KSPMonitorSet");
 }
 
 TEST_F(SymbolIndexTest, ProseWordsAreNotSymbols) {
-  EXPECT_TRUE(index_->lookup("how do I solve a linear system fast").empty());
+  EXPECT_TRUE(lookup("how do I solve a linear system fast").empty());
 }
 
 }  // namespace

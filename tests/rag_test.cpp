@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "corpus/generator.h"
+#include "llm/model_config.h"
 #include "rag/knowledge_base.h"
 #include "rag/prompts.h"
 #include "rag/retriever.h"
@@ -15,6 +16,11 @@ class RagTest : public ::testing::Test {
   static void SetUpTestSuite() {
     const auto tree = pkb::corpus::generate_corpus();
     db_ = new KnowledgeBase(KnowledgeBase::build(tree));
+  }
+  /// The RagRerank arm runs the retriever with `opts` as given.
+  static AugmentedWorkflow workflow(RetrieverOptions opts = {}) {
+    return AugmentedWorkflow(*db_, PipelineArm::RagRerank,
+                             llm::model_config("sim-gpt-4o"), std::move(opts));
   }
   static KnowledgeBase* db_;
 };
@@ -45,9 +51,8 @@ TEST_F(RagTest, ChunksRespectSplitterLimit) {
 TEST_F(RagTest, RetrieverReturnsKCandidates) {
   RetrieverOptions opts;
   opts.reranker.clear();
-  const Retriever retriever(*db_, opts);
   const RetrievalResult result =
-      retriever.retrieve("How do I monitor the residual norm?");
+      workflow(opts).ask("How do I monitor the residual norm?").retrieval;
   EXPECT_GE(result.first_pass.size(), opts.first_pass_k);
   EXPECT_GE(result.contexts.size(), opts.first_pass_k);
   EXPECT_GT(result.rag_seconds(), 0.0);
@@ -55,10 +60,9 @@ TEST_F(RagTest, RetrieverReturnsKCandidates) {
 }
 
 TEST_F(RagTest, KeywordAugmentationAddsManualPages) {
-  RetrieverOptions opts;  // rerank arm keeps keyword search
-  const Retriever retriever(*db_, opts);
+  // The rerank arm keeps keyword search.
   const RetrievalResult result =
-      retriever.retrieve("What does KSPBCGSL do exactly?");
+      workflow().ask("What does KSPBCGSL do exactly?").retrieval;
   bool keyword_hit = false;
   for (const auto& ctx : result.first_pass) {
     if (ctx.via != "vector" &&
@@ -82,9 +86,8 @@ TEST_F(RagTest, KeywordAugmentationAddsManualPages) {
 }
 
 TEST_F(RagTest, NoDuplicateCandidates) {
-  const Retriever retriever(*db_, {});
   const RetrievalResult result =
-      retriever.retrieve("Can I use KSPCG on a nonsymmetric matrix?");
+      workflow().ask("Can I use KSPCG on a nonsymmetric matrix?").retrieval;
   std::set<std::string> ids;
   for (const auto& ctx : result.first_pass) {
     EXPECT_TRUE(ids.insert(ctx.doc->id).second)
@@ -94,11 +97,12 @@ TEST_F(RagTest, NoDuplicateCandidates) {
 
 TEST_F(RagTest, RerankingReordersAndTruncatesToL) {
   RetrieverOptions opts;
-  const Retriever retriever(*db_, opts);
-  EXPECT_TRUE(retriever.reranking_enabled());
-  const RetrievalResult result = retriever.retrieve(
-      "Can I use KSP to solve a system where the matrix is not square, only "
-      "rectangular?");
+  const AugmentedWorkflow wf = workflow(opts);
+  EXPECT_TRUE(wf.retriever()->reranking_enabled());
+  const RetrievalResult result =
+      wf.ask("Can I use KSP to solve a system where the matrix is not square, "
+             "only rectangular?")
+          .retrieval;
   EXPECT_EQ(result.contexts.size(), opts.final_l);
   EXPECT_GT(result.rerank_seconds, 0.0);
   // The decisive KSPLSQR material must be in the reranked window.

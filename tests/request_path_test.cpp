@@ -114,8 +114,10 @@ TEST(RequestPathOffPool, CrossScoreRerankRunsOnTheCallingThread) {
   std::size_t kept = 0;
   expect_returns_while_pool_parked(
       [&] {
-        kept = reranker.rerank("which preconditioner does KSPSolve use",
-                               *analysis, candidates, 4)
+        kept = reranker
+                   .rerank(text::analyze(
+                               "which preconditioner does KSPSolve use"),
+                           *analysis, candidates, 4)
                    .size();
       },
       "CrossScoreReranker::rerank");

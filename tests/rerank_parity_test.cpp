@@ -221,7 +221,7 @@ class RerankParity : public ::testing::Test {
     std::size_t nonzero = 0;
     for (const corpus::BenchmarkQuestion& q : corpus::krylov_benchmark()) {
       const std::vector<double> scores =
-          ranker.score(q.question, *snap->analysis, candidates);
+          ranker.score(text::analyze(q.question), *snap->analysis, candidates);
       ASSERT_EQ(scores.size(), snap->chunks.size());
       for (std::size_t i = 0; i < scores.size(); ++i) {
         const double want = reference(*index_, q.question, snap->chunks[i]);

@@ -51,7 +51,7 @@ RerankCandidate candidate(const std::vector<text::Document>& docs,
 double score_pair(const Reranker& ranker, std::string_view query,
                   const lexical::CorpusAnalysis& analysis,
                   const RerankCandidate& c) {
-  return ranker.score(query, analysis, {c}).front();
+  return ranker.score(text::analyze(query), analysis, {c}).front();
 }
 
 class RerankerParamTest : public ::testing::TestWithParam<std::string> {};
@@ -61,7 +61,8 @@ TEST_P(RerankerParamTest, PutsTheDecisiveDocFirst) {
   const auto docs = corpus();
   const auto analysis = lexical::CorpusAnalysis::build(docs);
   const auto ranked =
-      ranker->rerank("Can I solve a rectangular least squares system?",
+      ranker->rerank(text::analyze("Can I solve a rectangular least squares "
+                                   "system?"),
                      *analysis, candidates(docs), 4);
   ASSERT_EQ(ranked.size(), 4u);
   EXPECT_EQ(ranked[0].doc->id, "lsqr") << GetParam();
@@ -71,13 +72,17 @@ TEST_P(RerankerParamTest, TruncatesToTopL) {
   auto ranker = make_reranker(GetParam());
   const auto docs = corpus();
   const auto analysis = lexical::CorpusAnalysis::build(docs);
-  EXPECT_EQ(
-      ranker->rerank("query about matrices", *analysis, candidates(docs), 2)
-          .size(),
-      2u);
-  EXPECT_EQ(ranker->rerank("query", *analysis, candidates(docs), 100).size(),
+  EXPECT_EQ(ranker
+                ->rerank(text::analyze("query about matrices"), *analysis,
+                         candidates(docs), 2)
+                .size(),
+            2u);
+  EXPECT_EQ(ranker
+                ->rerank(text::analyze("query"), *analysis, candidates(docs),
+                         100)
+                .size(),
             docs.size());
-  EXPECT_TRUE(ranker->rerank("query", *analysis, {}, 4).empty());
+  EXPECT_TRUE(ranker->rerank(text::analyze("query"), *analysis, {}, 4).empty());
 }
 
 TEST_P(RerankerParamTest, ScoresDescendAndTiesKeepOriginalOrder) {
@@ -85,8 +90,8 @@ TEST_P(RerankerParamTest, ScoresDescendAndTiesKeepOriginalOrder) {
   const auto docs = corpus();
   const auto analysis = lexical::CorpusAnalysis::build(docs);
   const auto ranked =
-      ranker->rerank("preallocation malloc diagnostics", *analysis,
-                     candidates(docs), docs.size());
+      ranker->rerank(text::analyze("preallocation malloc diagnostics"),
+                     *analysis, candidates(docs), docs.size());
   for (std::size_t i = 1; i < ranked.size(); ++i) {
     if (ranked[i - 1].score == ranked[i].score) {
       EXPECT_LT(ranked[i - 1].original_rank, ranked[i].original_rank);
@@ -104,11 +109,10 @@ TEST_P(RerankerParamTest, PermutationInvariantScores) {
   const auto docs = corpus();
   const auto analysis = lexical::CorpusAnalysis::build(docs);
   auto cands = candidates(docs);
-  const auto a = ranker->rerank("rectangular least squares", *analysis,
-                               cands, docs.size());
+  const text::QueryAnalysis query = text::analyze("rectangular least squares");
+  const auto a = ranker->rerank(query, *analysis, cands, docs.size());
   std::reverse(cands.begin(), cands.end());
-  const auto b = ranker->rerank("rectangular least squares", *analysis,
-                               cands, docs.size());
+  const auto b = ranker->rerank(query, *analysis, cands, docs.size());
   ASSERT_EQ(a.size(), b.size());
   std::map<std::string, double> score_a;
   std::map<std::string, double> score_b;
@@ -124,8 +128,9 @@ TEST_P(RerankerParamTest, Deterministic) {
   auto r2 = make_reranker(GetParam());
   const auto docs = corpus();
   const auto analysis = lexical::CorpusAnalysis::build(docs);
-  const auto a = r1->rerank("monitor residual", *analysis, candidates(docs), 3);
-  const auto b = r2->rerank("monitor residual", *analysis, candidates(docs), 3);
+  const text::QueryAnalysis query = text::analyze("monitor residual");
+  const auto a = r1->rerank(query, *analysis, candidates(docs), 3);
+  const auto b = r2->rerank(query, *analysis, candidates(docs), 3);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].doc->id, b[i].doc->id);
@@ -145,7 +150,8 @@ TEST(FlashRanker, SymbolMatchOutweighsProse) {
   const auto analysis = lexical::CorpusAnalysis::build(docs);
   // Query names the API symbol: the exact match must dominate.
   const auto ranked =
-      ranker.rerank("what does KSPGMRES do", *analysis, candidates(docs), 1);
+      ranker.rerank(text::analyze("what does KSPGMRES do"), *analysis,
+                    candidates(docs), 1);
   ASSERT_EQ(ranked.size(), 1u);
   EXPECT_EQ(ranked[0].doc->id, "gmres");
 }

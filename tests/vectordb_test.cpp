@@ -7,6 +7,7 @@
 #include <span>
 
 #include "embed/tfidf.h"
+#include "lexical/term_stats.h"
 #include "util/rng.h"
 #include "vectordb/vector_store.h"
 
@@ -90,12 +91,13 @@ TEST(VectorStore, FromDocumentsEmbedsEverything) {
       {"2", "gmres restart nonsymmetric", {}},
       {"3", "least squares rectangular", {}},
   };
+  const text::Analyses analyses = lexical::CorpusAnalysis::build(docs)->chunks;
   embed::TfidfEmbedder embedder;
-  embedder.fit(docs);
-  const VectorStore store = VectorStore::from_documents(docs, embedder);
+  embedder.fit(analyses);
+  const VectorStore store = VectorStore::from_analyses(analyses, embedder);
   EXPECT_EQ(store.size(), 3u);
-  const auto hits =
-      store.similarity_search(embedder.embed("rectangular least squares"), 1);
+  const auto hits = store.similarity_search(
+      embedder.embed(text::analyze("rectangular least squares")), 1);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].index, 2u);  // docs[2], "least squares rectangular"
 }
