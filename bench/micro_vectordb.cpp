@@ -1,5 +1,5 @@
 // Micro-benchmarks of the vector hot path: packed-kernel scan scaling,
-// exact and HNSW search costs, and store persistence.
+// exact and HNSW search costs, the HNSW build, and store persistence.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -89,6 +89,17 @@ void BM_HnswTopK(benchmark::State& state) {
   state.counters["recall@8"] = index.recall_at_k(queries, 8);
 }
 
+// One full graph build: what every live_ingest publish pays for its index.
+void BM_HnswBuild(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto dim = static_cast<std::size_t>(state.range(1));
+  const VectorStore store = make_store(n, dim, 1);
+  for (auto _ : state) {
+    const HnswIndex index(store, HnswOptions{});
+    benchmark::DoNotOptimize(index.edge_count());
+  }
+}
+
 void BM_StoreSaveLoad(benchmark::State& state) {
   const VectorStore store = make_store(2000, 128, 3);
   const std::string path = "/tmp/pkb_bench_store.bin";
@@ -104,6 +115,11 @@ void BM_StoreSaveLoad(benchmark::State& state) {
 BENCHMARK(BM_KernelPackedScan)->Arg(4000)->Arg(16000);
 BENCHMARK(BM_ExactTopK)->Arg(1000)->Arg(4000)->Arg(16000)->Complexity();
 BENCHMARK(BM_HnswTopK)->Args({4000, 32})->Args({16000, 32});
+// {rows, dim}: the live_ingest KB's shape, and BM_HnswTopK's row count.
+BENCHMARK(BM_HnswBuild)
+    ->Args({1308, 288})
+    ->Args({16000, 32})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StoreSaveLoad);
 
 BENCHMARK_MAIN();

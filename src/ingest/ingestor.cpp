@@ -156,7 +156,10 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
   } else {
     // Retained rows are copied once, bit-identically, from the base's
     // packed block — old chunks score exactly as they did in the base
-    // generation. The new chunks are embedded in place.
+    // generation. The new chunks are embedded in place. The row count is
+    // known, so the packed block is allocated once at its exact size.
+    next->store = vectordb::VectorStore(base->store.dimension());
+    next->store.reserve(retained.size() + n_new);
     for (std::size_t i : retained) {
       next->store.add_prenormalized(base->store.vec(i));
     }

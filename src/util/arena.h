@@ -41,7 +41,11 @@ inline constexpr std::size_t kArenaAlignment = 64;
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;
-  explicit AlignedBuffer(std::size_t bytes) { resize(bytes); }
+  /// Exactly `bytes`, zeroed.
+  explicit AlignedBuffer(std::size_t bytes) {
+    reserve(bytes);
+    resize(bytes);
+  }
 
   AlignedBuffer(const AlignedBuffer& other) { *this = other; }
   AlignedBuffer& operator=(const AlignedBuffer& other) {
@@ -69,6 +73,17 @@ class AlignedBuffer {
       std::memset(data_.get() + size_, 0, bytes - size_);
     }
     size_ = bytes;
+  }
+
+  /// Make room for `bytes` with one exact allocation when the final size is
+  /// known, instead of the doubling steps resize() takes; contents and size
+  /// are kept. Never shrinks.
+  void reserve(std::size_t bytes) {
+    if (bytes <= capacity_) return;
+    auto grown = allocate(bytes);
+    if (size_ > 0) std::memcpy(grown.get(), data_.get(), size_);
+    data_ = std::move(grown);
+    capacity_ = bytes;
   }
 
   [[nodiscard]] std::byte* data() { return data_.get(); }

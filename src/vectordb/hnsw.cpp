@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -52,7 +53,49 @@ void sort_best_first(std::vector<Scored>& v) {
   });
 }
 
+/// Largest store whose build memoizes pair scores. The lower-triangular
+/// table holds n(n-1)/2 floats, at most 32 MiB at this bound. Larger builds
+/// score every pair directly: there most prunes fall on lists whose table
+/// entries went cold while other rows were inserted, and a cold lookup
+/// costs more than the dot it saves (docs/PERFORMANCE.md).
+constexpr std::size_t kMemoRows = 4096;
+
 }  // namespace
+
+/// Scores between two stored rows, each computed at most once per build of
+/// at most kMemoRows rows. The prune of an overfull list re-scores that
+/// list, and its diversity check re-scores the same neighbour pairs on
+/// every prune; without the memo a build computes each pair ~20 times. An
+/// entry holds exactly the float dot_f32 returns, and the dot is symmetric
+/// bit for bit on every backend (float×float products are exact in double,
+/// and the FMA is commutative in its multiplicands). So a lookup returns
+/// what recomputing would, and the graph does not change.
+class HnswIndex::PairScores {
+ public:
+  explicit PairScores(const kernels::PackedF32& packed) : packed_(packed) {
+    const std::size_t n = packed.rows();
+    if (n <= kMemoRows) {
+      table_.assign(n * (n - 1) / 2, std::numeric_limits<float>::quiet_NaN());
+    }
+  }
+
+  float operator()(std::uint32_t a, std::uint32_t b) {
+    if (table_.empty() || a == b) return dot(a, b);
+    const std::uint32_t lo = std::min(a, b);
+    const std::uint32_t hi = std::max(a, b);
+    float& slot = table_[std::size_t{hi} * (hi - 1) / 2 + lo];
+    if (std::isnan(slot)) slot = dot(a, b);  // NaN = not computed yet
+    return slot;
+  }
+
+ private:
+  float dot(std::uint32_t a, std::uint32_t b) const {
+    return kernels::dot_f32(packed_.row(a), packed_.row(b), packed_.stride());
+  }
+
+  const kernels::PackedF32& packed_;
+  std::vector<float> table_;  ///< pair (hi, lo), hi > lo, at hi(hi-1)/2 + lo
+};
 
 HnswIndex::HnswIndex(const VectorStore& store, HnswOptions opts)
     : store_(store), opts_(opts) {
@@ -133,7 +176,8 @@ std::vector<Scored> HnswIndex::search_layer(const float* packed_query,
 }
 
 void HnswIndex::select_neighbors(const std::vector<Scored>& candidates,
-                                 std::size_t cap, Links& out) const {
+                                 std::size_t cap, Links& out,
+                                 PairScores& pairs) const {
   // The HNSW paper's diversity heuristic (Algorithm 4): walk the
   // candidates best-first and keep one only if it is closer to the base
   // point than to every already-kept neighbor. Naive nearest-m selection
@@ -141,16 +185,13 @@ void HnswIndex::select_neighbors(const std::vector<Scored>& candidates,
   // the heuristic keeps the links spread, which is what makes the graph
   // navigable. Rejected candidates backfill any spare capacity so nodes
   // are not left under-connected.
-  const kernels::PackedF32& packed = store_.packed();
   out.count = 0;
   std::vector<std::uint32_t> rejected;
   for (const Scored& c : candidates) {
     if (out.count >= cap) break;
     bool diverse = true;
     for (std::uint16_t s = 0; s < out.count; ++s) {
-      const float to_selected = kernels::dot_f32(
-          packed.row(c.second), packed.row(out.nbr[s]), packed.stride());
-      if (to_selected > c.first) {
+      if (pairs(c.second, out.nbr[s]) > c.first) {
         diverse = false;
         break;
       }
@@ -167,7 +208,7 @@ void HnswIndex::select_neighbors(const std::vector<Scored>& candidates,
 }
 
 void HnswIndex::insert(std::size_t node, std::size_t level,
-                       const float* packed_query) {
+                       const float* packed_query, PairScores& pairs) {
   const auto id = static_cast<std::uint32_t>(node);
   if (node == 0) {
     entry_ = id;
@@ -186,9 +227,8 @@ void HnswIndex::insert(std::size_t node, std::size_t level,
     const std::vector<Scored> beam =
         search_layer(packed_query, cur, opts_.ef_construction, layer);
     Links& mine = links_[node][layer];
-    select_neighbors(beam, mine.cap, mine);
+    select_neighbors(beam, mine.cap, mine, pairs);
     // Link back; prune overful neighbor lists with the same heuristic.
-    const kernels::PackedF32& packed = store_.packed();
     for (std::uint16_t e = 0; e < mine.count; ++e) {
       const std::uint32_t nb = mine.nbr[e];
       Links& theirs = links_[nb][layer];
@@ -198,17 +238,12 @@ void HnswIndex::insert(std::size_t node, std::size_t level,
       }
       std::vector<Scored> scored;
       scored.reserve(theirs.count + 1U);
-      const float* nb_row = packed.row(nb);
-      scored.push_back(
-          {kernels::dot_f32(nb_row, packed.row(id), packed.stride()), id});
+      scored.push_back({pairs(nb, id), id});
       for (std::uint16_t t = 0; t < theirs.count; ++t) {
-        scored.push_back(
-            {kernels::dot_f32(nb_row, packed.row(theirs.nbr[t]),
-                              packed.stride()),
-             theirs.nbr[t]});
+        scored.push_back({pairs(nb, theirs.nbr[t]), theirs.nbr[t]});
       }
       sort_best_first(scored);
-      select_neighbors(scored, theirs.cap, theirs);
+      select_neighbors(scored, theirs.cap, theirs, pairs);
     }
     if (!beam.empty()) cur = beam.front().second;
   }
@@ -225,25 +260,34 @@ void HnswIndex::build() {
   util::Rng rng(opts_.seed);
   const double mult = 1.0 / std::log(static_cast<double>(opts_.m));
 
-  // Assign levels and carve all adjacency lists up front (arena pointers
-  // never move, so linking can run over partially built nodes).
-  links_.resize(n);
+  // Assign levels, then carve all adjacency lists up front from one slab
+  // of exactly their size (arena pointers never move, so linking can run
+  // over partially built nodes).
+  const auto list_bytes = [](std::size_t cap) {
+    return util::align_up(cap * sizeof(std::uint32_t), util::kArenaAlignment);
+  };
   std::vector<std::size_t> levels(n);
+  std::size_t bytes = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const double u = 1.0 - rng.uniform();  // (0, 1]
-    const auto level = std::min(
-        kMaxLevel, static_cast<std::size_t>(-std::log(u) * mult));
-    levels[i] = level;
-    links_[i].resize(level + 1);
-    for (std::size_t layer = 0; layer <= level; ++layer) {
+    levels[i] = std::min(kMaxLevel,
+                         static_cast<std::size_t>(-std::log(u) * mult));
+    bytes += list_bytes(2 * opts_.m) + levels[i] * list_bytes(opts_.m);
+  }
+  arena_ = util::Arena(bytes);
+  links_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    links_[i].resize(levels[i] + 1);
+    for (std::size_t layer = 0; layer <= levels[i]; ++layer) {
       const std::size_t cap = layer == 0 ? 2 * opts_.m : opts_.m;
       links_[i][layer].nbr = arena_.alloc_array<std::uint32_t>(cap);
       links_[i][layer].cap = static_cast<std::uint16_t>(cap);
     }
   }
 
+  PairScores pairs(packed);
   for (std::size_t i = 0; i < n; ++i) {
-    insert(i, levels[i], packed.row(i));
+    insert(i, levels[i], packed.row(i), pairs);
   }
 }
 

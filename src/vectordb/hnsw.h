@@ -12,7 +12,22 @@
 // neighbor — naive nearest-m linking collapses recall on high-dim data).
 // Layer 0 allows 2m links, upper layers m; overful neighbor lists are
 // re-selected with the same heuristic. Adjacency lists live in one
-// util::Arena — fixed-capacity arrays, no per-node malloc.
+// util::Arena slab sized to them exactly — fixed-capacity arrays, no
+// per-node malloc.
+//
+// Build cost: the re-selection re-scores the overful list against its
+// owner, and the heuristic scores candidate pairs again on every prune of
+// the same list, so one build would compute each row pair ~20 times. A
+// store of at most kMemoRows (4096) rows therefore builds with a memo of
+// row-pair scores: a lower-triangular float table, filled lazily and
+// dropped when build() returns, so the published index holds no extra
+// state. Larger stores score every pair directly; their cold table reads
+// cost more than the dots they save. A memoized score is exactly the float
+// a recomputation returns, because dot_f32(a, b) == dot_f32(b, a) bit for
+// bit on every backend (float×float products are exact in double, and the
+// FMA is commutative in its multiplicands). The graph is the same either
+// way. Beam searches and greedy steps are not memoized: they score the
+// inserted row with the store's kernel_score, as query-time search does.
 //
 // Search: greedy descent through the upper layers to a good entry, then a
 // beam search of width max(ef_search, k) on layer 0; the best k of the beam
@@ -26,6 +41,7 @@
 // Concurrent search() calls are safe — all scratch is per-call.
 
 #include <cstdint>
+#include <span>
 
 #include "util/arena.h"
 #include "vectordb/vector_store.h"
@@ -74,6 +90,18 @@ class HnswIndex {
   /// Total directed links across all layers.
   [[nodiscard]] std::size_t edge_count() const;
 
+  /// Read-only view of the graph (tests pin its exact shape): the global
+  /// entry node, a node's top layer, and its links on one layer in order.
+  [[nodiscard]] std::uint32_t entry_point() const { return entry_; }
+  [[nodiscard]] std::size_t level(std::size_t node) const {
+    return links_[node].size() - 1;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> neighbors(
+      std::size_t node, std::size_t layer) const {
+    const Links& l = links_[node][layer];
+    return {l.nbr, l.count};
+  }
+
  private:
   /// Fixed-capacity adjacency list for one node on one layer; `nbr` points
   /// into arena_.
@@ -83,18 +111,22 @@ class HnswIndex {
     std::uint16_t cap = 0;
   };
 
+  /// Build-scoped memo of scores between two stored rows (hnsw.cpp).
+  class PairScores;
+
   void build();
   /// search() without the instrumentation around it.
   [[nodiscard]] std::vector<SearchResult> search_beam(
       const embed::Vector& query, std::size_t k) const;
-  void insert(std::size_t node, std::size_t level,
-              const float* packed_query);
+  void insert(std::size_t node, std::size_t level, const float* packed_query,
+              PairScores& pairs);
   /// Fill `out` with up to `cap` diverse neighbors from a best-first
   /// candidate list (the paper's Algorithm-4 heuristic; scores in
-  /// `candidates` are similarities to the base point).
+  /// `candidates` are similarities to the base point, row-to-row scores
+  /// come from `pairs`).
   void select_neighbors(const std::vector<std::pair<float, std::uint32_t>>&
                             candidates,
-                        std::size_t cap, Links& out) const;
+                        std::size_t cap, Links& out, PairScores& pairs) const;
   /// Beam search of width ef on `layer` from `entry` for a packed query;
   /// returns (score, id) best-first. Scores are the store's fp32 kernel
   /// scores, so the beam already carries flat-scan-exact scores.

@@ -61,6 +61,12 @@ class PackedF32 {
   /// Append one row (length dim); tail lanes stay zero.
   void append(const float* row);
 
+  /// Size the block for `rows` rows in one allocation when the row count is
+  /// known up front; appends past it grow by doubling.
+  void reserve(std::size_t rows) {
+    buf_.reserve(rows * stride_ * sizeof(float));
+  }
+
   /// Pack a query into a padded aligned scratch buffer (tail zeroed).
   /// `scratch` must hold stride() floats.
   void pack_query(const float* query, float* scratch) const;

@@ -15,10 +15,10 @@ namespace pkb::vectordb {
 
 VectorStore VectorStore::from_analyses(
     std::span<const text::AnalysisPtr> docs, const embed::Embedder& embedder) {
-  VectorStore store;
-  for (embed::Vector& vec : embedder.embed_batch(docs)) {
-    store.add(std::move(vec));
-  }
+  std::vector<embed::Vector> vecs = embedder.embed_batch(docs);
+  VectorStore store(vecs.empty() ? 0 : vecs.front().size());
+  store.reserve(vecs.size());
+  for (embed::Vector& vec : vecs) store.add(std::move(vec));
   return store;
 }
 
@@ -104,6 +104,19 @@ namespace {
 constexpr char kMagic[4] = {'P', 'K', 'B', 'V'};
 constexpr std::uint32_t kVersion = 2;
 
+/// True when `in` is seekable and has at least `bytes` left after the
+/// current position; the position is restored either way.
+bool stream_holds(std::istream& in, std::uint64_t bytes) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return false;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  return end != std::istream::pos_type(-1) &&
+         static_cast<std::uint64_t>(end - here) >= bytes;
+}
+
 }  // namespace
 
 void VectorStore::save(std::ostream& out) const {
@@ -142,9 +155,13 @@ VectorStore VectorStore::load(std::istream& in) {
   // dim-D empty store must reload as dim-D, not as a dim-0 store that would
   // accept vectors of any size.
   VectorStore store(static_cast<std::size_t>(dim));
-  // One row at a time: the store grows only as rows actually arrive, so a
-  // corrupt count fails at the first missing row, not at an allocation
-  // sized from the header.
+  // The block is sized from the header only when the stream really holds
+  // that many rows; otherwise rows are added as they arrive, so a corrupt
+  // count fails at the first missing row, not at an allocation sized from
+  // the header.
+  if (count > 0 && stream_holds(in, count * dim * sizeof(float))) {
+    store.reserve(static_cast<std::size_t>(count));
+  }
   std::vector<float> row(count > 0 ? dim : 0);
   for (std::uint64_t i = 0; i < count; ++i) {
     bin::read_bytes(in, row.data(), dim * sizeof(float), "entry vector");

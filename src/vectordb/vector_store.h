@@ -37,7 +37,7 @@ class VectorStore {
   /// An empty store with its dimension fixed up front: add() and
   /// add_prenormalized() then reject any other dimension from the first
   /// entry on, and an empty store still validates query dimensions.
-  explicit VectorStore(std::size_t dim) : dim_(dim) {}
+  explicit VectorStore(std::size_t dim) : packed_(dim), dim_(dim) {}
 
   /// Build a store by embedding every analysed document with `embedder`
   /// (which must already be fitted); row i embeds docs[i]. Mirrors
@@ -55,6 +55,14 @@ class VectorStore {
   /// ingest delta-merge relies on this so old chunks score exactly as they
   /// did in the previous generation.
   void add_prenormalized(std::span<const float> vec);
+
+  /// Allocate the packed block for `rows` rows at once, so a store whose
+  /// final size is known holds exactly its rows instead of a doubled block.
+  /// Needs the dimension (the VectorStore(dim) constructor or a first row);
+  /// a store of unknown dimension ignores the call.
+  void reserve(std::size_t rows) {
+    if (dim_ > 0) packed_.reserve(rows);
+  }
 
   [[nodiscard]] std::size_t size() const { return packed_.rows(); }
   [[nodiscard]] bool empty() const { return packed_.rows() == 0; }

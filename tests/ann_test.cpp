@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "llm/model_config.h"
@@ -84,6 +87,21 @@ TEST(KernelsArena, AlignedBufferIsAlignedAndZeroFilled) {
             0u);
 }
 
+TEST(KernelsArena, ReserveAllocatesOnceAndKeepsContents) {
+  util::AlignedBuffer buf(64);
+  buf.as<float>()[0] = 2.5f;
+  buf.reserve(5000);
+  const std::byte* data = buf.data();
+  EXPECT_EQ(buf.size(), 64u);
+  EXPECT_EQ(buf.as<float>()[0], 2.5f);
+  buf.resize(5000);  // inside the reservation: no move, new bytes zero
+  EXPECT_EQ(buf.data(), data);
+  EXPECT_EQ(std::to_integer<int>(buf.data()[4999]), 0);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) %
+                util::kArenaAlignment,
+            0u);
+}
+
 TEST(KernelsArena, ArenaAllocationsAreAlignedAndStable) {
   util::Arena arena(/*slab_bytes=*/256);
   float* first = arena.alloc_array<float>(10);
@@ -126,6 +144,31 @@ TEST(Kernels, PaddedDotEqualsSelfConsistentAcrossCalls) {
     float via_range = 0.0f;
     packed.score_range(qbuf.as<float>(), 0, 1, &via_range);
     EXPECT_EQ(via_dot, via_range);
+  }
+}
+
+TEST(Kernels, DotIsSymmetricBitForBit) {
+  // The HNSW build memoizes one score per row pair and serves it for both
+  // orders, which is exact only if dot(a, b) == dot(b, a) to the bit.
+  pkb::util::Rng rng(124);
+  for (std::size_t dim : {3u, 16u, 33u, 288u}) {
+    vectordb::kernels::PackedF32 packed(dim);
+    std::vector<float> row(dim);
+    for (int r = 0; r < 8; ++r) {
+      for (float& x : row) x = static_cast<float>(rng.normal());
+      packed.append(row.data());
+    }
+    for (std::size_t a = 0; a < packed.rows(); ++a) {
+      for (std::size_t b = 0; b < a; ++b) {
+        const float ab = vectordb::kernels::dot_f32(
+            packed.row(a), packed.row(b), packed.stride());
+        const float ba = vectordb::kernels::dot_f32(
+            packed.row(b), packed.row(a), packed.stride());
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(ab),
+                  std::bit_cast<std::uint32_t>(ba))
+            << "dim " << dim << " rows " << a << ", " << b;
+      }
+    }
   }
 }
 
@@ -185,6 +228,84 @@ TEST(Hnsw, MIsBoundedByLinkCapacity) {
   }
   EXPECT_THROW(HnswIndex(store, HnswOptions{.m = vectordb::kHnswMaxM + 1}),
                std::invalid_argument);
+}
+
+/// FNV-1a 64 over the graph's whole shape: entry, max level, then per node
+/// its level count and every adjacency list (length, then ids in order).
+std::uint64_t graph_fingerprint(const HnswIndex& index, std::size_t n) {
+  std::uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFFU;
+      h *= 1099511628211ULL;
+    }
+  };
+  mix(index.entry_point());
+  mix(index.max_level());
+  for (std::size_t node = 0; node < n; ++node) {
+    mix(index.level(node) + 1);
+    for (std::size_t layer = 0; layer <= index.level(node); ++layer) {
+      const std::span<const std::uint32_t> nbrs = index.neighbors(node, layer);
+      mix(nbrs.size());
+      for (const std::uint32_t nb : nbrs) mix(nb);
+    }
+  }
+  return h;
+}
+
+TEST(Hnsw, GraphMatchesGolden) {
+  // The build must stay bit-for-bit the same graph: any change to scoring,
+  // tie order, pruning or level assignment moves a fingerprint. Rows come
+  // from uniform draws (no libm transcendentals), so a golden depends only
+  // on the kernel backend. The last case has more rows than the build's
+  // pair-score memo covers, so that build scores every pair directly. The
+  // ternary case draws entries from {-1, 0, 1}: many scores tie exactly,
+  // so a pair score off by one ulp flips a diversity decision.
+  // The goldens were recorded before the memo existed. The avx2 and scalar
+  // sums happen to round to the same floats on these rows, so their
+  // columns agree; they stay separate because nothing guarantees that.
+  struct Case {
+    std::uint64_t seed;
+    std::size_t n;
+    std::size_t dim;
+    std::size_t m;
+    bool ternary;
+    std::uint64_t avx2;
+    std::uint64_t scalar;
+  };
+  const Case cases[] = {
+      {1, 200, 32, 4, false, 0xd9e456d66df185fdULL, 0xd9e456d66df185fdULL},
+      {1, 200, 32, 16, false, 0xebe46609506b3a1aULL, 0xebe46609506b3a1aULL},
+      {1, 1000, 32, 4, false, 0xb64cdab411316b2cULL, 0xb64cdab411316b2cULL},
+      {1, 1000, 32, 16, false, 0xf34cdb5f76912dc0ULL, 0xf34cdb5f76912dc0ULL},
+      {2, 200, 32, 4, false, 0x65bc93b97fe7b52dULL, 0x65bc93b97fe7b52dULL},
+      {2, 200, 32, 16, false, 0x0e26b2ed5e02e85bULL, 0x0e26b2ed5e02e85bULL},
+      {2, 1000, 32, 4, false, 0x3104d630ec0e6a9fULL, 0x3104d630ec0e6a9fULL},
+      {2, 1000, 32, 16, false, 0xc5335201f9d9b321ULL, 0xc5335201f9d9b321ULL},
+      {4, 600, 16, 8, true, 0x5e3e5df4b6b7731bULL, 0x5e3e5df4b6b7731bULL},
+      {3, 4500, 8, 4, false, 0x2757131a9395cba4ULL, 0x2757131a9395cba4ULL},
+  };
+  const std::string_view backend = vectordb::kernels::backend_name();
+  if (backend != "avx2" && backend != "scalar") {
+    GTEST_SKIP() << "no goldens for backend " << backend;
+  }
+  for (const Case& c : cases) {
+    pkb::util::Rng rng(c.seed);
+    VectorStore store;
+    for (std::size_t i = 0; i < c.n; ++i) {
+      Vector v(c.dim);
+      for (float& x : v) {
+        x = c.ternary ? static_cast<float>(rng.below(3)) - 1.0f
+                      : static_cast<float>(rng.uniform() - 0.5);
+      }
+      store.add(std::move(v));
+    }
+    const HnswIndex index(store, HnswOptions{.m = c.m, .seed = c.seed});
+    const std::uint64_t golden = backend == "avx2" ? c.avx2 : c.scalar;
+    EXPECT_EQ(graph_fingerprint(index, c.n), golden)
+        << "seed " << c.seed << " n " << c.n << " m " << c.m << ": got 0x"
+        << std::hex << graph_fingerprint(index, c.n);
+  }
 }
 
 // --- IndexSpec / build_index ----------------------------------------------

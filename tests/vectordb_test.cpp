@@ -102,6 +102,25 @@ TEST(VectorStore, FromDocumentsEmbedsEverything) {
   EXPECT_EQ(hits[0].index, 2u);  // docs[2], "least squares rectangular"
 }
 
+TEST(VectorStore, ReserveHoldsEveryRowInPlace) {
+  // A reserved store never moves its block while the reserved rows arrive,
+  // and rows added past the reservation are still kept bit for bit.
+  const VectorStore src = random_store(12, 6, 5);
+  VectorStore store(6);
+  store.reserve(10);
+  store.add_prenormalized(src.vec(0));
+  const float* first = store.vec(0).data();
+  for (std::size_t i = 1; i < 10; ++i) store.add_prenormalized(src.vec(i));
+  EXPECT_EQ(store.vec(0).data(), first);
+  for (std::size_t i = 10; i < src.size(); ++i) {
+    store.add_prenormalized(src.vec(i));
+  }
+  ASSERT_EQ(store.size(), src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    EXPECT_TRUE(same_bytes(store.vec(i), src.vec(i))) << "row " << i;
+  }
+}
+
 TEST(VectorStore, SaveLoadRoundTrip) {
   namespace fs = std::filesystem;
   const VectorStore store = random_store(12, 6, 6);
