@@ -1,5 +1,5 @@
 // Micro-benchmarks of the vector hot path: packed-kernel scan scaling,
-// exact and HNSW search costs, the HNSW build, and store persistence.
+// exact and HNSW search costs, and the HNSW build.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -100,16 +100,6 @@ void BM_HnswBuild(benchmark::State& state) {
   }
 }
 
-void BM_StoreSaveLoad(benchmark::State& state) {
-  const VectorStore store = make_store(2000, 128, 3);
-  const std::string path = "/tmp/pkb_bench_store.bin";
-  for (auto _ : state) {
-    store.save(path);
-    VectorStore loaded = VectorStore::load(path);
-    benchmark::DoNotOptimize(loaded.size());
-  }
-}
-
 }  // namespace
 
 BENCHMARK(BM_KernelPackedScan)->Arg(4000)->Arg(16000);
@@ -120,6 +110,5 @@ BENCHMARK(BM_HnswBuild)
     ->Args({1308, 288})
     ->Args({16000, 32})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StoreSaveLoad);
 
 BENCHMARK_MAIN();

@@ -155,22 +155,6 @@ std::string manual_page_path(const ApiSpec& spec) {
   return dir + "/" + file + ".md";
 }
 
-std::string_view to_string(ApiKind kind) {
-  switch (kind) {
-    case ApiKind::SolverType:
-      return "KSP Type";
-    case ApiKind::PcType:
-      return "PC Type";
-    case ApiKind::Function:
-      return "Function";
-    case ApiKind::Option:
-      return "Runtime Option";
-    case ApiKind::Concept:
-      return "Concept";
-  }
-  return "?";
-}
-
 std::string_view to_string(ApiLevel level) {
   switch (level) {
     case ApiLevel::Beginner:

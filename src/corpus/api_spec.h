@@ -74,7 +74,6 @@ struct ApiSpec {
 [[nodiscard]] std::string manual_page_path(const ApiSpec& spec);
 
 /// Human-readable names for enums (used in rendered pages and logs).
-[[nodiscard]] std::string_view to_string(ApiKind kind);
 [[nodiscard]] std::string_view to_string(ApiLevel level);
 
 }  // namespace pkb::corpus

@@ -15,17 +15,6 @@
 
 namespace pkb::embed {
 
-float dot(const Vector& a, const Vector& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("dot: dimension mismatch");
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += static_cast<double>(a[i]) * b[i];
-  }
-  return static_cast<float>(acc);
-}
-
 float norm(const Vector& v) {
   double acc = 0.0;
   for (float x : v) acc += static_cast<double>(x) * x;
@@ -37,13 +26,6 @@ void l2_normalize(Vector& v) {
   if (n <= 0.0f) return;
   const float inv = 1.0f / n;
   for (float& x : v) x *= inv;
-}
-
-float cosine(const Vector& a, const Vector& b) {
-  const float na = norm(a);
-  const float nb = norm(b);
-  if (na <= 0.0f || nb <= 0.0f) return 0.0f;
-  return dot(a, b) / (na * nb);
 }
 
 std::vector<Vector> Embedder::embed_batch(
@@ -122,12 +104,6 @@ std::unique_ptr<Embedder> make_embedder(std::string_view name) {
     return std::make_unique<CharNgramEmbedder>(dim);
   }
   throw std::invalid_argument("unknown embedder: " + std::string(name));
-}
-
-std::vector<std::string> embedder_registry() {
-  return {"sim-tfidf",         "sim-hash-512",      "sim-hash-256",
-          "sim-lsa-64",        "sim-lsa-128",       "sim-charngram-512",
-          "sim-embed-3-large", "sim-embed-3-small", "sim-embed-ada"};
 }
 
 }  // namespace pkb::embed

@@ -30,17 +30,11 @@ namespace pkb::embed {
 /// Dense embedding vector.
 using Vector = std::vector<float>;
 
-/// Inner product of two equal-length vectors.
-[[nodiscard]] float dot(const Vector& a, const Vector& b);
-
 /// Euclidean norm.
 [[nodiscard]] float norm(const Vector& v);
 
 /// Scale to unit norm (no-op on the zero vector).
 void l2_normalize(Vector& v);
-
-/// Cosine similarity in [-1, 1]; 0 if either vector is zero.
-[[nodiscard]] float cosine(const Vector& a, const Vector& b);
 
 /// Common interface. Lifecycle: construct -> fit(analyses) -> embed(analysis).
 /// fit() may be a no-op for models without corpus statistics.
@@ -80,8 +74,5 @@ class Embedder {
 ///   "sim-embed-ada"     (= HashEmbedder(256), i.e. "sim-hash-256").
 /// Throws std::invalid_argument for unknown names.
 [[nodiscard]] std::unique_ptr<Embedder> make_embedder(std::string_view name);
-
-/// All registry names (canonical ones first, then aliases).
-[[nodiscard]] std::vector<std::string> embedder_registry();
 
 }  // namespace pkb::embed

@@ -15,7 +15,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/json.h"
 #include "util/rng.h"
 
 namespace pkb::history {
@@ -62,10 +61,6 @@ class HistoryStore {
  public:
   HistoryStore() = default;
 
-  /// Movable (for load()/from_json() factories); not copyable. Moving while
-  /// other threads use the source is undefined, as for any container.
-  HistoryStore(HistoryStore&& other) noexcept;
-  HistoryStore& operator=(HistoryStore&& other) noexcept;
   HistoryStore(const HistoryStore&) = delete;
   HistoryStore& operator=(const HistoryStore&) = delete;
 
@@ -110,14 +105,6 @@ class HistoryStore {
   /// whose model is "" (human-authored answers). Returns copies, not live
   /// views — safe to use while workers keep appending.
   [[nodiscard]] std::vector<InteractionRecord> vetted_records() const;
-
-  /// JSON round-trip for persistence.
-  [[nodiscard]] pkb::util::Json to_json() const;
-  static HistoryStore from_json(const pkb::util::Json& j);
-
-  /// File persistence (JSON, pretty-printed).
-  void save(const std::string& path) const;
-  static HistoryStore load(const std::string& path);
 
  private:
   mutable std::mutex mu_;

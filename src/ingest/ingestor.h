@@ -10,7 +10,7 @@
 // base chunks (upsert by "source": re-ingesting a source replaces its old
 // chunks), analyses only what is new (lexical::CorpusAnalysis::next), embeds
 // it from those analyses, rebuilds the symbol index, and publishes the
-// result through KnowledgeBase::publish() — one atomic pointer swap.
+// result through KnowledgeBase::publish() — one pointer swap.
 //
 // Embedder lifecycle: a delta build reuses the base's fitted embedder. Each
 // retained row is copied once: its chunk into the next chunk list, its

@@ -37,10 +37,6 @@ void Bm25Index::build(std::vector<text::Document> docs) {
   avg_len_ = docs_.empty() ? 0.0 : total_len / static_cast<double>(docs_.size());
 }
 
-const text::Document& Bm25Index::doc(std::size_t i) const {
-  return docs_.at(i);
-}
-
 double Bm25Index::idf(std::string_view term) const {
   auto it = postings_.find(std::string(term));
   if (it == postings_.end()) return 0.0;

@@ -29,7 +29,6 @@ class Bm25Index {
   void build(std::vector<text::Document> docs);
 
   [[nodiscard]] std::size_t size() const { return docs_.size(); }
-  [[nodiscard]] const text::Document& doc(std::size_t i) const;
 
   /// Top-k by BM25 (descending; ties by lower index). Query terms absent
   /// from the index contribute nothing.

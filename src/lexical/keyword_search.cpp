@@ -38,9 +38,4 @@ std::vector<KeywordHit> SymbolIndex::lookup(
   return hits;
 }
 
-std::vector<std::size_t> SymbolIndex::chunks_of(std::string_view symbol) const {
-  auto it = by_symbol_.find(std::string(symbol));
-  return it == by_symbol_.end() ? std::vector<std::size_t>{} : it->second;
-}
-
 }  // namespace pkb::lexical

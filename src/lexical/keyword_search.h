@@ -41,10 +41,6 @@ class SymbolIndex {
   [[nodiscard]] std::vector<KeywordHit> lookup(
       std::span<const std::string> symbols) const;
 
-  /// All chunk indices for one canonical symbol (empty when unknown).
-  [[nodiscard]] std::vector<std::size_t> chunks_of(
-      std::string_view symbol) const;
-
   /// Number of symbols with at least one chunk.
   [[nodiscard]] std::size_t symbol_count() const { return by_symbol_.size(); }
 

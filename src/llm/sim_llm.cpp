@@ -138,10 +138,6 @@ std::string format_options_line(const corpus::ApiSpec& spec) {
 
 SimLlm::SimLlm(LlmConfig config) : config_(std::move(config)) {}
 
-SimLlm SimLlm::from_name(std::string_view name) {
-  return SimLlm(model_config(name));
-}
-
 SimLlm::Draft SimLlm::answer_grounded(const LlmRequest& request,
                                       Rng& rng) const {
   Draft draft;

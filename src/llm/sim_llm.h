@@ -28,9 +28,6 @@ class SimLlm {
  public:
   explicit SimLlm(LlmConfig config);
 
-  /// Convenience: construct from a registry name.
-  static SimLlm from_name(std::string_view name);
-
   [[nodiscard]] const LlmConfig& config() const { return config_; }
 
   /// Attach a chaos plan consulted (Stage::Llm) at each complete() entry:

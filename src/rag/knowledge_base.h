@@ -6,13 +6,13 @@
 // corpus + per-chunk text analyses and term statistics (built first: the
 // embedder fits on and embeds from them, the rerankers score against them)
 // + fitted embedder + vector store + symbol index, stamped with a
-// monotonically increasing generation id. `KnowledgeBase` holds an atomic
+// monotonically increasing generation id. `KnowledgeBase` holds a
 // shared_ptr to the current snapshot: readers pin a generation with
-// snapshot() (cheap, lock-free to them) and keep using it for as long as
-// they hold the pointer, while the ingest subsystem (src/ingest/) builds
-// the next generation off to the side and publish()es it with a single
-// pointer swap. In-flight queries are never torn across generations and a
-// publish never blocks readers.
+// snapshot() (one short lock to copy the pointer) and keep using it for as
+// long as they hold the pointer, while the ingest subsystem (src/ingest/)
+// builds the next generation off to the side and publish()es it with a
+// single pointer swap. In-flight queries are never torn across generations,
+// and a publish holds readers up for no longer than that swap.
 //
 // This is how the paper's central loop — resolved conversations curated
 // back into the corpus so the next question retrieves from a richer KB
@@ -85,26 +85,16 @@ struct Snapshot {
   /// compares growth since then against its refit threshold.
   std::size_t chunks_at_fit = 0;
 
-  /// Persist this generation so a cold start can skip the corpus rebuild
-  /// (loaders, splitter, embed_batch). Format: versioned header + the
-  /// VectorStore binary blob (rows only) + a chunk section carrying each
-  /// chunk's id, text and metadata. The symbol index and analyses are
-  /// rebuilt from the chunks and the embedder refitted on the analyses on
-  /// load (all deterministic), not serialized. Throws std::runtime_error on I/O
-  /// failure or a malformed file.
-  void save(const std::string& path) const;
-  static std::shared_ptr<const Snapshot> load(const std::string& path);
-
   /// (Re)build `ann` from `store` per opts.index (null for the flat spec).
-  /// Called by build(), load(), and the ingestor after assembling a new
+  /// Called by build() and by the ingestor after assembling a new
   /// generation.
   void attach_indexes();
 };
 
 using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
-/// The generational knowledge base: an atomic current-snapshot pointer plus
-/// the publish protocol. Readers are wait-free with respect to publishers;
+/// The generational knowledge base: the current-snapshot pointer plus the
+/// publish protocol. A reader waits at most for one pointer copy or swap;
 /// a reader's pinned snapshot stays fully usable (and alive) across any
 /// number of publishes.
 /// Every reader pins snapshot() once and reads from that generation.
@@ -114,8 +104,7 @@ class KnowledgeBase {
   static KnowledgeBase build(const text::VirtualDir& corpus,
                              KnowledgeBaseOptions opts = {});
 
-  /// Adopt an existing snapshot (e.g. Snapshot::load) as the current
-  /// generation.
+  /// Adopt an already-assembled snapshot as the current generation.
   explicit KnowledgeBase(SnapshotPtr snap);
 
   /// Movable (factory return, test fixtures); moving while other threads
@@ -129,7 +118,8 @@ class KnowledgeBase {
   /// into it) stays valid for as long as the caller holds the SnapshotPtr,
   /// regardless of later publishes.
   [[nodiscard]] SnapshotPtr snapshot() const {
-    return snap_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    return snap_;
   }
 
   /// Current generation id without pinning.
@@ -137,7 +127,7 @@ class KnowledgeBase {
     return gen_.load(std::memory_order_acquire);
   }
 
-  /// Publish `next` as the current generation: one atomic pointer swap.
+  /// Publish `next` as the current generation: one pointer swap.
   /// In-flight readers keep their pinned snapshot; new snapshot() calls see
   /// `next`. Requires next->generation > generation() (publishers are
   /// serialized internally; a stale build throws std::logic_error).
@@ -146,7 +136,13 @@ class KnowledgeBase {
   double publish(SnapshotPtr next);
 
  private:
-  std::atomic<SnapshotPtr> snap_;
+  // A mutex, not std::atomic<SnapshotPtr>: libstdc++ 12's atomic shared_ptr
+  // load() releases its internal lock with relaxed order, so its read of the
+  // pointer is not ordered before a later store's write (ThreadSanitizer
+  // reports it under PublishUnderReads.*). The lock is held only to copy or
+  // swap the pointer.
+  mutable std::mutex snap_mu_;
+  SnapshotPtr snap_;
   std::atomic<std::uint64_t> gen_{0};
   mutable std::mutex publish_mu_;  ///< serializes publishers only
 };

@@ -24,14 +24,6 @@ std::string PromptLibrary::email_reply_system_prompt() {
          "developer will review this draft before anything is sent.";
 }
 
-std::string PromptLibrary::doc_update_system_prompt() {
-  return "You are improving PETSc documentation. Given a manual page and "
-         "related discussion, draft an updated page that preserves the "
-         "existing structure (Synopsis, Options Database Keys, Notes, "
-         "Level, See Also) and adds the missing information. Output "
-         "Markdown only.";
-}
-
 std::string PromptLibrary::render_user_prompt(
     std::string_view question, const std::vector<llm::ContextDoc>& contexts) {
   std::string prompt;

@@ -22,9 +22,6 @@ class PromptLibrary {
   /// Drafting replies to mailing-list emails (the Discord bot role).
   [[nodiscard]] static std::string email_reply_system_prompt();
 
-  /// Proposing documentation updates (the doc-assistant role).
-  [[nodiscard]] static std::string doc_update_system_prompt();
-
   /// Render the full user prompt: the question plus the numbered context
   /// passages with their source ids (what actually goes to the model, and
   /// what the interaction history records).

@@ -1,17 +1,9 @@
 #include "text/loader.h"
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 #include "text/markdown.h"
 #include "util/strings.h"
-#include "util/log.h"
 
 namespace pkb::text {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -83,35 +75,6 @@ VirtualDir DirectoryLoader::load(const VirtualDir& tree) const {
   return out;
 }
 
-VirtualDir DirectoryLoader::load_from_disk(const std::string& root) const {
-  VirtualDir out;
-  std::error_code ec;
-  fs::recursive_directory_iterator it(root, ec);
-  if (ec) {
-    PKB_LOG(Warn, "loader") << "cannot open directory " << root << ": "
-                            << ec.message();
-    return out;
-  }
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file(ec) || ec) continue;
-    const std::string rel =
-        fs::relative(entry.path(), root, ec).generic_string();
-    if (ec) continue;
-    if (!pattern_.empty() && !glob_match(pattern_, rel)) continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    if (!in) continue;
-    std::ostringstream content;
-    content << in.rdbuf();
-    out.push_back(VirtualFile{rel, content.str()});
-  }
-  // Directory iteration order is unspecified; sort for determinism.
-  std::sort(out.begin(), out.end(),
-            [](const VirtualFile& a, const VirtualFile& b) {
-              return a.path < b.path;
-            });
-  return out;
-}
-
 MarkdownLoader::MarkdownLoader(MarkdownMode mode, bool drop_headings)
     : mode_(mode), drop_headings_(drop_headings) {}
 
@@ -149,16 +112,6 @@ std::vector<Document> MarkdownLoader::load(const VirtualDir& files) const {
     for (auto& doc : load_file(f)) out.push_back(std::move(doc));
   }
   return out;
-}
-
-void write_tree_to_disk(const VirtualDir& tree, const std::string& root) {
-  for (const VirtualFile& f : tree) {
-    const fs::path full = fs::path(root) / f.path;
-    fs::create_directories(full.parent_path());
-    std::ofstream out(full, std::ios::binary);
-    out.write(f.content.data(),
-              static_cast<std::streamsize>(f.content.size()));
-  }
 }
 
 }  // namespace pkb::text

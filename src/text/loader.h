@@ -2,10 +2,9 @@
 // Document loaders — the equivalents of LangChain's DirectoryLoader and
 // UnstructuredMarkdownLoader used in §III-A to ingest the PETSc docs.
 //
-// Loaders consume a `VirtualDir` (the corpus generator's output) or a real
-// directory on disk, and produce `Document`s ready for splitting.
+// Loaders consume a `VirtualDir` (the corpus generator's output) and
+// produce `Document`s ready for splitting.
 
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,7 +17,7 @@ namespace pkb::text {
 /// run including '/'), and "?" (one char). Anchored at both ends.
 [[nodiscard]] bool glob_match(std::string_view pattern, std::string_view path);
 
-/// Loads files matching a glob from an in-memory tree or from disk.
+/// Loads files matching a glob from an in-memory tree.
 class DirectoryLoader {
  public:
   /// `pattern` filters paths, e.g. "**/*.md". Empty pattern means all files.
@@ -26,10 +25,6 @@ class DirectoryLoader {
 
   /// All matching files from an in-memory tree, in tree order.
   [[nodiscard]] VirtualDir load(const VirtualDir& tree) const;
-
-  /// All matching files from a real directory (paths made relative to root).
-  /// Files that cannot be read are skipped.
-  [[nodiscard]] VirtualDir load_from_disk(const std::string& root) const;
 
  private:
   std::string pattern_;
@@ -65,9 +60,5 @@ class MarkdownLoader {
   MarkdownMode mode_;
   bool drop_headings_;
 };
-
-/// Write a VirtualDir to a real directory tree (used by tests/examples that
-/// exercise the disk path). Creates parent directories as needed.
-void write_tree_to_disk(const VirtualDir& tree, const std::string& root);
 
 }  // namespace pkb::text

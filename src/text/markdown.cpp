@@ -347,29 +347,6 @@ std::string strip_markdown(std::string_view md, bool include_headings) {
   return out;
 }
 
-std::vector<MdLink> extract_links(std::string_view md) {
-  std::vector<MdLink> links;
-  std::size_t i = 0;
-  while (i < md.size()) {
-    const std::size_t open = md.find('[', i);
-    if (open == std::string_view::npos) break;
-    const std::size_t close = md.find(']', open + 1);
-    if (close == std::string_view::npos) break;
-    if (close + 1 < md.size() && md[close + 1] == '(') {
-      const std::size_t end = md.find(')', close + 2);
-      if (end != std::string_view::npos) {
-        links.push_back(
-            MdLink{std::string(md.substr(open + 1, close - open - 1)),
-                   std::string(md.substr(close + 2, end - close - 2))});
-        i = end + 1;
-        continue;
-      }
-    }
-    i = close + 1;
-  }
-  return links;
-}
-
 std::vector<MdSection> extract_sections(std::string_view md) {
   std::vector<MdSection> sections;
   MdSection current;  // preamble: empty title, level 0

@@ -46,13 +46,6 @@ struct MdBlock {
   bool operator==(const MdBlock&) const = default;
 };
 
-/// An inline hyperlink.
-struct MdLink {
-  std::string text;
-  std::string url;
-  bool operator==(const MdLink&) const = default;
-};
-
 /// A section: a heading plus everything until the next heading of the same or
 /// shallower level.
 struct MdSection {
@@ -76,9 +69,6 @@ struct MdSection {
 
 /// Strip inline markup from a single line (no block handling).
 [[nodiscard]] std::string strip_inline(std::string_view line);
-
-/// All links in document order.
-[[nodiscard]] std::vector<MdLink> extract_links(std::string_view md);
 
 /// Split into heading-delimited sections. Text before the first heading
 /// becomes a section with an empty title and level 0.

@@ -1,6 +1,6 @@
 #pragma once
-// Checked little-endian binary I/O shared by the persistence code
-// (vectordb/vector_store.cpp, rag/knowledge_base.cpp). Every read validates
+// Checked little-endian binary I/O for the PKBT trace format
+// (replay/trace.cpp). Every read validates
 // the stream state and throws std::runtime_error naming the field that
 // failed, so a truncated or corrupt file surfaces as a clear error instead
 // of a garbage in-memory structure.

@@ -1,10 +1,9 @@
 #pragma once
 // Hand-rolled JSON value, parser, and serializer.
 //
-// The interaction-history database (§III-F of the paper) is persisted as
-// JSON, and the LLM supports a JSON output mode (§III-E: "LLMs are now making
-// it possible to return their output in JSON, making postprocessing easier").
-// No third-party JSON library is used.
+// The LLM supports a JSON output mode (§III-E: "LLMs are now making it
+// possible to return their output in JSON, making postprocessing easier"),
+// and the metrics registry exports JSON. No third-party JSON library is used.
 //
 // Object key order is preserved (insertion order), which keeps serialized
 // output stable and diffs readable.

@@ -83,13 +83,6 @@ double Rng::normal(double mean, double stddev) {
 
 bool Rng::chance(double p) { return uniform() < p; }
 
-Rng Rng::fork() {
-  // Mix two raw draws into a new seed; streams are decorrelated in practice.
-  const std::uint64_t a = (*this)();
-  const std::uint64_t b = (*this)();
-  return Rng(a ^ rotl(b, 31));
-}
-
 std::uint64_t fnv1a64(std::string_view s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : s) {

@@ -66,10 +66,6 @@ class Rng {
     return v[static_cast<std::size_t>(below(v.size()))];
   }
 
-  /// Derive a child generator whose stream is decorrelated from this one.
-  /// Useful for giving each parallel task its own deterministic stream.
-  Rng fork();
-
  private:
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;

@@ -12,7 +12,6 @@ namespace pkb::util {
 void Summary::add(double x) {
   samples_.push_back(x);
   sum_ += x;
-  sum_sq_ += x * x;
 }
 
 double Summary::min() const {
@@ -28,14 +27,6 @@ double Summary::max() const {
 double Summary::mean() const {
   if (samples_.empty()) return 0.0;
   return sum_ / static_cast<double>(samples_.size());
-}
-
-double Summary::stddev() const {
-  const auto n = static_cast<double>(samples_.size());
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  const double var = (sum_sq_ - n * m * m) / (n - 1.0);
-  return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
 double Summary::percentile(double q) const {

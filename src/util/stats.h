@@ -36,9 +36,6 @@ class Summary {
   /// Arithmetic mean; 0 when empty.
   [[nodiscard]] double mean() const;
 
-  /// Sample standard deviation (n-1 denominator); 0 for fewer than 2 samples.
-  [[nodiscard]] double stddev() const;
-
   /// Sum of all samples.
   [[nodiscard]] double sum() const { return sum_; }
 
@@ -57,7 +54,6 @@ class Summary {
  private:
   std::vector<double> samples_;
   double sum_ = 0.0;
-  double sum_sq_ = 0.0;
 };
 
 /// Histogram with fixed-width bins over [lo, hi); out-of-range samples clamp

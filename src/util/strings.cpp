@@ -135,11 +135,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::string replace_all(std::string_view s, std::string_view from,
                         std::string_view to) {
   if (from.empty()) return std::string(s);
@@ -158,10 +153,6 @@ std::string replace_all(std::string_view s, std::string_view from,
   }
 }
 
-bool contains(std::string_view s, std::string_view needle) {
-  return s.find(needle) != std::string_view::npos;
-}
-
 bool icontains(std::string_view s, std::string_view needle) {
   if (needle.empty()) return true;
   if (needle.size() > s.size()) return false;
@@ -176,14 +167,6 @@ bool icontains(std::string_view s, std::string_view needle) {
     if (match) return true;
   }
   return false;
-}
-
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
-  }
-  return true;
 }
 
 std::size_t edit_distance(std::string_view a, std::string_view b) {

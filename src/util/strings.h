@@ -46,22 +46,15 @@ namespace pkb::util {
 /// ASCII uppercase copy.
 [[nodiscard]] std::string to_upper(std::string_view s);
 
-/// True if `s` starts with / ends with the given prefix/suffix.
+/// True if `s` starts with the given prefix.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
-[[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix);
 
 /// Replace every occurrence of `from` (non-empty) with `to`.
 [[nodiscard]] std::string replace_all(std::string_view s, std::string_view from,
                                       std::string_view to);
 
-/// True if `s` contains `needle`.
-[[nodiscard]] bool contains(std::string_view s, std::string_view needle);
-
 /// Case-insensitive containment test (ASCII).
 [[nodiscard]] bool icontains(std::string_view s, std::string_view needle);
-
-/// Case-insensitive equality (ASCII).
-[[nodiscard]] bool iequals(std::string_view a, std::string_view b);
 
 /// Levenshtein edit distance; O(|a|*|b|) with O(min) memory. Used for fuzzy
 /// API-symbol matching ("KSPGmres" -> "KSPGMRES").

@@ -22,15 +22,13 @@
 
 namespace pkb::vectordb {
 
-/// Which search path serves a snapshot's searches. The values are the
-/// persisted kind word (rag snapshot format); 1 is unused and rejected.
+/// Which search path serves a snapshot's searches.
 enum class IndexKind : std::uint8_t {
-  Flat = 0,  ///< exact scan (the default)
-  Hnsw = 2,  ///< navigable small-world graph (hnsw.h)
+  Flat,  ///< exact scan (the default)
+  Hnsw,  ///< navigable small-world graph (hnsw.h)
 };
 
-/// A point on the recall-vs-latency frontier. Persisted with snapshots (rag
-/// snapshot format v8).
+/// A point on the recall-vs-latency frontier.
 struct IndexSpec {
   IndexKind kind = IndexKind::Flat;
   HnswOptions hnsw;

@@ -13,8 +13,7 @@ namespace pkb::vectordb::kernels {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar backend — the portable reference. Sequential double accumulation is
-// exactly the embed::dot contract.
+// Scalar backend — the portable reference: sequential double accumulation.
 // ---------------------------------------------------------------------------
 
 float dot_f32_scalar(const float* a, const float* b, std::size_t n) {

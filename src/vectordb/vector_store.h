@@ -8,12 +8,9 @@
 // The rows live in one packed SoA block (kernels::PackedF32), the only
 // copy of each vector. Exact search scans that block with the SIMD kernels
 // in kernels.h on the calling thread (partial-sort top-k); the HNSW graph
-// in hnsw.h is the approximate fast path over the same rows. Stores
-// persist to a simple binary format.
+// in hnsw.h is the approximate fast path over the same rows.
 
-#include <iosfwd>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "embed/embedder.h"
@@ -91,19 +88,6 @@ class VectorStore {
   /// index for determinism.
   [[nodiscard]] std::vector<SearchResult> similarity_search(
       const embed::Vector& query, std::size_t k) const;
-
-  /// Persist to / restore from a binary file. Throws std::runtime_error on
-  /// I/O errors or format mismatch: load() validates magic, version, counts
-  /// and dimensions, and every read, so a truncated or corrupt file is a
-  /// clear error instead of a garbage store.
-  void save(const std::string& path) const;
-  static VectorStore load(const std::string& path);
-
-  /// Stream variants: the store blob embeds cleanly inside a larger file
-  /// (rag::Snapshot persistence writes one as its vector section). load()
-  /// consumes exactly the blob and leaves the stream positioned after it.
-  void save(std::ostream& out) const;
-  static VectorStore load(std::istream& in);
 
  private:
   kernels::PackedF32 packed_;  ///< every row, scanned by the kernels

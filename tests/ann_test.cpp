@@ -1,14 +1,11 @@
 // ANN hot-path tests: kernel backend consistency, HNSW recall, determinism
-// and option bounds, the exact-score contract of build_index, IndexSpec
-// routing through Snapshot/Retriever, and snapshot persistence of the
-// spec. Suite names (Kernels*, Hnsw*, AnnIndex*, AnnKnowledgeBase*) are
+// and option bounds, the exact-score contract of build_index, and IndexSpec
+// routing through Snapshot/Retriever. Suite names (Kernels*, Hnsw*, AnnIndex*, AnnKnowledgeBase*) are
 // part of the scripts/run_tsan.sh filter.
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
@@ -205,7 +202,9 @@ TEST(Hnsw, ScoresAreFlatScanExact) {
     const auto approx = index.search(q, 10);
     for (const SearchResult& hit : approx) {
       for (const SearchResult& e : exact) {
-        if (e.index == hit.index) EXPECT_EQ(e.score, hit.score);
+        if (e.index == hit.index) {
+          EXPECT_EQ(e.score, hit.score);
+        }
       }
     }
   }
@@ -370,59 +369,6 @@ TEST(AnnKnowledgeBase, SnapshotBuildsConfiguredIndex) {
                                         llm::model_config("sim-gpt-4o"));
   EXPECT_FALSE(
       workflow.ask("How do I use VecSetValues?").retrieval.contexts.empty());
-}
-
-TEST(AnnKnowledgeBase, PersistenceV3RoundTripsIndexSpec) {
-  // The index spec has been part of the snapshot since v3; non-default
-  // options must survive a save/load of an HNSW-indexed KB.
-  rag::KnowledgeBaseOptions opts;
-  opts.index.kind = IndexKind::Hnsw;
-  opts.index.hnsw.ef_search = 48;
-  const rag::KnowledgeBase kb = rag::KnowledgeBase::build(tiny_corpus(), opts);
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pkb_ann_snapshot_v3.bin")
-          .string();
-  kb.snapshot()->save(path);
-  const rag::SnapshotPtr loaded = rag::Snapshot::load(path);
-  std::remove(path.c_str());
-
-  EXPECT_EQ(loaded->opts.index, kb.snapshot()->opts.index);
-  EXPECT_EQ(loaded->opts.index.hnsw.ef_search, 48u);
-  EXPECT_NE(loaded->ann, nullptr);
-}
-
-TEST(AnnKnowledgeBase, PersistenceV6RoundTripsIndexSpec) {
-  // The snapshot carries the IndexSpec (kind + HNSW options); a reloaded KB
-  // must come back with the same spec, rebuild the same graph, and answer
-  // with bit-identical hits.
-  IndexSpec hnsw;
-  hnsw.kind = IndexKind::Hnsw;
-  hnsw.hnsw.m = 8;
-  hnsw.hnsw.ef_construction = 40;
-  hnsw.hnsw.ef_search = 48;
-  hnsw.hnsw.seed = 7;
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pkb_ann_snapshot_v6.bin")
-          .string();
-  rag::KnowledgeBaseOptions opts;
-  opts.index = hnsw;
-  const rag::KnowledgeBase kb = rag::KnowledgeBase::build(tiny_corpus(), opts);
-  const rag::SnapshotPtr snap = kb.snapshot();
-  snap->save(path);
-  const rag::SnapshotPtr loaded = rag::Snapshot::load(path);
-  std::remove(path.c_str());
-
-  EXPECT_EQ(loaded->opts.index, hnsw);
-  ASSERT_NE(snap->ann, nullptr);
-  ASSERT_NE(loaded->ann, nullptr);
-  EXPECT_EQ(loaded->ann->edge_count(), snap->ann->edge_count());
-  for (const char* question :
-       {"How do I use VecSetValues?", "MatAssemblyBegin section 3",
-        "KSPSolve with a preconditioner"}) {
-    const Vector q = snap->embedder->embed(text::analyze(question));
-    expect_hits_equal(snap->ann->search(q, 5), loaded->ann->search(q, 5));
-  }
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <set>
 #include <thread>
 #include <vector>
@@ -88,25 +87,6 @@ TEST(HistoryStore, ScoringWorkflow) {
   EXPECT_FALSE(store.record_score(999, {"carol", 3, ""}));
 }
 
-TEST(HistoryStore, JsonRoundTripPreservesEverything) {
-  HistoryStore store;
-  const auto id = store.add(make_record("round trip?", "rag+rerank"));
-  store.record_score(id, {"alice", 3, "good"});
-  HistoryStore loaded = HistoryStore::from_json(store.to_json());
-  ASSERT_EQ(loaded.size(), 1u);
-  const InteractionRecord* r = loaded.get(id);
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->question, "round trip?");
-  EXPECT_EQ(r->pipeline, "rag+rerank");
-  EXPECT_EQ(r->context_ids, (std::vector<std::string>{"a#0", "b#1"}));
-  EXPECT_DOUBLE_EQ(r->latency_seconds, 9.5);
-  ASSERT_EQ(r->scores.size(), 1u);
-  EXPECT_EQ(r->scores[0].scorer, "alice");
-  EXPECT_EQ(r->scores[0].score, 3);
-  // Ids keep incrementing after reload.
-  EXPECT_EQ(loaded.add(make_record("next", "rag")), id + 1);
-}
-
 TEST(HistoryStore, ConcurrentAppendsAndReadsAreSafe) {
   HistoryStore store;
   constexpr int kThreads = 8;
@@ -141,21 +121,6 @@ TEST(HistoryStore, ConcurrentAppendsAndReadsAreSafe) {
   EXPECT_EQ(*all.begin(), 1u);
   EXPECT_EQ(*all.rbegin(), static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(store.size(), static_cast<std::size_t>(kThreads * kPerThread));
-}
-
-TEST(HistoryStore, FilePersistence) {
-  namespace fs = std::filesystem;
-  const std::string path =
-      (fs::temp_directory_path() / "pkb_history_test.json").string();
-  HistoryStore store;
-  store.add(make_record("persisted?", "baseline"));
-  store.save(path);
-  const HistoryStore loaded = HistoryStore::load(path);
-  EXPECT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded.get(1)->question, "persisted?");
-  fs::remove(path);
-  EXPECT_THROW((void)HistoryStore::load("/nonexistent/h.json"),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -1,19 +1,15 @@
 // Generational KnowledgeBase + live ingestion tests: publish/pin semantics,
 // the Ingestor's delta/upsert/refit lifecycle, the ChatBot curation hook,
-// Snapshot persistence, the end-to-end live-enhancement proof (a fact only
-// present in an ingested document becomes retrievable with no restart), and
-// a swap-under-load stress test, and reads checked against serial asks
-// while a writer publishes. Suite names (KnowledgeBase*, Ingest*,
-// SnapshotPersist*, PublishUnderReads*) are part of the scripts/run_tsan.sh
-// filter.
+// the end-to-end live-enhancement proof (a fact only present in an ingested
+// document becomes retrievable with no restart), a swap-under-load stress
+// test, and reads checked against serial asks while a writer publishes.
+// Suite names (KnowledgeBase*, Ingest*, PublishUnderReads*) are part of the
+// scripts/run_tsan.sh filter.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -155,7 +151,7 @@ TEST(KnowledgeBase, PublishRequiresIncreasingGeneration) {
   EXPECT_EQ(kb.generation(), 2u);
 }
 
-TEST(KnowledgeBase, AdoptLoadedSnapshotConstructor) {
+TEST(KnowledgeBase, AdoptSnapshotConstructor) {
   auto built = rag::KnowledgeBase::build(small_corpus());
   rag::KnowledgeBase adopted(built.snapshot());
   EXPECT_EQ(adopted.generation(), 1u);
@@ -505,309 +501,6 @@ TEST(Ingest, ChatBotSendIngestsTheResolvedThread) {
   EXPECT_TRUE(found);
   // Discard never ingests: safety invariant is send-only.
   EXPECT_EQ(ingestor.stats().builds, 1u);
-}
-
-// --- Snapshot persistence ---------------------------------------------------
-
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), {}};
-}
-
-void write_file_bytes(const std::string& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-/// Offset just past a saved snapshot's options block, where the
-/// VectorStore blob (magic "PKBV") starts. The block ends with the
-/// IndexSpec: u32 kind, then u64 hnsw m, ef_construction, ef_search, seed.
-std::size_t options_block_end(const std::string& bytes) {
-  const std::size_t end = bytes.find("PKBV", 8);
-  EXPECT_NE(end, std::string::npos);
-  return end;
-}
-
-/// Offset of the chunk section magic "CHNK" in `snap`'s saved bytes: just
-/// past the VectorStore blob (magic, version, count, dim, raw rows).
-std::size_t chunk_section_offset(const std::string& bytes,
-                                 const rag::Snapshot& snap) {
-  const std::size_t at =
-      options_block_end(bytes) + 8 + 2 * sizeof(std::uint64_t) +
-      snap.store.size() * snap.store.dimension() * sizeof(float);
-  EXPECT_EQ(bytes.substr(at, 4), "CHNK");
-  return at;
-}
-
-/// Serialized size of one chunk record: id, text, then the metadata count
-/// and key/value strings, every string a u64 length plus its bytes.
-std::size_t chunk_record_bytes(const text::Document& chunk) {
-  std::size_t n = 3 * sizeof(std::uint64_t) + chunk.id.size() +
-                  chunk.text.size();
-  for (const auto& [key, value] : chunk.metadata) {
-    n += 2 * sizeof(std::uint64_t) + key.size() + value.size();
-  }
-  return n;
-}
-
-/// Build an HNSW-indexed KB over small_corpus() and return its saved bytes.
-std::string saved_hnsw_snapshot(const std::string& path) {
-  rag::KnowledgeBaseOptions opts;
-  opts.index.kind = vectordb::IndexKind::Hnsw;
-  const auto kb = rag::KnowledgeBase::build(small_corpus(), opts);
-  kb.snapshot()->save(path);
-  return file_bytes(path);
-}
-
-TEST(SnapshotPersist, RoundTripIsRetrievalIdentical) {
-  auto kb = rag::KnowledgeBase::build(corpus_with_pages());
-  const rag::SnapshotPtr orig = kb.snapshot();
-  const std::string path = temp_path("pkb_snapshot_rt.bin");
-  orig->save(path);
-  const rag::SnapshotPtr loaded = rag::Snapshot::load(path);
-  std::filesystem::remove(path);
-
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->generation, orig->generation);
-  EXPECT_EQ(loaded->source_count, orig->source_count);
-  EXPECT_EQ(loaded->embedder_fit_generation, orig->embedder_fit_generation);
-  ASSERT_EQ(loaded->chunks.size(), orig->chunks.size());
-  for (std::size_t i = 0; i < orig->chunks.size(); ++i) {
-    EXPECT_EQ(loaded->chunks[i], orig->chunks[i]);
-  }
-  // Fit-consistent snapshot: stored vectors survive bit-exactly.
-  ASSERT_EQ(loaded->store.size(), orig->store.size());
-  ASSERT_EQ(loaded->store.dimension(), orig->store.dimension());
-  for (std::size_t i = 0; i < orig->store.size(); ++i) {
-    EXPECT_TRUE(same_bytes(loaded->store.vec(i), orig->store.vec(i)))
-        << "row " << i;
-  }
-
-  // A retrieval against the loaded snapshot matches one against the
-  // original, content for content.
-  rag::KnowledgeBase reloaded(loaded);
-  const rag::AugmentedWorkflow w_orig(kb, rag::PipelineArm::RagRerank,
-                                      llm::model_config("sim-gpt-4o"));
-  const rag::AugmentedWorkflow w_loaded(reloaded, rag::PipelineArm::RagRerank,
-                                        llm::model_config("sim-gpt-4o"));
-  const auto a = w_orig.ask("How do I monitor Krylov convergence?").retrieval;
-  const auto b = w_loaded.ask("How do I monitor Krylov convergence?").retrieval;
-  ASSERT_EQ(a.contexts.size(), b.contexts.size());
-  for (std::size_t i = 0; i < a.contexts.size(); ++i) {
-    EXPECT_EQ(a.contexts[i].doc->id, b.contexts[i].doc->id);
-    EXPECT_DOUBLE_EQ(a.contexts[i].score, b.contexts[i].score);
-  }
-
-  // The symbol index is rebuilt from the chunks on load: keyword lookups,
-  // exact and fuzzy, resolve to the same pages and chunks.
-  ASSERT_GT(orig->symbols->symbol_count(), 0u);
-  EXPECT_EQ(loaded->symbols->symbol_count(), orig->symbols->symbol_count());
-  std::size_t resolved = 0;  // hits that reach manual-page chunks
-  for (const char* query :
-       {"KSPSolve with KSPGMRES", "Is KSPLSQR for least squares?",
-        "PCJACOBI and KSPGMRSE", "KSPSolv typo", "KSPBurb is unknown"}) {
-    const text::QueryAnalysis q = text::analyze(query);
-    const auto want = orig->symbols->lookup(q.symbols);
-    const auto got = loaded->symbols->lookup(q.symbols);
-    ASSERT_EQ(got.size(), want.size()) << query;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      if (!want[i].chunks.empty()) ++resolved;
-      EXPECT_EQ(got[i].symbol, want[i].symbol) << query;
-      EXPECT_EQ(got[i].resolved, want[i].resolved) << query;
-      EXPECT_EQ(got[i].page, want[i].page) << query;
-      EXPECT_EQ(got[i].chunks, want[i].chunks) << query;
-    }
-  }
-  EXPECT_EQ(resolved, 6u);  // every symbol but the unknown KSPBurb
-}
-
-TEST(SnapshotPersist, DeltaGenerationReloadsAsItsOwnFit) {
-  auto kb = rag::KnowledgeBase::build(small_corpus());
-  ingest::Ingestor ingestor(kb);
-  const rag::SnapshotPtr delta = ingestor.ingest_files(
-      {{"guide/delta.md", "# Delta\n\nPERSISTMARKER paragraph."}});
-  ASSERT_NE(delta, nullptr);
-  ASSERT_LT(delta->embedder_fit_generation, delta->generation);
-
-  const std::string path = temp_path("pkb_snapshot_delta.bin");
-  delta->save(path);
-  const rag::SnapshotPtr loaded = rag::Snapshot::load(path);
-  std::filesystem::remove(path);
-
-  // The delta's fit corpus (gen-1 chunks) is not in the file, so the load
-  // refits on its own chunk list and re-embeds.
-  EXPECT_EQ(loaded->generation, delta->generation);
-  EXPECT_EQ(loaded->embedder_fit_generation, loaded->generation);
-  ASSERT_EQ(loaded->chunks.size(), delta->chunks.size());
-  EXPECT_TRUE(any_chunk_contains(*loaded, "PERSISTMARKER"));
-  // Still a coherent store (row invariant), usable for retrieval.
-  ASSERT_EQ(loaded->store.size(), loaded->chunks.size());
-  rag::KnowledgeBase reloaded(loaded);
-  const rag::AugmentedWorkflow workflow(reloaded, rag::PipelineArm::RagRerank,
-                                        llm::model_config("sim-gpt-4o"));
-  EXPECT_FALSE(
-      workflow.ask("PERSISTMARKER paragraph").retrieval.contexts.empty());
-}
-
-TEST(SnapshotPersist, RejectsMissingGarbageAndTruncatedFiles) {
-  EXPECT_THROW((void)rag::Snapshot::load("/nonexistent/snap.bin"),
-               std::runtime_error);
-
-  const std::string garbage = temp_path("pkb_snapshot_garbage.bin");
-  {
-    std::ofstream out(garbage, std::ios::binary);
-    out << "definitely not a snapshot";
-  }
-  EXPECT_THROW((void)rag::Snapshot::load(garbage), std::runtime_error);
-  std::filesystem::remove(garbage);
-
-  // Truncate a real snapshot at every prefix through the first complete
-  // chunk record — header, options, the whole vector blob, the chunk
-  // section header and one id/text/metadata record — then at a fixed
-  // stride to EOF: every cut must throw.
-  auto kb = rag::KnowledgeBase::build(small_corpus());
-  const rag::SnapshotPtr snap = kb.snapshot();
-  const std::string path = temp_path("pkb_snapshot_trunc.bin");
-  snap->save(path);
-  const std::string bytes = file_bytes(path);
-  const std::size_t first_record_end =
-      chunk_section_offset(bytes, *snap) + 4 + sizeof(std::uint64_t) +
-      chunk_record_bytes(snap->chunks.front());
-  ASSERT_LT(first_record_end, bytes.size());
-  std::vector<std::size_t> cuts;
-  for (std::size_t len = 0; len <= first_record_end; ++len) {
-    cuts.push_back(len);
-  }
-  for (std::size_t len = first_record_end; len < bytes.size(); len += 61) {
-    cuts.push_back(len);
-  }
-  cuts.push_back(bytes.size() - 1);
-  for (const std::size_t len : cuts) {
-    ASSERT_LT(len, bytes.size());
-    write_file_bytes(path, std::string_view(bytes).substr(0, len));
-    EXPECT_THROW((void)rag::Snapshot::load(path), std::runtime_error)
-        << "prefix length " << len;
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(SnapshotPersist, HugeChunkFieldsFailAtTheirBoundedReads) {
-  // A corrupt count or length in the chunk section must fail at its
-  // bounded read, before anything is sized from it.
-  auto kb = rag::KnowledgeBase::build(small_corpus());
-  const rag::SnapshotPtr snap = kb.snapshot();
-  const std::string path = temp_path("pkb_snapshot_huge.bin");
-  snap->save(path);
-  const std::string bytes = file_bytes(path);
-  const text::Document& first = snap->chunks.front();
-  const std::size_t count_at = chunk_section_offset(bytes, *snap) + 4;
-  const std::size_t text_len_at =
-      count_at + sizeof(std::uint64_t) + sizeof(std::uint64_t) +
-      first.id.size();
-  const std::size_t meta_count_at =
-      text_len_at + sizeof(std::uint64_t) + first.text.size();
-  std::uint64_t field = 0;
-  std::memcpy(&field, bytes.data() + count_at, sizeof field);
-  ASSERT_EQ(field, snap->chunks.size());
-  std::memcpy(&field, bytes.data() + text_len_at, sizeof field);
-  ASSERT_EQ(field, first.text.size());
-  std::memcpy(&field, bytes.data() + meta_count_at, sizeof field);
-  ASSERT_EQ(field, first.metadata.size());
-
-  const auto expect_fails_at = [&](std::size_t at, std::uint64_t value,
-                                   const std::string& message) {
-    std::string patched = bytes;
-    std::memcpy(patched.data() + at, &value, sizeof value);
-    write_file_bytes(path, patched);
-    try {
-      (void)rag::Snapshot::load(path);
-      ADD_FAILURE() << message << ": loaded";
-    } catch (const std::runtime_error& err) {
-      EXPECT_NE(std::string(err.what()).find(message), std::string::npos)
-          << err.what();
-    }
-  };
-  const std::uint64_t huge = ~std::uint64_t{0};
-  expect_fails_at(count_at, huge, "implausible count for chunk count");
-  expect_fails_at(text_len_at, huge, "implausible count for chunk text");
-  expect_fails_at(meta_count_at, huge, "implausible count for metadata count");
-  // A plausible count that disagrees with the rows actually stored.
-  expect_fails_at(count_at, std::uint64_t{1} << 29,
-                  "chunk section disagrees with vector store size");
-  std::filesystem::remove(path);
-}
-
-TEST(SnapshotPersist, RejectsVersionsOtherThanCurrent) {
-  auto kb = rag::KnowledgeBase::build(small_corpus());
-  const std::string path = temp_path("pkb_snapshot_version.bin");
-  kb.snapshot()->save(path);
-  std::string bytes = file_bytes(path);
-  ASSERT_GT(bytes.size(), 8u);
-  ASSERT_EQ(bytes[4], 8);  // u32 version, little-endian, after the magic
-  for (char version : {char{1}, char{2}, char{3}, char{4}, char{5}, char{6},
-                       char{7}, char{9}}) {
-    bytes[4] = version;
-    write_file_bytes(path, bytes);
-    try {
-      (void)rag::Snapshot::load(path);
-      ADD_FAILURE() << "version " << int{version} << " loaded";
-    } catch (const std::runtime_error& err) {
-      EXPECT_NE(std::string(err.what()).find("unsupported version"),
-                std::string::npos)
-          << err.what();
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(SnapshotPersist, RejectsUnknownIndexKind) {
-  // Kind word 1 named an index kind that no longer exists; it must fail as
-  // unknown, never load as some other kind.
-  const std::string path = temp_path("pkb_snapshot_kind.bin");
-  std::string bytes = saved_hnsw_snapshot(path);
-  const std::size_t at = options_block_end(bytes) -
-                         4 * sizeof(std::uint64_t) - sizeof(std::uint32_t);
-  std::uint32_t kind = 0;
-  std::memcpy(&kind, bytes.data() + at, sizeof kind);
-  ASSERT_EQ(kind, static_cast<std::uint32_t>(vectordb::IndexKind::Hnsw));
-  kind = 1;
-  std::memcpy(bytes.data() + at, &kind, sizeof kind);
-  write_file_bytes(path, bytes);
-  try {
-    (void)rag::Snapshot::load(path);
-    ADD_FAILURE() << "index kind 1 loaded";
-  } catch (const std::runtime_error& err) {
-    EXPECT_NE(std::string(err.what()).find("unknown index kind"),
-              std::string::npos)
-        << err.what();
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(SnapshotPersist, RejectsHnswMAboveLinkCapacity) {
-  // A corrupt hnsw m must fail at the read, before the graph build asks
-  // the arena for 2m links per node.
-  const std::string path = temp_path("pkb_snapshot_hnsw_m.bin");
-  std::string bytes = saved_hnsw_snapshot(path);
-  const std::size_t at = options_block_end(bytes) - 4 * sizeof(std::uint64_t);
-  std::uint64_t m = 0;
-  std::memcpy(&m, bytes.data() + at, sizeof m);
-  ASSERT_EQ(m, vectordb::HnswOptions{}.m);
-  m = std::uint64_t{1} << 30;
-  std::memcpy(bytes.data() + at, &m, sizeof m);
-  write_file_bytes(path, bytes);
-  try {
-    (void)rag::Snapshot::load(path);
-    ADD_FAILURE() << "hnsw m 2^30 loaded";
-  } catch (const std::runtime_error& err) {
-    EXPECT_NE(std::string(err.what()).find("hnsw m"), std::string::npos)
-        << err.what();
-  }
-  std::filesystem::remove(path);
 }
 
 // --- E2E: live enhancement through a running server -------------------------

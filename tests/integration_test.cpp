@@ -2,14 +2,12 @@
 // that no single module test can see.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <set>
 
 #include "corpus/generator.h"
 #include "eval/runner.h"
 #include "post/postprocessor.h"
 #include "rag/workflow.h"
-#include "text/loader.h"
 
 namespace pkb {
 namespace {
@@ -106,7 +104,7 @@ TEST_F(IntegrationTest, RagLiftsWeakModelsToo) {
   EXPECT_GT(rerank, baseline + 0.5);
 }
 
-TEST_F(IntegrationTest, HistoryOfAFullRunRoundTripsThroughJson) {
+TEST_F(IntegrationTest, HistoryOfAFullRunRecordsEveryAsk) {
   history::HistoryStore store;
   pkb::util::SimClock clock;
   rag::AugmentedWorkflow workflow(*db_, rag::PipelineArm::RagRerank,
@@ -116,29 +114,15 @@ TEST_F(IntegrationTest, HistoryOfAFullRunRoundTripsThroughJson) {
     (void)workflow.ask(corpus::krylov_benchmark()[i].question);
   }
   ASSERT_EQ(store.size(), 5u);
-  const history::HistoryStore loaded =
-      history::HistoryStore::from_json(store.to_json());
-  ASSERT_EQ(loaded.size(), 5u);
   for (std::size_t i = 1; i <= 5; ++i) {
-    EXPECT_EQ(loaded.get(i)->response, store.get(i)->response);
-    EXPECT_EQ(loaded.get(i)->prompt, store.get(i)->prompt);
+    const history::InteractionRecord* r = store.get(i);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->question, corpus::krylov_benchmark()[i - 1].question);
+    EXPECT_FALSE(r->response.empty()) << "record " << i;
+    EXPECT_NE(r->prompt.find(r->question), std::string::npos) << "record " << i;
   }
   // Simulated time advanced monotonically across the interactions.
   EXPECT_GT(clock.now(), 5.0);
-}
-
-TEST_F(IntegrationTest, CorpusRoundTripsThroughDisk) {
-  namespace fs = std::filesystem;
-  const fs::path root = fs::temp_directory_path() / "pkb_corpus_roundtrip";
-  fs::remove_all(root);
-  text::write_tree_to_disk(*tree_, root.string());
-  const text::DirectoryLoader loader("**/*.md");
-  const text::VirtualDir loaded = loader.load_from_disk(root.string());
-  EXPECT_EQ(loaded.size(), tree_->size());
-  // Building a database from the disk copy gives the same chunk count.
-  const rag::KnowledgeBase db2 = rag::KnowledgeBase::build(loaded);
-  EXPECT_EQ(db2.snapshot()->chunks.size(), db_->snapshot()->chunks.size());
-  fs::remove_all(root);
 }
 
 TEST_F(IntegrationTest, JsonModeFlowsThroughThePipeline) {

@@ -130,9 +130,15 @@ SymbolIndex* SymbolIndexTest::index_ = nullptr;
 
 TEST_F(SymbolIndexTest, CoversTheSpecTable) {
   EXPECT_GE(index_->symbol_count(), 90u);
-  EXPECT_FALSE(index_->chunks_of("KSPGMRES").empty());
-  EXPECT_FALSE(index_->chunks_of("-info").empty());
-  EXPECT_TRUE(index_->chunks_of("KSPBurb").empty());
+  for (const char* symbol : {"KSPGMRES", "-info"}) {
+    const auto hits = index_->lookup(std::vector<std::string>{symbol});
+    ASSERT_EQ(hits.size(), 1u) << symbol;
+    EXPECT_EQ(hits[0].resolved, symbol);
+    EXPECT_FALSE(hits[0].chunks.empty()) << symbol;
+  }
+  const auto unknown = index_->lookup(std::vector<std::string>{"KSPBurb"});
+  ASSERT_EQ(unknown.size(), 1u);
+  EXPECT_TRUE(unknown[0].chunks.empty());
 }
 
 TEST_F(SymbolIndexTest, LookupResolvesExactSymbols) {

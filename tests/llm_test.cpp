@@ -82,7 +82,7 @@ TEST(Hallucination, FabricationMentionsTheSymbolAndSoundsConfident) {
 }
 
 TEST(SimLlm, ParametricAnswersPopularTopicWell) {
-  const SimLlm llm = SimLlm::from_name("sim-gpt-4o");
+  const SimLlm llm(model_config("sim-gpt-4o"));
   LlmRequest req;
   req.question = "What is the default restart length of GMRES?";
   const LlmResponse resp = llm.complete(req);
@@ -91,7 +91,7 @@ TEST(SimLlm, ParametricAnswersPopularTopicWell) {
 }
 
 TEST(SimLlm, ParametricHallucinatesOnUnknownSymbol) {
-  const SimLlm llm = SimLlm::from_name("sim-gpt-4o");
+  const SimLlm llm(model_config("sim-gpt-4o"));
   LlmRequest req;
   req.question = "What does KSPBurb do?";
   const LlmResponse resp = llm.complete(req);
@@ -100,7 +100,7 @@ TEST(SimLlm, ParametricHallucinatesOnUnknownSymbol) {
 }
 
 TEST(SimLlm, GroundedUsesContextSentences) {
-  const SimLlm llm = SimLlm::from_name("sim-gpt-4o");
+  const SimLlm llm(model_config("sim-gpt-4o"));
   const LlmRequest req = grounded_request(
       "What solver handles rectangular matrices?",
       {{"doc1", "KSPLSQR",
@@ -116,7 +116,7 @@ TEST(SimLlm, GroundedUsesContextSentences) {
 }
 
 TEST(SimLlm, GroundedCaveatsOnSymbolAbsentFromContext) {
-  const SimLlm llm = SimLlm::from_name("sim-gpt-4o");
+  const SimLlm llm(model_config("sim-gpt-4o"));
   const LlmRequest req = grounded_request(
       "What does KSPBurb do?",
       {{"doc1", "KSP",
@@ -130,7 +130,7 @@ TEST(SimLlm, GroundedCaveatsOnSymbolAbsentFromContext) {
 }
 
 TEST(SimLlm, AttentionWindowLimitsContexts) {
-  const SimLlm llm = SimLlm::from_name("sim-gpt-4o");
+  const SimLlm llm(model_config("sim-gpt-4o"));
   std::vector<ContextDoc> contexts;
   for (int i = 0; i < 8; ++i) {
     contexts.push_back({"doc" + std::to_string(i), "",
@@ -152,7 +152,7 @@ TEST(SimLlm, AttentionWindowLimitsContexts) {
 }
 
 TEST(SimLlm, DeterministicAcrossCalls) {
-  const SimLlm llm = SimLlm::from_name("sim-gpt-4o");
+  const SimLlm llm(model_config("sim-gpt-4o"));
   LlmRequest req;
   req.question = "How do I monitor the residual norm?";
   const LlmResponse a = llm.complete(req);
@@ -164,14 +164,14 @@ TEST(SimLlm, DeterministicAcrossCalls) {
 TEST(SimLlm, DifferentModelsDiverge) {
   LlmRequest req;
   req.question = "What does the ell parameter of BiCGStab(ell) control?";
-  const LlmResponse a = SimLlm::from_name("sim-gpt-4o").complete(req);
-  const LlmResponse b = SimLlm::from_name("sim-llama3-8b").complete(req);
+  const LlmResponse a = SimLlm(model_config("sim-gpt-4o")).complete(req);
+  const LlmResponse b = SimLlm(model_config("sim-llama3-8b")).complete(req);
   // Weaker model: lower knowledge; responses generally differ.
   EXPECT_NE(a.text, b.text);
 }
 
 TEST(SimLlm, LatencyModelScalesWithOutput) {
-  const SimLlm llm = SimLlm::from_name("sim-gpt-4o");
+  const SimLlm llm(model_config("sim-gpt-4o"));
   LlmRequest req;
   req.question = "What is the default restart length of GMRES?";
   const LlmResponse resp = llm.complete(req);
@@ -182,7 +182,7 @@ TEST(SimLlm, LatencyModelScalesWithOutput) {
 }
 
 TEST(SimLlm, JsonOutputModeParses) {
-  const SimLlm llm = SimLlm::from_name("sim-gpt-4o");
+  const SimLlm llm(model_config("sim-gpt-4o"));
   LlmRequest req = grounded_request(
       "What solver handles rectangular matrices?",
       {{"doc1", "KSPLSQR",

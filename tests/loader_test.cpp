@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
+#include <string>
 
 namespace pkb::text {
 namespace {
@@ -100,28 +99,6 @@ TEST(MarkdownLoader, LoadManyKeepsOrder) {
   ASSERT_EQ(docs.size(), 3u);
   EXPECT_EQ(docs[0].id, "manualpages/KSP/KSPGMRES.md");
   EXPECT_EQ(docs[2].id, "docs/manual.md");
-}
-
-TEST(DiskRoundTrip, WriteThenLoadFromDisk) {
-  namespace fs = std::filesystem;
-  const fs::path root =
-      fs::temp_directory_path() / "pkb_loader_test_tree";
-  fs::remove_all(root);
-  write_tree_to_disk(sample_tree(), root.string());
-
-  DirectoryLoader loader("**/*.md");
-  const auto files = loader.load_from_disk(root.string());
-  ASSERT_EQ(files.size(), 3u);
-  // Sorted by path for determinism.
-  EXPECT_EQ(files[0].path, "docs/manual.md");
-  EXPECT_EQ(files[1].path, "manualpages/KSP/KSPCG.md");
-  EXPECT_NE(files[1].content.find("CG solver."), std::string::npos);
-  fs::remove_all(root);
-}
-
-TEST(DiskRoundTrip, MissingDirectoryYieldsEmpty) {
-  DirectoryLoader loader("**/*.md");
-  EXPECT_TRUE(loader.load_from_disk("/nonexistent/pkb/path").empty());
 }
 
 }  // namespace

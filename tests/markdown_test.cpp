@@ -117,19 +117,6 @@ TEST(StripMarkdown, FlattensStructure) {
   EXPECT_EQ(plain.find('#'), std::string::npos);
 }
 
-TEST(ExtractLinks, FindsAllInOrder) {
-  const auto links =
-      extract_links("[a](u1) text [b](u2)\nand [c](u3)");
-  ASSERT_EQ(links.size(), 3u);
-  EXPECT_EQ(links[0].text, "a");
-  EXPECT_EQ(links[0].url, "u1");
-  EXPECT_EQ(links[2].url, "u3");
-}
-
-TEST(ExtractLinks, IgnoresBareBrackets) {
-  EXPECT_TRUE(extract_links("array[3] = x; [note]").empty());
-}
-
 TEST(ExtractSections, SplitsOnHeadings) {
   const std::string md =
       "preamble text\n\n# One\nbody one\n\n## Sub\nsub body\n\n# Two\nbody "

@@ -83,7 +83,7 @@ double flash_score_pair(const lexical::Bm25Index& index_,
       }
     }
     for (const std::string& symbol : q.symbols) {
-      if (pkb::util::iequals(symbol, doc.meta("title"))) {
+      if (pkb::util::to_lower(symbol) == title) {
         score += kTitleSymbolBonus;
       }
     }

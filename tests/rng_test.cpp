@@ -135,16 +135,6 @@ TEST(Rng, PickReturnsMember) {
   }
 }
 
-TEST(Rng, ForkDecorrelates) {
-  Rng parent(37);
-  Rng child = parent.fork();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent() == child()) ++same;
-  }
-  EXPECT_LT(same, 2);
-}
-
 TEST(Fnv1a, StableKnownValues) {
   // FNV-1a 64 reference values.
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);

@@ -79,8 +79,6 @@ TEST(Strings, CaseConversions) {
 TEST(Strings, StartsEndsWith) {
   EXPECT_TRUE(starts_with("KSPGMRES", "KSP"));
   EXPECT_FALSE(starts_with("KSP", "KSPGMRES"));
-  EXPECT_TRUE(ends_with("file.md", ".md"));
-  EXPECT_FALSE(ends_with("md", "file.md"));
 }
 
 TEST(Strings, ReplaceAll) {
@@ -90,11 +88,8 @@ TEST(Strings, ReplaceAll) {
 }
 
 TEST(Strings, ContainsAndICase) {
-  EXPECT_TRUE(contains("the KSPLSQR solver", "KSPLSQR"));
-  EXPECT_FALSE(contains("abc", "abd"));
   EXPECT_TRUE(icontains("The KSPLSQR Solver", "ksplsqr"));
-  EXPECT_TRUE(iequals("GMRES", "gmres"));
-  EXPECT_FALSE(iequals("GMRES", "gmre"));
+  EXPECT_FALSE(icontains("abc", "abd"));
 }
 
 TEST(Strings, EditDistanceBasics) {

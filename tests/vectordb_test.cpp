@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <span>
 
 #include "embed/tfidf.h"
@@ -121,135 +119,6 @@ TEST(VectorStore, ReserveHoldsEveryRowInPlace) {
   }
 }
 
-TEST(VectorStore, SaveLoadRoundTrip) {
-  namespace fs = std::filesystem;
-  const VectorStore store = random_store(12, 6, 6);
-  const std::string path =
-      (fs::temp_directory_path() / "pkb_store_test.bin").string();
-  store.save(path);
-  const VectorStore loaded = VectorStore::load(path);
-  ASSERT_EQ(loaded.size(), store.size());
-  ASSERT_EQ(loaded.dimension(), store.dimension());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    EXPECT_TRUE(same_bytes(loaded.vec(i), store.vec(i))) << "row " << i;
-  }
-  fs::remove(path);
-}
-
-TEST(VectorStore, LoadRejectsGarbage) {
-  namespace fs = std::filesystem;
-  const std::string path =
-      (fs::temp_directory_path() / "pkb_store_garbage.bin").string();
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a vector store";
-  }
-  EXPECT_THROW((void)VectorStore::load(path), std::runtime_error);
-  EXPECT_THROW((void)VectorStore::load("/nonexistent/x.bin"),
-               std::runtime_error);
-  fs::remove(path);
-}
-
-// --- load() hardening: every malformed prefix is a clear error, never a
-// silently corrupt store. The serialized bytes come from a real save() so
-// each test corrupts exactly one aspect.
-
-std::string store_bytes(const VectorStore& store) {
-  std::ostringstream out(std::ios::binary);
-  store.save(out);
-  return out.str();
-}
-
-VectorStore load_bytes(const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
-  return VectorStore::load(in);
-}
-
-TEST(VectorStoreHardening, StreamRoundTripIsBitExact) {
-  const VectorStore store = random_store(7, 5, 11);
-  const VectorStore loaded = load_bytes(store_bytes(store));
-  ASSERT_EQ(loaded.size(), store.size());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    EXPECT_TRUE(same_bytes(loaded.vec(i), store.vec(i))) << "row " << i;
-  }
-}
-
-TEST(VectorStoreHardening, RejectsBadMagic) {
-  std::string bytes = store_bytes(random_store(3, 4, 12));
-  bytes[0] = 'X';
-  EXPECT_THROW((void)load_bytes(bytes), std::runtime_error);
-}
-
-TEST(VectorStoreHardening, RejectsUnsupportedVersion) {
-  std::string bytes = store_bytes(random_store(3, 4, 12));
-  ASSERT_EQ(bytes[4], 2);  // u32 version little-endian low byte
-  // Version 1 interleaved documents with the rows; it no longer loads.
-  for (char version : {char{1}, char{3}, char{0x7F}}) {
-    bytes[4] = version;
-    try {
-      (void)load_bytes(bytes);
-      ADD_FAILURE() << "version " << int{version} << " loaded";
-    } catch (const std::runtime_error& err) {
-      EXPECT_NE(std::string(err.what()).find("unsupported version"),
-                std::string::npos)
-          << err.what();
-    }
-  }
-}
-
-TEST(VectorStoreHardening, BlobIsHeaderThenRawRows) {
-  const VectorStore store = random_store(3, 4, 12);
-  const std::string bytes = store_bytes(store);
-  // magic + version + count + dim, then count * dim floats — no documents.
-  ASSERT_EQ(bytes.size(), 4 + 4 + 8 + 8 + 3 * 4 * sizeof(float));
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    EXPECT_EQ(std::memcmp(bytes.data() + 24 + i * 4 * sizeof(float),
-                          store.vec(i).data(), 4 * sizeof(float)),
-              0)
-        << "row " << i;
-  }
-}
-
-TEST(VectorStoreHardening, LargeCountFailsAtTheFirstMissingRow) {
-  // A plausible-looking but false count (within read_count's bound) must
-  // fail reading the rows that are not there, never size a buffer from
-  // count * dim up front.
-  std::string bytes = store_bytes(random_store(3, 4, 12));
-  const std::uint64_t count = std::uint64_t{1} << 29;
-  std::memcpy(bytes.data() + 8, &count, sizeof count);
-  try {
-    (void)load_bytes(bytes);
-    ADD_FAILURE() << "count 2^29 loaded";
-  } catch (const std::runtime_error& err) {
-    EXPECT_NE(std::string(err.what()).find("entry vector"), std::string::npos)
-        << err.what();
-  }
-}
-
-TEST(VectorStoreHardening, RejectsImplausibleCount) {
-  std::string bytes = store_bytes(random_store(3, 4, 12));
-  // u64 count sits after magic (4) + version (4); make it absurd.
-  for (int i = 0; i < 8; ++i) bytes[8 + i] = static_cast<char>(0xFF);
-  EXPECT_THROW((void)load_bytes(bytes), std::runtime_error);
-}
-
-TEST(VectorStoreHardening, RejectsZeroDimensionWithEntries) {
-  std::string bytes = store_bytes(random_store(3, 4, 12));
-  // u64 dim sits after magic (4) + version (4) + count (8).
-  for (int i = 0; i < 8; ++i) bytes[16 + i] = 0;
-  EXPECT_THROW((void)load_bytes(bytes), std::runtime_error);
-}
-
-TEST(VectorStoreHardening, RejectsTruncationAtEveryPrefix) {
-  const std::string bytes = store_bytes(random_store(4, 3, 13));
-  // Every strict prefix must throw, whether it cuts a header field or the
-  // float payload.
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW((void)load_bytes(bytes.substr(0, len)), std::runtime_error)
-        << "prefix length " << len;
-  }
-}
-
 TEST(VectorStoreHardening, AddPrenormalizedKeepsVectorBitIdentical) {
   VectorStore store;
   store.add({3.0f, 4.0f});
@@ -259,22 +128,6 @@ TEST(VectorStoreHardening, AddPrenormalizedKeepsVectorBitIdentical) {
   // Dimension checks still apply on the prenormalized path.
   const Vector wrong = {1.0f, 0.0f, 0.0f};
   EXPECT_THROW(copy.add_prenormalized(wrong), std::invalid_argument);
-}
-
-// Regression: load() never restored the header dimension when the store
-// was empty, so a saved dim-D empty store reloaded as dim-0 and accepted
-// vectors of any size from then on.
-TEST(VectorStoreHardening, EmptyStoreRoundTripKeepsDimension) {
-  const VectorStore empty(5);
-  EXPECT_EQ(empty.size(), 0u);
-  EXPECT_EQ(empty.dimension(), 5u);
-  VectorStore loaded = load_bytes(store_bytes(empty));
-  EXPECT_EQ(loaded.size(), 0u);
-  EXPECT_EQ(loaded.dimension(), 5u);
-  // The restored dimension is enforced, exactly as on the saved store.
-  EXPECT_THROW(loaded.add({1.0f, 2.0f}), std::invalid_argument);
-  loaded.add(Vector(5, 1.0f));
-  EXPECT_EQ(loaded.dimension(), 5u);
 }
 
 TEST(VectorStoreHardening, PresetDimensionConstructorEnforcesDim) {
