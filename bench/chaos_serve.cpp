@@ -34,6 +34,7 @@
 #include "resilience/fault_plan.h"
 #include "resilience/resilience.h"
 #include "serve/server.h"
+#include "util/json.h"
 #include "util/stats.h"
 
 namespace {

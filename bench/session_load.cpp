@@ -93,7 +93,7 @@ class SessionPicker {
   SessionPicker(std::mt19937_64& rng, std::size_t pool_size)
       : rng_(rng), pool_(pool_size == 0 ? 1 : pool_size) {
     for (std::size_t i = 0; i < pool_.size(); ++i) {
-      pool_[i] = "s" + std::to_string(i);
+      pool_[i] = 's' + std::to_string(i);
     }
   }
   std::string pick() {

@@ -36,7 +36,7 @@
 namespace {
 
 /// Render a registry histogram snapshot in the Table II "min / max / avg"
-/// shape — same formatting as util::Summary::min_max_avg.
+/// shape, each value with `digits` decimals.
 std::string min_max_avg(const pkb::obs::Histogram::Snapshot& snap,
                         int digits) {
   using pkb::util::format_double;

@@ -15,7 +15,7 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="$repo_root/build-tsan"
 
-filter="ServeServer*:BoundedQueue*:HistoryStore*:Metrics*:Tracer*:ThreadPool*:SimClock*:KnowledgeBase*:Ingest*:Resilience*:FaultPlan*:CircuitBreaker*:Chaos*:SimClockWait*:Kernels*:KernelsArena*:Hnsw*:AnnIndex*:AnnKnowledgeBase*:StageGraph*:StageParity*:TraceRecorder*:Replay*:Session*:RequestPathOffPool*:PublishUnderReads*"
+filter="ServeServer*:BoundedQueue*:HistoryStore*:Metrics*:Tracer*:ThreadPool*:SimClock*:KnowledgeBase*:Ingest*:Resilience*:FaultPlan*:CircuitBreaker*:Chaos*:Kernels*:KernelsArena*:Hnsw*:AnnIndex*:AnnKnowledgeBase*:StageGraph*:StageParity*:TraceRecorder*:Replay*:Session*:RequestPathOffPool*:PublishUnderReads*"
 if [[ $# -ge 1 ]]; then
   filter="$filter:$1"
 fi

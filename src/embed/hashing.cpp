@@ -47,9 +47,13 @@ std::string CharNgramEmbedder::name() const {
 
 Vector CharNgramEmbedder::embed(const text::TextAnalysis& text) const {
   Vector v(dim_, 0.0f);
+  std::string padded;
   for (const text::TextAnalysis::Span tok : text.tokens) {
     // Boundary markers make prefixes/suffixes distinctive.
-    const std::string padded = "^" + std::string(text.view(tok)) + "$";
+    padded.clear();
+    padded += '^';
+    padded += text.view(tok);
+    padded += '$';
     for (std::size_t n = 3; n <= 5 && n <= padded.size(); ++n) {
       for (std::size_t i = 0; i + n <= padded.size(); ++i) {
         const std::uint64_t h =

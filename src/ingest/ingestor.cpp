@@ -67,7 +67,6 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
       obs::global_metrics()
           .counter(obs::kResilienceIngestAbortsTotal, {{"reason", reason}})
           .inc();
-      stats_.aborted_builds += 1;
       PKB_LOG(Warn, "ingest")
           << "build aborted (" << reason << " fault); base generation kept";
       return nullptr;
@@ -196,10 +195,6 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
 
   const double swap_seconds = kb_.publish(next);
   swap_seconds_.push_back(swap_seconds);
-  stats_.builds += 1;
-  stats_.docs += docs.size();
-  stats_.chunks_added += n_new;
-  if (refit) stats_.refits += 1;
 
   PKB_LOG(Info, "ingest") << "published generation " << next->generation
                           << ": " << docs.size() << " docs, " << n_new
@@ -208,11 +203,6 @@ rag::SnapshotPtr Ingestor::build_and_publish_locked(
                           << " (build " << build_seconds << "s, swap "
                           << swap_seconds << "s)";
   return next;
-}
-
-IngestStats Ingestor::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 std::vector<double> Ingestor::swap_history() const {

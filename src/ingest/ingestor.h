@@ -45,15 +45,6 @@ struct IngestorOptions {
   double refit_drift_threshold = 0.25;
 };
 
-/// Cumulative ingestion statistics (monotonic).
-struct IngestStats {
-  std::uint64_t builds = 0;        ///< generations built and published
-  std::uint64_t docs = 0;          ///< source documents ingested
-  std::uint64_t chunks_added = 0;  ///< new chunks embedded
-  std::uint64_t refits = 0;        ///< builds that refitted the embedder
-  std::uint64_t aborted_builds = 0;  ///< builds lost to injected faults
-};
-
 /// Builds and publishes knowledge-base generations. All entry points are
 /// serialized internally, so concurrent callers (the chat bot's resolution
 /// hook, a docs watcher) cannot race a build; readers of the KnowledgeBase
@@ -78,7 +69,6 @@ class Ingestor {
   /// for the whole batch; returns nullptr when nothing qualifies.
   rag::SnapshotPtr ingest_vetted_history(const history::HistoryStore& store);
 
-  [[nodiscard]] IngestStats stats() const;
   /// Seconds spent inside each publish's swap critical section, in publish
   /// order.
   [[nodiscard]] std::vector<double> swap_history() const;
@@ -86,9 +76,8 @@ class Ingestor {
   /// Attach a chaos plan (Stage::Ingest). A transient fault earns the build
   /// one immediate retry; a permanent or timeout fault aborts the build —
   /// the base generation stays published and the entry point returns
-  /// nullptr (counted in stats().aborted_builds and
-  /// pkb_resilience_ingest_aborts_total). Setup-time only; the plan must
-  /// outlive the ingestor.
+  /// nullptr (counted in pkb_resilience_ingest_aborts_total). Setup-time
+  /// only; the plan must outlive the ingestor.
   void set_fault_plan(const resilience::FaultPlan* plan) {
     fault_plan_ = plan;
   }
@@ -105,7 +94,6 @@ class Ingestor {
   IngestorOptions opts_;
   const resilience::FaultPlan* fault_plan_ = nullptr;
   mutable std::mutex mu_;  ///< serializes builds and guards the state below
-  IngestStats stats_;
   std::vector<double> swap_seconds_;
   std::unordered_set<std::uint64_t> ingested_history_ids_;
 };

@@ -104,27 +104,6 @@ double Histogram::Snapshot::mean() const {
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
 }
 
-double Histogram::Snapshot::percentile(double q) const {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 100.0);
-  const double target = q / 100.0 * static_cast<double>(count);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    const std::uint64_t prev = cum;
-    cum += buckets[i];
-    if (static_cast<double>(cum) >= target && buckets[i] > 0) {
-      // Linear interpolation within the bucket that crosses the target.
-      const double lo = i == 0 ? std::min(min, bounds[0]) : bounds[i - 1];
-      const double hi = i < bounds.size() ? bounds[i] : max;
-      const double frac =
-          (target - static_cast<double>(prev)) /
-          static_cast<double>(buckets[i]);
-      return std::clamp(lo + (hi - lo) * std::clamp(frac, 0.0, 1.0), min, max);
-    }
-  }
-  return max;
-}
-
 MetricsRegistry::Series& MetricsRegistry::find_or_create(
     std::string_view name, LabelSet labels, Kind kind,
     std::vector<double> bounds) {
@@ -175,13 +154,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name, LabelSet labels,
               .histogram;
 }
 
-std::size_t MetricsRegistry::series_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [name, family] : families_) n += family.series.size();
-  return n;
-}
-
 std::string MetricsRegistry::prometheus_text() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
@@ -227,65 +199,6 @@ std::string MetricsRegistry::prometheus_text() const {
       }
     }
   }
-  return out;
-}
-
-pkb::util::Json MetricsRegistry::json() const {
-  using pkb::util::Json;
-  std::lock_guard<std::mutex> lock(mu_);
-  Json counters = Json::array();
-  Json gauges = Json::array();
-  Json histograms = Json::array();
-  for (const auto& [name, family] : families_) {
-    for (const auto& [key, series] : family.series) {
-      Json entry = Json::object();
-      entry.set("name", name);
-      Json labels = Json::object();
-      for (const auto& [k, v] : series.labels) labels.set(k, v);
-      entry.set("labels", std::move(labels));
-      switch (family.kind) {
-        case Kind::Counter:
-          entry.set("value", series.counter->value());
-          counters.push_back(std::move(entry));
-          break;
-        case Kind::Gauge:
-          entry.set("value", series.gauge->value());
-          gauges.push_back(std::move(entry));
-          break;
-        case Kind::Histogram: {
-          const Histogram::Snapshot snap = series.histogram->snapshot();
-          entry.set("count", snap.count);
-          entry.set("sum", snap.sum);
-          entry.set("min", snap.min);
-          entry.set("max", snap.max);
-          entry.set("mean", snap.mean());
-          entry.set("p50", snap.percentile(50));
-          entry.set("p90", snap.percentile(90));
-          entry.set("p99", snap.percentile(99));
-          Json buckets = Json::array();
-          std::uint64_t cum = 0;
-          for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
-            cum += snap.buckets[i];
-            Json b = Json::object();
-            if (i < snap.bounds.size()) {
-              b.set("le", snap.bounds[i]);
-            } else {
-              b.set("le", "+Inf");
-            }
-            b.set("count", cum);
-            buckets.push_back(std::move(b));
-          }
-          entry.set("buckets", std::move(buckets));
-          histograms.push_back(std::move(entry));
-          break;
-        }
-      }
-    }
-  }
-  Json out = Json::object();
-  out.set("counters", std::move(counters));
-  out.set("gauges", std::move(gauges));
-  out.set("histograms", std::move(histograms));
   return out;
 }
 

@@ -8,9 +8,8 @@
 //   * Histogram — fixed-bucket latency distribution that also tracks exact
 //                 min/max/sum/count, so min/max/avg read from a histogram
 //                 equals the same statistic over the raw samples (the
-//                 property bench/table2_latency relies on). Percentiles are
-//                 bucket-interpolated, `util::Summary`-style in spirit but
-//                 O(buckets) memory instead of retaining every sample.
+//                 property bench/table2_latency relies on). Memory is
+//                 O(buckets), not one entry per sample.
 //
 // Thread-safety: registry lookups are serialized by one mutex; Counter and
 // Gauge updates are lock-free atomics; each Histogram has its own mutex.
@@ -32,8 +31,6 @@
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "util/json.h"
 
 namespace pkb::obs {
 
@@ -92,8 +89,6 @@ class Histogram {
                                          ///< bounds.size()+1, last is +Inf
 
     [[nodiscard]] double mean() const;
-    /// Bucket-interpolated percentile, q in [0, 100], clamped to [min, max].
-    [[nodiscard]] double percentile(double q) const;
   };
   [[nodiscard]] Snapshot snapshot() const;
 
@@ -116,16 +111,10 @@ class MetricsRegistry {
   Histogram& histogram(std::string_view name, LabelSet labels = {},
                        std::vector<double> bounds = {});
 
-  /// Number of registered series across all families.
-  [[nodiscard]] std::size_t series_count() const;
-
   /// Prometheus text exposition format (docs/OBSERVABILITY.md shows the
   /// shape). Families and label sets are emitted in sorted order, so the
   /// output is deterministic.
   [[nodiscard]] std::string prometheus_text() const;
-
-  /// JSON snapshot: {"counters": [...], "gauges": [...], "histograms": [...]}.
-  [[nodiscard]] pkb::util::Json json() const;
 
   /// Zero every metric in place. Registered series (and references to them)
   /// survive; only the values reset.

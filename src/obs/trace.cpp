@@ -20,31 +20,6 @@ Tracer::Tracer(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
       epoch_(std::chrono::steady_clock::now()) {}
 
-void Tracer::set_enabled(bool on) {
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_ = on;
-}
-
-bool Tracer::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
-}
-
-void Tracer::set_sim_clock(const pkb::util::SimClock* clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sim_clock_ = clock;
-}
-
-void Tracer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  done_.clear();
-}
-
-std::size_t Tracer::trace_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return done_.size();
-}
-
 std::vector<Trace> Tracer::traces() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {done_.begin(), done_.end()};
@@ -64,15 +39,11 @@ double Tracer::now_us() const {
 
 SpanData* Tracer::open_span(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return nullptr;
   ThreadState& state = active_[std::this_thread::get_id()];
   SpanData* span = nullptr;
   if (state.stack.empty()) {
     state.root = std::make_unique<SpanData>();
     span = state.root.get();
-    if (sim_clock_ != nullptr) {
-      span->attrs.emplace_back("sim_start", sim_clock_->timestamp());
-    }
   } else {
     // Strict nesting: only the innermost open span gains children, so the
     // pointers held in `stack` (into ancestors' children vectors) are never
@@ -159,17 +130,12 @@ std::string render_tree(const SpanData& root) {
   return out;
 }
 
-Span::Span(Tracer& tracer, std::string_view name) {
-  data_ = tracer.open_span(name);
-  if (data_ != nullptr) tracer_ = &tracer;
-}
+Span::Span(Tracer& tracer, std::string_view name)
+    : tracer_(tracer), data_(tracer.open_span(name)) {}
 
-Span::~Span() {
-  if (tracer_ != nullptr) tracer_->close_span(data_);
-}
+Span::~Span() { tracer_.close_span(data_); }
 
 void Span::set_attr(std::string_view key, std::string_view value) {
-  if (data_ == nullptr) return;
   data_->attrs.emplace_back(std::string(key), std::string(value));
 }
 
@@ -182,10 +148,6 @@ void Span::set_attr(std::string_view key, double value) {
 }
 
 void Span::set_attr(std::string_view key, std::uint64_t value) {
-  set_attr(key, std::string_view(std::to_string(value)));
-}
-
-void Span::set_attr(std::string_view key, int value) {
   set_attr(key, std::string_view(std::to_string(value)));
 }
 

@@ -6,9 +6,7 @@
 // on the same thread becomes its child; when the outermost span on a thread
 // closes, the finished trace is pushed into a bounded ring (oldest evicted).
 // Durations are real wall microseconds relative to the tracer's epoch
-// (`util::Stopwatch` semantics). An optional `util::SimClock` stamps each
-// trace root with a `sim_start` attribute so simulated workflows keep their
-// virtual timeline visible in exports.
+// (`util::Stopwatch` semantics). Tracing is always on: every Span records.
 //
 // Thread-safety: open/close and all Tracer queries are serialized by one
 // mutex. Span::set_attr must be called from the thread that created the
@@ -34,8 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/clock.h"
-
 namespace pkb::obs {
 
 /// One recorded span. Children are stored inline, in open order.
@@ -60,21 +56,9 @@ class Tracer {
  public:
   explicit Tracer(std::size_t capacity = 64);
 
-  /// When disabled, Spans become inert no-ops (nothing is recorded).
-  void set_enabled(bool on);
-  [[nodiscard]] bool enabled() const;
-
-  /// Attach a simulation clock: each subsequently opened trace root gets a
-  /// `sim_start` attribute with the clock's formatted timestamp. Pass
-  /// nullptr to detach. The clock must outlive the tracer or be detached.
-  void set_sim_clock(const pkb::util::SimClock* clock);
-
-  /// Drop all retained traces (open spans are unaffected).
-  void clear();
-
-  [[nodiscard]] std::size_t trace_count() const;
-
-  /// Copies of the retained traces, oldest first.
+  /// Copies of the retained traces, oldest first. Trace ids increase in
+  /// close order, so a caller finds the traces finished after a point by
+  /// comparing ids with the last one it saw.
   [[nodiscard]] std::vector<Trace> traces() const;
 
   /// The most recently finished trace, if any.
@@ -88,7 +72,7 @@ class Tracer {
  private:
   friend class Span;
 
-  /// Returns nullptr when disabled; otherwise the opened span's storage.
+  /// Returns the opened span's storage.
   SpanData* open_span(std::string_view name);
   void close_span(SpanData* span);
   [[nodiscard]] double now_us() const;
@@ -99,10 +83,8 @@ class Tracer {
   };
 
   mutable std::mutex mu_;
-  bool enabled_ = true;
   std::size_t capacity_;
   std::chrono::steady_clock::time_point epoch_;
-  const pkb::util::SimClock* sim_clock_ = nullptr;
   std::uint64_t next_trace_id_ = 1;
   std::deque<Trace> done_;
   std::map<std::thread::id, ThreadState> active_;
@@ -117,18 +99,17 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attach a key/value attribute. No-ops when the tracer was disabled at
-  /// construction. Numeric overloads render with shortest-%g / decimal.
+  /// Attach a key/value attribute. Numeric overloads render with
+  /// shortest-%g / decimal.
   void set_attr(std::string_view key, std::string_view value);
   void set_attr(std::string_view key, const char* value);
   void set_attr(std::string_view key, double value);
   void set_attr(std::string_view key, std::uint64_t value);
-  void set_attr(std::string_view key, int value);
   void set_attr(std::string_view key, bool value);
 
  private:
-  Tracer* tracer_ = nullptr;  ///< null when inert
-  SpanData* data_ = nullptr;
+  Tracer& tracer_;
+  SpanData* data_;
 };
 
 /// Render one span tree as an indented ASCII tree (the pkb_cli `:trace`

@@ -74,19 +74,6 @@ KnowledgeBase::KnowledgeBase(KnowledgeBase&& other) noexcept
              std::memory_order_release);
 }
 
-KnowledgeBase& KnowledgeBase::operator=(KnowledgeBase&& other) noexcept {
-  if (this != &other) {
-    SnapshotPtr snap = other.snapshot();
-    {
-      std::lock_guard<std::mutex> lock(snap_mu_);
-      snap_.swap(snap);
-    }
-    gen_.store(other.gen_.load(std::memory_order_acquire),
-               std::memory_order_release);
-  }
-  return *this;
-}
-
 void Snapshot::attach_indexes() {
   ann = vectordb::build_index(store, opts.index);
 }

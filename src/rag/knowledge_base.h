@@ -107,10 +107,9 @@ class KnowledgeBase {
   /// Adopt an already-assembled snapshot as the current generation.
   explicit KnowledgeBase(SnapshotPtr snap);
 
-  /// Movable (factory return, test fixtures); moving while other threads
-  /// use the source is undefined, as for any container.
+  /// Move-constructible (factory return, test fixtures); moving while other
+  /// threads use the source is undefined, as for any container.
   KnowledgeBase(KnowledgeBase&& other) noexcept;
-  KnowledgeBase& operator=(KnowledgeBase&& other) noexcept;
   KnowledgeBase(const KnowledgeBase&) = delete;
   KnowledgeBase& operator=(const KnowledgeBase&) = delete;
 

@@ -30,8 +30,13 @@ std::string PromptLibrary::render_user_prompt(
   if (!contexts.empty()) {
     prompt += "Context passages from the PETSc knowledge base:\n\n";
     for (std::size_t i = 0; i < contexts.size(); ++i) {
-      prompt += "[" + std::to_string(i + 1) + "] (source: " + contexts[i].id +
-                ")\n" + contexts[i].text + "\n\n";
+      prompt += '[';
+      prompt += std::to_string(i + 1);
+      prompt += "] (source: ";
+      prompt += contexts[i].id;
+      prompt += ")\n";
+      prompt += contexts[i].text;
+      prompt += "\n\n";
     }
     prompt += "---\n\n";
   }

@@ -82,14 +82,6 @@ std::string ReplayDiff::summary() const {
 
 ReplayEngine::ReplayEngine(const rag::KnowledgeBase& kb) : kb_(kb) {}
 
-void ReplayEngine::set_fault_plan(const resilience::FaultPlan* plan) {
-  std::lock_guard<std::mutex> lock(mu_);
-  fault_plan_ = plan;
-  for (auto& [key, wf] : workflows_) {
-    wf->set_fault_plan(plan);
-  }
-}
-
 const rag::AugmentedWorkflow& ReplayEngine::workflow_for(
     const rag::StageTrace& recorded, const ReplayOverrides& ov) const {
   const std::string model = ov.model.value_or(recorded.model);
@@ -124,7 +116,6 @@ const rag::AugmentedWorkflow& ReplayEngine::workflow_for(
   opts.reranker = reranker;
   auto wf = std::make_unique<rag::AugmentedWorkflow>(
       kb_, *arm, llm::model_config(model), std::move(opts));
-  if (fault_plan_ != nullptr) wf->set_fault_plan(fault_plan_);
   return *workflows_.emplace(std::move(key), std::move(wf)).first->second;
 }
 

@@ -89,15 +89,10 @@ class ReplayEngine {
  public:
   explicit ReplayEngine(const rag::KnowledgeBase& kb);
 
-  /// Chaos plan handed to every workflow the engine builds (tests use plan
-  /// call counts to prove skipped stages really never ran). Setup-time only.
-  void set_fault_plan(const resilience::FaultPlan* plan);
-
   /// Replay `recorded` from `overrides.from` (pulled upstream as overrides
   /// require). Emits pkb_replay_replays_total / stages_run / stages_skipped
   /// / diffs_total and a replay_stage span per executed stage. Throws
-  /// std::runtime_error for an unknown arm/stage name in the trace header;
-  /// propagates resilience::FaultError from injected faults.
+  /// std::runtime_error for an unknown arm/stage name in the trace header.
   [[nodiscard]] ReplayResult replay(const rag::StageTrace& recorded,
                                     const ReplayOverrides& overrides = {}) const;
 
@@ -106,7 +101,6 @@ class ReplayEngine {
       const rag::StageTrace& recorded, const ReplayOverrides& ov) const;
 
   const rag::KnowledgeBase& kb_;
-  const resilience::FaultPlan* fault_plan_ = nullptr;
   mutable std::mutex mu_;
   mutable std::map<std::string, std::unique_ptr<rag::AugmentedWorkflow>>
       workflows_;

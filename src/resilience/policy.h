@@ -9,8 +9,7 @@
 // the remaining budget is abandoned (the budget is exhausted and the
 // degradation ladder takes over), so a request can never "hang" past its
 // deadline no matter what the fault plan injects — and tests assert that
-// invariant without a single real-time sleep (the SimClock wait hooks in
-// util/clock.h cover the cases that do need cross-thread time).
+// invariant without a single real-time sleep.
 //
 // The circuit breaker takes its cooldown clock as an injectable callable so
 // tests drive open->half-open transitions off a SimClock deterministically.

@@ -1,6 +1,7 @@
 #include "util/clock.h"
 
-#include <cmath>
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 
@@ -10,44 +11,12 @@ void SimClock::advance(double seconds) {
   if (seconds < 0.0) {
     throw std::invalid_argument("SimClock::advance: negative duration");
   }
-  {
-    std::lock_guard<std::mutex> lk(wait_mu_);
-    // CAS loop: fetch_add on atomic<double> needs libstdc++ opt-in; this is
-    // equivalent and portable. now_ stays atomic so now() readers skip the
-    // mutex; the lock here pairs with wait_until's predicate check.
-    double cur = now_.load(std::memory_order_relaxed);
-    while (!now_.compare_exchange_weak(cur, cur + seconds,
-                                       std::memory_order_relaxed)) {
-    }
-  }
-  wait_cv_.notify_all();
-}
-
-void SimClock::advance_to(double abs_seconds) {
-  bool moved = false;
-  {
-    std::lock_guard<std::mutex> lk(wait_mu_);
-    double cur = now_.load(std::memory_order_relaxed);
-    while (cur < abs_seconds) {
-      if (now_.compare_exchange_weak(cur, abs_seconds,
+  // CAS loop: fetch_add on atomic<double> needs libstdc++ opt-in; this is
+  // equivalent and portable.
+  double cur = now_.load(std::memory_order_relaxed);
+  while (!now_.compare_exchange_weak(cur, cur + seconds,
                                      std::memory_order_relaxed)) {
-        moved = true;
-        break;
-      }
-    }
   }
-  if (moved) wait_cv_.notify_all();
-}
-
-bool SimClock::wait_until(double abs_seconds, double real_timeout_seconds) {
-  std::unique_lock<std::mutex> lk(wait_mu_);
-  return wait_cv_.wait_for(
-      lk, std::chrono::duration<double>(real_timeout_seconds),
-      [&] { return now_.load(std::memory_order_relaxed) >= abs_seconds; });
-}
-
-bool SimClock::wait_for(double seconds, double real_timeout_seconds) {
-  return wait_until(now() + seconds, real_timeout_seconds);
 }
 
 std::string SimClock::timestamp() const { return format(now()); }

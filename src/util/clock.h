@@ -12,9 +12,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
 #include <string>
 
 namespace pkb::util {
@@ -53,13 +50,6 @@ class Stopwatch {
 /// atomic read-modify-writes, so concurrent serving workers sharing one
 /// clock never lose time (the clock is always held by pointer/reference;
 /// it is not copyable).
-///
-/// Blocking waits: a thread that must not proceed until simulated time
-/// reaches T calls wait_until(T, real_timeout). Advances notify waiters, so
-/// a test thread advancing the clock deterministically releases waiters —
-/// no real-time sleeps, no polling. The real-seconds timeout is a backstop
-/// against a test that forgets to advance: the wait returns false instead
-/// of hanging the suite.
 class SimClock {
  public:
   SimClock() = default;
@@ -73,21 +63,8 @@ class SimClock {
     return now_.load(std::memory_order_relaxed);
   }
 
-  /// Advance by `seconds` (must be >= 0). Wakes wait_until/wait_for waiters.
+  /// Advance by `seconds` (must be >= 0).
   void advance(double seconds);
-
-  /// Advance to an absolute time, if it is in the future; otherwise no-op.
-  /// Wakes wait_until/wait_for waiters.
-  void advance_to(double abs_seconds);
-
-  /// Block until now() >= abs_seconds (some other thread advances the
-  /// clock), or until `real_timeout_seconds` of wall time pass. Returns
-  /// true when simulated time reached the target, false on the real-time
-  /// backstop. Returns immediately when the target is already in the past.
-  bool wait_until(double abs_seconds, double real_timeout_seconds = 5.0);
-
-  /// wait_until(now() + seconds, real_timeout_seconds).
-  bool wait_for(double seconds, double real_timeout_seconds = 5.0);
 
   /// Render `now()` as "day D HH:MM:SS" for human-readable event traces.
   [[nodiscard]] std::string timestamp() const;
@@ -96,13 +73,7 @@ class SimClock {
   [[nodiscard]] static std::string format(double abs_seconds);
 
  private:
-  // now_ stays atomic so now() is lock-free on hot paths; the mutex only
-  // serializes the advance/wait handshake (advance takes it before
-  // notifying so a waiter cannot check the clock, miss the update, and
-  // sleep through the notify).
   std::atomic<double> now_{0.0};
-  std::mutex wait_mu_;
-  std::condition_variable wait_cv_;
 };
 
 }  // namespace pkb::util

@@ -5,21 +5,6 @@
 
 namespace pkb::util {
 
-bool Json::as_bool() const {
-  if (type_ != Type::Bool) throw JsonError("not a bool");
-  return bool_;
-}
-
-double Json::as_number() const {
-  if (type_ != Type::Number) throw JsonError("not a number");
-  return num_;
-}
-
-std::int64_t Json::as_int() const {
-  if (type_ != Type::Number) throw JsonError("not a number");
-  return static_cast<std::int64_t>(num_);
-}
-
 const std::string& Json::as_string() const {
   if (type_ != Type::String) throw JsonError("not a string");
   return str_;
@@ -45,12 +30,6 @@ Json::Object& Json::as_object() {
   return obj_;
 }
 
-const Json& Json::at(std::size_t i) const {
-  const Array& a = as_array();
-  if (i >= a.size()) throw JsonError("array index out of range");
-  return a[i];
-}
-
 const Json* Json::find(std::string_view key) const {
   const Object& o = as_object();
   for (const auto& [k, v] : o) {
@@ -59,30 +38,9 @@ const Json* Json::find(std::string_view key) const {
   return nullptr;
 }
 
-const Json& Json::at(std::string_view key) const {
-  const Json* p = find(key);
-  if (p == nullptr) throw JsonError("missing key: " + std::string(key));
-  return *p;
-}
-
 std::string Json::get_string(std::string_view key, std::string_view def) const {
   const Json* p = find(key);
   return (p != nullptr && p->is_string()) ? p->as_string() : std::string(def);
-}
-
-double Json::get_number(std::string_view key, double def) const {
-  const Json* p = find(key);
-  return (p != nullptr && p->is_number()) ? p->as_number() : def;
-}
-
-std::int64_t Json::get_int(std::string_view key, std::int64_t def) const {
-  const Json* p = find(key);
-  return (p != nullptr && p->is_number()) ? p->as_int() : def;
-}
-
-bool Json::get_bool(std::string_view key, bool def) const {
-  const Json* p = find(key);
-  return (p != nullptr && p->is_bool()) ? p->as_bool() : def;
 }
 
 Json& Json::set(std::string key, Json value) {
@@ -100,36 +58,6 @@ Json& Json::set(std::string key, Json value) {
 Json& Json::push_back(Json value) {
   as_array().push_back(std::move(value));
   return *this;
-}
-
-std::size_t Json::size() const {
-  switch (type_) {
-    case Type::Array:
-      return arr_.size();
-    case Type::Object:
-      return obj_.size();
-    default:
-      return 0;
-  }
-}
-
-bool Json::operator==(const Json& other) const {
-  if (type_ != other.type_) return false;
-  switch (type_) {
-    case Type::Null:
-      return true;
-    case Type::Bool:
-      return bool_ == other.bool_;
-    case Type::Number:
-      return num_ == other.num_;
-    case Type::String:
-      return str_ == other.str_;
-    case Type::Array:
-      return arr_ == other.arr_;
-    case Type::Object:
-      return obj_ == other.obj_;
-  }
-  return false;
 }
 
 std::string json_escape(std::string_view s) {
@@ -321,9 +249,14 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kJsonMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+        }
+        Json nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"':
         return Json(parse_string());
       case 't':
@@ -484,6 +417,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around the current value
 };
 
 }  // namespace

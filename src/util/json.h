@@ -2,8 +2,14 @@
 // Hand-rolled JSON value, parser, and serializer.
 //
 // The LLM supports a JSON output mode (§III-E: "LLMs are now making it
-// possible to return their output in JSON, making postprocessing easier"),
-// and the metrics registry exports JSON. No third-party JSON library is used.
+// possible to return their output in JSON, making postprocessing easier"):
+// the simulated model writes its JSON answers with this type and the
+// postprocessor parses them back. The tracer's Chrome export and the benches'
+// reports are written with it too. No third-party JSON library is used.
+//
+// The parser accepts every JSON type; a value's type() tells which one it
+// is. Nesting deeper than kJsonMaxDepth is rejected, so a hostile model
+// response cannot exhaust the stack of the recursive-descent parser.
 //
 // Object key order is preserved (insertion order), which keeps serialized
 // output stable and diffs readable.
@@ -19,7 +25,9 @@
 
 namespace pkb::util {
 
-class Json;
+/// Deepest array/object nesting Json::parse accepts. The parser recurses
+/// once per level; past this bound it throws JsonError instead.
+inline constexpr int kJsonMaxDepth = 256;
 
 /// Error thrown by the parser on malformed input and by typed accessors on
 /// type mismatch.
@@ -57,39 +65,25 @@ class Json {
 
   [[nodiscard]] Type type() const { return type_; }
   [[nodiscard]] bool is_null() const { return type_ == Type::Null; }
-  [[nodiscard]] bool is_bool() const { return type_ == Type::Bool; }
-  [[nodiscard]] bool is_number() const { return type_ == Type::Number; }
   [[nodiscard]] bool is_string() const { return type_ == Type::String; }
   [[nodiscard]] bool is_array() const { return type_ == Type::Array; }
   [[nodiscard]] bool is_object() const { return type_ == Type::Object; }
 
   /// Typed accessors; throw JsonError on type mismatch.
-  [[nodiscard]] bool as_bool() const;
-  [[nodiscard]] double as_number() const;
-  [[nodiscard]] std::int64_t as_int() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
   [[nodiscard]] Array& as_array();
   [[nodiscard]] const Object& as_object() const;
   [[nodiscard]] Object& as_object();
 
-  /// Array element access (throws if not an array or out of range).
-  [[nodiscard]] const Json& at(std::size_t i) const;
-
   /// Object member lookup; returns nullptr when absent (throws if not an
   /// object).
   [[nodiscard]] const Json* find(std::string_view key) const;
 
-  /// Object member lookup; throws JsonError when absent.
-  [[nodiscard]] const Json& at(std::string_view key) const;
-
-  /// Convenience typed lookups with defaults (object only; absent -> default).
+  /// String member with a default (object only; absent or not a string ->
+  /// default).
   [[nodiscard]] std::string get_string(std::string_view key,
                                        std::string_view def = "") const;
-  [[nodiscard]] double get_number(std::string_view key, double def = 0) const;
-  [[nodiscard]] std::int64_t get_int(std::string_view key,
-                                     std::int64_t def = 0) const;
-  [[nodiscard]] bool get_bool(std::string_view key, bool def = false) const;
 
   /// Insert or overwrite an object member (throws if not an object).
   Json& set(std::string key, Json value);
@@ -97,18 +91,14 @@ class Json {
   /// Append to an array (throws if not an array).
   Json& push_back(Json value);
 
-  /// Number of elements (array) or members (object); 0 otherwise.
-  [[nodiscard]] std::size_t size() const;
-
   /// Serialize. `indent` <= 0 produces compact single-line output; > 0
   /// pretty-prints with that many spaces per level.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
   /// Parse a complete JSON document. Throws JsonError with a byte offset on
-  /// malformed input; trailing non-whitespace is an error.
+  /// malformed input or on nesting deeper than kJsonMaxDepth; trailing
+  /// non-whitespace is an error.
   static Json parse(std::string_view text);
-
-  bool operator==(const Json& other) const;
 
  private:
   void dump_to(std::string& out, int indent, int depth) const;

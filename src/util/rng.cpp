@@ -48,11 +48,6 @@ std::uint64_t Rng::below(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
 double Rng::uniform() {
   // 53 high bits -> [0,1) with full double precision.
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
@@ -75,10 +70,6 @@ double Rng::normal() {
   cached_normal_ = r * std::sin(theta);
   has_cached_normal_ = true;
   return r * std::cos(theta);
-}
-
-double Rng::normal(double mean, double stddev) {
-  return mean + stddev * normal();
 }
 
 bool Rng::chance(double p) { return uniform() < p; }

@@ -32,9 +32,6 @@ class Rng {
   /// sampling (Lemire-style) to avoid modulo bias.
   std::uint64_t below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t range(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform();
 
@@ -43,9 +40,6 @@ class Rng {
 
   /// Standard normal via Box-Muller (cached second value).
   double normal();
-
-  /// Normal with the given mean and standard deviation.
-  double normal(double mean, double stddev);
 
   /// Bernoulli trial with probability `p` of true.
   bool chance(double p);

@@ -335,28 +335,45 @@ TEST_F(ChaosTest, DegradedAnswersExpireOnTheShortTtl) {
 
 // --- Ingest-build aborts --------------------------------------------------
 
+/// Published ingest builds, from the exported counter.
+std::uint64_t ingest_builds() {
+  return obs::global_metrics().counter(obs::kIngestBuildsTotal).value();
+}
+
+/// Ingest builds aborted by a fault of kind `reason`, from the exported
+/// counter.
+std::uint64_t ingest_aborts(const char* reason) {
+  return obs::global_metrics()
+      .counter(obs::kResilienceIngestAbortsTotal, {{"reason", reason}})
+      .value();
+}
+
 TEST_F(ChaosTest, IngestFaultAbortsBuildKeepingBaseGeneration) {
   rag::KnowledgeBase kb = rag::KnowledgeBase::build(chaos_corpus());
   ingest::Ingestor ingestor(kb);
   res::FaultPlan plan;
   plan.script(res::Stage::Ingest, {res::FaultKind::Permanent});
   ingestor.set_fault_plan(&plan);
+  const std::uint64_t builds_before = ingest_builds();
+  const std::uint64_t aborts_before = ingest_aborts("permanent");
 
   const rag::SnapshotPtr aborted = ingestor.ingest_qa(
       "qa/1.md", "GMRES restarts", "When does GMRES restart?",
       "After `-ksp_gmres_restart` iterations.");
   EXPECT_EQ(aborted, nullptr);
   EXPECT_EQ(kb.generation(), 1u);  // readers keep the base generation
-  EXPECT_EQ(ingestor.stats().aborted_builds, 1u);
-  EXPECT_EQ(ingestor.stats().builds, 0u);
+  EXPECT_EQ(ingest_aborts("permanent"), aborts_before + 1);
+  EXPECT_EQ(ingest_builds(), builds_before);
 
   // The fault cleared: the same ingest now publishes generation 2.
   const rag::SnapshotPtr published = ingestor.ingest_qa(
       "qa/1.md", "GMRES restarts", "When does GMRES restart?",
       "After `-ksp_gmres_restart` iterations.");
   ASSERT_NE(published, nullptr);
+  EXPECT_EQ(published->generation, kb.generation());
   EXPECT_EQ(kb.generation(), 2u);
-  EXPECT_EQ(ingestor.stats().builds, 1u);
+  EXPECT_EQ(ingest_builds(), builds_before + 1);
+  EXPECT_EQ(ingest_aborts("permanent"), aborts_before + 1);
 }
 
 TEST_F(ChaosTest, IngestTransientFaultEarnsOneRetry) {
@@ -366,8 +383,11 @@ TEST_F(ChaosTest, IngestTransientFaultEarnsOneRetry) {
   // One transient: the retry's draw is clean and the build goes through.
   plan.script(res::Stage::Ingest, {res::FaultKind::Transient});
   ingestor.set_fault_plan(&plan);
+  const std::uint64_t builds_before = ingest_builds();
+  const std::uint64_t aborts_before = ingest_aborts("transient");
   EXPECT_NE(ingestor.ingest_qa("qa/a.md", "T", "q?", "a."), nullptr);
-  EXPECT_EQ(ingestor.stats().aborted_builds, 0u);
+  EXPECT_EQ(ingest_aborts("transient"), aborts_before);
+  EXPECT_EQ(ingest_builds(), builds_before + 1);
 
   // Two transients back to back: the single retry also faults — abort.
   // (A fresh plan: script() pins leading ordinals, and this ingestor's
@@ -377,7 +397,8 @@ TEST_F(ChaosTest, IngestTransientFaultEarnsOneRetry) {
                       {res::FaultKind::Transient, res::FaultKind::Transient});
   ingestor.set_fault_plan(&double_fault);
   EXPECT_EQ(ingestor.ingest_qa("qa/b.md", "T", "q?", "a."), nullptr);
-  EXPECT_EQ(ingestor.stats().aborted_builds, 1u);
+  EXPECT_EQ(ingest_aborts("transient"), aborts_before + 1);
+  EXPECT_EQ(ingest_builds(), builds_before + 1);
   EXPECT_EQ(kb.generation(), 2u);
 }
 

@@ -97,9 +97,12 @@ TEST(HistoryStore, ConcurrentAppendsAndReadsAreSafe) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&store, &ids, t] {
       for (int i = 0; i < kPerThread; ++i) {
+        std::string question = "q";
+        question += std::to_string(t);
+        question += '-';
+        question += std::to_string(i);
         const auto id = store.add(
-            make_record("q" + std::to_string(t) + "-" + std::to_string(i),
-                        t % 2 == 0 ? "rag" : "rag+rerank"));
+            make_record(question, t % 2 == 0 ? "rag" : "rag+rerank"));
         ids[t].push_back(id);
         // Interleave reads with the appends: pointers stay valid because
         // the store's backing deque never relocates records.

@@ -34,6 +34,8 @@
 #include "lexical/bm25.h"
 #include "lexical/term_stats.h"
 #include "llm/model_config.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "rag/history_retriever.h"
 #include "rag/knowledge_base.h"
 #include "rag/retriever.h"
@@ -63,6 +65,28 @@ text::VirtualDir small_corpus() {
   }
   return tree;
 }
+
+/// The process-wide ingest counters (docs/OBSERVABILITY.md). They are the
+/// only ingest accounting, so tests read deltas of them around each ingest.
+struct IngestCounters {
+  std::uint64_t builds = 0;
+  std::uint64_t docs = 0;
+  std::uint64_t chunks = 0;
+  std::uint64_t refits = 0;
+
+  static IngestCounters now() {
+    obs::MetricsRegistry& metrics = obs::global_metrics();
+    return {metrics.counter(obs::kIngestBuildsTotal).value(),
+            metrics.counter(obs::kIngestDocsTotal).value(),
+            metrics.counter(obs::kIngestChunksTotal).value(),
+            metrics.counter(obs::kIngestRefitsTotal).value()};
+  }
+
+  [[nodiscard]] IngestCounters since(const IngestCounters& before) const {
+    return {builds - before.builds, docs - before.docs,
+            chunks - before.chunks, refits - before.refits};
+  }
+};
 
 // small_corpus() plus a few manual pages, which give the symbol index
 // something to resolve.
@@ -164,15 +188,19 @@ TEST(KnowledgeBase, AdoptSnapshotConstructor) {
 TEST(Ingest, EmptyIngestIsANoOp) {
   auto kb = rag::KnowledgeBase::build(small_corpus());
   ingest::Ingestor ingestor(kb);
+  const IngestCounters before = IngestCounters::now();
   EXPECT_EQ(ingestor.ingest_files({}), nullptr);
   EXPECT_EQ(kb.generation(), 1u);
-  EXPECT_EQ(ingestor.stats().builds, 0u);
+  const IngestCounters delta = IngestCounters::now().since(before);
+  EXPECT_EQ(delta.builds, 0u);
+  EXPECT_EQ(delta.docs, 0u);
 }
 
 TEST(Ingest, DeltaBuildReusesEmbedderAndKeepsVectorsBitExact) {
   auto kb = rag::KnowledgeBase::build(small_corpus());
   const rag::SnapshotPtr base = kb.snapshot();
   ingest::Ingestor ingestor(kb);
+  const IngestCounters before = IngestCounters::now();
 
   const rag::SnapshotPtr next = ingestor.ingest_files(
       {{"guide/delta.md", "# Delta\n\nOne small new document."}});
@@ -181,7 +209,9 @@ TEST(Ingest, DeltaBuildReusesEmbedderAndKeepsVectorsBitExact) {
 
   // One small doc against 8 guides is under the refit threshold: the
   // embedder object is shared and the fit markers still point at gen 1.
-  EXPECT_EQ(ingestor.stats().refits, 0u);
+  const IngestCounters delta = IngestCounters::now().since(before);
+  EXPECT_EQ(delta.builds, 1u);
+  EXPECT_EQ(delta.refits, 0u);
   EXPECT_EQ(next->embedder.get(), base->embedder.get());
   EXPECT_EQ(next->embedder_fit_generation, 1u);
   EXPECT_EQ(next->chunks_at_fit, base->chunks_at_fit);
@@ -295,15 +325,90 @@ TEST(Ingest, LargeIngestTriggersRefit) {
     }
     batch.push_back({"extra/e" + std::to_string(i) + ".md", body});
   }
+  const IngestCounters before = IngestCounters::now();
   const rag::SnapshotPtr next = ingestor.ingest_files(batch);
   ASSERT_NE(next, nullptr);
 
-  EXPECT_EQ(ingestor.stats().refits, 1u);
+  EXPECT_EQ(IngestCounters::now().since(before).refits, 1u);
   EXPECT_NE(next->embedder.get(), base->embedder.get());
   EXPECT_EQ(next->embedder_fit_generation, next->generation);
   EXPECT_EQ(next->chunks_at_fit, next->chunks.size());
   // Re-embedded store still upholds the row invariant.
   ASSERT_EQ(next->store.size(), next->chunks.size());
+}
+
+// The exported ingest counters reconcile with what was published: one build
+// per new generation, the documents and chunks each generation took in, one
+// refit per generation whose embedder was fitted on it, and no abort
+// without a fault plan. An empty ingest publishes and counts nothing.
+TEST(Ingest, CountersReconcileWithPublishedGenerations) {
+  auto kb = rag::KnowledgeBase::build(small_corpus());
+  ingest::Ingestor ingestor(kb);
+  const auto aborts = [] {
+    std::uint64_t n = 0;
+    for (const char* reason : {"transient", "timeout", "permanent"}) {
+      n += obs::global_metrics()
+               .counter(obs::kResilienceIngestAbortsTotal,
+                        {{"reason", reason}})
+               .value();
+    }
+    return n;
+  };
+  const IngestCounters before = IngestCounters::now();
+  const std::uint64_t aborts_before = aborts();
+  const std::uint64_t generation_before = kb.generation();
+
+  std::uint64_t builds = 0;
+  std::uint64_t docs = 0;
+  std::uint64_t chunks = 0;
+  std::uint64_t refits = 0;
+  // Account one ingest of the sources `paths` from the snapshot it returned.
+  const auto account = [&](const rag::SnapshotPtr& snap,
+                           const std::set<std::string>& paths) {
+    ASSERT_NE(snap, nullptr);
+    EXPECT_EQ(snap->generation, kb.generation());
+    ++builds;
+    docs += paths.size();
+    for (const text::Document& chunk : snap->chunks) {
+      if (paths.contains(std::string(chunk.meta("source")))) ++chunks;
+    }
+    if (snap->embedder_fit_generation == snap->generation) ++refits;
+  };
+
+  account(ingestor.ingest_files({{"guide/a.md", "# A\n\nFirst version."}}),
+          {"guide/a.md"});
+  EXPECT_EQ(ingestor.ingest_files({}), nullptr);
+  account(ingestor.ingest_files({{"guide/a.md", "# A\n\nSecond version."},
+                                 {"guide/b.md", "# B\n\nAnother page."}}),
+          {"guide/a.md", "guide/b.md"});
+  account(ingestor.ingest_qa("qa/1.md", "Residuals",
+                             "How do I monitor the true residual?",
+                             "Use -ksp_monitor_true_residual."),
+          {"qa/1.md"});
+  text::VirtualDir batch;
+  std::set<std::string> batch_paths;
+  for (int i = 0; i < 8; ++i) {
+    std::string body = "# Extra " + std::to_string(i) + "\n\n";
+    for (int p = 0; p < 6; ++p) {
+      body += "Fresh paragraph " + std::to_string(p) +
+              " on nonlinear solvers and time integrators, long enough to "
+              "form a chunk of its own after splitting. \n\n";
+    }
+    batch.push_back({"extra/e" + std::to_string(i) + ".md", body});
+    batch_paths.insert(batch.back().path);
+  }
+  account(ingestor.ingest_files(batch), batch_paths);
+
+  const IngestCounters delta = IngestCounters::now().since(before);
+  EXPECT_EQ(delta.builds, builds);
+  EXPECT_EQ(delta.builds, kb.generation() - generation_before);
+  EXPECT_EQ(delta.docs, docs);
+  EXPECT_EQ(delta.chunks, chunks);
+  EXPECT_EQ(delta.refits, refits);
+  // Both the delta-merge and the refit path were taken.
+  EXPECT_GE(refits, 1u);
+  EXPECT_LT(refits, builds);
+  EXPECT_EQ(aborts(), aborts_before);
 }
 
 // Publishes update the term statistics from the delta (new chunks added,
@@ -476,6 +581,7 @@ TEST(Ingest, ChatBotSendIngestsTheResolvedThread) {
   bots::ChatBot bot(&workflow, &server, &list, "petsc-users-emails",
                     "petscbot@gmail.com");
   bot.attach_ingestor(&ingestor);
+  const IngestCounters before = IngestCounters::now();
 
   const std::uint64_t post_id =
       server.create_post("petsc-users-emails", "rectangular systems");
@@ -500,7 +606,7 @@ TEST(Ingest, ChatBotSendIngestsTheResolvedThread) {
   }
   EXPECT_TRUE(found);
   // Discard never ingests: safety invariant is send-only.
-  EXPECT_EQ(ingestor.stats().builds, 1u);
+  EXPECT_EQ(IngestCounters::now().since(before).builds, 1u);
 }
 
 // --- E2E: live enhancement through a running server -------------------------

@@ -193,7 +193,9 @@ TEST(SimLlm, JsonOutputModeParses) {
   EXPECT_TRUE(obj.is_object());
   EXPECT_NE(obj.get_string("answer").find("KSPLSQR"), std::string::npos);
   EXPECT_EQ(obj.get_string("model"), "sim-gpt-4o");
-  EXPECT_TRUE(obj.at("sources").is_array());
+  const pkb::util::Json* sources = obj.find("sources");
+  ASSERT_NE(sources, nullptr);
+  EXPECT_TRUE(sources->is_array());
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "post/code_check.h"
 #include "post/markdown_html.h"
 #include "post/postprocessor.h"
@@ -138,6 +140,17 @@ TEST(Postprocessor, MalformedJsonFallsBackToMarkdown) {
   const ProcessedOutput out = postprocess_llm_output("{not json at all");
   EXPECT_FALSE(out.was_json);
   EXPECT_NE(out.plain_text.find("not json"), std::string::npos);
+}
+
+// A response that opens like the JSON mode but nests without bound is
+// rejected by the parser's depth limit and rendered as Markdown instead of
+// overflowing the stack.
+TEST(Postprocessor, DeeplyNestedJsonFallsBackToMarkdown) {
+  const std::string response = "{\"answer\":" + std::string(100000, '[');
+  const ProcessedOutput out = postprocess_llm_output(response);
+  EXPECT_FALSE(out.was_json);
+  EXPECT_TRUE(out.sources.empty());
+  EXPECT_NE(out.plain_text.find("answer"), std::string::npos);
 }
 
 TEST(Postprocessor, BadCodeFlagsNotOk) {

@@ -1,8 +1,8 @@
 // Unit tests for the resilience layer's building blocks: deterministic
-// fault plans, deadline budgets, retry backoff, the circuit breaker, and the
-// SimClock wait hooks. End-to-end fault handling through the pipeline lives
-// in chaos_test.cpp. Suite names (Resilience*, FaultPlan*, CircuitBreaker*,
-// SimClock*) are part of the scripts/run_tsan.sh filter.
+// fault plans, deadline budgets, retry backoff and the circuit breaker.
+// End-to-end fault handling through the pipeline lives in chaos_test.cpp.
+// Suite names (Resilience*, FaultPlan*, CircuitBreaker*) are part of the
+// scripts/run_tsan.sh filter.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "resilience/fault_plan.h"
 #include "resilience/policy.h"
 #include "resilience/resilience.h"
-#include "util/clock.h"
 
 namespace pkb::resilience {
 namespace {
@@ -364,45 +363,6 @@ TEST(Resilience, LevelNamesAreStable) {
   EXPECT_EQ(to_string(DegradationLevel::NoRetrieval), "no_retrieval");
   EXPECT_EQ(to_string(DegradationLevel::Extractive), "extractive");
   EXPECT_EQ(to_string(DegradationLevel::Unavailable), "unavailable");
-}
-
-// --- SimClock wait hooks --------------------------------------------------
-
-TEST(SimClockWait, WaitUntilWakesWhenAdvanceReachesTarget) {
-  pkb::util::SimClock clock;
-  std::atomic<bool> woke{false};
-  std::thread waiter([&] {
-    EXPECT_TRUE(clock.wait_until(5.0, /*real_timeout_seconds=*/5.0));
-    woke = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(woke.load());
-  clock.advance(2.0);  // not there yet
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(woke.load());
-  clock.advance(3.0);  // 5.0 reached: waiter wakes
-  waiter.join();
-  EXPECT_TRUE(woke.load());
-}
-
-TEST(SimClockWait, WaitUntilPastTimeReturnsImmediately) {
-  pkb::util::SimClock clock(10.0);
-  EXPECT_TRUE(clock.wait_until(5.0, 0.001));
-  EXPECT_TRUE(clock.wait_for(0.0, 0.001));
-}
-
-TEST(SimClockWait, WaitForTimesOutInRealTimeWhenNobodyAdvances) {
-  pkb::util::SimClock clock;
-  EXPECT_FALSE(clock.wait_for(100.0, /*real_timeout_seconds=*/0.05));
-  EXPECT_DOUBLE_EQ(clock.now(), 0.0);
-}
-
-TEST(SimClockWait, AdvanceToWakesWaiters) {
-  pkb::util::SimClock clock;
-  std::thread waiter([&] { EXPECT_TRUE(clock.wait_until(7.0, 5.0)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  clock.advance_to(7.0);
-  waiter.join();
 }
 
 }  // namespace

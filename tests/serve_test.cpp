@@ -279,11 +279,13 @@ TEST_F(ServeServerTest, ComputedRequestTraceNestsAskUnderServeRequest) {
   ServerOptions opts;
   opts.workers = 1;
   Server server(*workflow_, opts);
-  obs::global_tracer().clear();
+  const std::optional<obs::Trace> before = obs::global_tracer().latest();
+  const std::uint64_t last_id = before.has_value() ? before->id : 0;
   (void)server.ask("Which span tree does a served KSPSolve question get?");
   server.stop();  // joins the worker, so its serve_request span has closed
   const std::optional<obs::Trace> trace = obs::global_tracer().latest();
   ASSERT_TRUE(trace.has_value());
+  ASSERT_GT(trace->id, last_id) << "the request finished no trace";
   const obs::SpanData& root = trace->root;
   EXPECT_EQ(root.name, "serve_request");
   ASSERT_EQ(root.children.size(), 1u);

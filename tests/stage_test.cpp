@@ -248,7 +248,7 @@ TEST_F(StageParityTest, HistoryContextsAppendAfterDocumentContexts) {
       "Use KSPCG: the conjugate gradient method is the standard choice for "
       "symmetric positive definite systems.";
   store.record_score(store.add(std::move(vetted)),
-                     {.scorer = "expert", .score = 4});
+                     {.scorer = "expert", .score = 4, .notes = ""});
   rag::HistoryRetriever history_retriever(&store);
   history_retriever.refresh();
   ASSERT_EQ(history_retriever.record_ids().size(), 1u);
@@ -288,7 +288,7 @@ TEST_F(StageParityTest, EmptySystemPromptPromotedOnHistoryRecall) {
   vetted.question = "How do I monitor the true residual norm?";
   vetted.response = "Use -ksp_monitor_true_residual on the command line.";
   store.record_score(store.add(std::move(vetted)),
-                     {.scorer = "expert", .score = 4});
+                     {.scorer = "expert", .score = 4, .notes = ""});
   rag::HistoryRetriever retriever(&store);
   retriever.refresh();
   ASSERT_EQ(retriever.record_ids().size(), 1u);
