@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build with ThreadSanitizer (-DPKB_SANITIZE=thread) and run the
 # concurrency-heavy tests: the serving layer, session manager + admission,
-# history store, observability registry, thread-pool, resilience/chaos,
+# history store, observability registry, thread-pool, the shared simulated
+# LLM (SimLlm::complete from several threads), resilience/chaos,
 # request-path-off-the-pool and publish-under-reads suites. Usage, from
 # anywhere:
 #
@@ -15,7 +16,7 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="$repo_root/build-tsan"
 
-filter="ServeServer*:BoundedQueue*:HistoryStore*:Metrics*:Tracer*:ThreadPool*:SimClock*:KnowledgeBase*:Ingest*:Resilience*:FaultPlan*:CircuitBreaker*:Chaos*:Kernels*:KernelsArena*:Hnsw*:AnnIndex*:AnnKnowledgeBase*:StageGraph*:StageParity*:TraceRecorder*:Replay*:Session*:RequestPathOffPool*:PublishUnderReads*"
+filter="ServeServer*:BoundedQueue*:HistoryStore*:Metrics*:Tracer*:ThreadPool*:SimClock*:SimLlm*:KnowledgeBase*:Ingest*:Resilience*:FaultPlan*:CircuitBreaker*:Chaos*:Kernels*:KernelsArena*:Hnsw*:AnnIndex*:AnnKnowledgeBase*:StageGraph*:StageParity*:TraceRecorder*:Replay*:Session*:RequestPathOffPool*:PublishUnderReads*"
 if [[ $# -ge 1 ]]; then
   filter="$filter:$1"
 fi

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <span>
 
 #include "llm/hallucination.h"
 #include "llm/parametric.h"
@@ -19,106 +19,32 @@ namespace pkb::llm {
 namespace {
 
 using pkb::util::Rng;
+using Span = text::TextAnalysis::Span;
 
-/// Content terms of the question: non-stopword tokens, with symbols kept
-/// separately (they carry extra weight).
-struct QueryTerms {
-  std::vector<std::string> terms;    // lowercased content terms (distinct)
-  std::vector<std::string> symbols;  // original-case API symbols
-};
-
-QueryTerms query_terms(std::string_view question) {
-  QueryTerms out;
-  const text::TokenizedText tt = text::tokenize(question);
-  std::unordered_set<std::string> seen;
-  for (const std::string& tok : tt.tokens) {
-    if (text::stopwords().contains(tok) || tok.size() < 2) continue;
-    if (seen.insert(tok).second) out.terms.push_back(tok);
-  }
-  out.symbols = tt.symbols;
-  return out;
-}
-
-/// Per-request term weights: query terms are weighted by how discriminative
-/// they are ACROSS the attended contexts (a term present in every context
-/// separates nothing — the in-context analogue of attention sharpening).
-struct TermWeights {
-  std::unordered_map<std::string, double> weight;
-};
-
-TermWeights compute_term_weights(const QueryTerms& q,
-                                 const LlmRequest& request,
-                                 std::size_t attended) {
-  TermWeights tw;
-  std::vector<std::string> lowered;
-  lowered.reserve(attended);
-  for (std::size_t c = 0; c < attended; ++c) {
-    lowered.push_back(pkb::util::to_lower(request.contexts[c].text));
-  }
-  auto df_of = [&](const std::string& needle, bool icase) {
-    std::size_t df = 0;
-    for (std::size_t c = 0; c < attended; ++c) {
-      const bool hit =
-          icase ? pkb::util::icontains(request.contexts[c].text, needle)
-                : lowered[c].find(needle) != std::string::npos;
-      if (hit) ++df;
-    }
-    return df;
-  };
-  for (const std::string& term : q.terms) {
-    const std::size_t df = df_of(term, false);
-    tw.weight[term] = 1.0 / (0.5 + static_cast<double>(df));
-  }
-  for (const std::string& symbol : q.symbols) {
-    const std::size_t df = df_of(symbol, true);
-    tw.weight["\x01" + symbol] = 3.0 / (0.5 + static_cast<double>(df));
-  }
-  return tw;
-}
-
-/// Relevance of one sentence to the query.
-double sentence_score(std::string_view sentence, const QueryTerms& q,
-                      const TermWeights& tw) {
-  const std::string lower = pkb::util::to_lower(sentence);
-  double score = 0.0;
-  for (const std::string& term : q.terms) {
-    if (lower.find(term) != std::string::npos) {
-      score += tw.weight.at(term);
-    }
-  }
-  for (const std::string& symbol : q.symbols) {
-    if (pkb::util::icontains(sentence, symbol)) {
-      score += tw.weight.at("\x01" + symbol);
-    }
-  }
-  // Mild length normalization: prefer focused sentences.
-  const double words =
-      static_cast<double>(pkb::util::split_ws(sentence).size());
-  return score / (1.0 + 0.015 * words);
-}
-
-struct ScoredSentence {
-  std::string text;
-  double score = 0.0;
-  std::size_t context_rank = 0;
-  std::size_t position = 0;
-  std::string context_id;
-};
-
-/// Token-set Jaccard similarity, used to suppress near-duplicate sentences
-/// coming from different pages (option page vs function page often state
-/// the same thing).
-double jaccard(const std::vector<std::string>& a,
-               const std::vector<std::string>& b) {
+/// Token-set Jaccard similarity of two texts given as sorted distinct token
+/// spans, used to suppress near-duplicate sentences coming from different
+/// pages (option page vs function page often state the same thing).
+double jaccard(std::string_view a_text, std::span<const Span> a,
+               std::string_view b_text, std::span<const Span> b) {
   if (a.empty() || b.empty()) return 0.0;
-  std::unordered_set<std::string> sa(a.begin(), a.end());
-  std::unordered_set<std::string> sb(b.begin(), b.end());
   std::size_t common = 0;
-  for (const std::string& t : sa) {
-    if (sb.contains(t)) ++common;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const int cmp = a_text.substr(a[i].offset, a[i].size)
+                        .compare(b_text.substr(b[j].offset, b[j].size));
+    if (cmp < 0) {
+      ++i;
+    } else if (cmp > 0) {
+      ++j;
+    } else {
+      ++common;
+      ++i;
+      ++j;
+    }
   }
   return static_cast<double>(common) /
-         static_cast<double>(sa.size() + sb.size() - common);
+         static_cast<double>(a.size() + b.size() - common);
 }
 
 std::string format_options_line(const corpus::ApiSpec& spec) {
@@ -136,101 +62,203 @@ std::string format_options_line(const corpus::ApiSpec& spec) {
 
 }  // namespace
 
+SentenceScan scan_sentences(const text::QueryAnalysis& question,
+                            const std::vector<ContextDoc>& contexts,
+                            std::size_t attended) {
+  attended = std::min(attended, contexts.size());
+  SentenceScan out;
+
+  // Every sentence of every attended context, with its span in `lower`.
+  // ranges[c] is where context c starts in `lower` and in `sentences`;
+  // ranges[attended] closes the last one.
+  struct Range {
+    std::size_t lower_begin = 0;
+    std::size_t first_sentence = 0;
+  };
+  std::vector<Range> ranges;
+  ranges.reserve(attended + 1);
+  std::vector<SentenceScan::Hit>& sentences = out.hits;
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < attended; ++c) total += contexts[c].text.size();
+  out.lower.reserve(total);
+  for (std::size_t c = 0; c < attended; ++c) {
+    const std::string& text = contexts[c].text;
+    ranges.push_back(Range{out.lower.size(), sentences.size()});
+    std::size_t position = 0;
+    for (const std::string_view sentence : text::split_sentences(text)) {
+      SentenceScan::Hit hit;
+      hit.context = c;
+      hit.position = position++;
+      hit.text = sentence;
+      hit.lower_offset =
+          out.lower.size() +
+          static_cast<std::size_t>(sentence.data() - text.data());
+      sentences.push_back(hit);
+    }
+    pkb::util::append_lower(out.lower, text);
+  }
+  ranges.push_back(Range{out.lower.size(), sentences.size()});
+
+  // One search per (needle, context): counts the needle's document
+  // frequency and adds its weight to each sentence holding an occurrence
+  // wholly inside the sentence's span. A needle is weighted by how
+  // discriminative it is ACROSS the attended contexts (a term present in
+  // every context separates nothing — the in-context analogue of attention
+  // sharpening).
+  const std::string_view lower = out.lower;
+  std::vector<std::size_t> holders;
+  const auto scan = [&](std::string_view needle, double numerator) {
+    holders.clear();
+    std::size_t df = 0;
+    for (std::size_t c = 0; c < attended; ++c) {
+      const std::size_t begin = ranges[c].lower_begin;
+      const std::string_view hay =
+          lower.substr(begin, ranges[c + 1].lower_begin - begin);
+      std::size_t pos = hay.find(needle);
+      if (pos == std::string_view::npos) continue;
+      ++df;
+      std::size_t k = ranges[c].first_sentence;
+      const std::size_t k_end = ranges[c + 1].first_sentence;
+      while (pos != std::string_view::npos) {
+        const std::size_t at = begin + pos;
+        while (k < k_end &&
+               sentences[k].lower_offset + sentences[k].text.size() <= at) {
+          ++k;
+        }
+        if (k == k_end) break;
+        const std::size_t s_begin = sentences[k].lower_offset;
+        const std::size_t s_end = s_begin + sentences[k].text.size();
+        if (at < s_begin) {
+          pos = hay.find(needle, s_begin - begin);  // between sentences
+        } else if (at + needle.size() <= s_end) {
+          holders.push_back(k);
+          pos = hay.find(needle, s_end - begin);
+        } else {
+          pos = hay.find(needle, pos + 1);  // runs past the sentence's end
+        }
+      }
+    }
+    const double weight = numerator / (0.5 + static_cast<double>(df));
+    for (const std::size_t k : holders) sentences[k].score += weight;
+    return df;
+  };
+
+  // Needles: the content terms (distinct, in first-appearance order), then
+  // the symbols lowercased.
+  std::vector<std::string_view> terms;
+  for (const Span tok : question.tokens) {
+    const std::string_view term = question.view(tok);
+    if (text::stopwords().contains(term) || term.size() < 2) continue;
+    if (std::find(terms.begin(), terms.end(), term) == terms.end()) {
+      terms.push_back(term);
+    }
+  }
+  for (const std::string_view term : terms) scan(term, 1.0);
+  std::string symbol_lower;
+  for (const std::string& symbol : question.symbols) {
+    symbol_lower.clear();
+    pkb::util::append_lower(symbol_lower, symbol);
+    if (scan(symbol_lower, 3.0) == 0) out.uncovered_symbols.push_back(symbol);
+  }
+
+  // Keep the sentences that hold a needle. Mild length normalization:
+  // prefer focused sentences.
+  std::erase_if(sentences,
+                [](const SentenceScan::Hit& hit) { return hit.score <= 0.0; });
+  for (SentenceScan::Hit& hit : sentences) {
+    hit.words = pkb::util::count_words(hit.text);
+    const double words = static_cast<double>(hit.words);
+    hit.score = hit.score / (1.0 + 0.015 * words);
+  }
+  return out;
+}
+
 SimLlm::SimLlm(LlmConfig config) : config_(std::move(config)) {}
 
 SimLlm::Draft SimLlm::answer_grounded(const LlmRequest& request,
                                       Rng& rng) const {
   Draft draft;
-  const QueryTerms q = query_terms(request.question);
-  const std::size_t attended =
-      std::min(request.max_attended_contexts, request.contexts.size());
+  const text::QueryAnalysis question = text::analyze(request.question);
+  const SentenceScan scan = scan_sentences(
+      question, request.contexts, request.max_attended_contexts);
 
-  // Which question symbols are covered by the attended contexts?
-  std::vector<std::string> uncovered_symbols;
-  for (const std::string& symbol : q.symbols) {
-    bool covered = false;
-    for (std::size_t c = 0; c < attended && !covered; ++c) {
-      covered = pkb::util::icontains(request.contexts[c].text, symbol);
-    }
-    if (!covered) uncovered_symbols.push_back(symbol);
+  struct Ranked {
+    const SentenceScan::Hit* hit = nullptr;
+    double score = 0.0;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(scan.hits.size());
+  for (const SentenceScan::Hit& hit : scan.hits) {
+    // Position bias: models attend most to the leading context and
+    // progressively less to later ones ("lost in the middle"). This is
+    // the mechanism that makes reranking matter — promoting the decisive
+    // document to the front changes what the model actually uses.
+    ranked.push_back(Ranked{
+        &hit, hit.score / (1.0 + config_.attention_decay *
+                                     static_cast<double>(hit.context))});
   }
-
-  // Score every sentence of every attended context.
-  const TermWeights tw = compute_term_weights(q, request, attended);
-  std::vector<ScoredSentence> scored;
-  for (std::size_t c = 0; c < attended; ++c) {
-    const auto sentences = text::split_sentences(request.contexts[c].text);
-    for (std::size_t s = 0; s < sentences.size(); ++s) {
-      const double base = sentence_score(sentences[s], q, tw);
-      if (base <= 0.0) continue;
-      ScoredSentence ss;
-      ss.text = std::string(sentences[s]);
-      // Position bias: models attend most to the leading context and
-      // progressively less to later ones ("lost in the middle"). This is
-      // the mechanism that makes reranking matter — promoting the decisive
-      // document to the front changes what the model actually uses.
-      ss.score = base / (1.0 + config_.attention_decay * static_cast<double>(c));
-      ss.context_rank = c;
-      ss.position = s;
-      ss.context_id = request.contexts[c].id;
-      scored.push_back(std::move(ss));
-    }
-  }
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredSentence& a, const ScoredSentence& b) {
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& a, const Ranked& b) {
               if (a.score != b.score) return a.score > b.score;
-              if (a.context_rank != b.context_rank) {
-                return a.context_rank < b.context_rank;
+              if (a.hit->context != b.hit->context) {
+                return a.hit->context < b.hit->context;
               }
-              return a.position < b.position;
+              return a.hit->position < b.hit->position;
             });
 
   // Select under a completion budget, with fidelity-controlled drops and
   // near-duplicate suppression (the same statement often exists on both an
-  // option page and a function page).
-  std::vector<const ScoredSentence*> selected;
-  std::vector<std::vector<std::string>> selected_tokens;
+  // option page and a function page). The selected sentences' term spans
+  // sit one after another in `selected_terms`; sentence i owns
+  // [terms_begin[i], terms_begin[i + 1]).
+  std::vector<const SentenceScan::Hit*> selected;
+  std::vector<Span> selected_terms;
+  std::vector<std::size_t> terms_begin{0};
+  std::vector<Span> terms;
   std::size_t budget_words = config_.completion_budget_words;
-  for (const ScoredSentence& ss : scored) {
+  for (const Ranked& r : ranked) {
     if (selected.size() >= config_.max_answer_sentences || budget_words == 0) {
       break;
     }
-    std::vector<std::string> toks = text::tokens_of(ss.text);
+    const std::string_view lower = scan.lower_text(*r.hit);
+    text::term_spans(lower, terms);
     bool duplicate = false;
-    for (const auto& prev : selected_tokens) {
-      if (jaccard(toks, prev) >= 0.4) {
-        duplicate = true;
-        break;
-      }
+    for (std::size_t i = 0; i < selected.size() && !duplicate; ++i) {
+      duplicate =
+          jaccard(lower, terms, scan.lower_text(*selected[i]),
+                  std::span<const Span>(selected_terms)
+                      .subspan(terms_begin[i],
+                               terms_begin[i + 1] - terms_begin[i])) >= 0.4;
     }
     if (duplicate) continue;
     if (!selected.empty() &&
         rng.uniform() > config_.grounding_fidelity) {
       continue;  // imperfect grounding: sentence dropped
     }
-    const std::size_t words = pkb::util::split_ws(ss.text).size();
-    selected.push_back(&ss);
-    selected_tokens.push_back(std::move(toks));
-    budget_words -= std::min(budget_words, words);
+    selected.push_back(r.hit);
+    selected_terms.insert(selected_terms.end(), terms.begin(), terms.end());
+    terms_begin.push_back(selected_terms.size());
+    budget_words -= std::min(budget_words, r.hit->words);
   }
 
   // Unknown-symbol caveat (the grounded KSPBurb behaviour): with no covering
   // context and sufficient model discipline, say so instead of guessing.
   std::string caveat;
-  if (!uncovered_symbols.empty() && selected.size() <= 2) {
+  if (!scan.uncovered_symbols.empty() && selected.size() <= 2) {
+    const std::string_view symbol = scan.uncovered_symbols.front();
     if (rng.uniform() < config_.quality) {
       caveat = "It appears there may be a typo or misunderstanding: there "
-               "is no PETSc function or object named " +
-               uncovered_symbols.front() +
-               " in the documentation available to me. ";
-      if (corpus::find_spec_fuzzy(uncovered_symbols.front()) != nullptr) {
-        caveat += "Did you mean " +
-                  corpus::find_spec_fuzzy(uncovered_symbols.front())->name +
-                  "? ";
+               "is no PETSc function or object named ";
+      caveat += symbol;
+      caveat += " in the documentation available to me. ";
+      if (const corpus::ApiSpec* spec = corpus::find_spec_fuzzy(symbol)) {
+        caveat += "Did you mean ";
+        caveat += spec->name;
+        caveat += "? ";
       }
       draft.mode = "grounded-caveat";
     } else {
-      draft.text = fabricate_symbol_answer(uncovered_symbols.front(), rng);
+      draft.text = fabricate_symbol_answer(symbol, rng);
       draft.mode = "hallucination";
       return draft;
     }
@@ -257,33 +285,45 @@ SimLlm::Draft SimLlm::answer_grounded(const LlmRequest& request,
   // Lead with the entity the best-matching context documents: the model
   // names the API it is recommending (as the paper's example answers do:
   // "The pivotal solver for such cases in PETSc is KSPLSQR ...").
-  std::string lead;
+  std::string_view title;
   if (!selected.empty()) {
-    const std::size_t lead_rank = selected.front()->context_rank;
-    const std::string& title = request.contexts[lead_rank].title;
-    if (!title.empty() && text::looks_like_symbol(title)) {
-      lead = "Use " + title + ". ";
-    }
+    title = request.contexts[selected.front()->context].title;
+    if (!text::looks_like_symbol(title)) title = {};
   }
 
-  // Compose: keep document order within the selection for coherence.
+  // Compose: keep document order within the selection for coherence. The
+  // text is sized exactly up front: responses are kept (sessions, history),
+  // so spare capacity would be kept with them.
   std::sort(selected.begin(), selected.end(),
-            [](const ScoredSentence* a, const ScoredSentence* b) {
-              if (a->context_rank != b->context_rank) {
-                return a->context_rank < b->context_rank;
-              }
+            [](const SentenceScan::Hit* a, const SentenceScan::Hit* b) {
+              if (a->context != b->context) return a->context < b->context;
               return a->position < b->position;
             });
-  std::string body;
-  std::unordered_set<std::string> used;
-  for (const ScoredSentence* ss : selected) {
-    if (!body.empty()) body += " ";
-    body += ss->text;
-    if (used.insert(ss->context_id).second) {
-      draft.used_context_ids.push_back(ss->context_id);
+  constexpr std::string_view kLeadPrefix = "Use ";
+  constexpr std::string_view kLeadSuffix = ". ";
+  std::size_t length = caveat.size();
+  if (!title.empty()) {
+    length += kLeadPrefix.size() + title.size() + kLeadSuffix.size();
+  }
+  for (const SentenceScan::Hit* hit : selected) length += hit->text.size();
+  if (!selected.empty()) length += selected.size() - 1;  // separators
+  draft.text.reserve(length);
+  draft.text += caveat;
+  if (!title.empty()) {
+    draft.text += kLeadPrefix;
+    draft.text += title;
+    draft.text += kLeadSuffix;
+  }
+  const std::size_t body_begin = draft.text.size();
+  for (const SentenceScan::Hit* hit : selected) {
+    if (draft.text.size() != body_begin) draft.text += ' ';
+    draft.text += hit->text;
+    const std::string& id = request.contexts[hit->context].id;
+    if (std::find(draft.used_context_ids.begin(), draft.used_context_ids.end(),
+                  id) == draft.used_context_ids.end()) {
+      draft.used_context_ids.push_back(id);
     }
   }
-  draft.text = caveat + lead + body;
   if (draft.mode.empty()) draft.mode = "grounded";
   return draft;
 }

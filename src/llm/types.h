@@ -39,10 +39,11 @@ struct LlmResponse {
   double latency_seconds = 0.0;
   std::size_t prompt_tokens = 0;
   std::size_t completion_tokens = 0;
-  /// "grounded", "grounded-caveat", "parametric", "parametric-partial",
-  /// "hallucination", or "refusal" — the internal path taken, exposed for
-  /// the interaction-history database and for tests. A real deployment
-  /// would not have this; nothing in the evaluation rubric reads it.
+  /// "grounded", "grounded-caveat", "grounded-weak", "parametric",
+  /// "parametric-partial", "hallucination", or "refusal" — the internal
+  /// path taken, exposed for the interaction-history database and for
+  /// tests. A real deployment would not have this; nothing in the
+  /// evaluation rubric reads it.
   std::string mode;
   /// Ids of the context documents actually used in the answer.
   std::vector<std::string> used_context_ids;

@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "rerank/cross_score.h"
 #include "rerank/flashranker.h"
+#include "util/clock.h"
 
 namespace pkb::rerank {
 
 std::vector<RerankResult> Reranker::rerank(
     const text::QueryAnalysis& query, const lexical::CorpusAnalysis& corpus,
     const std::vector<RerankCandidate>& candidates, std::size_t top_l) const {
+  const pkb::util::Stopwatch watch;
   pkb::resilience::consult(fault_plan_, pkb::resilience::Stage::Rerank);
   const std::vector<double> scores = score(query, corpus, candidates);
   std::vector<RerankResult> out;
@@ -24,6 +28,11 @@ std::vector<RerankResult> Reranker::rerank(
               return a.original_rank < b.original_rank;
             });
   if (out.size() > top_l) out.resize(top_l);
+  const obs::LabelSet label{{"reranker", name()}};
+  obs::MetricsRegistry& metrics = obs::global_metrics();
+  metrics.counter(obs::kRerankRequestsTotal, label).inc();
+  metrics.counter(obs::kRerankCandidatesTotal, label).inc(candidates.size());
+  metrics.histogram(obs::kRerankSeconds, label).observe(watch.seconds());
   return out;
 }
 

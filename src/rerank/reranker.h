@@ -58,7 +58,9 @@ class Reranker {
 
   /// Score and reorder; returns min(top_l, candidates.size()) results,
   /// descending score, ties broken by original rank. Deterministic. Consults
-  /// the fault plan first.
+  /// the fault plan first; a call that returns records
+  /// pkb_rerank_requests_total, pkb_rerank_candidates_total and
+  /// pkb_rerank_seconds, labelled `reranker`.
   [[nodiscard]] std::vector<RerankResult> rerank(
       const text::QueryAnalysis& query, const lexical::CorpusAnalysis& corpus,
       const std::vector<RerankCandidate>& candidates,

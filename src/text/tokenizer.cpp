@@ -54,31 +54,47 @@ void for_each_token(std::string_view s, Emit&& emit) {
   }
 }
 
-/// The lowercased text, token spans and distinct-term spans of `text`.
-TextAnalysis analyze_text(std::string_view text) {
-  if (text.size() > std::numeric_limits<std::uint32_t>::max()) {
+/// Appends the span of every token of `s` to `spans`.
+void append_token_spans(std::string_view s,
+                        std::vector<TextAnalysis::Span>& spans) {
+  if (s.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("analyze: text longer than a span can address");
   }
-  TextAnalysis out;
-  out.lower = pkb::util::to_lower(text);
-  // to_lower maps byte for byte, so each lowercased token is the substring
-  // of `lower` at the raw token's offset. Spans are collected in a scratch
-  // vector so the analysis keeps exact-size arrays.
-  std::vector<TextAnalysis::Span> spans;
-  for_each_token(text, [&](std::size_t offset, std::string_view raw) {
+  for_each_token(s, [&](std::size_t offset, std::string_view raw) {
     spans.push_back(TextAnalysis::Span{
         static_cast<std::uint32_t>(offset),
         static_cast<std::uint32_t>(raw.size())});
   });
+}
+
+/// Sorts `spans` of `lower` by their text and drops repeats.
+void sort_distinct(std::string_view lower,
+                   std::vector<TextAnalysis::Span>& spans) {
+  const auto view = [&](TextAnalysis::Span a) {
+    return lower.substr(a.offset, a.size);
+  };
+  std::sort(spans.begin(), spans.end(),
+            [&](TextAnalysis::Span a, TextAnalysis::Span b) {
+              return view(a) < view(b);
+            });
+  spans.erase(std::unique(spans.begin(), spans.end(),
+                          [&](TextAnalysis::Span a, TextAnalysis::Span b) {
+                            return view(a) == view(b);
+                          }),
+              spans.end());
+}
+
+/// The lowercased text, token spans and distinct-term spans of `text`.
+TextAnalysis analyze_text(std::string_view text) {
+  TextAnalysis out;
+  out.lower = pkb::util::to_lower(text);
+  // The token rule ignores case, so tokenizing `lower` gives the spans of
+  // the raw tokens. Spans are collected in a scratch vector so the analysis
+  // keeps exact-size arrays.
+  std::vector<TextAnalysis::Span> spans;
+  append_token_spans(out.lower, spans);
   out.tokens.assign(spans.begin(), spans.end());
-  const auto less = [&](TextAnalysis::Span a, TextAnalysis::Span b) {
-    return out.view(a) < out.view(b);
-  };
-  const auto equal = [&](TextAnalysis::Span a, TextAnalysis::Span b) {
-    return out.view(a) == out.view(b);
-  };
-  std::sort(spans.begin(), spans.end(), less);
-  spans.erase(std::unique(spans.begin(), spans.end(), equal), spans.end());
+  sort_distinct(out.lower, spans);
   out.terms.assign(spans.begin(), spans.end());
   return out;
 }
@@ -159,6 +175,13 @@ std::vector<std::string> tokens_of(std::string_view s) {
   return out;
 }
 
+void term_spans(std::string_view lower,
+                std::vector<TextAnalysis::Span>& out) {
+  out.clear();
+  append_token_spans(lower, out);
+  sort_distinct(lower, out);
+}
+
 std::vector<std::string_view> split_sentences(std::string_view s) {
   std::vector<std::string_view> out;
   std::size_t start = 0;
@@ -205,7 +228,7 @@ const std::unordered_set<std::string_view>& stopwords() {
 }
 
 std::size_t approx_llm_tokens(std::string_view s) {
-  const std::size_t words = pkb::util::split_ws(s).size();
+  const std::size_t words = pkb::util::count_words(s);
   return static_cast<std::size_t>(static_cast<double>(words) * 1.33) + 1;
 }
 

@@ -9,7 +9,8 @@
 // Retrieval does not call tokenize(): it reads text::TextAnalysis
 // (text/analysis.h), the same token rule applied once per chunk and once
 // per request's question (QueryAnalysis). tokenize() serves the simulated
-// LLM, the rubric and the post-processor, whose inputs are plain text.
+// LLM's parametric memory, the rubric and the post-processor, whose inputs
+// are plain text.
 
 #include <string>
 #include <string_view>
@@ -33,6 +34,12 @@ struct TokenizedText {
 
 /// Convenience: just the token stream.
 [[nodiscard]] std::vector<std::string> tokens_of(std::string_view s);
+
+/// The distinct tokens of `lower`, an already lowercased text, as sorted
+/// spans of it: analyze(text).terms when to_lower(text) == lower. The token
+/// rule ignores case, so the spans are also those of the original text.
+/// Overwrites `out`, keeping its capacity.
+void term_spans(std::string_view lower, std::vector<TextAnalysis::Span>& out);
 
 /// True if `tok` looks like an API symbol: CamelCase with an internal capital
 /// (KSPSolve), an ALLCAPS-prefixed identifier (KSPGMRES), or a runtime option

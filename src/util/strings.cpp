@@ -75,6 +75,17 @@ std::vector<std::string_view> split_ws(std::string_view s) {
   return out;
 }
 
+std::size_t count_words(std::string_view s) {
+  std::size_t words = 0;
+  bool in_word = false;
+  for (const char c : s) {
+    const bool word_char = !is_space(c);
+    if (word_char && !in_word) ++words;
+    in_word = word_char;
+  }
+  return words;
+}
+
 std::vector<std::string_view> split_lines(std::string_view s) {
   std::vector<std::string_view> out;
   std::size_t start = 0;
@@ -123,6 +134,13 @@ std::string to_lower(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(), ascii_lower);
   return out;
+}
+
+void append_lower(std::string& out, std::string_view s) {
+  const std::size_t start = out.size();
+  out.append(s);
+  std::transform(out.begin() + static_cast<std::ptrdiff_t>(start), out.end(),
+                 out.begin() + static_cast<std::ptrdiff_t>(start), ascii_lower);
 }
 
 std::string to_upper(std::string_view s) {

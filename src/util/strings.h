@@ -30,6 +30,9 @@ namespace pkb::util {
 /// Split into non-empty whitespace-delimited fields.
 [[nodiscard]] std::vector<std::string_view> split_ws(std::string_view s);
 
+/// split_ws(s).size(), counted in place.
+[[nodiscard]] std::size_t count_words(std::string_view s);
+
 /// Split into lines; the trailing newline does not produce an empty line,
 /// but interior blank lines are preserved.
 [[nodiscard]] std::vector<std::string_view> split_lines(std::string_view s);
@@ -42,6 +45,9 @@ namespace pkb::util {
 
 /// ASCII lowercase copy.
 [[nodiscard]] std::string to_lower(std::string_view s);
+
+/// Append to_lower(s) to `out`.
+void append_lower(std::string& out, std::string_view s);
 
 /// ASCII uppercase copy.
 [[nodiscard]] std::string to_upper(std::string_view s);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -44,6 +45,27 @@ TEST(Metrics, CounterConcurrentIncrements) {
   // Racing lookups registered exactly one series.
   EXPECT_EQ(reg.prometheus_text(),
             "# TYPE pkb_test_total counter\npkb_test_total 80000\n");
+}
+
+// The counter alone, without the registry mutex between increments: the
+// threads start together at a barrier and each runs long enough that they
+// overlap, so a lost update (a load+store increment) shows in the total.
+TEST(Metrics, PreResolvedCounterLosesNoIncrements) {
+  MetricsRegistry reg;
+  Counter& counter = reg.counter("pkb_test_total");
+  constexpr int kThreads = 4;
+  constexpr int kIncs = 500000;
+  std::latch start(kThreads);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kIncs; ++i) counter.inc();
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(counter.value(), static_cast<std::uint64_t>(kThreads) * kIncs);
 }
 
 TEST(Metrics, LabeledSeriesAreDistinctAndOrderInsensitive) {
@@ -385,6 +407,55 @@ TEST_F(ObsIntegrationTest, AskOnRagRerankEmitsDocumentedSpanTree) {
                 .snapshot()
                 .count,
             0u);
+}
+
+std::string attr_of(const SpanData& span, std::string_view key) {
+  for (const auto& [k, v] : span.attrs) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+// The value of the exported sample `series` (name plus rendered labels) in
+// the global registry's Prometheus text, read without touching the registry
+// API (which would create the series); 0 when the series is absent.
+std::uint64_t exported_value(const std::string& series) {
+  const std::string text = global_metrics().prometheus_text();
+  const std::string prefix = "\n" + series + " ";
+  const std::size_t at = text.find(prefix);
+  if (at == std::string::npos) return 0;
+  return std::stoull(text.substr(at + prefix.size()));
+}
+
+TEST_F(ObsIntegrationTest, RagRerankAskRecordsRerankMetrics) {
+  rag::RetrieverOptions ropts;
+  ropts.reranker = "sim-nv-cross";
+  const rag::AugmentedWorkflow workflow(*db_, rag::PipelineArm::RagRerank,
+                                        llm::model_config("sim-gpt-4o"), ropts);
+  const std::string label = "{reranker=\"sim-nv-cross\"}";
+  const std::uint64_t requests_before =
+      exported_value(std::string(kRerankRequestsTotal) + label);
+  const std::uint64_t candidates_before =
+      exported_value(std::string(kRerankCandidatesTotal) + label);
+  const std::uint64_t observed_before =
+      exported_value(std::string(kRerankSeconds) + "_count" + label);
+  const std::uint64_t last_id = last_trace_id();
+
+  (void)workflow.ask("How do I choose a Krylov solver?");
+
+  const std::vector<Trace> traces = traces_after(last_id);
+  ASSERT_EQ(traces.size(), 1u);
+  const SpanData& rerank = traces.front().root.children[0].children[3];
+  ASSERT_EQ(rerank.name, kSpanRerank);
+  EXPECT_EQ(attr_of(rerank, "reranker"), "sim-nv-cross");
+  const std::uint64_t in = std::stoull(attr_of(rerank, "in"));
+  ASSERT_GT(in, 0u);
+  EXPECT_EQ(exported_value(std::string(kRerankRequestsTotal) + label),
+            requests_before + 1);
+  EXPECT_EQ(exported_value(std::string(kRerankCandidatesTotal) + label),
+            candidates_before + in);
+  EXPECT_EQ(exported_value(std::string(kRerankSeconds) + "_count" + label),
+            observed_before + 1);
 }
 
 TEST_F(ObsIntegrationTest, BaselineAskHasNoRetrieveSubtree) {
