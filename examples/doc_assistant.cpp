@@ -15,7 +15,6 @@
 
 #include "corpus/api_spec.h"
 #include "corpus/generator.h"
-#include "post/postprocessor.h"
 #include "rag/prompts.h"
 #include "rag/workflow.h"
 
@@ -95,10 +94,9 @@ int main() {
     std::printf("  draft notes addition:\n    %s\n",
                 outcome.response.text.c_str());
 
-    // Verify any code in the draft before it can enter review (Sec III-E).
-    const post::ProcessedOutput processed =
-        post::postprocess_llm_output(outcome.response.text);
-    if (processed.all_code_ok) {
+    // ask() already verified any code in the draft (Sec III-E); only a
+    // clean draft can enter review.
+    if (outcome.processed.all_code_ok) {
       ++clean_drafts;
       std::printf("  code check: OK -> queued for human review\n\n");
     } else {

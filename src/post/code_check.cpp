@@ -3,7 +3,6 @@
 #include <stack>
 
 #include "corpus/api_spec.h"
-#include "text/markdown.h"
 #include "text/tokenizer.h"
 #include "util/strings.h"
 
@@ -133,16 +132,6 @@ void check_symbols(std::string_view code, CodeCheckReport& report) {
 
 }  // namespace
 
-std::vector<CodeBlock> extract_code_blocks(std::string_view md) {
-  std::vector<CodeBlock> blocks;
-  for (const text::MdBlock& block : text::parse_markdown(md)) {
-    if (block.type == text::MdBlock::Type::CodeFence) {
-      blocks.push_back(CodeBlock{block.language, block.text});
-    }
-  }
-  return blocks;
-}
-
 CodeCheckReport check_code(const CodeBlock& block) {
   CodeCheckReport report;
   const bool console = block.language == "console" ||
@@ -151,14 +140,6 @@ CodeCheckReport check_code(const CodeBlock& block) {
   if (!console) check_balance(block.code, report);
   check_symbols(block.code, report);
   return report;
-}
-
-std::vector<CodeCheckReport> check_all_code(std::string_view md) {
-  std::vector<CodeCheckReport> reports;
-  for (const CodeBlock& block : extract_code_blocks(md)) {
-    reports.push_back(check_code(block));
-  }
-  return reports;
 }
 
 }  // namespace pkb::post

@@ -14,10 +14,10 @@
 
 namespace pkb::post {
 
-/// One extracted code block.
+/// One fenced code block, viewed in place.
 struct CodeBlock {
-  std::string language;  ///< fence info string ("c", "console", ...)
-  std::string code;
+  std::string_view language;  ///< fence info string ("c", "console", ...)
+  std::string_view code;
 };
 
 /// One verification finding.
@@ -33,14 +33,8 @@ struct CodeCheckReport {
   std::vector<CodeDiagnostic> diagnostics;
 };
 
-/// All fenced code blocks in a Markdown text.
-[[nodiscard]] std::vector<CodeBlock> extract_code_blocks(std::string_view md);
-
 /// Verify one code block. Console/shell blocks only get option-name
 /// verification; C-like blocks get the full delimiter + symbol checks.
 [[nodiscard]] CodeCheckReport check_code(const CodeBlock& block);
-
-/// Verify every code block in a Markdown text (report per block).
-[[nodiscard]] std::vector<CodeCheckReport> check_all_code(std::string_view md);
 
 }  // namespace pkb::post

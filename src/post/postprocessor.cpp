@@ -1,6 +1,5 @@
 #include "post/postprocessor.h"
 
-#include "post/markdown_html.h"
 #include "text/markdown.h"
 #include "util/json.h"
 #include "util/strings.h"
@@ -10,15 +9,18 @@ namespace pkb::post {
 ProcessedOutput postprocess_llm_output(std::string_view response) {
   ProcessedOutput out;
 
-  std::string markdown(response);
+  std::string_view markdown = response;
+  pkb::util::Json json;  // owns the JSON-mode answer `markdown` views
   const std::string_view trimmed = pkb::util::trim(response);
   if (!trimmed.empty() && trimmed.front() == '{') {
     try {
-      const pkb::util::Json obj = pkb::util::Json::parse(trimmed);
-      if (obj.is_object() && obj.find("answer") != nullptr) {
-        out.was_json = true;
-        markdown = obj.get_string("answer");
-        if (const pkb::util::Json* sources = obj.find("sources");
+      json = pkb::util::Json::parse(trimmed);
+      const pkb::util::Json* answer =
+          json.is_object() ? json.find("answer") : nullptr;
+      if (answer != nullptr) {
+        markdown = answer->is_string() ? std::string_view(answer->as_string())
+                                       : std::string_view();
+        if (const pkb::util::Json* sources = json.find("sources");
             sources != nullptr && sources->is_array()) {
           for (const pkb::util::Json& s : sources->as_array()) {
             if (s.is_string()) out.sources.push_back(s.as_string());
@@ -30,18 +32,12 @@ ProcessedOutput postprocess_llm_output(std::string_view response) {
     }
   }
 
-  out.plain_text = text::strip_markdown(markdown);
-  out.html = markdown_to_html(markdown);
-  for (const text::MdBlock& block : text::parse_markdown(markdown)) {
-    if (block.type == text::MdBlock::Type::List) {
-      for (const std::string& item : block.items) {
-        out.list_items.push_back(text::strip_inline(item));
-      }
-    }
-  }
-  out.code_reports = check_all_code(markdown);
-  for (const CodeCheckReport& report : out.code_reports) {
-    if (!report.ok) out.all_code_ok = false;
+  const std::vector<text::MdBlock> blocks = text::parse_markdown(markdown);
+  out.plain_text = text::strip_markdown(blocks);
+  for (const text::MdBlock& block : blocks) {
+    if (block.type != text::MdBlock::Type::CodeFence) continue;
+    out.code_reports.push_back(check_code({block.language, block.text}));
+    if (!out.code_reports.back().ok) out.all_code_ok = false;
   }
   return out;
 }

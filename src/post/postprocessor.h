@@ -1,11 +1,12 @@
 #pragma once
 // Box 4 of Fig 3: postprocess raw LLM output before it reaches a user.
 //
-// Handles both output shapes the paper discusses: raw Markdown (parsed,
-// itemized lists detected, code verified, converted to HTML) and JSON-mode
-// output ("LLMs are now making it possible to return their output in JSON,
-// making postprocessing easier since we do not have to 'reverse engineer'
-// the LLM output").
+// Handles both output shapes the paper discusses: raw Markdown (parsed once,
+// flattened to plain text, fenced code verified) and JSON-mode output ("LLMs
+// are now making it possible to return their output in JSON, making
+// postprocessing easier since we do not have to 'reverse engineer' the LLM
+// output"). No HTML is rendered: every shipped surface sends Markdown or
+// plain text.
 
 #include <string>
 #include <string_view>
@@ -19,18 +20,12 @@ namespace pkb::post {
 struct ProcessedOutput {
   /// Plain-text answer (markup stripped) for terminal display / email.
   std::string plain_text;
-  /// HTML rendering for web display.
-  std::string html;
-  /// Items of every itemized list found, flattened in order.
-  std::vector<std::string> list_items;
   /// Verification report per code block found.
   std::vector<CodeCheckReport> code_reports;
   /// True when every code block verified cleanly.
   bool all_code_ok = true;
   /// Context ids cited by the model (JSON mode only).
   std::vector<std::string> sources;
-  /// True when the input was JSON-mode output.
-  bool was_json = false;
 };
 
 /// Postprocess an LLM response. When `response` parses as a JSON object with

@@ -107,8 +107,10 @@ void Retriever::augment_stage(
 
   // --- First pass 2/2: PETSc keyword augmentation (§III-C). ---
   // Vector hits and keyword hits both resolve to rows of the snapshot's
-  // chunk list; candidates dedup by chunk id.
-  std::vector<RetrievedContext> candidates;
+  // chunk list; candidates dedup by chunk id. They are built in place as the
+  // result's first pass.
+  std::vector<RetrievedContext>& candidates = result.first_pass;
+  candidates.clear();
   std::unordered_map<std::string_view, std::size_t> pos;
   for (const vectordb::SearchResult& hit : vector_hits) {
     RetrievedContext ctx;
@@ -149,7 +151,6 @@ void Retriever::augment_stage(
     keyword_span.set_attr("merged", merged);
   }
   result.search_seconds += watch.seconds();
-  result.first_pass = candidates;
 
   // Candidate provenance counters (one registry lookup per label value).
   {

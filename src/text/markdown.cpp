@@ -302,8 +302,13 @@ std::vector<MdBlock> parse_markdown(std::string_view md) {
 }
 
 std::string strip_markdown(std::string_view md, bool include_headings) {
+  return strip_markdown(parse_markdown(md), include_headings);
+}
+
+std::string strip_markdown(const std::vector<MdBlock>& blocks,
+                           bool include_headings) {
   std::string out;
-  for (const MdBlock& block : parse_markdown(md)) {
+  for (const MdBlock& block : blocks) {
     std::string piece;
     switch (block.type) {
       case MdBlock::Type::Heading:

@@ -2,9 +2,9 @@
 // Structural Markdown parser.
 //
 // The PETSc knowledge base is Markdown (processed by Sphinx in the paper);
-// our loaders, the postprocessor (Markdown -> HTML, §III-E), and the
-// doc-assistant example all need structure: headings, paragraphs, fenced
-// code, lists, tables, block quotes, links.
+// our loaders and the postprocessor (plain text plus the fenced code blocks
+// it verifies, §III-E) need structure: headings, paragraphs, fenced code,
+// lists, tables, block quotes, links.
 //
 // This is a block-level parser for the CommonMark subset the corpus uses; it
 // is not a full CommonMark implementation (no nested lists-in-quotes, no
@@ -65,6 +65,11 @@ struct MdSection {
 /// for RAG chunking, where structural headings ("Notes", "Synopsis") are
 /// noise (the paper: "These steps allow us to remove irrelevant content").
 [[nodiscard]] std::string strip_markdown(std::string_view md,
+                                         bool include_headings = true);
+
+/// strip_markdown over blocks already parsed, for callers that also read
+/// the blocks themselves.
+[[nodiscard]] std::string strip_markdown(const std::vector<MdBlock>& blocks,
                                          bool include_headings = true);
 
 /// Strip inline markup from a single line (no block handling).

@@ -38,11 +38,6 @@ const Json* Json::find(std::string_view key) const {
   return nullptr;
 }
 
-std::string Json::get_string(std::string_view key, std::string_view def) const {
-  const Json* p = find(key);
-  return (p != nullptr && p->is_string()) ? p->as_string() : std::string(def);
-}
-
 Json& Json::set(std::string key, Json value) {
   Object& o = as_object();
   for (auto& [k, v] : o) {

@@ -80,11 +80,6 @@ class Json {
   /// object).
   [[nodiscard]] const Json* find(std::string_view key) const;
 
-  /// String member with a default (object only; absent or not a string ->
-  /// default).
-  [[nodiscard]] std::string get_string(std::string_view key,
-                                       std::string_view def = "") const;
-
   /// Insert or overwrite an object member (throws if not an object).
   Json& set(std::string key, Json value);
 

@@ -144,8 +144,9 @@ TEST_F(IntegrationTest, JsonModeFlowsThroughThePipeline) {
   const llm::LlmResponse response = llm.complete(request);
   const post::ProcessedOutput processed =
       post::postprocess_llm_output(response.text);
-  EXPECT_TRUE(processed.was_json);
+  // JSON mode: the answer member is extracted, not the raw object.
   EXPECT_FALSE(processed.sources.empty());
+  EXPECT_EQ(processed.plain_text.find("\"sources\""), std::string::npos);
   EXPECT_NE(processed.plain_text.find("-ksp_monitor"), std::string::npos);
 }
 

@@ -76,18 +76,6 @@ TEST(Json, FindReturnsNullForMissingKey) {
   EXPECT_EQ(obj.find("present")->dump(), "1");
 }
 
-TEST(Json, GetHelpersFallBackToDefaults) {
-  Json obj = Json::object();
-  obj.set("s", "v").set("n", 2.5).set("b", true).set("z", nullptr);
-  EXPECT_EQ(obj.get_string("s"), "v");
-  EXPECT_EQ(obj.get_string("zz"), "");
-  EXPECT_EQ(obj.get_string("zz", "def"), "def");
-  // Wrong-typed values also fall back.
-  EXPECT_EQ(obj.get_string("n", "def"), "def");
-  EXPECT_EQ(obj.get_string("b", "def"), "def");
-  EXPECT_EQ(obj.get_string("z", "def"), "def");
-}
-
 TEST(Json, ParseScalars) {
   EXPECT_TRUE(Json::parse("null").is_null());
   EXPECT_EQ(Json::parse("true").type(), Json::Type::Bool);

@@ -191,8 +191,10 @@ TEST(SimLlm, JsonOutputModeParses) {
   const LlmResponse resp = llm.complete(req);
   const pkb::util::Json obj = pkb::util::Json::parse(resp.text);
   EXPECT_TRUE(obj.is_object());
-  EXPECT_NE(obj.get_string("answer").find("KSPLSQR"), std::string::npos);
-  EXPECT_EQ(obj.get_string("model"), "sim-gpt-4o");
+  ASSERT_NE(obj.find("answer"), nullptr);
+  EXPECT_NE(obj.find("answer")->as_string().find("KSPLSQR"), std::string::npos);
+  ASSERT_NE(obj.find("model"), nullptr);
+  EXPECT_EQ(obj.find("model")->as_string(), "sim-gpt-4o");
   const pkb::util::Json* sources = obj.find("sources");
   ASSERT_NE(sources, nullptr);
   EXPECT_TRUE(sources->is_array());

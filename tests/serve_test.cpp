@@ -123,7 +123,7 @@ class ServeServerTest : public ::testing::Test {
                                   const std::string& what) {
     EXPECT_EQ(a.response.text, b.response.text) << what;
     EXPECT_EQ(a.prompt, b.prompt) << what;
-    EXPECT_EQ(a.processed.html, b.processed.html) << what;
+    EXPECT_EQ(a.processed.plain_text, b.processed.plain_text) << what;
     ASSERT_EQ(a.retrieval.contexts.size(), b.retrieval.contexts.size())
         << what;
     for (std::size_t i = 0; i < a.retrieval.contexts.size(); ++i) {

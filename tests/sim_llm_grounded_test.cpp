@@ -1,9 +1,8 @@
 // The grounded generator's outputs, pinned bit for bit.
 //
 // GroundedOutputsMatchGolden digests every output field of SimLlm::complete
-// over a fixed request set: corpus chunks picked by a test-local term count
-// (no retrieval, so no vector kernel decides the contexts and one golden
-// serves every kernel backend), history- and session-style contexts, phantom
+// over a fixed request set: corpus chunks picked by docs_chunks.h's
+// test-local term count, history- and session-style contexts, phantom
 // symbols, every model, both output formats and several attention windows,
 // plus seeded synthetic requests built from edge-case fragments.
 // SentenceScanMatchesReference checks scan_sentences, term_spans and
@@ -24,12 +23,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "corpus/generator.h"
 #include "corpus/questions.h"
+#include "docs_chunks.h"
 #include "llm/model_config.h"
 #include "llm/sim_llm.h"
-#include "text/loader.h"
-#include "text/splitter.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -37,47 +34,7 @@
 namespace pkb::llm {
 namespace {
 
-const std::vector<text::Document>& docs_chunks() {
-  static const auto* chunks = [] {
-    const text::MarkdownLoader loader(text::MarkdownMode::Single,
-                                      /*drop_headings=*/true);
-    const text::RecursiveCharacterTextSplitter splitter;
-    return new std::vector<text::Document>(
-        splitter.split_documents(loader.load(corpus::generate_corpus())));
-  }();
-  return *chunks;
-}
-
-ContextDoc context_of(const text::Document& chunk) {
-  return ContextDoc{chunk.id, std::string(chunk.meta("title")), chunk.text,
-                    0.5};
-}
-
-/// The `n` chunks that contain the most of the question's tokens of four or
-/// more characters (ties by chunk order).
-std::vector<ContextDoc> chunks_for(const std::string& question,
-                                   std::size_t n) {
-  std::vector<std::string> words;
-  for (std::string& tok : text::tokens_of(question)) {
-    if (tok.size() >= 4) words.push_back(std::move(tok));
-  }
-  const std::vector<text::Document>& chunks = docs_chunks();
-  std::vector<std::pair<std::size_t, std::size_t>> ranked;  // (-hits, row)
-  for (std::size_t row = 0; row < chunks.size(); ++row) {
-    const std::string lower = util::to_lower(chunks[row].text);
-    std::size_t hits = 0;
-    for (const std::string& w : words) {
-      if (lower.find(w) != std::string::npos) ++hits;
-    }
-    ranked.emplace_back(chunks.size() - hits, row);
-  }
-  std::sort(ranked.begin(), ranked.end());
-  std::vector<ContextDoc> out;
-  for (std::size_t i = 0; i < n && i < ranked.size(); ++i) {
-    out.push_back(context_of(chunks[ranked[i].second]));
-  }
-  return out;
-}
+using golden::chunks_for;
 
 /// Fragments that stress the sentence scan: overlapping needles ("aa" in
 /// "aaa"), abbreviations, symbols in several cases (duplicate symbols whose
