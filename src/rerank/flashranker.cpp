@@ -1,8 +1,9 @@
 #include "rerank/flashranker.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <unordered_map>
 
+#include "util/needles.h"
 #include "util/strings.h"
 
 namespace pkb::rerank {
@@ -21,10 +22,17 @@ constexpr double kTitleWeight = 0.22;
 // Extra bonus when a query API symbol IS the document title.
 constexpr double kTitleSymbolBonus = 2.0;
 
-/// A query term (a view into the query analysis) with the weight it
+/// A distinct query term (a view into the query analysis) with its idf.
+struct QueryTerm {
+  std::string_view text;
+  double idf = 0.0;
+  bool stopword = false;
+};
+
+/// A query term, by its index in Query::terms, with the weight it
 /// contributes to one part of the blend.
 struct WeightedTerm {
-  std::string_view term;
+  std::size_t term = 0;
   double weight = 0.0;
 };
 
@@ -41,61 +49,112 @@ struct QuerySymbol {
 /// floating-point sums depend on that order, and the golden and parity
 /// tests pin every score to the bit.
 struct Query {
-  /// Distinct non-stopword terms in first-appearance order, max(0.1, idf).
+  /// Distinct terms in first-appearance order: needles [0, terms.size()).
+  std::vector<QueryTerm> terms;
+  /// Non-stopword terms in first-appearance order, max(0.1, idf).
   std::vector<WeightedTerm> coverage;
   double total_idf = 0.0;
   std::vector<QuerySymbol> symbols;
-  /// Adjacent token pairs that are not both stopwords ("a b").
-  std::vector<std::string> bigrams;
-  /// The distinct terms in the iteration order of an unordered_set<string>
-  /// built by inserting the tokens in order (an unordered_set<string_view>
+  /// The needle of each adjacent token pair that is not two stopwords
+  /// ("a b"), in query order, repeats included.
+  std::vector<std::size_t> bigrams;
+  /// The terms in the iteration order of an unordered_set<string> built by
+  /// inserting the tokens in order (an unordered_map<string_view, ...>
   /// iterates the same: same hash, same insertion sequence): non-stopwords
   /// with kTitleWeight * max(0.2, idf) for the title sum, every term with
   /// its idf for the BM25 sum.
   std::vector<WeightedTerm> title_terms;
   std::vector<WeightedTerm> bm25_terms;
+  /// Every term and bigram, counted in one pass over a candidate's
+  /// lowercased text.
+  pkb::util::NeedleCounter needles;
+  /// Per candidate: whether terms[i] is one of its tokens.
+  std::vector<char> present;
 };
 
 Query plan_query(const text::QueryAnalysis& q,
                  const lexical::TermStats& stats) {
   const auto& stop = text::stopwords();
-  Query out;
-  std::unordered_set<std::string_view> seen;
+  std::vector<QueryTerm> terms;
+  std::vector<WeightedTerm> coverage;
+  double total_idf = 0.0;
+  std::unordered_map<std::string_view, std::size_t> index;
+  std::vector<std::size_t> token_terms;
+  token_terms.reserve(q.tokens.size());
   for (const text::TextAnalysis::Span tok : q.tokens) {
     const std::string_view term = q.view(tok);
-    if (!seen.insert(term).second) continue;
-    if (stop.contains(term)) continue;
-    const double w = std::max(0.1, stats.idf(term));
-    out.total_idf += w;
-    out.coverage.push_back({term, w});
+    const auto [it, fresh] = index.try_emplace(term, terms.size());
+    token_terms.push_back(it->second);
+    if (!fresh) continue;
+    const double idf = stats.idf(term);
+    const bool stopword = stop.contains(term);
+    terms.push_back({term, idf, stopword});
+    if (stopword) continue;
+    const double w = std::max(0.1, idf);
+    total_idf += w;
+    coverage.push_back({it->second, w});
   }
+
+  std::vector<std::string_view> needles;
+  needles.reserve(terms.size() + token_terms.size());
+  for (const QueryTerm& t : terms) needles.push_back(t.text);
+  std::string bigram_text;
+  std::vector<std::size_t> bigram_ends;
+  for (std::size_t i = 0; i + 1 < token_terms.size(); ++i) {
+    const QueryTerm& a = terms[token_terms[i]];
+    const QueryTerm& b = terms[token_terms[i + 1]];
+    if (a.stopword && b.stopword) continue;
+    bigram_text.append(a.text).append(" ").append(b.text);
+    bigram_ends.push_back(bigram_text.size());
+  }
+  std::vector<std::size_t> bigrams;
+  std::size_t begin = 0;
+  for (const std::size_t end : bigram_ends) {
+    bigrams.push_back(needles.size());
+    needles.push_back(std::string_view(bigram_text).substr(begin, end - begin));
+    begin = end;
+  }
+
+  std::vector<QuerySymbol> symbols;
   for (const std::string& symbol : q.symbols) {
     std::string lower = pkb::util::to_lower(symbol);
     const double bonus = kSymbolBonus * std::max(0.2, stats.idf(lower));
-    out.symbols.push_back({symbol, std::move(lower), bonus});
+    symbols.push_back({symbol, std::move(lower), bonus});
   }
-  for (std::size_t i = 0; i + 1 < q.tokens.size(); ++i) {
-    const std::string_view a = q.view(q.tokens[i]);
-    const std::string_view b = q.view(q.tokens[i + 1]);
-    if (stop.contains(a) && stop.contains(b)) continue;
-    out.bigrams.push_back(std::string(a).append(" ").append(b));
-  }
-  for (const std::string_view term : seen) {
-    const double idf = stats.idf(term);
-    if (!stop.contains(term)) {
-      out.title_terms.push_back({term, kTitleWeight * std::max(0.2, idf)});
+  std::vector<WeightedTerm> title_terms;
+  std::vector<WeightedTerm> bm25_terms;
+  for (const auto& [term, i] : index) {
+    const QueryTerm& t = terms[i];
+    if (!t.stopword) {
+      title_terms.push_back({i, kTitleWeight * std::max(0.2, t.idf)});
     }
-    out.bm25_terms.push_back({term, idf});
+    bm25_terms.push_back({i, t.idf});
   }
-  return out;
+  const std::size_t term_count = terms.size();
+  return Query{.terms = std::move(terms),
+               .coverage = std::move(coverage),
+               .total_idf = total_idf,
+               .symbols = std::move(symbols),
+               .bigrams = std::move(bigrams),
+               .title_terms = std::move(title_terms),
+               .bm25_terms = std::move(bm25_terms),
+               .needles = pkb::util::NeedleCounter(needles),
+               .present = std::vector<char>(term_count)};
 }
 
-double score_doc(const Query& q, const text::Document& doc,
+double score_doc(Query& q, const text::Document& doc,
                  const text::TextAnalysis& a) {
+  // One pass counts every term and bigram. A token is a span of the
+  // lowercased text, so a term counted 0 times is not a token.
+  q.needles.scan(a.lower);
+  for (std::size_t i = 0; i < q.terms.size(); ++i) {
+    q.present[i] = q.needles.count(i) > 0 && a.has_term(q.terms[i].text);
+  }
+
   // IDF-weighted coverage of distinct query terms.
   double coverage = 0.0;
   for (const WeightedTerm& t : q.coverage) {
-    if (a.has_term(t.term)) coverage += t.weight;
+    if (q.present[t.term]) coverage += t.weight;
   }
   double score = q.total_idf > 0.0
                      ? kCoverageWeight * coverage / q.total_idf
@@ -109,15 +168,17 @@ double score_doc(const Query& q, const text::Document& doc,
   }
 
   // Query bigrams appearing verbatim (lowercased) in the document.
-  for (const std::string& bigram : q.bigrams) {
-    if (a.lower.find(bigram) != std::string::npos) score += kBigramBonus;
+  for (const std::size_t bigram : q.bigrams) {
+    if (q.needles.count(bigram) > 0) score += kBigramBonus;
   }
 
   // Title hits, IDF-weighted: rare query terms matching the page symbol are
   // near-decisive. Substring matches, as for the bigrams.
   if (!a.title.empty()) {
     for (const WeightedTerm& t : q.title_terms) {
-      if (a.title.find(t.term) != std::string::npos) score += t.weight;
+      if (a.title.find(q.terms[t.term].text) != std::string::npos) {
+        score += t.weight;
+      }
     }
     for (const QuerySymbol& symbol : q.symbols) {
       if (symbol.lower == a.title) score += kTitleSymbolBonus;
@@ -126,12 +187,11 @@ double score_doc(const Query& q, const text::Document& doc,
 
   // BM25 against the generation's statistics: approximate by scoring the
   // candidate text directly (per-term idf * saturated tf, tf counted as
-  // substring occurrences).
+  // non-overlapping substring occurrences).
   double bm25 = 0.0;
   for (const WeightedTerm& t : q.bm25_terms) {
-    if (!a.has_term(t.term)) continue;
-    const double tf =
-        static_cast<double>(pkb::util::count_occurrences(a.lower, t.term));
+    if (!q.present[t.term]) continue;
+    const double tf = static_cast<double>(q.needles.count(t.term));
     bm25 += t.weight * (tf * 2.2) / (tf + 1.2);
   }
   score += kBm25Weight * bm25 / 10.0;
@@ -144,7 +204,7 @@ double score_doc(const Query& q, const text::Document& doc,
 std::vector<double> FlashRanker::score(
     const text::QueryAnalysis& query, const lexical::CorpusAnalysis& corpus,
     const std::vector<RerankCandidate>& candidates) const {
-  const Query q = plan_query(query, *corpus.stats);
+  Query q = plan_query(query, *corpus.stats);
   std::vector<double> out;
   out.reserve(candidates.size());
   for (const RerankCandidate& c : candidates) {

@@ -7,7 +7,9 @@
 //
 //  * FlashRanker       — the Flashrank analogue: lightweight CPU scoring
 //                        (IDF-weighted term coverage + exact-symbol and
-//                        bigram bonuses). Fast.
+//                        bigram bonuses + BM25). Fast: one pass over each
+//                        candidate's lowercased text counts every query
+//                        term and bigram.
 //  * CrossScoreReranker — the NVIDIA-reranker analogue: a cross-attention-
 //                        style alignment score computed over all (query
 //                        term, document term) pairs with positional

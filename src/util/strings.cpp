@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 
 namespace pkb::util {
@@ -75,11 +76,47 @@ std::vector<std::string_view> split_ws(std::string_view s) {
   return out;
 }
 
+namespace {
+constexpr std::uint64_t kEachByte = 0x0101010101010101ULL;
+constexpr std::uint64_t kHighBits = 0x8080808080808080ULL;
+constexpr std::uint64_t kLowBits = 0x7f7f7f7f7f7f7f7fULL;
+
+/// Bytes p[0..8) with p[k] in bits [8k, 8k + 8), whatever the host's byte
+/// order (compilers emit one load for this on little-endian hosts).
+std::uint64_t load_bytes(const char* p) {
+  const auto b = [p](int k) {
+    return std::uint64_t{static_cast<unsigned char>(p[k])} << (8 * k);
+  };
+  return b(0) | b(1) | b(2) | b(3) | b(4) | b(5) | b(6) | b(7);
+}
+
+/// Bit 7 of each byte of `w` set when that byte is_space, all else clear.
+/// Every sum stays below 0x100 inside its byte, so no carry crosses bytes.
+std::uint64_t space_bytes(std::uint64_t w) {
+  const std::uint64_t low = w & kLowBits;
+  const std::uint64_t x = w ^ (kEachByte * ' ');
+  const std::uint64_t blank = ~(((x & kLowBits) + kLowBits) | x);
+  const std::uint64_t from_tab = low + kEachByte * (0x80 - '\t');
+  const std::uint64_t past_cr = low + kEachByte * (0x80 - '\r' - 1);
+  return (blank | (from_tab & ~past_cr & ~w)) & kHighBits;
+}
+}  // namespace
+
 std::size_t count_words(std::string_view s) {
+  // A word starts at each non-space byte whose previous byte is a space (or
+  // that starts the text): eight bytes at a time, then the tail bytewise.
   std::size_t words = 0;
-  bool in_word = false;
-  for (const char c : s) {
-    const bool word_char = !is_space(c);
+  std::size_t i = 0;
+  std::uint64_t space_before = 0x80;  // bit 7: the byte before is a space
+  for (; i + 8 <= s.size(); i += 8) {
+    const std::uint64_t space = space_bytes(load_bytes(s.data() + i));
+    const std::uint64_t starts = ~space & ((space << 8) | space_before);
+    words += (((starts & kHighBits) >> 7) * kEachByte) >> 56;
+    space_before = space >> 56;
+  }
+  bool in_word = space_before == 0;
+  for (; i < s.size(); ++i) {
+    const bool word_char = !is_space(s[i]);
     if (word_char && !in_word) ++words;
     in_word = word_char;
   }
@@ -201,17 +238,6 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
     std::swap(prev, cur);
   }
   return prev[a.size()];
-}
-
-std::size_t count_occurrences(std::string_view s, std::string_view needle) {
-  if (needle.empty()) return 0;
-  std::size_t count = 0;
-  std::size_t pos = 0;
-  while ((pos = s.find(needle, pos)) != std::string_view::npos) {
-    ++count;
-    pos += needle.size();
-  }
-  return count;
 }
 
 std::string repeat(std::string_view s, std::size_t n) {

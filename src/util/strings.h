@@ -66,10 +66,6 @@ void append_lower(std::string& out, std::string_view s);
 /// API-symbol matching ("KSPGmres" -> "KSPGMRES").
 [[nodiscard]] std::size_t edit_distance(std::string_view a, std::string_view b);
 
-/// Count non-overlapping occurrences of `needle` (non-empty) in `s`.
-[[nodiscard]] std::size_t count_occurrences(std::string_view s,
-                                            std::string_view needle);
-
 /// Repeat `s` `n` times.
 [[nodiscard]] std::string repeat(std::string_view s, std::size_t n);
 

@@ -14,6 +14,7 @@
 
 #include "corpus/generator.h"
 #include "corpus/questions.h"
+#include "count_occurrences.h"
 #include "lexical/bm25.h"
 #include "rag/knowledge_base.h"
 #include "rerank/cross_score.h"
@@ -93,7 +94,7 @@ double flash_score_pair(const lexical::Bm25Index& index_,
   for (const std::string& term : seen) {
     if (!doc_terms.contains(term)) continue;
     const double tf = static_cast<double>(
-        pkb::util::count_occurrences(doc_lower, term));
+        oracle::count_occurrences(doc_lower, term));
     bm25 += index_.idf(term) * (tf * 2.2) / (tf + 1.2);
   }
   score += kBm25Weight * bm25 / 10.0;

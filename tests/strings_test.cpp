@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "util/rng.h"
+
 namespace pkb::util {
 namespace {
 
@@ -105,10 +109,48 @@ TEST(Strings, EditDistanceIsSymmetric) {
             edit_distance("solvers", "solver"));
 }
 
-TEST(Strings, CountOccurrencesNonOverlapping) {
-  EXPECT_EQ(count_occurrences("aaaa", "aa"), 2u);
-  EXPECT_EQ(count_occurrences("abcabc", "abc"), 2u);
-  EXPECT_EQ(count_occurrences("abc", ""), 0u);
+/// count_words as a bytewise loop, before it read eight bytes at a time.
+std::size_t count_words_bytewise(std::string_view s) {
+  std::size_t words = 0;
+  bool in_word = false;
+  for (const char c : s) {
+    const bool word_char = !(c == ' ' || c == '\t' || c == '\n' ||
+                             c == '\r' || c == '\f' || c == '\v');
+    if (word_char && !in_word) ++words;
+    in_word = word_char;
+  }
+  return words;
+}
+
+TEST(Strings, CountWordsMatchesBytewiseLoop) {
+  // Every whitespace byte, its neighbours (0x08, 0x0e, 0x1f, 0x21), the
+  // bytes that differ from them in the high bit (0x89, 0x8d, 0xa0) and
+  // other bytes >= 0x80, at every length 0..40 and start offset 0..7.
+  constexpr unsigned char kBytes[] = {' ',  '\t', '\n', '\v', '\f', '\r',
+                                      0x08, 0x0e, 0x1f, 0x21, 0x89, 0x8d,
+                                      0xa0, 0x80, 0xff, 'a',  'Z',  '0'};
+  Rng rng(20261020);
+  std::string buffer(48, ' ');
+  for (int round = 0; round < 200; ++round) {
+    for (char& c : buffer) {
+      c = static_cast<char>(kBytes[rng.below(sizeof(kBytes))]);
+    }
+    for (std::size_t start = 0; start < 8; ++start) {
+      for (std::size_t len = 0; len <= 40; ++len) {
+        const std::string_view s(buffer.data() + start, len);
+        ASSERT_EQ(count_words(s), count_words_bytewise(s))
+            << "round " << round << " start " << start << " len " << len;
+      }
+    }
+  }
+  // Fully random bytes, long enough for many eight-byte blocks.
+  for (int round = 0; round < 200; ++round) {
+    std::string s(rng.below(300), '\0');
+    for (char& c : s) c = static_cast<char>(rng.below(256));
+    ASSERT_EQ(count_words(s), count_words_bytewise(s)) << "round " << round;
+  }
+  EXPECT_EQ(count_words(""), 0u);
+  EXPECT_EQ(count_words("  one\ttwo\n\nthree four\vfive\f6\r "), 6u);
 }
 
 TEST(Strings, RepeatAndEllipsize) {
