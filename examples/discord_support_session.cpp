@@ -4,12 +4,18 @@
 // augmented LLM, the developer revises then sends, and the reply lands back
 // on the mailing list — with the safety invariant (nothing unvetted reaches
 // the list) visible at every step.
+//
+// The send is also the curation step: the chat bot ingests the resolved
+// thread into the live knowledge base, so a second user's related question
+// is answered from it. A second draft is discarded, and neither reaches the
+// list nor the knowledge base.
 
 #include <cstdio>
 
 #include "bots/chat_bot.h"
 #include "bots/email_bot.h"
 #include "corpus/generator.h"
+#include "ingest/ingestor.h"
 #include "rag/workflow.h"
 
 namespace {
@@ -44,12 +50,13 @@ int main() {
                            "petsc-users-emails");
 
   std::printf("building the RAG database...\n");
-  const rag::KnowledgeBase db =
-      rag::KnowledgeBase::build(corpus::generate_corpus());
+  rag::KnowledgeBase db = rag::KnowledgeBase::build(corpus::generate_corpus());
   const rag::AugmentedWorkflow workflow(db, rag::PipelineArm::RagRerank,
                                         llm::model_config("sim-gpt-4o"));
+  ingest::Ingestor ingestor(db);
   bots::ChatBot chat_bot(&workflow, &server, &list, "petsc-users-emails",
                          "petscbot@gmail.com");
+  chat_bot.attach_ingestor(&ingestor);
   std::printf("\n");
 
   // --- arc 1: the user emails the list ------------------------------------
@@ -101,8 +108,12 @@ int main() {
   chat_bot.press_send(revised_id, "barry");
   narrate(clock, "barry pressed [send]; the reply went to petsc-users:");
   const bots::Email& reply = list.archive().back();
-  std::printf("    From: %s\n    Subject: %s\n    %s\n\n", reply.from.c_str(),
+  std::printf("    From: %s\n    Subject: %s\n    %s\n", reply.from.c_str(),
               reply.subject.c_str(), reply.body.c_str());
+  std::printf("    the vetted thread was ingested: %zu thread(s), knowledge "
+              "base generation %llu\n\n",
+              chat_bot.threads_ingested(),
+              static_cast<unsigned long long>(db.generation()));
 
   // --- the no-loop guarantee ------------------------------------------------
   clock.advance(300);
@@ -111,6 +122,44 @@ int main() {
                      ? "ERROR: poller re-posted the bot's own email!"
                      : "poller correctly ignored the bot's own reply (no "
                        "repost loop)");
+  std::printf("\n");
+
+  // --- the curation loop: a related question finds the vetted thread ------
+  clock.advance(3600);
+  const std::string thread_source =
+      "resolved/thread-" + std::to_string(post->id) + ".md";
+  const rag::WorkflowOutcome followup = workflow.answer(
+      "Rectangular matrix with KSP: is that possible, and which solver?");
+  narrate(clock, "another user asked the assistant a related question; the "
+                 "answer used these sources:");
+  for (const std::string& id : followup.response.used_context_ids) {
+    const bool vetted = id.starts_with(thread_source + "#");
+    std::printf("    %s%s\n", id.c_str(),
+                vetted ? "  <- the resolved thread, vetted by barry" : "");
+  }
+  std::printf("\n");
+
+  // --- [discard]: a rejected draft goes nowhere ----------------------------
+  clock.advance(600);
+  list.post("postdoc@lab.gov", "Which KSP for a rectangular system?",
+            "Is there a KSP that handles least-squares problems?\n");
+  clock.advance(300);
+  poller.poll();
+  email_bot.process_notifications();
+  const bots::ForumPost* second =
+      server.find_post("petsc-users-emails",
+                       "Which KSP for a rectangular system?");
+  const std::size_t mailed_before = list.archive().size();
+  const auto second_draft = chat_bot.handle_reply_command(second->id, "lois");
+  clock.advance(120);
+  chat_bot.press_discard(*second_draft, "lois");
+  narrate(clock, "lois drafted a reply to a second thread and pressed "
+                 "[discard]:");
+  std::printf("    emails sent for the discarded draft: %zu; threads "
+              "ingested: %zu; knowledge base generation %llu\n",
+              list.archive().size() - mailed_before,
+              chat_bot.threads_ingested(),
+              static_cast<unsigned long long>(db.generation()));
 
   std::printf("\nsummary: %zu emails on the list, %zu sent by the bot, all "
               "after developer vetting.\n",

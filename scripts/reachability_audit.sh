@@ -15,8 +15,10 @@
 #
 # The scratch dir defaults to build-audit/ under the repo root; it holds two
 # build trees, project/ (the top-level CMake project) and perfbench/. A cold
-# run takes about two minutes on a 4-core box, so this is a manual tool, not
-# a CI step. Prints one demangled name per line, then the count on stderr.
+# run takes about two minutes on a 4-core box, so it runs in CI's nightly
+# job (which fails unless it prints exactly FaultPlan::script and
+# CircuitBreaker::state) and not on pull requests. Prints one demangled name
+# per line, then the count on stderr.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

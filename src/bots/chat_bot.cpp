@@ -8,20 +8,6 @@
 
 namespace pkb::bots {
 
-std::string_view to_string(ButtonResult result) {
-  switch (result) {
-    case ButtonResult::Ok:
-      return "ok";
-    case ButtonResult::UnknownDraft:
-      return "unknown draft";
-    case ButtonResult::NotADeveloper:
-      return "not a developer";
-    case ButtonResult::AlreadyResolved:
-      return "already resolved";
-  }
-  return "?";
-}
-
 ChatBot::ChatBot(const rag::QuestionService* service, DiscordServer* server,
                  MailingList* list, std::string forum_channel,
                  std::string bot_email_address)
@@ -156,12 +142,6 @@ ButtonResult ChatBot::press_revise(std::uint64_t draft_id,
                                            info.question_context, guidance);
   if (new_draft_id != nullptr) *new_draft_id = fresh;
   return ButtonResult::Ok;
-}
-
-std::string ChatBot::direct_message(std::string_view user,
-                                    std::string_view text) {
-  (void)user;  // private conversation; no recording, no vetting
-  return service_->answer(text).response.text;
 }
 
 }  // namespace pkb::bots

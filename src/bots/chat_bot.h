@@ -7,8 +7,8 @@
 //    revise,
 //  * send mails the draft to petsc-users signed by the clicking developer,
 //  * discard deletes it, revise regenerates it with developer guidance,
-//  * users may also direct-message the bot (private, unvetted — the mode
-//    the paper warns "may expose the user to unvetted hallucinations").
+//  * with an ingestor attached, send also feeds the resolved thread into
+//    the live knowledge base — the vetting step of the curation loop.
 //
 // Safety invariant (tested): nothing the LLM wrote ever reaches the mailing
 // list without a developer pressing send.
@@ -34,8 +34,6 @@ enum class ButtonResult {
   NotADeveloper,
   AlreadyResolved,
 };
-
-[[nodiscard]] std::string_view to_string(ButtonResult result);
 
 class ChatBot {
  public:
@@ -63,11 +61,6 @@ class ChatBot {
   ButtonResult press_revise(std::uint64_t draft_id, std::string_view developer,
                             std::string_view guidance,
                             std::uint64_t* new_draft_id);
-
-  /// Private direct message: answered immediately, no vetting. Returns the
-  /// bot's reply text.
-  [[nodiscard]] std::string direct_message(std::string_view user,
-                                           std::string_view text);
 
   /// Number of emails this bot has sent to the list.
   [[nodiscard]] std::size_t emails_sent() const { return emails_sent_; }

@@ -23,13 +23,6 @@ std::vector<const Email*> Mailbox::unread() const {
   return out;
 }
 
-bool Mailbox::has_unread() const {
-  for (const Email& email : inbox_) {
-    if (!email.read) return true;
-  }
-  return false;
-}
-
 bool Mailbox::mark_read(std::uint64_t id) {
   for (Email& email : inbox_) {
     if (email.id == id) {

@@ -40,7 +40,6 @@ class Mailbox {
 
   /// Unread messages, oldest first.
   [[nodiscard]] std::vector<const Email*> unread() const;
-  [[nodiscard]] bool has_unread() const;
 
   /// Mark one message read; false when the id is unknown.
   bool mark_read(std::uint64_t id);

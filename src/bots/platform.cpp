@@ -42,10 +42,6 @@ void DiscordServer::join(std::string_view user, bool is_developer) {
   members_[std::string(user)] = is_developer;
 }
 
-bool DiscordServer::is_member(std::string_view user) const {
-  return members_.contains(std::string(user));
-}
-
 bool DiscordServer::is_developer(std::string_view user) const {
   auto it = members_.find(std::string(user));
   return it != members_.end() && it->second;

@@ -69,7 +69,6 @@ class DiscordServer {
 
   /// Membership (users and bot identities).
   void join(std::string_view user, bool is_developer = false);
-  [[nodiscard]] bool is_member(std::string_view user) const;
   [[nodiscard]] bool is_developer(std::string_view user) const;
   [[nodiscard]] std::size_t member_count() const { return members_.size(); }
 

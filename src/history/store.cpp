@@ -16,14 +16,6 @@ std::size_t HistoryStore::size() const {
   return records_.size();
 }
 
-const InteractionRecord* HistoryStore::get(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const InteractionRecord& r : records_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
-}
-
 std::vector<const InteractionRecord*> HistoryStore::search(
     std::string_view needle) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -84,26 +76,6 @@ std::optional<double> HistoryStore::mean_score(std::uint64_t record_id) const {
     return sum / static_cast<double>(r.scores.size());
   }
   return std::nullopt;
-}
-
-std::vector<InteractionRecord> HistoryStore::vetted_records() const {
-  // Minimum mean blind score for a scored record to count as vetted.
-  constexpr double kMinMeanScore = 3.0;
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<InteractionRecord> out;
-  for (const InteractionRecord& r : records_) {
-    if (r.response.empty()) continue;
-    if (r.scores.empty()) {
-      if (r.model.empty()) out.push_back(r);
-      continue;
-    }
-    double sum = 0.0;
-    for (const ScoreRecord& s : r.scores) sum += s.score;
-    if (sum / static_cast<double>(r.scores.size()) >= kMinMeanScore) {
-      out.push_back(r);
-    }
-  }
-  return out;
 }
 
 }  // namespace pkb::history

@@ -53,7 +53,7 @@ struct BlindItem {
 ///
 /// Thread-safety: every method is guarded by one internal mutex, so
 /// concurrent serving workers can append to a shared store. Records live in
-/// a deque: a pointer returned by get()/search()/by_pipeline() stays valid
+/// a deque: a pointer returned by search()/by_pipeline() stays valid
 /// across later add() calls (appends never relocate existing records).
 /// Reading *through* such a pointer while another thread scores the same
 /// record is still a race — hold results, not live views, across threads.
@@ -76,9 +76,6 @@ class HistoryStore {
     return records_;
   }
 
-  /// Record by id; nullptr when absent.
-  [[nodiscard]] const InteractionRecord* get(std::uint64_t id) const;
-
   /// Case-insensitive substring search over questions and responses.
   [[nodiscard]] std::vector<const InteractionRecord*> search(
       std::string_view needle) const;
@@ -98,13 +95,6 @@ class HistoryStore {
 
   /// Mean score of a record across scorers; nullopt when unscored.
   [[nodiscard]] std::optional<double> mean_score(std::uint64_t record_id) const;
-
-  /// Records vetted for knowledge-base ingestion and history recall (the
-  /// paper's curation loop): every record with a non-empty response whose
-  /// mean blind score (Table I rubric, 0..4) is >= 3, plus unscored records
-  /// whose model is "" (human-authored answers). Returns copies, not live
-  /// views — safe to use while workers keep appending.
-  [[nodiscard]] std::vector<InteractionRecord> vetted_records() const;
 
  private:
   mutable std::mutex mu_;

@@ -17,12 +17,6 @@ namespace pkb::ingest {
 Ingestor::Ingestor(rag::KnowledgeBase& kb, IngestorOptions opts)
     : kb_(kb), opts_(opts) {}
 
-rag::SnapshotPtr Ingestor::ingest_files(const text::VirtualDir& files) {
-  if (files.empty()) return nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  return build_and_publish_locked(files);
-}
-
 rag::SnapshotPtr Ingestor::ingest_qa(std::string_view source_id,
                                      std::string_view title,
                                      std::string_view question,
@@ -32,32 +26,12 @@ rag::SnapshotPtr Ingestor::ingest_qa(std::string_view source_id,
   file.content = "# " + std::string(title) + "\n\n## Question\n\n" +
                  std::string(question) + "\n\n## Answer\n\n" +
                  std::string(answer) + "\n";
-  std::lock_guard<std::mutex> lock(mu_);
-  return build_and_publish_locked({std::move(file)});
+  return ingest_files({std::move(file)});
 }
 
-rag::SnapshotPtr Ingestor::ingest_vetted_history(
-    const history::HistoryStore& store) {
-  const std::vector<history::InteractionRecord> vetted = store.vetted_records();
-  std::lock_guard<std::mutex> lock(mu_);
-  text::VirtualDir files;
-  for (const history::InteractionRecord& record : vetted) {
-    if (ingested_history_ids_.contains(record.id)) continue;
-    text::VirtualFile file;
-    file.path = "history/qa-" + std::to_string(record.id) + ".md";
-    std::string title = record.question.substr(0, 72);
-    file.content = "# Resolved: " + title + "\n\n## Question\n\n" +
-                   record.question + "\n\n## Answer\n\n" + record.response +
-                   "\n";
-    files.push_back(std::move(file));
-    ingested_history_ids_.insert(record.id);
-  }
+rag::SnapshotPtr Ingestor::ingest_files(const text::VirtualDir& files) {
   if (files.empty()) return nullptr;
-  return build_and_publish_locked(files);
-}
-
-rag::SnapshotPtr Ingestor::build_and_publish_locked(
-    const text::VirtualDir& files) {
+  std::lock_guard<std::mutex> lock(mu_);
   obs::MetricsRegistry& metrics = obs::global_metrics();
 
   // Chaos gate: a transient fault earns one immediate retry; a permanent or

@@ -26,14 +26,11 @@
 // histogram, and the knowledge base's own generation gauge and kb_swap span
 // (docs/OBSERVABILITY.md).
 
-#include <cstdint>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
-#include "history/store.h"
 #include "rag/knowledge_base.h"
 #include "resilience/fault_plan.h"
 
@@ -64,11 +61,6 @@ class Ingestor {
                              std::string_view title, std::string_view question,
                              std::string_view answer);
 
-  /// Ingest every vetted record of `store` (HistoryStore::vetted_records)
-  /// that has not been ingested by this Ingestor before. One new generation
-  /// for the whole batch; returns nullptr when nothing qualifies.
-  rag::SnapshotPtr ingest_vetted_history(const history::HistoryStore& store);
-
   /// Seconds spent inside each publish's swap critical section, in publish
   /// order.
   [[nodiscard]] std::vector<double> swap_history() const;
@@ -86,16 +78,11 @@ class Ingestor {
   [[nodiscard]] const IngestorOptions& options() const { return opts_; }
 
  private:
-  /// Chunk `files`, merge with the pinned base, build + publish the next
-  /// generation. Caller holds mu_.
-  rag::SnapshotPtr build_and_publish_locked(const text::VirtualDir& files);
-
   rag::KnowledgeBase& kb_;
   IngestorOptions opts_;
   const resilience::FaultPlan* fault_plan_ = nullptr;
   mutable std::mutex mu_;  ///< serializes builds and guards the state below
   std::vector<double> swap_seconds_;
-  std::unordered_set<std::uint64_t> ingested_history_ids_;
 };
 
 }  // namespace pkb::ingest

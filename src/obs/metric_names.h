@@ -159,7 +159,6 @@ inline constexpr std::string_view kSpanEmbedQuery = "embed_query";
 inline constexpr std::string_view kSpanVectorSearch = "vector_search";
 inline constexpr std::string_view kSpanKeywordAugment = "keyword_augment";
 inline constexpr std::string_view kSpanRerank = "rerank";
-inline constexpr std::string_view kSpanHistoryRecall = "history_recall";
 inline constexpr std::string_view kSpanPromptBuild = "prompt_build";
 inline constexpr std::string_view kSpanLlm = "llm";
 inline constexpr std::string_view kSpanPostprocess = "postprocess";

@@ -16,14 +16,6 @@ std::string PromptLibrary::baseline_system_prompt() {
          "and runtime options.";
 }
 
-std::string PromptLibrary::email_reply_system_prompt() {
-  return "You are drafting a reply to a message on the petsc-users mailing "
-         "list on behalf of the PETSc developers. Be helpful, technically "
-         "precise, and concise; ask for -ksp_view or -log_view output when "
-         "the configuration is unclear; never invent API names. A human "
-         "developer will review this draft before anything is sent.";
-}
-
 std::string PromptLibrary::render_user_prompt(
     std::string_view question, const std::vector<llm::ContextDoc>& contexts) {
   std::string prompt;

@@ -19,9 +19,6 @@ class PromptLibrary {
   /// Answering without retrieval (the baseline arm).
   [[nodiscard]] static std::string baseline_system_prompt();
 
-  /// Drafting replies to mailing-list emails (the Discord bot role).
-  [[nodiscard]] static std::string email_reply_system_prompt();
-
   /// Render the full user prompt: the question plus the numbered context
   /// passages with their source ids (what actually goes to the model, and
   /// what the interaction history records).

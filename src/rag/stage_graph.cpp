@@ -64,17 +64,6 @@ void append_recalled_contexts(std::vector<llm::ContextDoc> contexts,
   }
 }
 
-void recall_history_contexts(const HistoryRetriever& retriever,
-                             std::string_view question,
-                             llm::LlmRequest& request) {
-  obs::Span recall_span(obs::global_tracer(), obs::kSpanHistoryRecall);
-  // Shared-history recall: past vetted answers join the context list
-  // (after the document contexts, competing for the attention window).
-  const std::size_t before = request.contexts.size();
-  append_recalled_contexts(retriever.lookup(question), request);
-  recall_span.set_attr("added", request.contexts.size() - before);
-}
-
 /// Pin the snapshot, open the umbrella `retrieve` span, embed the query.
 class EmbedStage final : public Stage {
  public:
@@ -130,7 +119,7 @@ class RerankStage final : public Stage {
 };
 
 /// Assemble the LLM request: generation stamp, budget charge, document
-/// contexts, history recall, prompt render.
+/// contexts, session history, prompt render.
 class PromptStage final : public Stage {
  public:
   [[nodiscard]] StageKind kind() const override { return StageKind::Prompt; }
@@ -179,14 +168,9 @@ class PromptStage final : public Stage {
     } else {
       request.system = PromptLibrary::baseline_system_prompt();
     }
-    if (wf.history_retriever_ != nullptr) {
-      recall_history_contexts(*wf.history_retriever_, st.question, request);
-    }
     if (session != nullptr && session->history_contexts != nullptr) {
-      // Conversation history rides the same tail-append contract as
-      // shared-history recall: after the documents, competing for the
-      // attention window; first-context promotion to the QA prompt keeps
-      // the Baseline arm conversational too.
+      // Conversation history goes after the documents, competing for the
+      // tail of the attention window (append_recalled_contexts).
       session->history_attached = session->history_contexts->size();
       append_recalled_contexts(*session->history_contexts, request);
     }

@@ -87,21 +87,11 @@ class StageGraph {
 /// every workflow).
 [[nodiscard]] const StageGraph& global_stage_graph();
 
-/// Shared-history recall (the Fig-3 dotted arrow), factored out of
-/// PromptStage so the attention-window contract is testable in isolation:
-/// history contexts are appended AFTER the document contexts (they compete
-/// for the tail of the attention window), and a request that gains its
-/// first contexts here is promoted from an empty system prompt to the QA
-/// prompt. Emits the history_recall span.
-void recall_history_contexts(const HistoryRetriever& retriever,
-                             std::string_view question,
-                             llm::LlmRequest& request);
-
-/// The shared tail-append contract for recalled context (used by both
-/// shared-history recall and session conversation history): contexts go
-/// after whatever the request already holds, and a request that gains its
-/// first contexts here is promoted from an empty system prompt to the QA
-/// prompt.
+/// The tail-append contract for session conversation history, factored out
+/// of PromptStage so it is testable in isolation: contexts go after whatever
+/// the request already holds (the document contexts lead, in retrieval
+/// order), and a request with an empty system prompt that gains its first
+/// contexts here is promoted to the QA prompt.
 void append_recalled_contexts(std::vector<llm::ContextDoc> contexts,
                               llm::LlmRequest& request);
 

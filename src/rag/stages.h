@@ -33,7 +33,7 @@ enum class StageKind : int {
   Embed = 0,        ///< query embedding against the pinned snapshot
   Retrieve = 1,     ///< first-pass vector search + keyword augmentation
   Rerank = 2,       ///< cross-scoring K candidates down to L (or pass-through)
-  Prompt = 3,       ///< LLM request assembly: contexts, history recall, render
+  Prompt = 3,       ///< LLM request assembly: contexts, session history, render
   Generate = 4,     ///< the (resilient) LLM completion
   Postprocess = 5,  ///< box 4: markdown/JSON postprocessing of the response
 };
@@ -99,10 +99,9 @@ struct PostprocessArtifact {
 };
 
 /// Per-turn session hooks threaded into PromptStage by the session serving
-/// layer (serve/session.h). Multi-turn conversations ride the stage
-/// graph's existing history path: prior turns are appended AFTER the
-/// document contexts (exactly where shared-history recall puts its
-/// contexts, competing for the tail of the attention window), and the
+/// layer (serve/session.h). Prior turns are appended AFTER the document
+/// contexts (append_recalled_contexts: they compete for the tail of the
+/// attention window), and the
 /// session's retrieval memory drops chunks the session has already seen
 /// from the prompt. The retrieval stages still run in full — replay traces
 /// and retrieval metrics are unaffected; only prompt assembly changes.
@@ -119,7 +118,7 @@ struct SessionPromptContext {
   /// reports the mismatch so the session layer resets its memory).
   std::uint64_t memory_generation = 0;
   /// Prior conversation turns, oldest first; appended after the document
-  /// contexts (and after shared-history recall).
+  /// contexts.
   const std::vector<llm::ContextDoc>* history_contexts = nullptr;
 
   // --- outputs (filled by PromptStage) ------------------------------------

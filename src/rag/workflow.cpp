@@ -83,11 +83,6 @@ void AugmentedWorkflow::attach_history(history::HistoryStore* store,
   clock_ = clock;
 }
 
-void AugmentedWorkflow::attach_history_retrieval(
-    const HistoryRetriever* retriever) {
-  history_retriever_ = retriever;
-}
-
 void AugmentedWorkflow::set_fault_plan(const resilience::FaultPlan* plan) {
   llm_.set_fault_plan(plan);
   if (retriever_ != nullptr) retriever_->set_fault_plan(plan);

@@ -17,7 +17,6 @@
 #include "llm/sim_llm.h"
 #include "util/clock.h"
 #include "post/postprocessor.h"
-#include "rag/history_retriever.h"
 #include "rag/retriever.h"
 #include "resilience/resilience.h"
 
@@ -87,12 +86,6 @@ class AugmentedWorkflow : public QuestionService {
   void attach_history(history::HistoryStore* store,
                       pkb::util::SimClock* clock = nullptr);
 
-  /// Enable shared-history recall (the Fig 3 dotted arrow): relevant vetted
-  /// past interactions are appended to the model's context list. The
-  /// retriever must outlive the workflow; the caller controls when it
-  /// refresh()es.
-  void attach_history_retrieval(const HistoryRetriever* retriever);
-
   /// Attach a chaos plan: forwarded to the simulated LLM and the retriever
   /// (which hands it to its rerankers and consults it for vector search
   /// with hedged re-attempts). Setup-time only.
@@ -126,9 +119,6 @@ class AugmentedWorkflow : public QuestionService {
   [[nodiscard]] const llm::LlmConfig& model() const { return llm_.config(); }
   [[nodiscard]] const Retriever* retriever() const { return retriever_.get(); }
   [[nodiscard]] const KnowledgeBase& kb() const { return kb_; }
-  [[nodiscard]] const HistoryRetriever* history_retriever() const {
-    return history_retriever_;
-  }
 
  private:
   friend class EmbedStage;
@@ -156,7 +146,6 @@ class AugmentedWorkflow : public QuestionService {
   std::unique_ptr<Retriever> retriever_;
   history::HistoryStore* history_ = nullptr;
   pkb::util::SimClock* clock_ = nullptr;
-  const HistoryRetriever* history_retriever_ = nullptr;
 };
 
 }  // namespace pkb::rag

@@ -17,10 +17,8 @@ TEST(Platform, ChannelsAndMembership) {
   EXPECT_FALSE(server.create_channel("general", ChannelKind::Text));
   server.join("alice", /*is_developer=*/true);
   server.join("bob");
-  EXPECT_TRUE(server.is_member("alice"));
   EXPECT_TRUE(server.is_developer("alice"));
   EXPECT_FALSE(server.is_developer("bob"));
-  EXPECT_FALSE(server.is_member("carol"));
   EXPECT_EQ(server.member_count(), 2u);
 }
 
@@ -137,7 +135,7 @@ TEST(Mail, ListFanOutAndArchive) {
   EXPECT_EQ(bot.unread().size(), 1u);
   EXPECT_DOUBLE_EQ(bot.unread()[0]->timestamp, 50.0);
   EXPECT_TRUE(bot.mark_read(bot.unread()[0]->id));
-  EXPECT_FALSE(bot.has_unread());
+  EXPECT_TRUE(bot.unread().empty());
   EXPECT_EQ(alice.unread().size(), 1u);  // per-mailbox flags
 }
 
@@ -315,15 +313,6 @@ TEST_F(Fig5Test, SafetyInvariantNonDevelopersCannotActOnDrafts) {
   // Unknown draft ids are rejected.
   EXPECT_EQ(chat_bot_->press_send(424242, "barry"),
             ButtonResult::UnknownDraft);
-}
-
-TEST_F(Fig5Test, DirectMessagesAreAnsweredImmediately) {
-  const std::string reply = chat_bot_->direct_message(
-      "random-user", "Which Krylov method for symmetric positive definite "
-                     "matrices?");
-  EXPECT_NE(reply.find("KSPCG"), std::string::npos);
-  // Direct messages never touch the mailing list.
-  EXPECT_TRUE(list_->archive().empty());
 }
 
 }  // namespace

@@ -136,10 +136,11 @@ TEST_F(ChaosTest, HistoryRecordOfLostRetrievalNamesThePinnedEmbedder) {
   const rag::WorkflowOutcome out = workflow->ask(kQuestion, &ctx);
   ASSERT_EQ(out.degradation, res::DegradationLevel::NoRetrieval);
   ASSERT_EQ(out.retrieval.snapshot, nullptr);
-  const history::InteractionRecord* record = store.get(out.history_id);
-  ASSERT_NE(record, nullptr);
-  EXPECT_EQ(record->embedding_model, pinned->embedder->name());
-  EXPECT_FALSE(record->embedding_model.empty());
+  ASSERT_EQ(store.size(), 1u);
+  const history::InteractionRecord& record = store.records().front();
+  EXPECT_EQ(record.id, out.history_id);
+  EXPECT_EQ(record.embedding_model, pinned->embedder->name());
+  EXPECT_FALSE(record.embedding_model.empty());
 }
 
 // A Server walks the same rung: its worker runs ask() under the request's

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -29,14 +28,12 @@
 #include "bots/platform.h"
 #include "corpus/generator.h"
 #include "corpus/questions.h"
-#include "history/store.h"
 #include "ingest/ingestor.h"
 #include "lexical/bm25.h"
 #include "lexical/term_stats.h"
 #include "llm/model_config.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "rag/history_retriever.h"
 #include "rag/knowledge_base.h"
 #include "rag/retriever.h"
 #include "rag/workflow.h"
@@ -183,7 +180,7 @@ TEST(KnowledgeBase, AdoptSnapshotConstructor) {
             built.snapshot()->chunks.size());
 }
 
-// --- Ingestor: delta merge, upsert, refit, Q&A, vetted history -------------
+// --- Ingestor: delta merge, upsert, refit, Q&A ------------------------------
 
 TEST(Ingest, EmptyIngestIsANoOp) {
   auto kb = rag::KnowledgeBase::build(small_corpus());
@@ -466,102 +463,6 @@ TEST(Ingest, QaExchangeBecomesARetrievableDocument) {
     if (chunk.meta("source") == "resolved/thread-7.md") found_source = true;
   }
   EXPECT_TRUE(found_source);
-}
-
-TEST(Ingest, VettedHistorySelectsScoredAndTrustedRecordsOnce) {
-  auto kb = rag::KnowledgeBase::build(small_corpus());
-  ingest::Ingestor ingestor(kb);
-
-  history::HistoryStore store;
-  history::InteractionRecord good;
-  good.question = "How do I monitor residuals?";
-  good.response = "Use GOODANSWER -ksp_monitor.";
-  good.model = "sim-gpt-4o";
-  const auto good_id = store.add(good);
-  store.record_score(good_id, {"barry", 4, ""});
-
-  history::InteractionRecord bad;
-  bad.question = "What about BADANSWER?";
-  bad.response = "BADANSWER hallucinated text.";
-  bad.model = "sim-gpt-4o";
-  store.record_score(store.add(bad), {"barry", 1, ""});
-
-  history::InteractionRecord human;
-  human.question = "Human wisdom?";
-  human.response = "HUMANANSWER from a developer.";
-  human.model = "";  // human-authored, unscored
-  store.add(human);
-
-  history::InteractionRecord empty;
-  empty.question = "Unanswered?";
-  empty.response = "";
-  store.add(empty);
-
-  const rag::SnapshotPtr next = ingestor.ingest_vetted_history(store);
-  ASSERT_NE(next, nullptr);
-  EXPECT_TRUE(any_chunk_contains(*next, "GOODANSWER"));
-  EXPECT_TRUE(any_chunk_contains(*next, "HUMANANSWER"));
-  EXPECT_FALSE(any_chunk_contains(*next, "BADANSWER"));
-
-  // Already-ingested records do not build another generation.
-  EXPECT_EQ(ingestor.ingest_vetted_history(store), nullptr);
-  EXPECT_EQ(kb.generation(), 2u);
-
-  // A newly vetted record does.
-  history::InteractionRecord late;
-  late.question = "Late question?";
-  late.response = "LATEANSWER now vetted.";
-  late.model = "sim-gpt-4o";
-  store.record_score(store.add(late), {"jed", 4, ""});
-  const rag::SnapshotPtr gen3 = ingestor.ingest_vetted_history(store);
-  ASSERT_NE(gen3, nullptr);
-  EXPECT_TRUE(any_chunk_contains(*gen3, "LATEANSWER"));
-}
-
-// Ingestion and history recall share HistoryStore::vetted_records, so both
-// admit exactly the same records: a low-scored human answer and an empty
-// response are admitted by neither.
-TEST(Ingest, HistoryRetrieverAdmitsExactlyTheIngestedRecords) {
-  history::HistoryStore store;
-  const auto add = [&store](std::string response, std::string model,
-                            std::optional<int> score) {
-    history::InteractionRecord record;
-    record.question = "Question " + std::to_string(store.size()) + "?";
-    record.response = std::move(response);
-    record.model = std::move(model);
-    const std::uint64_t id = store.add(record);
-    if (score.has_value()) store.record_score(id, {"barry", *score, ""});
-    return id;
-  };
-  const auto scored_model = add("A scored model answer.", "sim-gpt-4o", 4);
-  add("A low-scored model answer.", "sim-gpt-4o", 1);
-  add("An unscored model answer.", "sim-gpt-4o", std::nullopt);
-  const auto unscored_human =
-      add("An unscored human answer.", "", std::nullopt);
-  add("A low-scored human answer.", "", 1);
-  add("", "", std::nullopt);  // empty human response
-  add("", "sim-gpt-4o", 4);   // empty, yet well scored
-
-  auto kb = rag::KnowledgeBase::build(small_corpus());
-  ingest::Ingestor ingestor(kb);
-  const rag::SnapshotPtr next = ingestor.ingest_vetted_history(store);
-  ASSERT_NE(next, nullptr);
-  std::vector<std::uint64_t> ingested;
-  for (const auto& record : store.records()) {
-    const std::string source =
-        "history/qa-" + std::to_string(record.id) + ".md";
-    for (const text::Document& chunk : next->chunks) {
-      if (chunk.meta("source") == source) {
-        ingested.push_back(record.id);
-        break;
-      }
-    }
-  }
-
-  const rag::HistoryRetriever retriever(&store);
-  const std::vector<std::uint64_t> expected{scored_model, unscored_human};
-  EXPECT_EQ(ingested, expected);
-  EXPECT_EQ(retriever.record_ids(), expected);
 }
 
 // --- ChatBot: the Fig-5 curation loop --------------------------------------

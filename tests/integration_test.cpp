@@ -115,11 +115,11 @@ TEST_F(IntegrationTest, HistoryOfAFullRunRecordsEveryAsk) {
   }
   ASSERT_EQ(store.size(), 5u);
   for (std::size_t i = 1; i <= 5; ++i) {
-    const history::InteractionRecord* r = store.get(i);
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->question, corpus::krylov_benchmark()[i - 1].question);
-    EXPECT_FALSE(r->response.empty()) << "record " << i;
-    EXPECT_NE(r->prompt.find(r->question), std::string::npos) << "record " << i;
+    const history::InteractionRecord& r = store.records()[i - 1];
+    EXPECT_EQ(r.id, i);
+    EXPECT_EQ(r.question, corpus::krylov_benchmark()[i - 1].question);
+    EXPECT_FALSE(r.response.empty()) << "record " << i;
+    EXPECT_NE(r.prompt.find(r.question), std::string::npos) << "record " << i;
   }
   // Simulated time advanced monotonically across the interactions.
   EXPECT_GT(clock.now(), 5.0);

@@ -374,7 +374,7 @@ TEST_F(ObsIntegrationTest, AskOnRagRerankEmitsDocumentedSpanTree) {
   const Trace& trace = traces.front();
 
   // The exact hierarchy from docs/OBSERVABILITY.md (no history attached, so
-  // no history_recall / history_record spans).
+  // no history_record span).
   EXPECT_EQ(trace.root.name, kSpanAsk);
   EXPECT_EQ(child_names(trace.root),
             (std::vector<std::string>{

@@ -124,7 +124,6 @@ TEST_F(RagTest, PromptLibraryRendersContexts) {
   const std::string bare = PromptLibrary::render_user_prompt("q", {});
   EXPECT_EQ(bare, "Question: q");
   EXPECT_FALSE(PromptLibrary::qa_system_prompt().empty());
-  EXPECT_FALSE(PromptLibrary::email_reply_system_prompt().empty());
 }
 
 TEST_F(RagTest, WorkflowBaselineHasNoRetrieval) {
@@ -157,16 +156,16 @@ TEST_F(RagTest, WorkflowRecordsHistory) {
       workflow.ask("How do I monitor the residual norm?");
   EXPECT_EQ(outcome.history_id, 1u);
   ASSERT_EQ(store.size(), 1u);
-  const history::InteractionRecord* record = store.get(1);
-  EXPECT_EQ(record->pipeline, "rag+rerank");
-  EXPECT_EQ(record->model, "sim-gpt-4o");
-  EXPECT_FALSE(record->embedding_model.empty());
-  EXPECT_EQ(record->reranker, "sim-flashrank");
-  EXPECT_FALSE(record->context_ids.empty());
-  EXPECT_NE(record->prompt.find("Context passages"), std::string::npos);
+  const history::InteractionRecord& record = store.records().front();
+  EXPECT_EQ(record.pipeline, "rag+rerank");
+  EXPECT_EQ(record.model, "sim-gpt-4o");
+  EXPECT_FALSE(record.embedding_model.empty());
+  EXPECT_EQ(record.reranker, "sim-flashrank");
+  EXPECT_FALSE(record.context_ids.empty());
+  EXPECT_NE(record.prompt.find("Context passages"), std::string::npos);
   // The clock advanced by the interaction's latency.
   EXPECT_GT(clock.now(), 0.0);
-  EXPECT_NEAR(clock.now(), record->latency_seconds, 1e-9);
+  EXPECT_NEAR(clock.now(), record.latency_seconds, 1e-9);
 }
 
 TEST_F(RagTest, WorkflowDeterministic) {

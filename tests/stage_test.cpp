@@ -1,7 +1,7 @@
 // Stage-graph tests: the parity contract (every served request — a Server
 // request or a SessionManager turn — reproduces a serial ask()
 // content-identically), the budget charge and generation stamped-in-one-place
-// guarantees, and the shared-history recall ordering contract. Suite names
+// guarantees, and the session-history tail-append contract. Suite names
 // (StageGraph*/StageParity*) are part of the scripts/run_tsan.sh filter.
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "corpus/generator.h"
 #include "history/store.h"
 #include "llm/model_config.h"
-#include "rag/history_retriever.h"
 #include "rag/prompts.h"
 #include "rag/stage_graph.h"
 #include "rag/stages.h"
@@ -169,20 +168,20 @@ TEST_F(StageParityTest, HistoryRecordParityAcrossPaths) {
 
   ASSERT_EQ(direct_store.size(), 1u);
   ASSERT_EQ(served_store.size(), 1u);
-  const history::InteractionRecord* a = direct_store.get(direct.history_id);
-  const history::InteractionRecord* b = served_store.get(served.history_id);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->question, b->question);
-  EXPECT_EQ(a->response, b->response);
-  EXPECT_EQ(a->prompt, b->prompt);
-  EXPECT_EQ(a->context_ids, b->context_ids);
-  EXPECT_EQ(a->model, b->model);
-  EXPECT_EQ(a->reranker, b->reranker);
+  const history::InteractionRecord& a = direct_store.records().front();
+  const history::InteractionRecord& b = served_store.records().front();
+  EXPECT_EQ(a.id, direct.history_id);
+  EXPECT_EQ(b.id, served.history_id);
+  EXPECT_EQ(a.question, b.question);
+  EXPECT_EQ(a.response, b.response);
+  EXPECT_EQ(a.prompt, b.prompt);
+  EXPECT_EQ(a.context_ids, b.context_ids);
+  EXPECT_EQ(a.model, b.model);
+  EXPECT_EQ(a.reranker, b.reranker);
   // Latency includes real measured embed time on top of the simulated
   // seconds; sanitizer builds stretch the real component, so allow slack
   // well below one simulated latency (a path bug would differ by seconds).
-  EXPECT_NEAR(a->latency_seconds, b->latency_seconds, 0.5);
+  EXPECT_NEAR(a.latency_seconds, b.latency_seconds, 0.5);
 }
 
 // --- satellite: budget charge ---------------------------------------------
@@ -234,77 +233,66 @@ TEST_F(StageParityTest, BaselineGenerationIsZero) {
   EXPECT_EQ(server.ask(kQuestions.front()).generation, 0u);
 }
 
-// --- satellite: shared-history recall ordering ----------------------------
+// --- session history: the tail-append contract ---------------------------
 
-// History contexts are appended AFTER the document contexts: they compete
-// for the tail of the attention window, never displace a document.
+// Two prior turns of one session, oldest first, as SessionManager builds them.
+const std::vector<llm::ContextDoc> kSessionHistory = {
+    {"session:s1:turn:1", "Earlier in this conversation",
+     "Q: What is GMRES?\nA: A Krylov method for nonsymmetric systems.", 0.0},
+    {"session:s1:turn:2", "Earlier in this conversation",
+     "Q: How do I set the restart?\nA: Use -ksp_gmres_restart.", 0.0},
+};
+
+// Session history is appended AFTER the document contexts: it competes for
+// the tail of the attention window, never displaces a document.
 TEST_F(StageParityTest, HistoryContextsAppendAfterDocumentContexts) {
-  const std::string q = kQuestions.front();
-
-  history::HistoryStore store;
-  history::InteractionRecord vetted;
-  vetted.question = q;
-  vetted.response =
-      "Use KSPCG: the conjugate gradient method is the standard choice for "
-      "symmetric positive definite systems.";
-  store.record_score(store.add(std::move(vetted)),
-                     {.scorer = "expert", .score = 4, .notes = ""});
-  rag::HistoryRetriever history_retriever(&store);
-  history_retriever.refresh();
-  ASSERT_EQ(history_retriever.record_ids().size(), 1u);
-
+  rag::SessionPromptContext session;
+  session.history_contexts = &kSessionHistory;
   auto workflow = make_workflow();
-  workflow->attach_history_retrieval(&history_retriever);
   rag::StageTrace trace;
-  const rag::WorkflowOutcome out = workflow->ask(q, nullptr, &trace);
-  ASSERT_FALSE(out.retrieval.contexts.empty());
+  const rag::WorkflowOutcome out =
+      workflow->ask(kQuestions.front(), nullptr, &trace, &session);
+  const std::size_t n_docs = out.retrieval.contexts.size();
+  ASSERT_GT(n_docs, 0u);
+  EXPECT_EQ(session.history_attached, kSessionHistory.size());
 
   const std::vector<llm::ContextDoc>& contexts = trace.prompt.contexts;
-  ASSERT_GT(contexts.size(), out.retrieval.contexts.size())
-      << "history recall added nothing";
-  bool seen_history = false;
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    const bool is_history = contexts[i].id.rfind("history#", 0) == 0;
-    if (is_history) seen_history = true;
-    if (seen_history) {
-      EXPECT_TRUE(is_history)
-          << "document context " << contexts[i].id
-          << " appears after a history context (position " << i << ")";
-    }
-    if (i < out.retrieval.contexts.size()) {
-      EXPECT_EQ(contexts[i].id, out.retrieval.contexts[i].doc->id)
-          << "document contexts must lead, in retrieval order";
-    }
+  ASSERT_EQ(contexts.size(), n_docs + kSessionHistory.size());
+  for (std::size_t i = 0; i < n_docs; ++i) {
+    EXPECT_EQ(contexts[i].id, out.retrieval.contexts[i].doc->id)
+        << "document contexts must lead, in retrieval order (position " << i
+        << ")";
   }
-  EXPECT_TRUE(seen_history);
+  for (std::size_t i = 0; i < kSessionHistory.size(); ++i) {
+    EXPECT_EQ(contexts[n_docs + i].id, kSessionHistory[i].id)
+        << "session history follows the documents, oldest first";
+  }
 }
 
-// The promotion branch: a request that gains its FIRST contexts from
-// history recall (baseline arm — empty system prompt, no documents) is
-// promoted to the QA system prompt.
+// The promotion branch of append_recalled_contexts: a request with an empty
+// system prompt whose first contexts are session history gets the QA
+// prompt; with no history the system prompt stays empty. A system prompt
+// that is already set is kept: a Baseline ask() with session history still
+// carries the baseline prompt.
 TEST_F(StageParityTest, EmptySystemPromptPromotedOnHistoryRecall) {
-  history::HistoryStore store;
-  history::InteractionRecord vetted;
-  vetted.question = "How do I monitor the true residual norm?";
-  vetted.response = "Use -ksp_monitor_true_residual on the command line.";
-  store.record_score(store.add(std::move(vetted)),
-                     {.scorer = "expert", .score = 4, .notes = ""});
-  rag::HistoryRetriever retriever(&store);
-  retriever.refresh();
-  ASSERT_EQ(retriever.record_ids().size(), 1u);
-
-  llm::LlmRequest request;  // no contexts, empty system prompt
-  rag::recall_history_contexts(
-      retriever, "How do I monitor the true residual norm?", request);
-  ASSERT_FALSE(request.contexts.empty());
+  llm::LlmRequest request;  // no documents, empty system prompt
+  rag::append_recalled_contexts(kSessionHistory, request);
+  ASSERT_EQ(request.contexts.size(), kSessionHistory.size());
+  EXPECT_EQ(request.contexts.front().id, kSessionHistory.front().id);
   EXPECT_EQ(request.system, rag::PromptLibrary::qa_system_prompt());
 
-  // No recall hit -> no promotion: the system prompt stays empty.
-  llm::LlmRequest miss;
-  rag::recall_history_contexts(
-      retriever, "completely unrelated quantum chromodynamics", miss);
-  EXPECT_TRUE(miss.contexts.empty());
-  EXPECT_TRUE(miss.system.empty());
+  llm::LlmRequest no_history;
+  rag::append_recalled_contexts({}, no_history);
+  EXPECT_TRUE(no_history.contexts.empty());
+  EXPECT_TRUE(no_history.system.empty());
+
+  rag::SessionPromptContext session;
+  session.history_contexts = &kSessionHistory;
+  auto baseline = make_workflow(rag::PipelineArm::Baseline);
+  rag::StageTrace trace;
+  (void)baseline->ask(kQuestions.front(), nullptr, &trace, &session);
+  EXPECT_EQ(trace.prompt.contexts.size(), kSessionHistory.size());
+  EXPECT_EQ(trace.prompt.system, rag::PromptLibrary::baseline_system_prompt());
 }
 
 // --- the stage graph itself -----------------------------------------------
