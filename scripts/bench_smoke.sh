@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Bench smoke: run the serving-layer benches at tiny parameters and validate
-# that each report contains its contract keys. This is not a performance
-# gate — it proves the bench binaries still run end to end and still emit
-# the JSON shape dashboards consume (chaos_serve additionally enforces its
-# own service-level gate and exits nonzero when it fails). Wired into CI
+# Bench smoke: run chaos_serve, ann_frontier and replay_regress at tiny
+# parameters and validate that each report contains its contract keys. This
+# is not a performance gate — it proves the bench binaries still run end to
+# end and still emit the JSON shape dashboards consume (each bench also
+# enforces its own gate and exits nonzero when it fails). The session
+# overload gate is a ctest (SessionOverload.*), not a bench. Wired into CI
 # and scripts/check_all.sh; run standalone from anywhere:
 #
 #   scripts/bench_smoke.sh [build-dir] [report-dir]
@@ -72,20 +73,5 @@ require_keys "$out_dir/BENCH_replay.json" \
   config traces_dir results gates traces generate_exact full_match \
   explained_diffs unexplained_diffs replay_seconds_mean record_seconds_mean \
   record_overhead_pct ok id unresolved_contexts generate_seconds full_seconds
-
-# Session serving: tiny open-loop run over all four arrival modes. The
-# bench's own admission gates run for real (it exits nonzero unless >= 99%
-# of admitted turns are answered, nothing overdraws its deadline budget, and
-# shedding rises monotonically across the overload rungs before p99
-# collapses), so a smoke pass certifies the knee measurement end to end.
-run session_load --workers 2 --queue-capacity 16 --sessions 8 \
-  --requests-per-mode 48 --overload-window 0.3 \
-  --output "$out_dir/BENCH_sessions.json"
-require_keys "$out_dir/BENCH_sessions.json" \
-  config modes overload gates capacity_qps_estimate offered_qps \
-  sustained_qps p50_seconds p95_seconds p99_seconds arrivals admitted shed \
-  shed_rate answered_rate budget_spent_max_seconds sessions rungs \
-  knee_offered_qps knee_shed_rate knee_p99_seconds deadline_violations \
-  shed_before_collapse monotone_shed ok
 
 echo "bench_smoke: OK"

@@ -3,8 +3,8 @@
 #
 #   1. plain build + ctest (tier-1, what CI runs — includes the chaos and
 #      resilience suites and the check_docs contract test)
-#   2. bench smoke: tiny serve/ingest/chaos bench runs with JSON-shape and
-#      chaos service-level gates, plus the replay regression over the
+#   2. bench smoke: tiny chaos_serve and ann_frontier runs with JSON-shape
+#      checks and their own gates, plus the replay regression over the
 #      committed trace corpus in tests/data/traces (bench_smoke.sh)
 #   3. ThreadSanitizer over the concurrency-heavy suites (run_tsan.sh)
 #   4. AddressSanitizer over the full suite (run_asan.sh)

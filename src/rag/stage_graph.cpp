@@ -54,16 +54,6 @@ std::optional<StageKind> stage_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-void append_recalled_contexts(std::vector<llm::ContextDoc> contexts,
-                              llm::LlmRequest& request) {
-  for (llm::ContextDoc& ctx : contexts) {
-    request.contexts.push_back(std::move(ctx));
-  }
-  if (!request.contexts.empty() && request.system.empty()) {
-    request.system = PromptLibrary::qa_system_prompt();
-  }
-}
-
 /// Pin the snapshot, open the umbrella `retrieve` span, embed the query.
 class EmbedStage final : public Stage {
  public:
@@ -170,9 +160,11 @@ class PromptStage final : public Stage {
     }
     if (session != nullptr && session->history_contexts != nullptr) {
       // Conversation history goes after the documents, competing for the
-      // tail of the attention window (append_recalled_contexts).
+      // tail of the attention window.
       session->history_attached = session->history_contexts->size();
-      append_recalled_contexts(*session->history_contexts, request);
+      request.contexts.insert(request.contexts.end(),
+                              session->history_contexts->begin(),
+                              session->history_contexts->end());
     }
     if (st.max_attended_override.has_value()) {
       request.max_attended_contexts = *st.max_attended_override;

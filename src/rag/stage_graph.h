@@ -87,14 +87,6 @@ class StageGraph {
 /// every workflow).
 [[nodiscard]] const StageGraph& global_stage_graph();
 
-/// The tail-append contract for session conversation history, factored out
-/// of PromptStage so it is testable in isolation: contexts go after whatever
-/// the request already holds (the document contexts lead, in retrieval
-/// order), and a request with an empty system prompt that gains its first
-/// contexts here is promoted to the QA prompt.
-void append_recalled_contexts(std::vector<llm::ContextDoc> contexts,
-                              llm::LlmRequest& request);
-
 /// Capture every artifact of a completed (or seeded) StageState into a
 /// StageTrace: configuration header from the workflow, stage artifacts from
 /// the state. Used by ask() when recording and by the replay engine to

@@ -100,8 +100,7 @@ struct PostprocessArtifact {
 
 /// Per-turn session hooks threaded into PromptStage by the session serving
 /// layer (serve/session.h). Prior turns are appended AFTER the document
-/// contexts (append_recalled_contexts: they compete for the tail of the
-/// attention window), and the
+/// contexts (they compete for the tail of the attention window), and the
 /// session's retrieval memory drops chunks the session has already seen
 /// from the prompt. The retrieval stages still run in full — replay traces
 /// and retrieval metrics are unaffected; only prompt assembly changes.

@@ -32,7 +32,6 @@ SessionManager::SessionManager(Server& server, SessionOptions opts)
   opts_.lanes = server_.options().workers;
   if (opts_.max_sessions == 0) opts_.max_sessions = 1;
   if (opts_.max_inflight_per_session == 0) opts_.max_inflight_per_session = 1;
-  if (!opts_.clock) opts_.clock = util::steady_seconds;
 }
 
 SessionManager::~SessionManager() { stop(); }
@@ -58,8 +57,6 @@ std::size_t SessionManager::lane_of(const std::string& session_id) const {
   return std::hash<std::string>{}(session_id) % opts_.lanes;
 }
 
-double SessionManager::now_seconds() const { return opts_.clock(); }
-
 std::future<TurnOutcome> SessionManager::submit(const std::string& session_id,
                                                 std::string question) {
   obs::MetricsRegistry& metrics = obs::global_metrics();
@@ -68,14 +65,12 @@ std::future<TurnOutcome> SessionManager::submit(const std::string& session_id,
 
   obs::Span span(obs::global_tracer(), obs::kSpanAdmission);
   span.set_attr("session", session_id);
-  const double now = now_seconds();
   // A stopped manager sheds instead of throwing: submit() never blocks and
   // never fails a future, even racing shutdown.
   if (stopped_.load(std::memory_order_relaxed)) {
     span.set_attr("decision", to_string(Admission::ShedQueueFull));
     return shed_turn(session_id, Admission::ShedQueueFull);
   }
-  sweep_idle(now);
 
   std::shared_ptr<Session> session =
       lookup_session(session_id, /*create_if_missing=*/false);
@@ -117,11 +112,10 @@ std::future<TurnOutcome> SessionManager::submit(const std::string& session_id,
   if (session == nullptr) {
     session = lookup_session(session_id, /*create_if_missing=*/true);
   }
-  session->last_active_seconds.store(now, std::memory_order_relaxed);
 
   Turn turn;
   turn.question = std::move(question);
-  turn.submit_seconds = now;
+  turn.submit_seconds = util::steady_seconds();
   std::future<TurnOutcome> future = turn.promise.get_future();
   // Take a queue slot and hand the turn to its strand; either fails if
   // racing submitters filled the queue or the manager stopped meanwhile.
@@ -135,11 +129,6 @@ std::future<TurnOutcome> SessionManager::submit(const std::string& session_id,
   span.set_attr("decision", to_string(Admission::Admitted));
   publish_gauges();
   return future;
-}
-
-TurnOutcome SessionManager::ask(const std::string& session_id,
-                                std::string question) {
-  return submit(session_id, std::move(question)).get();
 }
 
 std::future<TurnOutcome> SessionManager::shed_turn(
@@ -182,8 +171,6 @@ std::shared_ptr<SessionManager::Session> SessionManager::lookup_session(
   }
   auto session = std::make_shared<Session>();
   session->id = session_id;
-  session->last_active_seconds.store(now_seconds(),
-                                     std::memory_order_relaxed);
   lru_.push_back(session_id);
   session->lru_pos = std::prev(lru_.end());
   sessions_.emplace(session_id, session);
@@ -210,22 +197,6 @@ void SessionManager::evict_locked(const std::string& session_id) {
   metrics.counter(obs::kSessionEvictedTotal).inc();
   metrics.gauge(obs::kSessionActive)
       .set(static_cast<double>(sessions_.size()));
-}
-
-void SessionManager::sweep_idle(double now) {
-  if (opts_.session_idle_ttl_seconds <= 0.0) return;
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  while (!lru_.empty()) {
-    auto it = sessions_.find(lru_.front());
-    if (it == sessions_.end()) {
-      lru_.pop_front();
-      continue;
-    }
-    const double idle =
-        now - it->second->last_active_seconds.load(std::memory_order_relaxed);
-    if (idle < opts_.session_idle_ttl_seconds) break;
-    evict_locked(lru_.front());
-  }
 }
 
 void SessionManager::publish_gauges() {
@@ -269,7 +240,7 @@ void SessionManager::run_strand(Session& session) {
 
 void SessionManager::process_turn(Session& session, Turn& turn) {
   obs::MetricsRegistry& metrics = obs::global_metrics();
-  const double start = now_seconds();
+  const double start = util::steady_seconds();
   const double wait = std::max(0.0, start - turn.submit_seconds);
   queued_.fetch_sub(1, std::memory_order_relaxed);
   metrics.histogram(obs::kSessionQueueWaitSeconds).observe(wait);
@@ -350,7 +321,8 @@ void SessionManager::process_turn(Session& session, Turn& turn) {
     span.set_attr("degradation",
                   resilience::to_string(out.outcome.degradation));
 
-    out.turn_seconds = std::max(0.0, now_seconds() - turn.submit_seconds);
+    out.turn_seconds =
+        std::max(0.0, util::steady_seconds() - turn.submit_seconds);
     completed_.fetch_add(1, std::memory_order_relaxed);
     metrics.histogram(obs::kSessionTurnSeconds).observe(out.turn_seconds);
     turn.promise.set_value(std::move(out));
@@ -358,12 +330,10 @@ void SessionManager::process_turn(Session& session, Turn& turn) {
     turn.promise.set_exception(std::current_exception());
   }
 
-  const double end = now_seconds();
-  const double service = std::max(0.0, end - start);
+  const double service = std::max(0.0, util::steady_seconds() - start);
   const double prev = ema_turn_seconds_.load(std::memory_order_relaxed);
   ema_turn_seconds_.store(prev <= 0.0 ? service : 0.8 * prev + 0.2 * service,
                           std::memory_order_relaxed);
-  session.last_active_seconds.store(end, std::memory_order_relaxed);
   metrics.gauge(obs::kSessionInflight).add(-1.0);
 }
 

@@ -25,8 +25,8 @@
 //
 // Session state is single-writer by construction: a strand runs on one
 // worker at a time, so a session's memory and history need no lock; the
-// manager's map/LRU mutex covers lookup, creation, and eviction (capacity +
-// idle TTL). Evicting a session mid-turn is safe — the running strand holds
+// manager's map/LRU mutex covers lookup, creation, and LRU eviction at
+// capacity. Evicting a session mid-turn is safe — the running strand holds
 // a shared_ptr and completes against the orphaned state.
 //
 // Everything is observable under pkb_session_* and the session_turn /
@@ -37,7 +37,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <list>
 #include <memory>
@@ -59,9 +58,6 @@ struct SessionOptions {
   std::size_t max_inflight_per_session = 4;
   /// Max live sessions; the least recently active is evicted beyond this.
   std::size_t max_sessions = 1024;
-  /// Idle eviction: sessions inactive this long are evicted on the next
-  /// submit. 0 = never.
-  double session_idle_ttl_seconds = 0.0;
   /// Conversation turns replayed into the prompt (most recent kept).
   std::size_t max_history_turns = 2;
   /// Retrieval-memory entries per session (oldest forgotten beyond this).
@@ -77,9 +73,6 @@ struct SessionOptions {
   /// while turns of existing sessions are still admitted (shed order: new
   /// before in-flight).
   double new_session_shed_fraction = 0.5;
-  /// Test hook: time source for waits, EMA, and idle TTL (defaults to
-  /// util::steady_seconds).
-  std::function<double()> clock;
 };
 
 /// The admission decision for one submitted turn, in shed order.
@@ -126,10 +119,6 @@ class SessionManager {
   [[nodiscard]] std::future<TurnOutcome> submit(const std::string& session_id,
                                                 std::string question);
 
-  /// Blocking convenience: submit and wait.
-  [[nodiscard]] TurnOutcome ask(const std::string& session_id,
-                                std::string question);
-
   /// Stop admitting (later turns shed) and wait until every admitted turn
   /// has run. Idempotent; called by the destructor.
   void stop();
@@ -171,7 +160,6 @@ class SessionManager {
   struct Session {
     std::string id;
     std::atomic<std::uint64_t> turns{0};
-    std::atomic<double> last_active_seconds{0.0};
     /// Position in the manager's LRU list (guarded by sessions_mu_).
     std::list<std::string>::iterator lru_pos;
 
@@ -205,10 +193,7 @@ class SessionManager {
                                      Admission reason);
   /// Evict one session (sessions_mu_ held).
   void evict_locked(const std::string& session_id);
-  /// Idle-TTL sweep from the LRU front (takes sessions_mu_).
-  void sweep_idle(double now);
   void publish_gauges();
-  [[nodiscard]] double now_seconds() const;
 
   Server& server_;
   SessionOptions opts_;

@@ -190,7 +190,6 @@ std::vector<MdBlock> parse_markdown(std::string_view md) {
     if (const int level = heading_level(trimmed); level > 0) {
       MdBlock block;
       block.type = MdBlock::Type::Heading;
-      block.level = level;
       block.text = std::string(
           trim(trimmed.substr(static_cast<std::size_t>(level))));
       blocks.push_back(std::move(block));
@@ -247,7 +246,6 @@ std::vector<MdBlock> parse_markdown(std::string_view md) {
     if (bullet || ordered) {
       MdBlock block;
       block.type = MdBlock::Type::List;
-      block.ordered = ordered;
       while (i < lines.size()) {
         std::string_view content;
         const bool matches = ordered ? is_ordered_item(lines[i], &content)

@@ -29,15 +29,11 @@ struct MdBlock {
   };
 
   Type type = Type::Paragraph;
-  /// Heading level 1-6 (Heading only).
-  int level = 0;
   /// Raw inline text: heading text, paragraph text, quote text, or the code
   /// body for CodeFence.
   std::string text;
   /// Info string of a code fence ("c", "console", ...).
   std::string language;
-  /// True for ordered (numbered) lists.
-  bool ordered = false;
   /// List items with inline markup preserved (List only).
   std::vector<std::string> items;
   /// Table rows including the header row, cells trimmed (Table only).

@@ -1,10 +1,10 @@
 // Multi-turn session serving tests: the SessionPromptContext hooks in the
 // stage graph (retrieval-memory dedup, history attachment, generation
 // staleness), the SessionManager's strands on the server's workers and
-// conversation state, the four-rung admission/shed order, memory
-// invalidation across live ingest generation swaps, and capacity/idle
-// eviction. Suite names all start with `Session` so scripts/run_tsan.sh
-// picks them up.
+// conversation state, the four-rung admission/shed order, shedding under a
+// ladder of overload bursts, memory invalidation across live ingest
+// generation swaps, and LRU eviction at capacity. Suite names all start with
+// `Session` so scripts/run_tsan.sh picks them up.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +20,8 @@
 
 #include "ingest/ingestor.h"
 #include "llm/model_config.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "rag/knowledge_base.h"
 #include "rag/stages.h"
 #include "rag/workflow.h"
@@ -69,6 +71,12 @@ bool wait_for(Pred pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred();
+}
+
+// Submit one turn and wait for its outcome.
+TurnOutcome ask(SessionManager& manager, const std::string& session_id,
+                std::string question) {
+  return manager.submit(session_id, std::move(question)).get();
 }
 
 // --- SessionPromptContext through the workflow directly --------------------
@@ -182,9 +190,9 @@ rag::AugmentedWorkflow* SessionManagerTest::workflow_ = nullptr;
 TEST_F(SessionManagerTest, MultiTurnDedupsAndCarriesHistory) {
   Server server(*workflow_, {});
   SessionManager manager(server, {});
-  const TurnOutcome t1 = manager.ask("chat", kQuestion);
-  const TurnOutcome t2 = manager.ask("chat", kQuestion);
-  const TurnOutcome t3 = manager.ask("chat", kQuestion);
+  const TurnOutcome t1 = ask(manager, "chat", kQuestion);
+  const TurnOutcome t2 = ask(manager, "chat", kQuestion);
+  const TurnOutcome t3 = ask(manager, "chat", kQuestion);
   EXPECT_EQ(t1.turn, 1u);
   EXPECT_EQ(t2.turn, 2u);
   EXPECT_EQ(t3.turn, 3u);
@@ -210,7 +218,7 @@ TEST_F(SessionManagerTest, HistoryIsCappedAtMaxHistoryTurns) {
   opts.max_history_turns = 2;
   SessionManager manager(server, opts);
   TurnOutcome last;
-  for (int i = 0; i < 5; ++i) last = manager.ask("chat", kQuestion);
+  for (int i = 0; i < 5; ++i) last = ask(manager, "chat", kQuestion);
   EXPECT_EQ(last.turn, 5u);
   EXPECT_EQ(last.history_contexts, 2u);  // only the most recent 2 replayed
 }
@@ -233,8 +241,8 @@ TEST_F(SessionManagerTest, AnswerCacheIsBypassedBothDirections) {
   sopts.workers = 1;
   Server server(*workflow_, sopts);
   SessionManager manager(server, {});
-  (void)manager.ask("chat", kQuestion);
-  (void)manager.ask("chat", kQuestion);
+  (void)ask(manager, "chat", kQuestion);
+  (void)ask(manager, "chat", kQuestion);
   // Repeated turns and repeated plain asks all compute: the server keeps
   // no answers.
   EXPECT_EQ(server.stats().computed, 2u);
@@ -469,7 +477,7 @@ TEST_F(SessionAdmissionTest, ShedTurnCarriesTypedOverloadAnswer) {
   opts.admission_deadline_seconds = 0.01;
   opts.initial_turn_seconds_estimate = 1.0;
   SessionManager manager(server, opts);
-  const TurnOutcome out = manager.ask("chat", kQuestion);
+  const TurnOutcome out = ask(manager, "chat", kQuestion);
   EXPECT_TRUE(out.shed());
   EXPECT_EQ(out.admission, Admission::ShedDeadline);
   EXPECT_EQ(out.outcome.degradation, resilience::DegradationLevel::Unavailable);
@@ -481,6 +489,85 @@ TEST_F(SessionAdmissionTest, ShedTurnCarriesTypedOverloadAnswer) {
   EXPECT_EQ(out.turn_seconds, 0.0);
 }
 
+// --- Overload: shedding rises with offered load ----------------------------
+
+class SessionOverload : public SessionManagerTest {};
+
+// Bursts of 0.5x to 8x the admission capacity, each offered while a "plug"
+// turn holds the only worker: every burst meets an empty queue and no burst
+// turn starts before the last one is offered, so the admitted depth is
+// exact and the test checks counts, never wall-clock times. Shedding never
+// falls as the offered load rises, it passes 1% by the 2x burst, no burst
+// is admitted past queue_capacity (load is shed before the queue grows),
+// and every turn resolves: admitted turns with an answer inside the
+// deadline budget, shed turns with the typed overload answer.
+TEST_F(SessionOverload, ShedRisesWithOfferedLoadBeforeTheQueueGrows) {
+  constexpr double kDeadlineSeconds = 10.0;
+  constexpr std::size_t kCapacity = 4;
+  constexpr double kMultipliers[] = {0.5, 1.0, 2.0, 4.0, 8.0};
+  obs::global_metrics().reset();
+  resilience::ResilienceOptions ropts;
+  ropts.request_deadline_seconds = kDeadlineSeconds;
+  resilience::Resilience engine(ropts);
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.queue_capacity = kCapacity;
+  sopts.llm_latency_scale = 0.02;  // each turn holds the worker ~0.1 s
+  sopts.resilience = &engine;
+  Server server(*workflow_, sopts);
+  SessionManager manager(server, {});  // the default admission rungs
+
+  std::size_t previous_shed = 0;
+  double knee = 0.0;  // the first burst that sheds more than 1%
+  for (const double multiplier : kMultipliers) {
+    SCOPED_TRACE("burst at " + std::to_string(multiplier) + "x capacity");
+    std::future<TurnOutcome> plug = manager.submit("plug", kQuestion);
+    ASSERT_TRUE(wait_for([&] { return manager.stats().queue_depth == 0; }));
+    const auto offered = static_cast<std::size_t>(
+        multiplier * static_cast<double>(kCapacity));
+    std::vector<std::future<TurnOutcome>> burst;
+    for (std::size_t i = 0; i < offered; ++i) {
+      burst.push_back(
+          manager.submit("agent-" + std::to_string(i % 3), kQuestion));
+    }
+    ASSERT_EQ(plug.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout)
+        << "the plug turn ended before the burst was offered";
+
+    std::size_t admitted = 0;
+    std::size_t shed = 0;
+    for (std::future<TurnOutcome>& future : burst) {
+      const TurnOutcome out = future.get();
+      EXPECT_FALSE(out.outcome.response.text.empty());
+      if (out.shed()) {
+        ++shed;
+        EXPECT_EQ(out.outcome.response.mode, "shed-overload");
+      } else {
+        ++admitted;
+      }
+    }
+    const TurnOutcome plugged = plug.get();
+    EXPECT_FALSE(plugged.shed());
+    EXPECT_FALSE(plugged.outcome.response.text.empty());
+
+    EXPECT_LE(admitted, kCapacity);
+    EXPECT_GE(shed, previous_shed);
+    previous_shed = shed;
+    if (knee == 0.0 && static_cast<double>(shed) >
+                           0.01 * static_cast<double>(offered)) {
+      knee = multiplier;
+    }
+  }
+  EXPECT_GT(knee, 0.0);
+  EXPECT_LE(knee, 2.0);
+  EXPECT_EQ(manager.stats().completed, manager.stats().admitted);
+  EXPECT_LE(obs::global_metrics()
+                .histogram(obs::kResilienceBudgetSpentSeconds)
+                .snapshot()
+                .max,
+            kDeadlineSeconds);
+}
+
 // --- Retrieval memory across live ingest generation swaps ------------------
 
 TEST(SessionMemory, GenerationSwapInvalidatesAndRebuildsDedupMemory) {
@@ -489,7 +576,7 @@ TEST(SessionMemory, GenerationSwapInvalidatesAndRebuildsDedupMemory) {
                                   llm::model_config("sim-gpt-4o"));
   Server server(workflow, {});
   SessionManager manager(server, {});
-  const TurnOutcome t1 = manager.ask("chat", kQuestion);
+  const TurnOutcome t1 = ask(manager, "chat", kQuestion);
   EXPECT_EQ(t1.outcome.generation, 1u);
   EXPECT_EQ(t1.deduped_contexts, 0u);
 
@@ -501,18 +588,18 @@ TEST(SessionMemory, GenerationSwapInvalidatesAndRebuildsDedupMemory) {
             nullptr);
   ASSERT_EQ(kb.generation(), 2u);
 
-  const TurnOutcome t2 = manager.ask("chat", kQuestion);
+  const TurnOutcome t2 = ask(manager, "chat", kQuestion);
   EXPECT_EQ(t2.outcome.generation, 2u);
   EXPECT_EQ(t2.deduped_contexts, 0u);  // stale memory dropped, not applied
   EXPECT_EQ(manager.stats().memory_invalidations, 1u);
 
   // The memory was rebuilt against generation 2: dedup works again.
-  const TurnOutcome t3 = manager.ask("chat", kQuestion);
+  const TurnOutcome t3 = ask(manager, "chat", kQuestion);
   EXPECT_GT(t3.deduped_contexts, 0u);
   EXPECT_EQ(manager.stats().memory_invalidations, 1u);
 }
 
-// --- Eviction: capacity LRU and idle TTL -----------------------------------
+// --- Eviction: LRU at capacity ---------------------------------------------
 
 class SessionEvictionTest : public SessionManagerTest {};
 
@@ -522,14 +609,14 @@ TEST_F(SessionEvictionTest, CapacityEvictsLeastRecentlyActive) {
   opts.max_sessions = 1;
   opts.new_session_shed_fraction = 0.0;  // don't shed the second session
   SessionManager manager(server, opts);
-  (void)manager.ask("first", kQuestion);
-  (void)manager.ask("second", kQuestion);  // evicts "first"
+  (void)ask(manager, "first", kQuestion);
+  (void)ask(manager, "second", kQuestion);  // evicts "first"
   SessionManager::Stats stats = manager.stats();
   EXPECT_EQ(stats.sessions_created, 2u);
   EXPECT_EQ(stats.sessions_evicted, 1u);
   EXPECT_EQ(stats.active_sessions, 1u);
   // "first" lost its state: a new turn starts a fresh session at turn 1.
-  const TurnOutcome back = manager.ask("first", kQuestion);
+  const TurnOutcome back = ask(manager, "first", kQuestion);
   EXPECT_EQ(back.turn, 1u);
   EXPECT_EQ(manager.stats().sessions_created, 3u);
 }
@@ -554,24 +641,6 @@ TEST_F(SessionEvictionTest, EvictionWhileTurnInFlightIsSafe) {
   EXPECT_FALSE(a.outcome.response.text.empty());
   EXPECT_FALSE(b.outcome.response.text.empty());
   EXPECT_EQ(manager.stats().sessions_evicted, 1u);
-}
-
-TEST_F(SessionEvictionTest, IdleTtlEvictsOnNextSubmit) {
-  Server server(*workflow_, {});
-  auto fake_now = std::make_shared<std::atomic<double>>(0.0);
-  SessionOptions opts;
-  opts.session_idle_ttl_seconds = 10.0;
-  opts.new_session_shed_fraction = 0.0;
-  opts.clock = [fake_now] { return fake_now->load(); };
-  SessionManager manager(server, opts);
-  (void)manager.ask("sleepy", kQuestion);
-  fake_now->store(100.0);  // well past the TTL
-  (void)manager.ask("fresh", kQuestion);  // sweep runs on this submit
-  SessionManager::Stats stats = manager.stats();
-  EXPECT_EQ(stats.sessions_evicted, 1u);
-  EXPECT_EQ(stats.active_sessions, 1u);
-  // "sleepy" restarts from scratch.
-  EXPECT_EQ(manager.ask("sleepy", kQuestion).turn, 1u);
 }
 
 }  // namespace

@@ -97,7 +97,7 @@ TEST_F(StageParityTest, FirstSessionTurnEqualsSerialAsk) {
     for (std::size_t i = 0; i < kQuestions.size(); ++i) {
       const std::string& q = kQuestions[i];
       const serve::TurnOutcome turn =
-          sessions.ask("parity-" + std::to_string(i), q);
+          sessions.submit("parity-" + std::to_string(i), q).get();
       ASSERT_FALSE(turn.shed()) << q;
       EXPECT_EQ(turn.turn, 1u) << q;
       EXPECT_EQ(turn.deduped_contexts, 0u) << q;
@@ -269,23 +269,10 @@ TEST_F(StageParityTest, HistoryContextsAppendAfterDocumentContexts) {
   }
 }
 
-// The promotion branch of append_recalled_contexts: a request with an empty
-// system prompt whose first contexts are session history gets the QA
-// prompt; with no history the system prompt stays empty. A system prompt
-// that is already set is kept: a Baseline ask() with session history still
-// carries the baseline prompt.
-TEST_F(StageParityTest, EmptySystemPromptPromotedOnHistoryRecall) {
-  llm::LlmRequest request;  // no documents, empty system prompt
-  rag::append_recalled_contexts(kSessionHistory, request);
-  ASSERT_EQ(request.contexts.size(), kSessionHistory.size());
-  EXPECT_EQ(request.contexts.front().id, kSessionHistory.front().id);
-  EXPECT_EQ(request.system, rag::PromptLibrary::qa_system_prompt());
-
-  llm::LlmRequest no_history;
-  rag::append_recalled_contexts({}, no_history);
-  EXPECT_TRUE(no_history.contexts.empty());
-  EXPECT_TRUE(no_history.system.empty());
-
+// A Baseline session turn keeps the baseline system prompt: PromptStage sets
+// it before appending the conversation history, which still reaches the
+// prompt as its only contexts.
+TEST_F(StageParityTest, BaselineHistoryTurnKeepsBaselinePrompt) {
   rag::SessionPromptContext session;
   session.history_contexts = &kSessionHistory;
   auto baseline = make_workflow(rag::PipelineArm::Baseline);
